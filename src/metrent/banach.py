@@ -26,7 +26,8 @@ from .schauder import (FSSystem, HaarSystem, RootSum, ScaledVal, fs_eval,
                        fs_nonzero_indices, haar_gen, haar_integral,
                        haar_scale_exp, haar_support, fs_coeffs, haar_coeffs)
 from .strings import (ceil_lb, decode_int, encode_int, nat_str, parse_nat,
-                      proj_value, round_half_away, tuple_list, tuple_strs)
+                      proj_value, round_half_away, tuple_list, tuple_strs,
+                      untuple)
 
 
 class ParameterViolation(ValueError):
@@ -141,8 +142,8 @@ def banach_name(vec, params: BanachReprParams, system, ell: LengthFn,
     def branch(a: str) -> str:
         tag, rest = a[0], a[1:]
         if tag == "0":
-            parts = [proj_value(t, 3, rest) for t in (1, 2, 3)]
-            if any(x is None for x in parts):
+            parts = untuple(3, rest)
+            if parts is None:
                 return ""
             vals = [parse_nat(x) for x in parts]
             if any(v is None for v in vals):
@@ -152,8 +153,8 @@ def banach_name(vec, params: BanachReprParams, system, ell: LengthFn,
                 raise ParameterViolation(
                     f"span budget at precision {n} cannot approximate the vector")
             return encode_int(lam_round(i, m))
-        parts = [proj_value(t, 4, rest) for t in (1, 2, 3, 4)]
-        if any(x is None for x in parts):
+        parts = untuple(4, rest)
+        if parts is None:
             return ""
         blob, ns, nn, nm = parts
         N, n, m = parse_nat(ns), parse_nat(nn), parse_nat(nm)
@@ -182,9 +183,8 @@ def _norm_answer(system, coeffs, n: int) -> int:
 
 
 def _parse_combo(blob: str, N: int) -> list[int] | None:
-    parts = [blob] if N == 0 else \
-        [proj_value(t, N + 1, blob) for t in range(1, N + 2)]
-    if any(p is None for p in parts):
+    parts = [blob] if N == 0 else untuple(N + 1, blob)
+    if parts is None:
         return None
     try:
         return [decode_int(p) for p in parts]
@@ -293,17 +293,18 @@ def banach_add_program() -> Callable[[Ctx], None]:
             return
         tag, rest = a[0], a[1:]
         if tag == "0":
-            parts = [proj_value(t, 3, rest) for t in (1, 2, 3)]
-            vals = [parse_nat(x) if x is not None else None for x in parts]
+            parts = untuple(3, rest)
+            vals = [None] if parts is None else [parse_nat(x) for x in parts]
             if any(v is None for v in vals):
                 ctx.emit("")
                 return
             i, n, m = vals
             q = coeff_query(i, 2 * n + 1, m)
             ans = ctx.ask(q)
-            za, zb = proj_value(1, 2, ans), proj_value(2, 2, ans)
-            if za is None or zb is None:
+            pair = untuple(2, ans)
+            if pair is None:
                 raise MalformedName("paired oracle answer is not a pair")
+            za, zb = pair
             try:
                 z = decode_int(za) + decode_int(zb)
             except ValueError as e:
@@ -370,8 +371,8 @@ def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int],
     def fn(a: str) -> str:
         t = len(a)
         target = size(t)
-        parts = [proj_value(i, 3, a) for i in (1, 2, 3)]
-        if all(x is not None for x in parts):
+        parts = untuple(3, a)
+        if parts is not None:
             zs, rs, ms = parts
             r = parse_nat(rs)
             if zs == "0" * len(zs) and r is not None and ms and ms[0] == "1" \
@@ -392,9 +393,10 @@ def dsq_query(n: int, r: int, m: int) -> str:
 
 def dsq_value(psi: Name, n: int, r: int, m: int) -> Fraction:
     raw = psi(dsq_query(n, r, m))
-    q_enc, tail = proj_value(1, 2, raw), proj_value(2, 2, raw)
-    if q_enc is None or tail is None or not tail or tail[0] != "1":
+    pair = untuple(2, raw)
+    if pair is None or not pair[1] or pair[1][0] != "1":
         raise MalformedName(f"bad point-value answer {raw!r}")
+    q_enc, tail = pair
     k = len(tail) - 1
     try:
         q = decode_int(q_enc)
@@ -414,8 +416,8 @@ def _parse_lp_query(a: str) -> tuple[int, int, int, int] | None:
     """Integral queries are <k, l, 1 0^m, 0^n>: endpoint numerals, a unary
     scale block, and a unary precision block (binary precision would force
     exponentially long answers, destroying the modulus-as-length design)."""
-    parts = [proj_value(i, 4, a) for i in (1, 2, 3, 4)]
-    if any(x is None for x in parts):
+    parts = untuple(4, a)
+    if parts is None:
         return None
     ks, ls, ms, ns = parts
     k, l = parse_nat(ks), parse_nat(ls)
@@ -457,9 +459,10 @@ def lp_query(k: int, l: int, m: int, n: int) -> str:
 
 def lp_value(psi: Name, k: int, l: int, m: int, n: int) -> Fraction:
     raw = psi(lp_query(k, l, m, n))
-    q_enc, tail = proj_value(1, 2, raw), proj_value(2, 2, raw)
-    if q_enc is None or tail is None or tail != "0" * len(tail):
+    pair = untuple(2, raw)
+    if pair is None or pair[1] != "0" * len(pair[1]):
         raise MalformedName(f"bad integral answer {raw!r}")
+    q_enc, tail = pair
     try:
         q = decode_int(q_enc)
     except ValueError as e:
@@ -517,8 +520,8 @@ def xi_to_dsq(phi: Name, params: BanachReprParams, label: str = "") -> Name:
     def fn(a: str) -> str:
         t = len(a)
         target = size(t)
-        parts = [proj_value(i, 3, a) for i in (1, 2, 3)]
-        if all(x is not None for x in parts):
+        parts = untuple(3, a)
+        if parts is not None:
             zs, rs, ms = parts
             r = parse_nat(rs)
             if zs == "0" * len(zs) and r is not None and ms and ms[0] == "1" \
@@ -561,16 +564,16 @@ def dsq_to_xi(psi: Name, params: BanachReprParams, label: str = "") -> Name:
     def branch(a: str) -> str:
         tag, rest = a[0], a[1:]
         if tag == "0":
-            parts = [proj_value(t, 3, rest) for t in (1, 2, 3)]
-            vals = [parse_nat(x) if x is not None else None for x in parts]
+            parts = untuple(3, rest)
+            vals = [None] if parts is None else [parse_nat(x) for x in parts]
             if any(v is None for v in vals):
                 return ""
             i, n, m = vals
             prec = n + len(nat_str(m + 1)) + ceil_lb(i + 2) + 4
             lam = lam_at(i, prec)
             return encode_int(round_half_away(lam * (m + 1)))
-        parts = [proj_value(t, 4, rest) for t in (1, 2, 3, 4)]
-        if any(x is None for x in parts):
+        parts = untuple(4, rest)
+        if parts is None:
             return ""
         blob, ns, nn, nm = parts
         N, n, m = parse_nat(ns), parse_nat(nn), parse_nat(nm)
@@ -689,15 +692,15 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction,
     def branch(a: str) -> str:
         tag, rest = a[0], a[1:]
         if tag == "0":
-            parts = [proj_value(t, 3, rest) for t in (1, 2, 3)]
-            vals = [parse_nat(x) if x is not None else None for x in parts]
+            parts = untuple(3, rest)
+            vals = [None] if parts is None else [parse_nat(x) for x in parts]
             if any(v is None for v in vals):
                 return ""
             i, n, m = vals
             lo, hi = lam_bounds(i, m)
             return encode_int(round_half_away((lo + hi) / 2 * (m + 1)))
-        parts = [proj_value(t, 4, rest) for t in (1, 2, 3, 4)]
-        if any(x is None for x in parts):
+        parts = untuple(4, rest)
+        if parts is None:
             return ""
         blob, ns, nn, nm = parts
         N, n, m = parse_nat(ns), parse_nat(nn), parse_nat(nm)

@@ -68,8 +68,15 @@ def _sample_dyadics(count: int, seed: int, scale: int = 8):
             for _ in range(count)]
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as e:
+        raise ConfigError(f"cannot write {path!r}: {e.strerror}") from e
+
+
 def _write_csv(path, header, rows):
-    out = open(path, "w", newline="") if path else sys.stdout
+    out = _open_out(path) if path else sys.stdout
     try:
         w = csv.writer(out)
         w.writerow(header)
@@ -144,7 +151,7 @@ def cmd_eval(args) -> int:
         _write_csv(args.out, ["level", "sup_error"], rows)
         return 0
     if args.basis == "haar":
-        p = Fraction(args.p)
+        p = _parse_p(args.p)
         from .schauder import haar_support
         for i in range(1, args.n_max + 1):
             lo, q, _ = haar_support(i)
@@ -153,6 +160,16 @@ def cmd_eval(args) -> int:
         _write_csv(args.out, ["i", "p", "coef", "exp2"], rows)
         return 0
     raise ConfigError(f"unknown basis {args.basis!r}")
+
+
+def _parse_p(spec: str) -> Fraction:
+    try:
+        p = Fraction(spec)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad exponent --p {spec!r}") from e
+    if p <= 0:
+        raise ConfigError(f"exponent --p must be positive, got {spec!r}")
+    return p
 
 
 def _translation(kind: str):
@@ -170,7 +187,14 @@ def _translation(kind: str):
 
 def cmd_translate(args) -> int:
     translate = _translation(args.kind)
-    text = open(args.trace).read() if args.trace else sys.stdin.read()
+    if args.trace:
+        try:
+            with open(args.trace) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ConfigError(f"cannot read trace {args.trace!r}: {e.strerror}") from e
+    else:
+        text = sys.stdin.read()
     src = name_from_trace(text)
     queries = [q for q in (args.queries.split("|") if args.queries else [])]
     from .baire import TraceMiss
@@ -181,7 +205,8 @@ def cmd_translate(args) -> int:
         print(f"missing-queries: {e}", file=sys.stderr)
         return 2
     if args.out:
-        open(args.out, "w").write(trace + "\n")
+        with _open_out(args.out) as fh:
+            fh.write(trace + "\n")
     else:
         print(trace)
     return 0

@@ -20,7 +20,7 @@ from .machine import Ctx, RunningTime
 from .reprs import MalformedName, MetricSpaceSpec
 from .strings import (Dyadic, ceil_lb, decode_int, encode_int, floor_lb,
                       nat_str, parse_nat, proj_value, round_half_away,
-                      tuple_strs)
+                      tuple_strs, untuple)
 
 
 class ParameterViolation(ValueError):
@@ -278,18 +278,17 @@ def compact_name(space: MetricSpaceSpec, params: CompactReprParams, x,
     def branch(a: str) -> str:
         tag, rest = a[0], a[1:]
         if tag == "0":
-            pj = proj_value(1, 2, rest)
-            pn = proj_value(2, 2, rest)
-            if pj is None or pn is None:
+            pair = untuple(2, rest)
+            if pair is None:
                 return ""
-            j, n = parse_nat(pj), parse_nat(pn)
+            j, n = parse_nat(pair[0]), parse_nat(pair[1])
             if j is None or n is None:
                 return ""
             _, cap = _chunk_capacity(params, n)
             bits = index_bits(n)
             return bits[j * cap:(j + 1) * cap]
-        parts = [proj_value(t, 3, rest) for t in (1, 2, 3)]
-        if any(p is None for p in parts):
+        parts = untuple(3, rest)
+        if parts is None:
             return ""
         idx = [parse_nat(p) for p in parts]
         if any(v is None for v in idx):
@@ -414,9 +413,10 @@ def compact_metric_program(params: CompactReprParams) -> Callable[[Ctx], None]:
         bits_psi: list[str] = []
         for j in range(nchunks):
             ans = ctx.ask("0" + tuple_strs([nat_str(j), na]))
-            ca, cb = proj_value(1, 2, ans), proj_value(2, 2, ans)
-            if ca is None or cb is None:
+            pair = untuple(2, ans)
+            if pair is None:
                 raise MalformedName("paired oracle answer is not a pair")
+            ca, cb = pair
             bits_phi.append(ca)
             bits_psi.append(cb)
         i = int("".join(bits_phi) or "0", 2)
@@ -486,10 +486,10 @@ def relativized_to_compact(rel: Name, params: CompactReprParams,
     def branch(a: str) -> str:
         tag, rest = a[0], a[1:]
         if tag == "0":
-            pj, pn = proj_value(1, 2, rest), proj_value(2, 2, rest)
-            if pj is None or pn is None:
+            pair = untuple(2, rest)
+            if pair is None:
                 return ""
-            j, n = parse_nat(pj), parse_nat(pn)
+            j, n = parse_nat(pair[0]), parse_nat(pair[1])
             if j is None or n is None:
                 return ""
             _, cap = _chunk_capacity(params, n)

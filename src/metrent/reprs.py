@@ -17,7 +17,7 @@ from typing import Callable
 from .baire import LengthFn, Name, pair_names, split_pair
 from .machine import Ctx, RunningTime
 from .strings import (Dyadic, decode_int, encode_int, nat_str, parse_nat,
-                      proj_value, round_half_away, tuple_strs)
+                      proj_value, round_half_away, tuple_strs, untuple)
 
 
 class MalformedName(ValueError):
@@ -200,11 +200,10 @@ def cauchy_metric_program(M: MetricSpaceSpec) -> Callable[[Ctx], None]:
             raise MalformedName(f"input {ctx.input!r} is not a precision index")
         q = nat_str(4 * n + 3)
         ans = ctx.ask(q)
-        ai = proj_value(1, 2, ans)
-        aj = proj_value(2, 2, ans)
-        if ai is None or aj is None:
+        pair = untuple(2, ans)
+        if pair is None:
             raise MalformedName("paired oracle answer is not a pair")
-        i, j = parse_nat(ai), parse_nat(aj)
+        i, j = parse_nat(pair[0]), parse_nat(pair[1])
         if i is None or j is None:
             raise MalformedName("oracle answer is not an index")
         ctx.tick(len(ans) + len(ctx.input) + 4)
@@ -238,8 +237,8 @@ def relativized_cauchy_name(M: MetricSpaceSpec, approx: Callable[[int], int],
             if n is None:
                 return ""
             return nat_str(approx(n))
-        parts = [proj_value(t, 3, rest) for t in (1, 2, 3)]
-        if any(p is None for p in parts):
+        parts = untuple(3, rest)
+        if parts is None:
             return ""
         idx = [parse_nat(p) for p in parts]
         if any(v is None for v in idx):
@@ -264,10 +263,10 @@ def relativized_metric_program() -> Callable[[Ctx], None]:
             raise MalformedName(f"input {ctx.input!r} is not a precision index")
         q = "0" + nat_str(8 * n + 7)
         ans = ctx.ask(q)
-        ai, aj = proj_value(1, 2, ans), proj_value(2, 2, ans)
-        if ai is None or aj is None:
+        pair = untuple(2, ans)
+        if pair is None:
             raise MalformedName("paired oracle answer is not a pair")
-        i, j = parse_nat(ai), parse_nat(aj)
+        i, j = parse_nat(pair[0]), parse_nat(pair[1])
         if i is None or j is None:
             raise MalformedName("oracle answer is not an index")
         q2 = "1" + tuple_strs([nat_str(i), nat_str(j), nat_str(4 * n + 3)])

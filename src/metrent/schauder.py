@@ -7,6 +7,13 @@ ring spanned by the distinct fractional exponents.  Coefficient extraction
 runs entirely in "step form" (coefficient times scale), which is rational
 for rational step functions; numeric enclosures appear only at
 representation boundaries.
+
+Synthesis is linear in the number of coefficients.  Hat partial sums
+follow the node recurrence V(q_j) = lam_j + (V(q_j - w_j) + V(q_j + w_j))/2
+(``fs_partial_sum_pl``); Haar combinations are built coarse to fine as a
+pyramid, where each element splits its support cell into two halves that
+inherit the parent value plus or minus the element's value
+(``_haar_pyramid``).
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .compact import q_seq
+from .entropy import ContractViolation
 from .funcs import PiecewiseLinear, StepFn, sup_dist_pl
 from .strings import ceil_lb
 
@@ -63,9 +71,20 @@ def fs_partial_sum_eval(lams: Iterable[Fraction], x) -> Fraction:
 
 
 def fs_partial_sum_pl(lams: list[Fraction]) -> PiecewiseLinear:
-    nodes = sorted({q_seq(i) for i in range(max(len(lams), 2))} | {Fraction(0), Fraction(1)})
-    return PiecewiseLinear(tuple(nodes),
-                           tuple(fs_partial_sum_eval(lams, x) for x in nodes))
+    """The partial sum of the hat expansion as its interpolant on the nodes
+    q_0 .. q_{N-1} (and 0, 1).
+
+    Node values follow from V(0) = lam_0, V(1) = lam_1 and, in index order,
+    V(q_j) = lam_j + (V(q_j - w_j) + V(q_j + w_j)) / 2: hats after j vanish
+    at q_j, and the hats before j are linear across the support of hat j,
+    whose ends are earlier nodes.  O(N) exact operations."""
+    lam = lambda j: Fraction(lams[j]) if j < len(lams) else Fraction(0)
+    vals = {Fraction(0): lam(0), Fraction(1): lam(1)}
+    for j in range(2, len(lams)):
+        q, w = q_seq(j), fs_halfwidth(j)
+        vals[q] = lam(j) + (vals[q - w] + vals[q + w]) / 2
+    nodes = sorted(vals)
+    return PiecewiseLinear(tuple(nodes), tuple(vals[x] for x in nodes))
 
 
 def sup_error(f: PiecewiseLinear, lams: list[Fraction]) -> Fraction:
@@ -215,9 +234,13 @@ class RootSum:
 
     def plus(self, other: "RootSum") -> "RootSum":
         out = RootSum(dict(self.terms))
-        for e, c in other.terms.items():
-            out._add_term(c, e)
+        out.accumulate(other)
         return out
+
+    def accumulate(self, other: "RootSum", c: Fraction = Fraction(1)) -> None:
+        """Add c * other to this sum in place."""
+        for e, c0 in other.terms.items():
+            self._add_term(c0 * c, e)
 
     def times(self, other: "RootSum") -> "RootSum":
         out = RootSum()
@@ -352,22 +375,57 @@ def haar_coeffs(f: StepFn, p: Fraction, up_to: int) -> HaarExpansion:
     return HaarExpansion(c, Fraction(p))
 
 
+def _is_zero(z) -> bool:
+    return z.coef == 0 if isinstance(z, ScaledVal) else z == 0
+
+
+def _haar_pyramid(zs: list, p: Fraction, zero, shift) -> list[tuple[int, object]]:
+    """Constant pieces (level, value) of sum z_k f_{k,p}, left to right; a
+    piece at level L has width 2^-L.
+
+    Built coarse to fine: the support of element k >= 1 (level
+    haar_gen(k) - 1) splits into the supports of elements 2k and 2k + 1,
+    and each half meets exactly one new element, k itself, so its value is
+    the parent's plus z_k times the sign and scale ``haar_eval`` gives at
+    the half's midpoint.  A cell whose subtree holds only zero coefficients
+    is not split.  ``shift(v, z, s, e)`` returns v + z * s * 2^e without
+    changing v.  O(len(zs)) ``haar_eval`` calls and value updates."""
+    n = len(zs)
+    live = [False] * n              # live[k]: a nonzero z in k's subtree
+    for k in range(n - 1, 0, -1):
+        live[k] = (not _is_zero(zs[k]) or (2 * k < n and live[2 * k])
+                   or (2 * k + 1 < n and live[2 * k + 1]))
+    root = zero
+    if n and not _is_zero(zs[0]):
+        root = shift(zero, zs[0], *haar_eval(0, p, Fraction(1, 2)))
+    out = []
+    stack = [(1, root)]             # (element whose support is the cell, value)
+    while stack:
+        k, v = stack.pop()
+        level = k.bit_length() - 1
+        if k >= n or not live[k]:
+            out.append((level, v))
+            continue
+        c = k - (1 << level)
+        halves = [v, v]
+        if not _is_zero(zs[k]):
+            halves = [shift(v, zs[k], *haar_eval(k, p, Fraction(t, 1 << (level + 2))))
+                      for t in (4 * c + 1, 4 * c + 3)]
+        stack += [(2 * k + 1, halves[1]), (2 * k, halves[0])]
+    return out
+
+
 def step_from_haar(exp: HaarExpansion) -> StepFn:
-    """Exact partial sum as a step function (values sum rationally because
-    the step-form coefficients cancel the symbolic scales)."""
+    """Exact partial sum as a step function on the uniform grid of 2^G
+    cells, G the largest generation (values sum rationally because the
+    step-form coefficients cancel the symbolic scales)."""
     max_gen = max((haar_gen(k) for k in range(1, len(exp.c))), default=0)
     m = 1 << max_gen
     cuts = [Fraction(t, m) for t in range(m + 1)]
     levels = []
-    for t in range(m):
-        x = Fraction(2 * t + 1, 2 * m)
-        total = exp.c[0] if exp.c else Fraction(0)
-        for k in range(1, len(exp.c)):
-            if exp.c[k] == 0:
-                continue
-            s, _ = haar_eval(k, exp.p, x)
-            total += exp.c[k] * s
-        levels.append(total)
+    for level, v in _haar_pyramid(exp.c, exp.p, Fraction(0),
+                                  lambda v, c, s, _: v + c * s):
+        levels.extend([v] * (1 << (max_gen - level)))
     return StepFn(tuple(cuts), tuple(levels))
 
 
@@ -384,8 +442,11 @@ def chi_expand(i: int, j: int, p: Fraction) -> HaarExpansion:
     exp = haar_coeffs(f, Fraction(p), 1 << max_gen)
     # exactness and the index bound are structural; verify both
     rec = step_from_haar(exp)
-    assert all(rec(x) == f(x) for x in _midpoints(1 << max_gen)), "expansion mismatch"
-    assert all(exp.c[k] == 0 for k in range(max(i, j), len(exp.c))), "index bound"
+    if any(rec(x) != f(x) for x in _midpoints(1 << max_gen)):
+        raise ContractViolation(f"Haar expansion of chi[q_{i}, q_{j}] does not reproduce it")
+    if any(exp.c[k] != 0 for k in range(max(i, j), len(exp.c))):
+        raise ContractViolation(
+            f"Haar expansion of chi[q_{i}, q_{j}] has a nonzero index >= {max(i, j)}")
     return exp
 
 
@@ -442,23 +503,20 @@ class HaarSystem:
     norm_kind: str = "lp"
 
     def combo_pieces(self, zs: list) -> list[tuple[Fraction, RootSum]]:
-        """Constant pieces (width, value) of sum z_k f_{k,p} on [0, 1];
-        z entries may be Fractions or symbolic ScaledVals."""
-        max_gen = max((haar_gen(k) for k in range(1, len(zs))), default=0)
-        m = 1 << max_gen
-        out = []
-        for t in range(m):
-            x = Fraction(2 * t + 1, 2 * m)
-            total = RootSum()
-            for k, z in enumerate(zs):
-                s, e = haar_eval(k, self.p, x)
-                if s == 0:
-                    continue
-                term = ScaledVal(Fraction(z), e) if not isinstance(z, ScaledVal) \
-                    else ScaledVal(z.coef, z.exp2 + e)
-                total = total.plus(RootSum.of(ScaledVal(term.coef * s, term.exp2)))
-            out.append((Fraction(1, m), total))
-        return out
+        """Constant pieces (width, value) of sum z_k f_{k,p}, left to right
+        across [0, 1]; z entries may be Fractions or symbolic ScaledVals.
+
+        Widths are dyadic and may be unequal: a cell whose finer elements
+        all have zero coefficients stays one piece.  Integrals over the
+        pieces weight each value by its width, so they do not depend on
+        how constant stretches are cut."""
+        def shift(v: RootSum, z, s: int, e: Fraction) -> RootSum:
+            coef, exp2 = (z.coef, z.exp2 + e) if isinstance(z, ScaledVal) \
+                else (Fraction(z), e)
+            return v.plus(RootSum.of(ScaledVal(coef * s, exp2)))
+
+        return [(Fraction(1, 1 << level), v)
+                for level, v in _haar_pyramid(zs, self.p, RootSum(), shift)]
 
     def norm_power(self, zs: list) -> RootSum:
         """Integral of |sum z_k f_{k,p}|^p for integer p, exact in the ring."""
@@ -467,8 +525,7 @@ class HaarSystem:
         p = int(self.p)
         total = RootSum()
         for width, v in self.combo_pieces(zs):
-            av = v.abs()
-            total = total.plus(av.power(p).scaled(width))
+            total.accumulate(v.abs().power(p), width)
         return total
 
     def norm_bounds(self, zs: list, prec: int = 24) -> tuple[Fraction, Fraction]:

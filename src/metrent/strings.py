@@ -106,7 +106,7 @@ def proj(i: int, k: int, b: str) -> str:
     """
     if not 1 <= i <= k:
         raise ValueError("component index out of range")
-    comps = _untuple(k, b)
+    comps = untuple(k, b)
     if comps is None:
         return ""
     return "0" + comps[i - 1]
@@ -115,11 +115,14 @@ def proj(i: int, k: int, b: str) -> str:
 def proj_value(i: int, k: int, b: str) -> str | None:
     """Component i of a k-tuple without the success marker; None if b is
     not in the image."""
-    comps = _untuple(k, b)
+    comps = untuple(k, b)
     return None if comps is None else comps[i - 1]
 
 
-def _untuple(k: int, b: str) -> list[str] | None:
+def untuple(k: int, b: str) -> list[str] | None:
+    """All k components of a k-tuple in one pass over b, or None when b is
+    not in the image of the k-ary tupling.  Callers that need more than one
+    component decode once here instead of projecting per component."""
     if k < 2 or len(b) == 0 or len(b) % k != 0:
         return None
     out = []

@@ -1,6 +1,9 @@
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+
+import pytest
 
 from metrent.cli import main
 
@@ -64,6 +67,34 @@ def test_eval_tables(tmp_path):
     assert main(["eval", "--basis", "haar", "--n-max", "12",
                  "--out", str(out2)]) == 0
     assert len(out2.read_text().splitlines()) == 13
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["--basis", "fs", "--n-max", "10"], "eval_fs_n10.csv"),
+    (["--basis", "haar", "--p", "3/2", "--n-max", "12"], "eval_haar_p3-2_n12.csv"),
+])
+def test_eval_matches_golden_bytes(tmp_path, args, golden):
+    out = tmp_path / golden
+    assert main(["eval", *args, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["translate", "--kind", "xi-to-dsq", "--trace", "{tmp}/missing.trace"],
+    ["eval", "--basis", "haar", "--p", "abc"],
+    ["eval", "--basis", "haar", "--p", "0"],
+    ["eval", "--basis", "haar", "--p=-3/2"],
+    ["eval", "--basis", "haar", "--p", "1/0"],
+    ["eval", "--basis", "fs", "--n-max", "1", "--out", "{tmp}/no-such-dir/fs.csv"],
+])
+def test_bad_input_is_config_error(tmp_path, args):
+    rc, _, err = run_cli([a.format(tmp=tmp_path) for a in args])
+    assert rc == 2
+    assert "config-error" in err
+    assert "Traceback" not in err
 
 
 def test_translate_roundtrip(tmp_path):

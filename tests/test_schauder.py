@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from metrent.compact import q_seq
+from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
-from metrent.schauder import (FSSystem, HaarSystem, RootSum, ScaledVal,
-                              chi_expand, frac_root_bounds, fs_coeffs,
+from metrent.schauder import (FSSystem, HaarExpansion, HaarSystem, RootSum,
+                              ScaledVal, chi_expand, frac_root_bounds, fs_coeffs,
                               fs_elem, fs_eval, fs_nonzero_indices,
                               fs_partial_sum_eval, fs_partial_sum_pl,
                               fs_separation, haar_coeffs, haar_eval, haar_gen,
@@ -244,3 +248,146 @@ def test_fs_system_norms():
     # e_0 + e_1 is identically one
     assert lo == Fraction(1, 2)
     assert sysf.tail_sup([Fraction(1), Fraction(1)], 1) == 1
+
+
+# ---------------------------------------------------------------------------
+# linear synthesis against the per-point quadratic evaluators
+
+dyadic = st.builds(lambda n, s: Fraction(n, 1 << s),
+                   st.integers(min_value=-64, max_value=64),
+                   st.integers(min_value=0, max_value=4))
+
+
+def _check_fs_partial_sum(lams):
+    pl = fs_partial_sum_pl(lams)
+    nodes = sorted({q_seq(i) for i in range(max(len(lams), 2))})
+    assert pl.xs == tuple(nodes)
+    assert pl.ys == tuple(fs_partial_sum_eval(lams, x) for x in nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(dyadic, max_size=70))
+def test_fs_partial_sum_pl_matches_pointwise(lams):
+    _check_fs_partial_sum(lams)
+
+
+def test_fs_partial_sum_pl_every_length():
+    rnd = random.Random(43)
+    for size in range(71):
+        _check_fs_partial_sum(
+            [Fraction(rnd.randrange(-9, 10), 1 << rnd.randrange(4)) for _ in range(size)])
+
+
+def _haar_midpoint_sums(zs, p):
+    """Reference: sum z_k f_{k,p} at every midpoint of the uniform 2^G grid,
+    one haar_eval per element and midpoint."""
+    max_gen = max((haar_gen(k) for k in range(1, len(zs))), default=0)
+    m = 1 << max_gen
+    out = []
+    for t in range(m):
+        x = Fraction(2 * t + 1, 2 * m)
+        total = RootSum()
+        for k, z in enumerate(zs):
+            s, e = haar_eval(k, p, x)
+            if s == 0:
+                continue
+            coef, exp2 = (z.coef, z.exp2 + e) if isinstance(z, ScaledVal) \
+                else (Fraction(z), e)
+            total = total.plus(RootSum.of(ScaledVal(coef * s, exp2)))
+        out.append(total)
+    return out
+
+
+def _expand(pieces, m):
+    out = []
+    for width, v in pieces:
+        assert (width * m).denominator == 1
+        out.extend([v] * int(width * m))
+    return out
+
+
+haar_entry = st.one_of(
+    dyadic,
+    st.builds(ScaledVal, dyadic,
+              st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))))
+
+
+@st.composite
+def haar_combos(draw, max_size=40):
+    zs = draw(st.lists(st.one_of(st.just(Fraction(0)), haar_entry),
+                       max_size=max_size))
+    # clear whole subtrees (elements 2k and 2k+1 refine element k)
+    for root in draw(st.lists(st.integers(1, max_size), max_size=3)):
+        level = [root]
+        while level:
+            for k in level:
+                if k < len(zs):
+                    zs[k] = Fraction(0)
+            level = [c for k in level for c in (2 * k, 2 * k + 1) if c < len(zs)]
+    return zs
+
+
+@settings(max_examples=60, deadline=None)
+@given(haar_combos(),
+       st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2)]))
+def test_combo_pieces_match_midpoint_sums(zs, p):
+    sysp = HaarSystem(p)
+    pieces = sysp.combo_pieces(zs)
+    ref = _haar_midpoint_sums(zs, p)
+    assert sum(w for w, _ in pieces) == 1
+    assert [v.terms for v in _expand(pieces, len(ref))] == [v.terms for v in ref]
+    # the norm does not depend on how constant stretches are cut
+    uniform = HaarSystem(p)
+    uniform.combo_pieces = lambda zs: [(Fraction(1, len(ref)), v) for v in ref]
+    if p.denominator == 1:
+        assert sysp.norm_power(zs).terms == uniform.norm_power(zs).terms
+    assert sysp.norm_bounds(zs) == uniform.norm_bounds(zs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(dyadic, max_size=70),
+       st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]))
+def test_step_from_haar_matches_midpoint_sums(c, p):
+    exp = HaarExpansion(c, p)
+    rec = step_from_haar(exp)
+    max_gen = max((haar_gen(k) for k in range(1, len(c))), default=0)
+    m = 1 << max_gen
+    assert rec.cuts == tuple(Fraction(t, m) for t in range(m + 1))
+    ref = []
+    for t in range(m):
+        x = Fraction(2 * t + 1, 2 * m)
+        total = c[0] if c else Fraction(0)
+        for k in range(1, len(c)):
+            total += c[k] * haar_eval(k, p, x)[0]
+        ref.append(total)
+    assert rec.levels == tuple(ref)
+
+
+def test_combo_pieces_haar_eval_calls(monkeypatch):
+    import metrent.schauder as schauder
+    calls = [0]
+
+    def counting(k, p, x):
+        calls[0] += 1
+        return haar_eval(k, p, x)
+
+    monkeypatch.setattr(schauder, "haar_eval", counting)
+    zs = [Fraction(k % 7 + 1, 8) for k in range(1025)]
+    pieces = HaarSystem(Fraction(2)).combo_pieces(zs)
+    assert len(pieces) == 1025           # one cell per element, plus one
+    assert sum(w for w, _ in pieces) == 1
+    assert calls[0] <= 2 * 1025
+
+
+def test_chi_expand_corrupted_expansion_raises(monkeypatch):
+    import metrent.schauder as schauder
+    real = schauder.haar_coeffs
+
+    def flip_last(f, p, up_to):
+        exp = real(f, p, up_to)
+        exp.c[-1] += 1
+        return exp
+
+    monkeypatch.setattr(schauder, "haar_coeffs", flip_last)
+    with pytest.raises(ContractViolation):
+        chi_expand(0, 2, Fraction(2))

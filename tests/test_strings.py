@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from metrent.strings import (Dyadic, MalformedEncoding, all_strings, ceil_lb,
                              decode_int, encode_int, floor_lb, nat_str,
                              parse_nat, proj, proj_value, round_half_away,
-                             str_len, tuple_list, tuple_strs)
+                             str_len, tuple_list, tuple_strs, untuple)
 
 binstr = st.text(alphabet="01", max_size=7)
 
@@ -82,6 +82,39 @@ def test_tuple_proj_roundtrip_random(parts):
     k = len(parts)
     for i in range(1, k + 1):
         assert proj_value(i, k, b) == parts[i - 1]
+
+
+def oracle_untuple(k, b):
+    """Reference untupling: strip each column's padding, then accept only
+    if tupling the components reproduces b."""
+    if len(b) == 0 or len(b) % k:
+        return None
+    parts = []
+    for i in range(k):
+        col = b[i::k]
+        if "1" not in col:
+            return None
+        parts.append(col[:col.rindex("1")])
+    return parts if oracle_tuple(parts) == b else None
+
+
+def _check_untuple(k, b):
+    comps = untuple(k, b)
+    assert comps == oracle_untuple(k, b)
+    per_component = [proj_value(i, k, b) for i in range(1, k + 1)]
+    assert comps == (None if None in per_component else per_component)
+
+
+@given(st.lists(binstr, min_size=2, max_size=5))
+def test_untuple_on_tuples(parts):
+    b = tuple_strs(parts)
+    assert untuple(len(parts), b) == parts
+    _check_untuple(len(parts), b)
+
+
+@given(st.integers(min_value=2, max_value=5), st.text(alphabet="01", max_size=24))
+def test_untuple_on_random_strings(k, b):
+    _check_untuple(k, b)
 
 
 def test_int_codec_examples():
