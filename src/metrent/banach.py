@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .compact import _with_length_branch, name_length_fn, q_seq
+from .compact import (ParameterViolation, _with_length_branch,
+                      name_length_fn, q_seq)
 from .funcs import PiecewiseLinear, StepFn
 from .machine import Ctx, RunningTime
 from .reprs import MalformedName
@@ -26,12 +27,8 @@ from .schauder import (FSSystem, HaarSystem, RootSum, ScaledVal, fs_eval,
                        fs_nonzero_indices, haar_gen, haar_integral,
                        haar_scale_exp, haar_support, fs_coeffs, haar_coeffs)
 from .strings import (ceil_lb, decode_int, encode_int, nat_str, parse_nat,
-                      proj_value, round_half_away, tuple_list, tuple_strs,
-                      untuple)
-
-
-class ParameterViolation(ValueError):
-    pass
+                      parse_nats, proj_value, round_half_away, tuple_list,
+                      tuple_strs, untuple)
 
 
 @dataclass
@@ -140,62 +137,61 @@ def banach_name(vec, params: BanachReprParams, system, ell: LengthFn,
         return system.tail_sup(vec, cutoff) <= Fraction(1, n + 1)
 
     def branch(a: str) -> str:
-        tag, rest = a[0], a[1:]
-        if tag == "0":
-            parts = untuple(3, rest)
-            if parts is None:
-                return ""
-            vals = [parse_nat(x) for x in parts]
-            if any(v is None for v in vals):
+        if a[0] == "0":
+            vals = parse_nats(3, a[1:])
+            if vals is None:
                 return ""
             i, n, m = vals
             if not tail_ok(n):
                 raise ParameterViolation(
                     f"span budget at precision {n} cannot approximate the vector")
             return encode_int(lam_round(i, m))
-        parts = untuple(4, rest)
-        if parts is None:
-            return ""
-        blob, ns, nn, nm = parts
-        N, n, m = parse_nat(ns), parse_nat(nn), parse_nat(nm)
-        if N is None or n is None or m is None:
-            return ""
-        zs = _parse_combo(blob, N)
-        if zs is None:
-            return ""
-        coeffs = [Fraction(z, m + 1) for z in zs]
-        z_ans = _norm_answer(system, coeffs, n)
-        return encode_int(z_ans)
+        return _norm_answer(system, a[1:])
 
     return _with_length_branch(branch, ell, label or "xi-name")
 
 
-def _norm_answer(system, coeffs, n: int) -> int:
-    """round(norm * (n+1)) from a certified enclosure tight enough that the
-    answer stays within 1/(n+1) of the norm."""
+def _norm_answer(system, rest: str) -> str:
+    """Answer to the norm query "1" + rest: round(norm * (n+1)) of the
+    queried combination, from a certified enclosure tight enough that the
+    answer stays within 1/(n+1) of the norm; epsilon when rest does not
+    parse."""
+    parsed = _parse_norm_query(rest)
+    if parsed is None:
+        return ""
+    zs, n, m = parsed
+    coeffs = [Fraction(z, m + 1) for z in zs]
     prec = 24
     while True:
         lo, hi = system.norm_bounds(coeffs) if isinstance(system, FSSystem) \
             else system.norm_bounds(coeffs, prec=prec)
         if hi - lo <= Fraction(1, 4 * (n + 1)):
-            return round_half_away((lo + hi) / 2 * (n + 1))
+            return encode_int(round_half_away((lo + hi) / 2 * (n + 1)))
         prec *= 2
-
-
-def _parse_combo(blob: str, N: int) -> list[int] | None:
-    parts = [blob] if N == 0 else untuple(N + 1, blob)
-    if parts is None:
-        return None
-    try:
-        return [decode_int(p) for p in parts]
-    except ValueError:
-        return None
 
 
 def combo_query(zs: list[int], n: int, m: int) -> str:
     """The norm-branch query for the combination sum z_i/(m+1) e_i."""
     blob = tuple_list([encode_int(z) for z in zs])
     return "1" + tuple_strs([blob, nat_str(len(zs) - 1), nat_str(n), nat_str(m)])
+
+
+def _parse_norm_query(rest: str) -> tuple[list[int], int, int] | None:
+    """Inverse of combo_query after the tag: (z_0..z_N, n, m), or None."""
+    parts = untuple(4, rest)
+    if parts is None:
+        return None
+    blob, ns, nn, nm = parts
+    N, n, m = parse_nat(ns), parse_nat(nn), parse_nat(nm)
+    if N is None or n is None or m is None:
+        return None
+    zparts = [blob] if N == 0 else untuple(N + 1, blob)
+    if zparts is None:
+        return None
+    try:
+        return [decode_int(z) for z in zparts], n, m
+    except ValueError:
+        return None
 
 
 def coeff_query(i: int, n: int, m: int) -> str:
@@ -291,11 +287,9 @@ def banach_add_program() -> Callable[[Ctx], None]:
             ctx.tick(2)
             ctx.emit("1" * (max(len(ans) // 2, len(a) + 1) + 2))
             return
-        tag, rest = a[0], a[1:]
-        if tag == "0":
-            parts = untuple(3, rest)
-            vals = [None] if parts is None else [parse_nat(x) for x in parts]
-            if any(v is None for v in vals):
+        if a[0] == "0":
+            vals = parse_nats(3, a[1:])
+            if vals is None:
                 ctx.emit("")
                 return
             i, n, m = vals
@@ -369,19 +363,13 @@ def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int],
     size = _LevelSizer(B, mu)
 
     def fn(a: str) -> str:
-        t = len(a)
-        target = size(t)
-        parts = untuple(3, a)
-        if parts is not None:
-            zs, rs, ms = parts
-            r = parse_nat(rs)
-            if zs == "0" * len(zs) and r is not None and ms and ms[0] == "1" \
-                    and ms[1:] == "0" * (len(ms) - 1):
-                n, m = len(zs), len(ms) - 1
-                if r <= (1 << m):
-                    k0 = n + 1
-                    q0 = round_half_away(f(Fraction(r, 1 << m)) * (1 << k0))
-                    return _uniform_value(q0, k0, target, "dsq")
+        target = size(len(a))
+        parsed = _parse_dsq_query(a)
+        if parsed is not None:
+            n, r, m = parsed
+            k0 = n + 1
+            q0 = round_half_away(f(Fraction(r, 1 << m)) * (1 << k0))
+            return _uniform_value(q0, k0, target, "dsq")
         return "1" * (2 * (target + 1))
 
     return Name(fn, label=label or "dsq-name")
@@ -389,6 +377,24 @@ def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int],
 
 def dsq_query(n: int, r: int, m: int) -> str:
     return tuple_strs(["0" * n, nat_str(r), "1" + "0" * m])
+
+
+def _parse_dsq_query(a: str) -> tuple[int, int, int] | None:
+    """Point queries are <0^n, r, 1 0^m> with r <= 2^m: a unary precision
+    block, the numerator numeral, and a unary scale block."""
+    parts = untuple(3, a)
+    if parts is None:
+        return None
+    zs, rs, ms = parts
+    r = parse_nat(rs)
+    if zs != "0" * len(zs) or r is None:
+        return None
+    if not ms or ms[0] != "1" or ms[1:] != "0" * (len(ms) - 1):
+        return None
+    m = len(ms) - 1
+    if r > 1 << m:
+        return None
+    return len(zs), r, m
 
 
 def dsq_value(psi: Name, n: int, r: int, m: int) -> Fraction:
@@ -406,6 +412,9 @@ def dsq_value(psi: Name, n: int, r: int, m: int) -> Fraction:
 
 
 def dsq_modulus(psi: Name) -> Callable[[int], int]:
+    """The modulus a point-value or integral name realizes: its answer
+    length at query length t (answers at one query length share a
+    length)."""
     return lambda t: len(psi("1" * t))
 
 
@@ -470,10 +479,6 @@ def lp_value(psi: Name, k: int, l: int, m: int, n: int) -> Fraction:
     return Fraction(q, 1 << len(tail))
 
 
-def lp_modulus_of_name(psi: Name) -> Callable[[int], int]:
-    return lambda t: len(psi("1" * t))
-
-
 # ---------------------------------------------------------------------------
 # translations: coefficients <-> point values
 
@@ -518,20 +523,14 @@ def xi_to_dsq(phi: Name, params: BanachReprParams, label: str = "") -> Name:
     size = _LevelSizer(base, mu_out)
 
     def fn(a: str) -> str:
-        t = len(a)
-        target = size(t)
-        parts = untuple(3, a)
-        if parts is not None:
-            zs, rs, ms = parts
-            r = parse_nat(rs)
-            if zs == "0" * len(zs) and r is not None and ms and ms[0] == "1" \
-                    and ms[1:] == "0" * (len(ms) - 1):
-                n, m = len(zs), len(ms) - 1
-                if r <= (1 << m):
-                    k0 = n + 2
-                    v = value_at(Fraction(r, 1 << m), n)
-                    q0 = round_half_away(v * (1 << k0))
-                    return _uniform_value(q0, k0, target, "dsq")
+        target = size(len(a))
+        parsed = _parse_dsq_query(a)
+        if parsed is not None:
+            n, r, m = parsed
+            k0 = n + 2
+            v = value_at(Fraction(r, 1 << m), n)
+            q0 = round_half_away(v * (1 << k0))
+            return _uniform_value(q0, k0, target, "dsq")
         return "1" * (2 * (target + 1))
 
     return Name(fn, label=label or f"dsq({phi.label})")
@@ -562,28 +561,15 @@ def dsq_to_xi(psi: Name, params: BanachReprParams, label: str = "") -> Name:
         return max(mu_in(k + 3) + 2, k + 2)
 
     def branch(a: str) -> str:
-        tag, rest = a[0], a[1:]
-        if tag == "0":
-            parts = untuple(3, rest)
-            vals = [None] if parts is None else [parse_nat(x) for x in parts]
-            if any(v is None for v in vals):
+        if a[0] == "0":
+            vals = parse_nats(3, a[1:])
+            if vals is None:
                 return ""
             i, n, m = vals
             prec = n + len(nat_str(m + 1)) + ceil_lb(i + 2) + 4
             lam = lam_at(i, prec)
             return encode_int(round_half_away(lam * (m + 1)))
-        parts = untuple(4, rest)
-        if parts is None:
-            return ""
-        blob, ns, nn, nm = parts
-        N, n, m = parse_nat(ns), parse_nat(nn), parse_nat(nm)
-        if N is None or n is None or m is None:
-            return ""
-        zs = _parse_combo(blob, N)
-        if zs is None:
-            return ""
-        lo, hi = fs_system.norm_bounds([Fraction(z, m + 1) for z in zs])
-        return encode_int(round_half_away((lo + hi) / 2 * (n + 1)))
+        return _norm_answer(fs_system, a[1:])
 
     return _with_length_branch(branch, ell_out, label or f"xi({psi.label})")
 
@@ -667,7 +653,7 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction,
     """Haar-coefficient name computed from an integral name via the local
     half-support integral differences; norm queries are answered by exact
     library evaluation."""
-    mu_in = lp_modulus_of_name(psi)
+    mu_in = dsq_modulus(psi)
     haar_sys = HaarSystem(Fraction(p))
 
     def int_val(a: Fraction, b: Fraction, n: int) -> Fraction:
@@ -690,25 +676,13 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction,
         return max(mu_in(k + 3) + 3, k + 2)
 
     def branch(a: str) -> str:
-        tag, rest = a[0], a[1:]
-        if tag == "0":
-            parts = untuple(3, rest)
-            vals = [None] if parts is None else [parse_nat(x) for x in parts]
-            if any(v is None for v in vals):
+        if a[0] == "0":
+            vals = parse_nats(3, a[1:])
+            if vals is None:
                 return ""
             i, n, m = vals
             lo, hi = lam_bounds(i, m)
             return encode_int(round_half_away((lo + hi) / 2 * (m + 1)))
-        parts = untuple(4, rest)
-        if parts is None:
-            return ""
-        blob, ns, nn, nm = parts
-        N, n, m = parse_nat(ns), parse_nat(nn), parse_nat(nm)
-        if N is None or n is None or m is None:
-            return ""
-        zs = _parse_combo(blob, N)
-        if zs is None:
-            return ""
-        return encode_int(_norm_answer(haar_sys, [Fraction(z, m + 1) for z in zs], n))
+        return _norm_answer(haar_sys, a[1:])
 
     return _with_length_branch(branch, ell_out, label or f"xi({psi.label})")

@@ -20,7 +20,6 @@ from .compact import unit_interval_short_approx, unit_interval_space
 from .entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                       covering_number, dialog_cover_experiment,
                       dialog_length_bound, lorentz_bounds, packing_exponent)
-from .funcs import PiecewiseLinear
 from .machine import equality_from_metric, exp_max_time, RunningTime
 from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
 from .schauder import fs_coeffs, fs_partial_sum_pl, haar_integral
@@ -123,10 +122,6 @@ def cmd_entropy(args) -> int:
     return 0
 
 
-def cmd_dialog_cover(args) -> int:
-    return cmd_entropy(args)
-
-
 def cmd_bounds(args) -> int:
     rows = [[t, dialog_length_bound(t)] for t in range(args.n_max + 1)]
     _write_csv(args.out, ["t", "dialog_bound"], rows)
@@ -136,8 +131,6 @@ def cmd_bounds(args) -> int:
 def cmd_eval(args) -> int:
     rows = []
     if args.basis == "fs":
-        f = PiecewiseLinear.build(
-            [0, Fraction(1, 2), 1], [0, Fraction(1, 4), 0])
         # the parabola x(1-x) sampled as its interpolant target
         target = lambda x: Fraction(x) * (1 - Fraction(x))
         for level in range(args.n_max + 1):
@@ -252,7 +245,7 @@ def main(argv=None) -> int:
                    help="'|'-separated queries the output trace must cover")
 
     args = parser.parse_args(argv)
-    handlers = {"entropy": cmd_entropy, "dialog-cover": cmd_dialog_cover,
+    handlers = {"entropy": cmd_entropy, "dialog-cover": cmd_entropy,
                 "bounds": cmd_bounds, "eval": cmd_eval,
                 "translate": cmd_translate}
     try:

@@ -1,10 +1,12 @@
 """The unit-interval node enumeration, uniformly dense sequences, and the
 compact-space representation with its metered metric algorithm.
 
-Names carry three branches: an all-zeros query 0^n answers a string whose
-length equals the name's length at n; a "0"-tagged pair <j, n> carries the
-j-th chunk of the binary index of a 1/(n+1)-approximation; a "1"-tagged
-triple <i, j, n> answers the discrete metric to precision 1/(n+1).
+Names carry three branches: an all-zeros query 0^n answers 1^L(n) for the
+declared length floor L(n) = max ell(0..n), which is the name's length at n
+because every other branch answers within it (the tests check this by
+exhaustive scan); a "0"-tagged pair <j, n> carries the j-th chunk of the binary index of a
+1/(n+1)-approximation; a "1"-tagged triple <i, j, n> answers the discrete
+metric to precision 1/(n+1).
 """
 
 from __future__ import annotations
@@ -12,19 +14,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Callable
 
 from .baire import LengthFn, Name
 from .entropy import PointCloud, covering_number, interval_cover_count
 from .machine import Ctx, RunningTime
-from .reprs import MalformedName, MetricSpaceSpec
+from .reprs import (MalformedName, MetricSpaceSpec, metric_answer,
+                    metric_query)
 from .strings import (Dyadic, ceil_lb, decode_int, encode_int, floor_lb,
-                      nat_str, parse_nat, proj_value, round_half_away,
-                      tuple_strs, untuple)
+                      nat_str, parse_nat, parse_nats, proj_value,
+                      round_half_away, tuple_strs, untuple)
 
 
 class ParameterViolation(ValueError):
-    """An approximation index does not fit the chunk budget."""
+    """A representation parameter (chunk or span budget, length target)
+    cannot hold the value a name has to answer."""
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +60,24 @@ def q_index(x) -> int:
 
 
 def unit_interval_approx(x, n: int) -> int:
-    """Least index i with |x - q_i| <= 1/(n+1)."""
+    """Least index i with |x - q_i| <= 1/(n+1).
+
+    The nodes are 0, 1, then per level s = 1, 2, ... the odd c/2^s in
+    increasing order, so the least index is 0, 1, or the least odd c within
+    tolerance at the first level that has one.  By level ceil_lb(n+1) every
+    point of [0, 1] has a node within 1/(n+1); a point farther than that
+    from [0, 1] has none and raises ValueError."""
     x = Fraction(x)
     tol = Fraction(1, n + 1)
-    i = 0
-    while True:
-        if abs(q_seq(i) - x) <= tol:
-            return i
-        i += 1
+    if abs(x) <= tol:
+        return 0
+    if abs(x - 1) <= tol:
+        return 1
+    for s in range(1, max(ceil_lb(n + 1), 1) + 1):
+        c = max(ceil((x - tol) * (1 << s)), 1) | 1
+        if c < 1 << s and Fraction(c, 1 << s) - x <= tol:
+            return (1 << (s - 1)) + (c + 1) // 2
+    raise ValueError(f"{x} is farther than 1/{n + 1} from [0, 1]")
 
 
 def unit_interval_short_approx(x) -> Callable[[int], int]:
@@ -247,88 +262,70 @@ def _chunk_capacity(params: CompactReprParams, n: int) -> tuple[int, int]:
     return params.S.bound(params.ell, m) + 1, params.ell(m)
 
 
-def compact_name(space: MetricSpaceSpec, params: CompactReprParams, x,
-                 approx: Callable[[int], int] | None = None,
-                 label: str = "") -> Name:
-    """Name of x in the compact-space representation.
+def chunk_query(j: int, n: int) -> str:
+    """The chunk-branch query "0" + <j, n>."""
+    return "0" + tuple_strs([nat_str(j), nat_str(n)])
 
-    Chunks are raw index bits in query order (no boundary markers are
-    needed: the assembled string is read as one binary integer), each at
-    most ell(|n|) bits long.  The all-zeros branch answers 1^len where len
-    is the name's own length at that level, computed by scan over the other
-    branches.
-    """
-    if approx is None:
-        if space.approx_index is None:
-            raise ValueError("space has no approximation chooser")
-        approx = lambda n: space.approx_index(x, n)
 
-    chunk_memo: dict[int, str] = {}
+def _chunk_branch(params: CompactReprParams,
+                  approx: Callable[[int], int]) -> Callable[[str], str]:
+    """Answerer of the chunk query "0" + rest for rest = <j, n>: the j-th
+    ell(|n|)-bit chunk of the binary index approx(n), memoized per n;
+    epsilon when rest is not a pair of numerals.  Chunks are raw index bits
+    in query order (no boundary markers are needed: the assembled string is
+    read as one binary integer)."""
+    memo: dict[int, str] = {}
 
-    def index_bits(n: int) -> str:
-        if n not in chunk_memo:
-            nchunks, cap = _chunk_capacity(params, n)
+    def chunk(rest: str) -> str:
+        jn = parse_nats(2, rest)
+        if jn is None:
+            return ""
+        j, n = jn
+        nchunks, cap = _chunk_capacity(params, n)
+        if n not in memo:
             bits = nat_str(approx(n))
             if len(bits) > nchunks * cap:
                 raise ParameterViolation(
                     f"index needs {len(bits)} bits, budget {nchunks}x{cap}")
-            chunk_memo[n] = bits
-        return chunk_memo[n]
+            memo[n] = bits
+        return memo[n][j * cap:(j + 1) * cap]
+
+    return chunk
+
+
+def compact_name(space: MetricSpaceSpec, params: CompactReprParams, x,
+                 approx: Callable[[int], int] | None = None,
+                 label: str = "") -> Name:
+    """Name of x in the compact-space representation: chunk queries read
+    the index of a 1/(n+1)-approximation, metric queries the discrete
+    metric, and 0^k the declared floor ell(k)."""
+    if approx is None:
+        if space.approx_index is None:
+            raise ValueError("space has no approximation chooser")
+        approx = lambda n: space.approx_index(x, n)
+    chunk = _chunk_branch(params, approx)
 
     def branch(a: str) -> str:
-        tag, rest = a[0], a[1:]
-        if tag == "0":
-            pair = untuple(2, rest)
-            if pair is None:
-                return ""
-            j, n = parse_nat(pair[0]), parse_nat(pair[1])
-            if j is None or n is None:
-                return ""
-            _, cap = _chunk_capacity(params, n)
-            bits = index_bits(n)
-            return bits[j * cap:(j + 1) * cap]
-        parts = untuple(3, rest)
-        if parts is None:
-            return ""
-        idx = [parse_nat(p) for p in parts]
-        if any(v is None for v in idx):
-            return ""
-        i, j, n = idx
-        d = space.exact_dist(space.point(i), space.point(j))
-        return encode_int(round_half_away(d * (n + 1)))
+        if a[0] == "0":
+            return chunk(a[1:])
+        return metric_answer(space, a[1:])
 
     return _with_length_branch(branch, params.ell, label or f"compact({x})")
 
 
 def _with_length_branch(branch: Callable[[str], str], floor: LengthFn,
-                        label: str, scan_limit: int = 12) -> Name:
+                        label: str) -> Name:
     """Wrap a branch function so that every all-zeros query 0^k answers
-    1^len(k), where len(k) is the running maximum of the floor target and
-    the branch values at queries of length <= k.
-
-    The exhaustive content scan stops at the scan limit; beyond it the
-    declared floor drives the level (the library layouts keep their branch
-    values under the floor, which tests verify up to the limit)."""
-    lam: dict[int, int] = {}
-
-    def scanned(k: int) -> int:
-        if k in lam:
-            return lam[k]
-        from itertools import product
-        best = scanned(k - 1) if k > 0 else 0
-        best = max(best, floor(k) if floor is not None else 0)
-        for bits in product("01", repeat=k):
-            a = "".join(bits)
-            if a != "0" * k:
-                best = max(best, len(branch(a)))
-        lam[k] = best
-        return best
+    1^len(k), where len(k) is the running maximum of the declared floor
+    over 0..k.  No branch is called: the library layouts answer every query
+    of length k within len(k), so len is the name's length function, and
+    the tests check that by exhaustive scan."""
+    lam: list[int] = []
 
     def level(k: int) -> int:
-        if k <= scan_limit:
-            return scanned(k)
-        # floors are non-decreasing for the library layouts
-        return max(scanned(scan_limit), floor(k) if floor is not None else 0)
+        while len(lam) <= k:
+            lam.append(max(lam[-1] if lam else 0, floor(len(lam))))
+        return lam[k]
 
     def fn(a: str) -> str:
         if a == "0" * len(a):
@@ -343,17 +340,12 @@ def name_length_fn(phi: Name) -> LengthFn:
     return lambda k: len(phi("0" * k))
 
 
-def pair_length_fn(chi: Name) -> LengthFn:
-    return lambda k: len(chi("0" * k))
-
-
 def compact_decode_index(phi: Name, n: int, params: CompactReprParams) -> int:
     """Assemble the approximation index at precision n from the chunks."""
     m = len(nat_str(n))
     l = name_length_fn(phi)
     nchunks = params.S.bound(l, m) + 1
-    bits = "".join(phi("0" + tuple_strs([nat_str(j), nat_str(n)]))
-                   for j in range(nchunks))
+    bits = "".join(phi(chunk_query(j, n)) for j in range(nchunks))
     return int(bits, 2) if bits else 0
 
 
@@ -390,9 +382,8 @@ def compact_metric(phi: Name, psi: Name, n: int, space: MetricSpaceSpec,
     """
     i = compact_decode_index(phi, 8 * n + 7, params)
     k = compact_decode_index(psi, 8 * n + 7, params)
-    q = "1" + tuple_strs([nat_str(i), nat_str(k), nat_str(4 * n + 3)])
     try:
-        zp = decode_int(phi(q))
+        zp = decode_int(phi(metric_query(i, k, 4 * n + 3)))
     except ValueError as e:
         raise MalformedName(str(e)) from e
     return encode_int(round_half_away(Fraction(zp, 4)))
@@ -412,7 +403,7 @@ def compact_metric_program(params: CompactReprParams) -> Callable[[Ctx], None]:
         bits_phi: list[str] = []
         bits_psi: list[str] = []
         for j in range(nchunks):
-            ans = ctx.ask("0" + tuple_strs([nat_str(j), na]))
+            ans = ctx.ask(chunk_query(j, 8 * n + 7))
             pair = untuple(2, ans)
             if pair is None:
                 raise MalformedName("paired oracle answer is not a pair")
@@ -422,8 +413,7 @@ def compact_metric_program(params: CompactReprParams) -> Callable[[Ctx], None]:
         i = int("".join(bits_phi) or "0", 2)
         k = int("".join(bits_psi) or "0", 2)
         ctx.tick(len(na) + 2)
-        q = "1" + tuple_strs([nat_str(i), nat_str(k), nat_str(4 * n + 3)])
-        ans2 = ctx.ask(q)
+        ans2 = ctx.ask(metric_query(i, k, 4 * n + 3))
         raw = proj_value(1, 2, ans2)
         if raw is None:
             raise MalformedName("paired oracle answer is not a pair")
@@ -470,31 +460,11 @@ def relativized_to_compact(rel: Name, params: CompactReprParams,
         if i is None:
             raise MalformedName(f"relativized name: bad index at {n}")
         return i
-
-    chunk_memo: dict[int, str] = {}
-
-    def index_bits(n: int) -> str:
-        if n not in chunk_memo:
-            nchunks, cap = _chunk_capacity(params, n)
-            bits = nat_str(approx(n))
-            if len(bits) > nchunks * cap:
-                raise ParameterViolation(
-                    f"index needs {len(bits)} bits, budget {nchunks}x{cap}")
-            chunk_memo[n] = bits
-        return chunk_memo[n]
+    chunk = _chunk_branch(params, approx)
 
     def branch(a: str) -> str:
-        tag, rest = a[0], a[1:]
-        if tag == "0":
-            pair = untuple(2, rest)
-            if pair is None:
-                return ""
-            j, n = parse_nat(pair[0]), parse_nat(pair[1])
-            if j is None or n is None:
-                return ""
-            _, cap = _chunk_capacity(params, n)
-            bits = index_bits(n)
-            return bits[j * cap:(j + 1) * cap]
+        if a[0] == "0":
+            return chunk(a[1:])
         return rel(a)
 
     return _with_length_branch(branch, params.ell, label or f"compact({rel.label})")

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .baire import LengthFn, Name, pair_names
-from .machine import (Ctx, RunningTime, dialog_length_bound, metered_run)
+from .machine import (ContractViolation, Ctx, RunningTime,
+                      dialog_length_bound, metered_run)
 from .strings import ceil_lb, floor_lb
 
 EXACT_COVER_CAP = 20
@@ -23,10 +24,6 @@ EXACT_COVER_CAP = 20
 
 class SizeExceeded(ValueError):
     """Exact set-cover requested on a cloud above the brute-force cap."""
-
-
-class ContractViolation(AssertionError):
-    """An empirical covering claim failed; carries the offending pair."""
 
 
 @dataclass
@@ -121,7 +118,7 @@ def _exact_cover(K: PointCloud, r: Fraction) -> int:
         best.update(nxt)
         frontier = set(nxt)
         if not frontier:
-            raise AssertionError("cover search stalled")
+            raise ContractViolation("cover search stalled: a point lies in no ball")
 
 
 def _greedy_cover(K: PointCloud, r: Fraction) -> int:

@@ -9,6 +9,7 @@ arithmetic; p-th-power integrals require integer p.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -106,12 +107,11 @@ class PiecewiseLinear:
         x = _frac(x)
         if x < self.xs[0] or x > self.xs[-1]:
             return Fraction(0)
-        for i in range(len(self.xs) - 1):
-            if x <= self.xs[i + 1]:
-                x0, x1 = self.xs[i], self.xs[i + 1]
-                y0, y1 = self.ys[i], self.ys[i + 1]
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return Fraction(0)
+        # the first segment whose right end is >= x
+        i = max(bisect_left(self.xs, x) - 1, 0)
+        x0, x1 = self.xs[i], self.xs[i + 1]
+        y0, y1 = self.ys[i], self.ys[i + 1]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def sup_norm(self) -> Fraction:
         return max(abs(y) for y in self.ys)
@@ -157,11 +157,6 @@ def _pieces(f) -> list[Fraction]:
     return list(f.xs)
 
 
-def _eval_right(f, x: Fraction) -> Fraction:
-    """Value just to the right of x (step functions are right-open)."""
-    return f(x)
-
-
 def _eval_left(f, x: Fraction, lo: Fraction) -> Fraction:
     """Limit from the left at x within the piece starting at lo."""
     if isinstance(f, StepFn):
@@ -176,7 +171,8 @@ def p_power_dist(f, g, p: int) -> Fraction:
     cuts = sorted(set(_pieces(f)) | set(_pieces(g)))
     total = Fraction(0)
     for a, b in zip(cuts, cuts[1:]):
-        v0 = _eval_right(f, a) - _eval_right(g, a)
+        # f(a) is the value just right of a: step functions are right-open
+        v0 = f(a) - g(a)
         v1 = _eval_left(f, b, a) - _eval_left(g, b, a)
         total += _abs_linear_pow_integral(v0, v1, b - a, p)
     return total

@@ -20,6 +20,11 @@ from .baire import LengthFn, Name
 from .strings import nat_str, tuple_list, tuple_strs
 
 
+class ContractViolation(AssertionError):
+    """A library computation broke a contract it certifies (an evaluator's
+    value, an empirical covering claim); carries the offending data."""
+
+
 class BudgetExceeded(RuntimeError):
     """Raised when a metered run overruns its step budget."""
 
@@ -104,20 +109,6 @@ class Ctx:
         self.charge(len(ans))
         self._queries.append((q, ans))
         return ans
-
-    def ask_prefix(self, q: str, k: int) -> str:
-        """Like ask but read only the first k answer symbols."""
-        self.charge(len(q) + 1)
-        ans = self.oracle(q)
-        self._full_answers.append(ans)
-        take = ans[:k]
-        room = self.budget - self.steps
-        if len(take) > room:
-            self._queries.append((q, take[:max(room, 0)]))
-            self.charge(len(take))
-        self.charge(len(take))
-        self._queries.append((q, take))
-        return take
 
     # -- composition ----------------------------------------------------
     def call(self, program: Callable[["Ctx"], None], input_str: str) -> str:
@@ -252,7 +243,7 @@ def is_time_constructible(S: RunningTime, probe_names, depth: int,
                 return False
             expect = S.bound(phi.declared_bound, len(a))
             if out != "1" * expect:
-                raise AssertionError(
+                raise ContractViolation(
                     f"evaluator for {S.label!r} computed {len(out)} != {expect}")
     return True
 

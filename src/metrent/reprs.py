@@ -14,10 +14,10 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
-from .baire import LengthFn, Name, pair_names, split_pair
+from .baire import LengthFn, Name, pair_names
 from .machine import Ctx, RunningTime
 from .strings import (Dyadic, decode_int, encode_int, nat_str, parse_nat,
-                      proj_value, round_half_away, tuple_strs, untuple)
+                      parse_nats, proj_value, round_half_away, tuple_strs)
 
 
 class MalformedName(ValueError):
@@ -200,12 +200,10 @@ def cauchy_metric_program(M: MetricSpaceSpec) -> Callable[[Ctx], None]:
             raise MalformedName(f"input {ctx.input!r} is not a precision index")
         q = nat_str(4 * n + 3)
         ans = ctx.ask(q)
-        pair = untuple(2, ans)
+        pair = parse_nats(2, ans)
         if pair is None:
-            raise MalformedName("paired oracle answer is not a pair")
-        i, j = parse_nat(pair[0]), parse_nat(pair[1])
-        if i is None or j is None:
-            raise MalformedName("oracle answer is not an index")
+            raise MalformedName("paired oracle answer is not a pair of indices")
+        i, j = pair
         ctx.tick(len(ans) + len(ctx.input) + 4)
         v = M.dist(i, j, 2 * n + 1)
         ctx.emit(encode_int(round_half_away(v * (n + 1))))
@@ -237,17 +235,26 @@ def relativized_cauchy_name(M: MetricSpaceSpec, approx: Callable[[int], int],
             if n is None:
                 return ""
             return nat_str(approx(n))
-        parts = untuple(3, rest)
-        if parts is None:
-            return ""
-        idx = [parse_nat(p) for p in parts]
-        if any(v is None for v in idx):
-            return ""
-        k, m, n = idx
-        d = M.exact_dist(M.point(k), M.point(m))
-        return encode_int(round_half_away(d * (n + 1)))
+        return metric_answer(M, rest)
 
     return Name(fn, label=label or f"rel-cauchy[{M.label}]")
+
+
+def metric_query(i: int, j: int, n: int) -> str:
+    """The metric-branch query "1" + <i, j, n>."""
+    return "1" + tuple_strs([nat_str(i), nat_str(j), nat_str(n)])
+
+
+def metric_answer(M: MetricSpaceSpec, rest: str) -> str:
+    """Answer to the metric query "1" + rest for rest = <i, j, n>: the
+    integer round(d(r_i, r_j) * (n+1)); epsilon when rest is not a triple
+    of numerals."""
+    idx = parse_nats(3, rest)
+    if idx is None:
+        return ""
+    i, j, n = idx
+    d = M.exact_dist(M.point(i), M.point(j))
+    return encode_int(round_half_away(d * (n + 1)))
 
 
 def relativized_metric_program() -> Callable[[Ctx], None]:
@@ -263,14 +270,11 @@ def relativized_metric_program() -> Callable[[Ctx], None]:
             raise MalformedName(f"input {ctx.input!r} is not a precision index")
         q = "0" + nat_str(8 * n + 7)
         ans = ctx.ask(q)
-        pair = untuple(2, ans)
+        pair = parse_nats(2, ans)
         if pair is None:
-            raise MalformedName("paired oracle answer is not a pair")
-        i, j = parse_nat(pair[0]), parse_nat(pair[1])
-        if i is None or j is None:
-            raise MalformedName("oracle answer is not an index")
-        q2 = "1" + tuple_strs([nat_str(i), nat_str(j), nat_str(4 * n + 3)])
-        ans2 = ctx.ask(q2)
+            raise MalformedName("paired oracle answer is not a pair of indices")
+        i, j = pair
+        ans2 = ctx.ask(metric_query(i, j, 4 * n + 3))
         raw = proj_value(1, 2, ans2)
         if raw is None:
             raise MalformedName("paired oracle answer is not a pair")
@@ -292,14 +296,6 @@ def relativized_metric_time(kappa: int = 10) -> RunningTime:
 
 # ---------------------------------------------------------------------------
 # products
-
-def product_name(phi: Name, psi: Name) -> Name:
-    return pair_names(phi, psi)
-
-
-def product_split(chi: Name) -> tuple[Name, Name]:
-    return split_pair(chi)
-
 
 def product_name_list(names) -> Name:
     """Iterated binary pairing <phi_1, <phi_2, ...>>."""

@@ -139,6 +139,16 @@ def untuple(k: int, b: str) -> list[str] | None:
     return out if full else None
 
 
+def parse_nats(k: int, b: str) -> list[int] | None:
+    """The k numerals of a k-tuple, or None when b is not a k-tuple or a
+    component is not a numeral."""
+    parts = untuple(k, b)
+    if parts is None:
+        return None
+    vals = [parse_nat(p) for p in parts]
+    return None if None in vals else vals
+
+
 def tuple_list(parts) -> str:
     """Tupling of a list of any length: epsilon for the empty list, the
     sole element for singletons, the fixed-arity tupling otherwise."""

@@ -7,7 +7,7 @@ from metrent.banach import (BanachReprParams, add_time, banach_add_program,
                             check_growth, coeff_query, combo_query, counted,
                             delta_square_name, dsq_modulus, dsq_to_xi,
                             dsq_value, fs_vector, haar_vector, lp_name,
-                            lp_modulus_of_name, lp_to_xi, lp_value,
+                            lp_to_xi, lp_value,
                             xi_decode_pl, xi_read_combo, xi_to_dsq, xi_to_lp)
 from metrent.compact import name_length_fn
 from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
@@ -199,7 +199,7 @@ def test_lp_name_contract():
         assert abs(exact - v) < Fraction(1, 1 << n)      # strict
     assert is_length_monotone(psi, 6)
     table = lp_modulus(f, 2, 6)
-    md = lp_modulus_of_name(psi)
+    md = dsq_modulus(psi)
     assert all(md(t) >= table[t] for t in range(7))
 
 

@@ -2,19 +2,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metrent.baire import in_kl, length_of, pair_names
+from metrent.banach import (BanachReprParams, banach_name, delta_square_name,
+                            dsq_to_xi, fs_vector, haar_vector, lp_name,
+                            lp_to_xi)
 from metrent.compact import (CompactReprParams, ParameterViolation,
-                             check_uniformly_dense, compact_decode_index,
-                             compact_metric, compact_metric_program,
-                             compact_metric_time, compact_name,
-                             compact_to_relativized, greedy_uniform_seq,
-                             lipschitz_cloud, measured_size_unit_interval,
-                             name_length_fn, q_index, q_seq,
-                             relativized_to_compact, unit_interval_ell,
+                             _with_length_branch, check_uniformly_dense,
+                             compact_decode_index, compact_metric,
+                             compact_metric_program, compact_metric_time,
+                             compact_name, compact_to_relativized,
+                             greedy_uniform_seq, lipschitz_cloud,
+                             measured_size_unit_interval, name_length_fn,
+                             q_index, q_seq, relativized_to_compact,
+                             unit_interval_approx, unit_interval_ell,
                              unit_interval_space)
 from metrent.entropy import PointCloud
-from metrent.machine import const_time, metered_run
+from metrent.funcs import (PiecewiseLinear, StepFn, continuity_modulus,
+                           lp_modulus, modulus_fn)
+from metrent.machine import const_time, exp_max_time, metered_run
+from metrent.schauder import FSSystem, HaarSystem
 from metrent.reprs import cauchy_validate
 from metrent.strings import decode_int, nat_str, tuple_strs
 
@@ -75,14 +83,88 @@ def test_q_seq_is_uniformly_dense():
     assert c_ok and s_ok, first
 
 
+def _approx_by_scan(x, n):
+    """Reference for unit_interval_approx: the first q_i within 1/(n+1)."""
+    i = 0
+    while abs(q_seq(i) - x) > Fraction(1, n + 1):
+        i += 1
+    return i
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(-Fraction(1, 2), Fraction(3, 2), max_denominator=1 << 10),
+       st.integers(0, 40))
+def test_unit_interval_approx_matches_scan(x, n):
+    if x < -Fraction(1, n + 1) or x > 1 + Fraction(1, n + 1):
+        with pytest.raises(ValueError):
+            unit_interval_approx(x, n)
+    else:
+        assert unit_interval_approx(x, n) == _approx_by_scan(x, n)
+
+
+@pytest.mark.parametrize("x, n", [(5, 3), (Fraction(-1, 2), 2), (Fraction(5, 2), 0)])
+def test_unit_interval_approx_without_node_raises(x, n):
+    with pytest.raises(ValueError):
+        unit_interval_approx(x, n)
+
+
+def _pl():
+    return PiecewiseLinear.build([0, Fraction(1, 4), Fraction(5, 8), 1],
+                                 [Fraction(3, 4), Fraction(-1, 2), Fraction(5, 4), Fraction(-3, 2)])
+
+
+def _step():
+    return StepFn.build([0, Fraction(1, 4), Fraction(5, 8), 1],
+                        [Fraction(3, 2), Fraction(-1, 2), 1])
+
+
+def _banach_params():
+    return BanachReprParams(S=exp_max_time())
+
+
+# every factory whose names answer 0^k through _with_length_branch
+LENGTH_BRANCH_NAMES = {
+    "compact_name": lambda: compact_name(
+        unit_interval_space(), params_unit(), Fraction(1, 2)),
+    "relativized_to_compact": lambda: relativized_to_compact(
+        compact_to_relativized(compact_name(unit_interval_space(), params_unit(),
+                                            Fraction(5, 8)), params_unit()),
+        params_unit()),
+    "banach_name-hat": lambda: banach_name(
+        fs_vector(_pl()), _banach_params(), FSSystem(), lambda n: n + 4),
+    "banach_name-haar-p2": lambda: banach_name(
+        haar_vector(_step(), Fraction(2)), _banach_params(),
+        HaarSystem(Fraction(2)), lambda n: n + 4),
+    "dsq_to_xi": lambda: dsq_to_xi(
+        delta_square_name(_pl(), modulus_fn(continuity_modulus(_pl(), 14))),
+        _banach_params()),
+    "lp_to_xi": lambda: lp_to_xi(
+        lp_name(_step(), Fraction(2), modulus_fn(lp_modulus(_step(), 2, 14))),
+        _banach_params(), Fraction(2)),
+}
+
+
+def _length_query_is_scanned_length(phi, depth=8):
+    """Condition (l) by exhaustive scan: 0^k answers the name's length at k,
+    which fails as soon as a branch answers longer than the declared floor."""
+    return all(len(phi("0" * k)) == length_of(phi, k) for k in range(depth + 1))
+
+
+@pytest.mark.parametrize("factory", sorted(LENGTH_BRANCH_NAMES))
+def test_length_query_is_the_declared_floor(factory):
+    assert _length_query_is_scanned_length(LENGTH_BRANCH_NAMES[factory]())
+
+
+def test_length_check_catches_a_branch_above_its_floor():
+    phi = _with_length_branch(lambda a: "1" * (len(a) + 1), lambda k: k, "long")
+    assert not _length_query_is_scanned_length(phi)
+
+
 def test_compact_name_layout():
     space = unit_interval_space()
     params = params_unit()
     x = Fraction(1, 2)
     phi = compact_name(space, params, x)
-    # condition (l): the all-zeros value realizes the scanned length
-    for n in range(7):
-        assert len(phi("0" * n)) == length_of(phi, n)
     # chunks decode to an admissible index at every precision
     for n in range(9):
         i = compact_decode_index(phi, n, params)

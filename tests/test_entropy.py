@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metrent.entropy import (ApproxSetSpec, PointCloud,
+from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              SizeExceeded, build_large_compact,
                              check_spanning_le_covering, cloud_from_vectors,
                              covering_number, interval_cover_count,
@@ -31,6 +31,13 @@ def test_covering_exact_cap():
     with pytest.raises(SizeExceeded):
         covering_number(big, 1, "exact")
     assert covering_number(big, 1, "greedy").count >= 1
+
+
+def test_exact_cover_stall_is_contract_violation():
+    # a distance with d(p, p) > 0 leaves every point outside its own ball
+    broken = PointCloud([0, 1], lambda i, j: Fraction(1))
+    with pytest.raises(ContractViolation, match="stalled"):
+        covering_number(broken, 1, "exact")
 
 
 def test_packing_examples():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from metrent.funcs import (PiecewiseLinear, StepFn, approx_check, chi,
                            continuity_modulus, lp_modulus,
                            lp_modulus_shift_check, modulus_fn, p_power_dist,
@@ -31,6 +33,33 @@ def test_pl_basics():
     assert f.sup_norm() == 1
     g = f.scaled(Fraction(-1, 2))
     assert sup_dist_pl(f, g) == Fraction(3, 2)
+
+
+def _pl_value_by_scan(f: PiecewiseLinear, x: Fraction) -> Fraction:
+    """Reference point evaluation: the first segment whose right end is
+    >= x, found by linear scan."""
+    if x < f.xs[0] or x > f.xs[-1]:
+        return Fraction(0)
+    for i in range(len(f.xs) - 1):
+        if x <= f.xs[i + 1]:
+            x0, x1 = f.xs[i], f.xs[i + 1]
+            y0, y1 = f.ys[i], f.ys[i + 1]
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return Fraction(0)
+
+
+eighths = st.integers(-12, 20).map(lambda k: Fraction(k, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(eighths, min_size=2, max_size=12, unique=True),
+       st.lists(eighths, min_size=12, max_size=12),
+       st.lists(st.integers(-40, 72).map(lambda k: Fraction(k, 32)), max_size=20))
+def test_pl_call_matches_linear_scan(xs, ys, probes):
+    xs = sorted(xs)
+    f = PiecewiseLinear.build(xs, ys[:len(xs)])
+    for x in probes + xs:
+        assert f(x) == _pl_value_by_scan(f, x)
 
 
 def test_p_power_dist_linear_pieces():

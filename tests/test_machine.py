@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from metrent.baire import Name, constant_name, pair_names
-from metrent.machine import (BudgetExceeded, RunningTime,
+from metrent.machine import (BudgetExceeded, ContractViolation, RunningTime,
                              check_monotone_sampled, const_time,
                              dialog_length_bound, equality_from_metric,
                              exp_max_time, first_order, is_time_constructible,
@@ -104,6 +104,16 @@ def test_time_constructible_examples():
     assert is_time_constructible(first_order(lambda n: n + 1), probes, depth=4)
     assert is_time_constructible(length_time_by_convention(), probes, depth=4)
     assert not is_time_constructible(length_time_by_scan(), probes, depth=6)
+
+
+def test_wrong_evaluator_is_contract_violation():
+    def ev(ctx, n):
+        ctx.tick(1)
+        return n
+    off_by_one = RunningTime(lambda l, n: n + 1, "n+1, evaluated as n",
+                             constructible=True, evaluator=ev)
+    with pytest.raises(ContractViolation, match="computed 0 != 1"):
+        is_time_constructible(off_by_one, [bounded_probe(lambda n: n)], depth=2)
 
 
 def test_monotone_sampled_library_times():

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from metrent.baire import Name, constant_name, in_kl
+from metrent.baire import Name, constant_name, in_kl, pair_names, split_pair
 from metrent.compact import unit_interval_approx, unit_interval_space
 from metrent.reprs import (MalformedName, box_product_length, cauchy_metric,
                            cauchy_name, cauchy_validate, co_re_reject,
                            dyadic_line_index, dyadic_line_point,
-                           dyadic_line_space, product_name, product_name_list,
-                           product_split, real_decode, real_name,
-                           real_validate, relativized_cauchy_name)
+                           dyadic_line_space, product_name_list, real_decode,
+                           real_name, real_validate, relativized_cauchy_name)
 from metrent.strings import Dyadic, all_strings, encode_int, nat_str
 
 
@@ -126,8 +125,8 @@ def test_relativized_metric_budget():
 def test_product_roundtrip_and_errors():
     phi = real_name(Fraction(1, 4))
     psi = real_name(Fraction(3, 4))
-    chi = product_name(phi, psi)
-    a, b = product_split(chi)
+    chi = pair_names(phi, psi)
+    a, b = split_pair(chi)
     for q in all_strings(5):
         assert a(q) == phi(q) and b(q) == psi(q)
     va, _ = real_decode(a, 9)
@@ -135,7 +134,7 @@ def test_product_roundtrip_and_errors():
     assert abs(va - Fraction(1, 4)) <= Fraction(1, 10)
     assert abs(vb - Fraction(3, 4)) <= Fraction(1, 10)
     from metrent.baire import NotAPair
-    bad, _ = product_split(constant_name(""))
+    bad, _ = split_pair(constant_name(""))
     with pytest.raises(NotAPair):
         bad("1")
 
