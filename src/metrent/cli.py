@@ -20,6 +20,7 @@ from .compact import unit_interval_short_approx, unit_interval_space
 from .entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                       covering_number, dialog_cover_experiment,
                       dialog_length_bound, lorentz_bounds, packing_exponent)
+from .funcs import modulus_fn
 from .machine import equality_from_metric, exp_max_time, RunningTime
 from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
 from .schauder import fs_coeffs, fs_partial_sum_pl, haar_integral
@@ -51,14 +52,15 @@ class ConfigError(Exception):
 def _parse_l_table(spec: str):
     if spec == "n":
         return lambda n: n
-    if spec.startswith("n+"):
-        c = int(spec[2:])
-        return lambda n: n + c
     try:
-        table = [int(v) for v in spec.split(",")]
+        if spec.startswith("n+"):
+            c = int(spec[2:])
+            if c < 0:
+                raise ValueError(f"negative offset {c}")
+            return lambda n: n + c
+        return modulus_fn([int(v) for v in spec.split(",")])
     except ValueError as e:
-        raise ConfigError(f"bad length table {spec!r}") from e
-    return lambda n: table[n] if n < len(table) else table[-1] + (n - len(table) + 1)
+        raise ConfigError(f"bad length table {spec!r}: {e}") from e
 
 
 def _sample_dyadics(count: int, seed: int, scale: int = 8):

@@ -18,7 +18,8 @@ from math import ceil
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .entropy import PointCloud, covering_number, interval_cover_count
+from .entropy import (PointCloud, covering_number, farthest_first,
+                      interval_cover_count)
 from .machine import Ctx, RunningTime
 from .reprs import (MalformedName, MetricSpaceSpec, metric_answer,
                     metric_query)
@@ -56,7 +57,17 @@ def q_index(x) -> int:
     d = Dyadic.from_fraction(x)
     if not 0 < x < 1:
         raise ValueError(f"{x} outside [0, 1]")
-    return (1 << (d.scale - 1)) + (d.num + 1) // 2
+    return _grid_index(d.num, d.scale)
+
+
+def _grid_index(c: int, s: int) -> int:
+    """q_index(c / 2^s) for 0 <= c <= 2^s, without building the fraction."""
+    if c == 0:
+        return 0
+    if c == 1 << s:
+        return 1
+    tz = (c & -c).bit_length() - 1
+    return (1 << (s - tz - 1)) + ((c >> tz) + 1) // 2
 
 
 def unit_interval_approx(x, n: int) -> int:
@@ -84,20 +95,23 @@ def unit_interval_short_approx(x) -> Callable[[int], int]:
     """Nearest node among the first 2^|n| at precision n; the answer's
     numeral length stays at most the query's, so the name lies in K_l for
     l(n) = n.  The first 2^k nodes form the dyadic grid of step 2^(1-k),
-    so the nearest one is found from the two grid neighbours."""
+    so the nearest one is found from the two grid neighbours, compared in
+    integers: |c/2^s - p/q| is |c*q - p*2^s| / (q*2^s)."""
     x = Fraction(x)
+    p, q = x.numerator, x.denominator
 
     def approx(n: int) -> int:
         k = len(nat_str(n))
         if k == 0:
             return 0
         s = k - 1
-        lo = int(x * (1 << s))
-        cands = {Fraction(min(max(c, 0), 1 << s), 1 << s) for c in (lo, lo + 1)}
-        best = min(cands, key=lambda v: (abs(v - x), q_index(v)))
-        if abs(best - x) > Fraction(1, n + 1):
+        S = 1 << s
+        lo = p * S // q
+        best = min((min(max(c, 0), S) for c in (lo, lo + 1)),
+                   key=lambda c: (abs(c * q - p * S), _grid_index(c, s)))
+        if abs(best * q - p * S) * (n + 1) > q * S:
             raise ParameterViolation(f"no admissible short index at precision {n}")
-        return q_index(best)
+        return _grid_index(best, s)
 
     return approx
 
@@ -161,18 +175,7 @@ def greedy_uniform_seq(K: PointCloud, horizon: int) -> UniformSeqSpec:
     from .entropy import SizeExceeded
     m = len(K)
     start = min(range(m), key=lambda p: (max(K.d(p, q) for q in range(m)), p))
-    order = [start]
-    chosen = {start}
-    while len(order) < m:
-        best, best_d = None, None
-        for p in range(m):
-            if p in chosen:
-                continue
-            dmin = min(K.d(p, c) for c in order)
-            if best_d is None or dmin > best_d:
-                best, best_d = p, dmin
-        order.append(best)
-        chosen.add(best)
+    order, _ = farthest_first(K, start)
     sizes: list[int] = []
     for n in range(horizon + 1):
         try:
@@ -509,6 +512,7 @@ def register_S(name: str, factory: Callable[[], RunningTime]) -> None:
 def load_instance(path: str) -> tuple[MetricSpaceSpec, CompactReprParams, int]:
     """Instance config: JSON with space id, sequence id, ell table, S id,
     horizon."""
+    from .funcs import modulus_fn
     from .machine import const_time, exp_max_time
     defaults = {"const1": lambda: const_time(1), "expmax": exp_max_time}
     with open(path) as fh:
@@ -516,8 +520,7 @@ def load_instance(path: str) -> tuple[MetricSpaceSpec, CompactReprParams, int]:
     if cfg.get("space") != "unit-interval":
         raise ValueError(f"unknown space {cfg.get('space')!r}")
     space = unit_interval_space()
-    table = [int(v) for v in cfg["ell"]]
-    ell = lambda n: table[n] if n < len(table) else table[-1] + (n - len(table) + 1)
+    ell = modulus_fn([int(v) for v in cfg["ell"]])
     s_id = cfg.get("S", "const1")
     factory = _S_REGISTRY.get(s_id) or defaults.get(s_id)
     if factory is None:

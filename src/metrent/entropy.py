@@ -34,6 +34,7 @@ class PointCloud:
     dist: Callable[[int, int], Fraction]
     label: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
+    _traversals: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.points)
@@ -121,20 +122,40 @@ def _exact_cover(K: PointCloud, r: Fraction) -> int:
             raise ContractViolation("cover search stalled: a point lies in no ball")
 
 
+def farthest_first(K: PointCloud, start: int) -> tuple[list[int], list]:
+    """Farthest-point-first traversal of the whole cloud from ``start``
+    (Gonzalez 1985): each step appends the lowest-index point farthest from
+    the points chosen so far.  Returns the visit order and each point's
+    insertion radius, its distance to the earlier points (None for the
+    start); the radii are non-increasing.  One running minimum per point
+    makes this m(m-1)/2 distance lookups; the result is kept per start."""
+    hit = K._traversals.get(start)
+    if hit is not None:
+        return hit
+    order, radii = [start], [None]
+    rest = [p for p in range(len(K)) if p != start]
+    dmin = {p: K.d(start, p) for p in rest}
+    while rest:
+        best = max(rest, key=dmin.__getitem__)
+        order.append(best)
+        radii.append(dmin[best])
+        rest.remove(best)
+        for p in rest:
+            d = K.d(best, p)
+            if d < dmin[p]:
+                dmin[p] = d
+    K._traversals[start] = order, radii
+    return order, radii
+
+
 def _greedy_cover(K: PointCloud, r: Fraction) -> int:
-    m = len(K)
-    if m == 0:
+    """Centers are added farthest-first from point 0 while some point lies
+    beyond r; since the insertion radii do not increase, that is one center
+    plus every later point inserted at a radius above r."""
+    if len(K) == 0:
         return 0
-    centers = [0]
-    while True:
-        worst, worst_d = None, None
-        for p in range(m):
-            dmin = min(K.d(p, c) for c in centers)
-            if dmin > r and (worst_d is None or dmin > worst_d):
-                worst, worst_d = p, dmin
-        if worst is None:
-            return len(centers)
-        centers.append(worst)
+    _, radii = farthest_first(K, 0)
+    return 1 + sum(1 for d in radii[1:] if d > r)
 
 
 def packing_witness(K: PointCloud, n: int) -> list[int]:

@@ -9,7 +9,7 @@ arithmetic; p-th-power integrals require integer p.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -40,10 +40,7 @@ class StepFn:
         x = _frac(x)
         if x < self.cuts[0] or x >= self.cuts[-1]:
             return Fraction(0)
-        for i in range(len(self.levels)):
-            if x < self.cuts[i + 1]:
-                return self.levels[i]
-        return Fraction(0)
+        return self.levels[bisect_right(self.cuts, x) - 1]
 
     def integral(self, a, b) -> Fraction:
         """Exact integral over [a, b]."""
@@ -236,8 +233,18 @@ def continuity_modulus(f: PiecewiseLinear, up_to: int) -> list[int]:
 
 
 def modulus_fn(table: list[int]) -> Callable[[int], int]:
-    """Clamp a tabulated modulus into a total non-decreasing function; past
-    the table it grows by one per step, which stays a valid modulus."""
+    """Extend a tabulated modulus or length table to a total non-decreasing
+    function; past the table it grows by one per step, which stays a valid
+    modulus.  Raises ValueError on an empty or decreasing table or on a
+    negative entry."""
+    table = list(table)
+    if not table:
+        raise ValueError("empty table")
+    if table[0] < 0:
+        raise ValueError(f"negative table entry {table[0]}")
+    if any(b < a for a, b in zip(table, table[1:])):
+        raise ValueError(f"table {table} is not non-decreasing")
+
     def mu(n: int) -> int:
         if n < len(table):
             return table[n]

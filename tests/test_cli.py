@@ -82,6 +82,14 @@ def test_eval_matches_golden_bytes(tmp_path, args, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+def test_entropy_matches_golden_bytes(tmp_path):
+    # 80 samples: the greedy cover column runs above the exact-cover cap
+    out = tmp_path / "entropy.csv"
+    assert main(["entropy", "--n-max", "8", "--samples", "80", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "entropy_n8_s80_seed3.csv").read_bytes()
+
+
 @pytest.mark.parametrize("args", [
     ["translate", "--kind", "xi-to-dsq", "--trace", "{tmp}/missing.trace"],
     ["eval", "--basis", "haar", "--p", "abc"],
@@ -89,6 +97,8 @@ def test_eval_matches_golden_bytes(tmp_path, args, golden):
     ["eval", "--basis", "haar", "--p=-3/2"],
     ["eval", "--basis", "haar", "--p", "1/0"],
     ["eval", "--basis", "fs", "--n-max", "1", "--out", "{tmp}/no-such-dir/fs.csv"],
+    ["entropy", "--samples", "4", "--l-table", "3,1"],
+    ["entropy", "--samples", "4", "--l-table", "n+-2"],
 ])
 def test_bad_input_is_config_error(tmp_path, args):
     rc, _, err = run_cli([a.format(tmp=tmp_path) for a in args])

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metrent.baire import in_kl, length_of, pair_names
 from metrent.banach import (BanachReprParams, banach_name, delta_square_name,
@@ -17,14 +17,15 @@ from metrent.compact import (CompactReprParams, ParameterViolation,
                              measured_size_unit_interval, name_length_fn,
                              q_index, q_seq, relativized_to_compact,
                              unit_interval_approx, unit_interval_ell,
-                             unit_interval_space)
-from metrent.entropy import PointCloud
+                             unit_interval_short_approx, unit_interval_space)
+from metrent.entropy import (PointCloud, SizeExceeded, cloud_from_vectors,
+                             covering_number)
 from metrent.funcs import (PiecewiseLinear, StepFn, continuity_modulus,
                            lp_modulus, modulus_fn)
 from metrent.machine import const_time, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem
 from metrent.reprs import cauchy_validate
-from metrent.strings import decode_int, nat_str, tuple_strs
+from metrent.strings import ceil_lb, decode_int, nat_str, tuple_strs
 
 
 def params_unit(S=None):
@@ -58,6 +59,56 @@ def test_greedy_uniform_seq_on_grid():
     c_ok, s_ok, first = check_uniformly_dense(spec, grid)
     assert s_ok, first
     assert c_ok, first
+
+
+def _greedy_order_by_rescan(K):
+    """Reference order for greedy_uniform_seq: from the minimax center,
+    append the first unchosen point farthest from the prefix, recomputing
+    every distance to the prefix each round."""
+    m = len(K)
+    start = min(range(m), key=lambda p: (max(K.d(p, q) for q in range(m)), p))
+    order = [start]
+    while len(order) < m:
+        best, best_d = None, None
+        for p in range(m):
+            if p in order:
+                continue
+            dmin = min(K.d(p, c) for c in order)
+            if best_d is None or dmin > best_d:
+                best, best_d = p, dmin
+        order.append(best)
+    return order
+
+
+def _greedy_count_by_rescan(K, n):
+    r = Fraction(1, 1 << n)
+    centers = [0]
+    while True:
+        far = [(min(K.d(p, c) for c in centers), -p) for p in range(len(K))]
+        d, p = max(far)
+        if d <= r:
+            return len(centers)
+        centers.append(-p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-4, 12).map(lambda k: Fraction(k, 8)), min_size=1,
+             max_size=26).map(lambda v: PointCloud(v, lambda i, j: abs(v[i] - v[j]))),
+    st.tuples(st.lists(st.tuples(*[st.integers(0, 3)] * 2), min_size=1, max_size=26),
+              st.sampled_from(["sup", "l1"])).map(lambda vm: cloud_from_vectors(*vm))),
+    st.integers(0, 5))
+def test_greedy_uniform_seq_matches_rescan(K, horizon):
+    spec = greedy_uniform_seq(K, horizon)
+    order = _greedy_order_by_rescan(K)
+    assert [spec.seq(i) for i in range(len(K) + 2)] == \
+        [K.points[order[min(i, len(K) - 1)]] for i in range(len(K) + 2)]
+    for n in range(horizon + 1):
+        try:
+            count = covering_number(K, n, "exact").count
+        except SizeExceeded:
+            count = _greedy_count_by_rescan(K, n)
+        assert spec.size_bound(n) == ceil_lb(count), n
 
 
 def test_check_uniformly_dense_failures():
@@ -106,6 +157,45 @@ def test_unit_interval_approx_matches_scan(x, n):
 def test_unit_interval_approx_without_node_raises(x, n):
     with pytest.raises(ValueError):
         unit_interval_approx(x, n)
+
+
+def _short_approx_by_fractions(x):
+    """Reference for unit_interval_short_approx: the two grid neighbours at
+    level |n| - 1 as Fractions, nearest first, ties to the lower index."""
+    x = Fraction(x)
+
+    def approx(n):
+        k = len(nat_str(n))
+        if k == 0:
+            return 0
+        s = k - 1
+        lo = int(x * (1 << s))
+        cands = {Fraction(min(max(c, 0), 1 << s), 1 << s) for c in (lo, lo + 1)}
+        best = min(cands, key=lambda v: (abs(v - x), q_index(v)))
+        if abs(best - x) > Fraction(1, n + 1):
+            raise ParameterViolation(f"no admissible short index at precision {n}")
+        return q_index(best)
+
+    return approx
+
+
+def _outcome(approx, n):
+    try:
+        return approx(n)
+    except ParameterViolation:
+        return "violation"
+
+
+@settings(max_examples=300, deadline=None)
+@example(Fraction(3, 4))        # equidistant from 1/2 and 1: ties go to node 1
+@example(Fraction(1, 2))        # exactly 1/(n+1) from both nodes at n = 1
+@given(st.one_of(st.fractions(-2, 3, max_denominator=1 << 9),
+                 st.integers(-3, 3).map(Fraction),
+                 st.integers(-1 << 12, 1 << 13).map(lambda k: Fraction(k, 1 << 12))))
+def test_short_approx_matches_fraction_version(x):
+    fast, ref = unit_interval_short_approx(x), _short_approx_by_fractions(x)
+    for n in range(71):
+        assert _outcome(fast, n) == _outcome(ref, n), n
 
 
 def _pl():
@@ -271,3 +361,12 @@ def test_load_instance(tmp_path):
     assert params.ell(3) == unit_interval_ell(3)
     phi = compact_name(space, params, Fraction(1, 2))
     assert compact_decode_index(phi, 4, params) is not None
+
+
+def test_load_instance_rejects_decreasing_ell(tmp_path):
+    import json
+    from metrent.compact import load_instance
+    cfg = tmp_path / "inst.json"
+    cfg.write_text(json.dumps({"space": "unit-interval", "ell": [2, 1]}))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        load_instance(str(cfg))

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              SizeExceeded, build_large_compact,
                              check_spanning_le_covering, cloud_from_vectors,
-                             covering_number, interval_cover_count,
-                             lorentz_bounds, packing_exponent,
-                             packing_witness)
+                             covering_number, farthest_first,
+                             interval_cover_count, lorentz_bounds,
+                             packing_exponent, packing_witness)
 
 
 def line_cloud(values):
@@ -38,6 +38,72 @@ def test_exact_cover_stall_is_contract_violation():
     broken = PointCloud([0, 1], lambda i, j: Fraction(1))
     with pytest.raises(ContractViolation, match="stalled"):
         covering_number(broken, 1, "exact")
+
+
+def _greedy_cover_per_radius(K, n):
+    """Reference greedy count: rebuild the farthest-point centers from
+    point 0 at this radius, adding the first point farthest from them while
+    it lies outside every ball."""
+    r = Fraction(1, 1 << n) if n >= 0 else Fraction(1 << -n)
+    if len(K) == 0:
+        return 0
+    centers = [0]
+    while True:
+        worst, worst_d = None, None
+        for p in range(len(K)):
+            dmin = min(K.d(p, c) for c in centers)
+            if dmin > r and (worst_d is None or dmin > worst_d):
+                worst, worst_d = p, dmin
+        if worst is None:
+            return len(centers)
+        centers.append(worst)
+
+
+# coarse grids so that duplicate points and equal-distance ties are common
+line_values = st.lists(st.integers(-8, 8).map(lambda k: Fraction(k, 4)),
+                       max_size=14)
+vectors = st.lists(st.tuples(*[st.integers(0, 4).map(lambda k: Fraction(k, 4))] * 2),
+                   min_size=1, max_size=12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(line_values.map(line_cloud),
+                 st.tuples(vectors, st.sampled_from(["sup", "l1"])).map(
+                     lambda vm: cloud_from_vectors(*vm))))
+def test_greedy_cover_matches_per_radius_loop(K):
+    for n in range(-2, 11):
+        assert covering_number(K, n, "greedy").count == \
+            _greedy_cover_per_radius(K, n), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_values.filter(bool), st.data())
+def test_farthest_first_radii(values, data):
+    K = line_cloud(values)
+    start = data.draw(st.integers(0, len(K) - 1))
+    order, radii = farthest_first(K, start)
+    assert sorted(order) == list(range(len(K))) and order[0] == start
+    assert radii[0] is None
+    assert radii[1:] == sorted(radii[1:], reverse=True)
+    for k in range(1, len(K)):
+        assert radii[k] == min(K.d(order[k], c) for c in order[:k])
+    assert farthest_first(K, start) is K._traversals[start]
+
+
+def test_greedy_cover_distance_count():
+    rnd = random.Random(5)
+    vals = [Fraction(rnd.randrange(0, 257), 256) for _ in range(80)]
+    calls = []
+
+    def dist(i, j):
+        calls.append((i, j))
+        return abs(vals[i] - vals[j])
+
+    K = PointCloud(vals, dist)
+    m = len(K)
+    for n in range(9):
+        covering_number(K, n, "greedy")
+    assert len(calls) <= m * (m - 1) // 2 + m
 
 
 def test_packing_examples():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from metrent.funcs import (PiecewiseLinear, StepFn, approx_check, chi,
@@ -60,6 +61,36 @@ def test_pl_call_matches_linear_scan(xs, ys, probes):
     f = PiecewiseLinear.build(xs, ys[:len(xs)])
     for x in probes + xs:
         assert f(x) == _pl_value_by_scan(f, x)
+
+
+def _step_value_by_scan(f: StepFn, x: Fraction) -> Fraction:
+    """Reference point evaluation: the first level whose right cut lies
+    beyond x, found by linear scan."""
+    if x < f.cuts[0] or x >= f.cuts[-1]:
+        return Fraction(0)
+    for i in range(len(f.levels)):
+        if x < f.cuts[i + 1]:
+            return f.levels[i]
+    return Fraction(0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(eighths, min_size=2, max_size=12, unique=True),
+       st.lists(eighths, min_size=11, max_size=11),
+       st.lists(st.integers(-40, 72).map(lambda k: Fraction(k, 32)), max_size=20))
+def test_step_call_matches_linear_scan(cuts, levels, probes):
+    cuts = sorted(cuts)
+    f = StepFn.build(cuts, levels[:len(cuts) - 1])
+    for x in [*cuts, cuts[0] - 1, cuts[-1] + 1, *probes]:
+        assert f(x) == _step_value_by_scan(f, x), x
+
+
+def test_modulus_fn_extends_and_validates():
+    mu = modulus_fn([0, 2, 2, 5])
+    assert [mu(n) for n in range(7)] == [0, 2, 2, 5, 6, 7, 8]
+    for bad in ([], [3, 1], [-1, 0], [0, 2, 1, 4]):
+        with pytest.raises(ValueError):
+            modulus_fn(bad)
 
 
 def test_p_power_dist_linear_pieces():
