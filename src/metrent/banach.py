@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .baire import LengthFn, Name
@@ -123,14 +124,8 @@ def banach_name(vec, params: BanachReprParams, system, ell: LengthFn,
         lam = vec[i] if i < len(vec) else Fraction(0)
         return round_half_away(lam * (m + 1))
 
-    tail_memo: dict[int, bool] = {}
-
+    @cache
     def tail_ok(n: int) -> bool:
-        if n not in tail_memo:
-            tail_memo[n] = _tail_ok(n)
-        return tail_memo[n]
-
-    def _tail_ok(n: int) -> bool:
         cutoff = params.S.bound(ell, len(nat_str(n))) + 1
         if is_haar:
             tail = [Fraction(0)] * cutoff + [

@@ -25,7 +25,7 @@ from metrent.funcs import (PiecewiseLinear, StepFn, continuity_modulus,
 from metrent.machine import const_time, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem
 from metrent.reprs import cauchy_validate
-from metrent.strings import ceil_lb, decode_int, nat_str, tuple_strs
+from metrent.strings import decode_int, nat_str, tuple_strs
 
 
 def params_unit(S=None):
@@ -80,17 +80,6 @@ def _greedy_order_by_rescan(K):
     return order
 
 
-def _greedy_count_by_rescan(K, n):
-    r = Fraction(1, 1 << n)
-    centers = [0]
-    while True:
-        far = [(min(K.d(p, c) for c in centers), -p) for p in range(len(K))]
-        d, p = max(far)
-        if d <= r:
-            return len(centers)
-        centers.append(-p)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
     st.lists(st.integers(-4, 12).map(lambda k: Fraction(k, 8)), min_size=1,
@@ -105,10 +94,10 @@ def test_greedy_uniform_seq_matches_rescan(K, horizon):
         [K.points[order[min(i, len(K) - 1)]] for i in range(len(K) + 2)]
     for n in range(horizon + 1):
         try:
-            count = covering_number(K, n, "exact").count
+            cover = covering_number(K, n, "exact")
         except SizeExceeded:
-            count = _greedy_count_by_rescan(K, n)
-        assert spec.size_bound(n) == ceil_lb(count), n
+            cover = covering_number(K, n, "greedy")
+        assert spec.size_bound(n) == cover.exponent, n
 
 
 def test_check_uniformly_dense_failures():
