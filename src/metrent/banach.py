@@ -583,18 +583,19 @@ def _aligned_nonzero_indices(a: Fraction, b: Fraction, max_k: int) -> list[int]:
     """Basis indices k <= max_k whose integral over [a, b] can be nonzero:
     per generation, the at most one element per endpoint whose support
     strictly contains it, plus the constant element.  Supports wholly
-    inside or outside the interval integrate to zero."""
+    inside or outside the interval integrate to zero.  Generation g's
+    supports are the cells (c, c+1) 2^-(g-1), c >= 0, so an endpoint p/q
+    lies strictly inside cell c = floor(p 2^(g-1) / q) when the division
+    leaves a remainder."""
     out = {0}
     gens = ceil_lb(max_k + 1) + 1
+    ends = [(x.numerator, x.denominator) for x in (a, b)]
     for g in range(1, gens + 1):
-        width = Fraction(1, 1 << (g - 1))          # support width of gen g
-        for x in (a, b):
-            c = int(x / width)
-            lo = c * width
-            if lo < x < lo + width:
-                k = (1 << (g - 1)) + c             # node (2c+1) 2^-g
-                if 1 <= k <= max_k:
-                    out.add(k)
+        for p, q in ends:
+            c, r = divmod(p << (g - 1), q)
+            k = (1 << (g - 1)) + c                 # node (2c+1) 2^-g
+            if r and c >= 0 and k <= max_k:
+                out.add(k)
     return sorted(out)
 
 

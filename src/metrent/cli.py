@@ -13,17 +13,21 @@ import random
 import sys
 from fractions import Fraction
 
-from .baire import name_from_trace, trace_of
+from .baire import BoundViolation, NotAPair, name_from_trace, trace_of
 from .banach import (BanachReprParams, dsq_to_xi, lp_to_xi, xi_to_dsq,
                      xi_to_lp)
-from .compact import unit_interval_short_approx, unit_interval_space
+from .compact import (ParameterViolation, unit_interval_short_approx,
+                      unit_interval_space)
 from .entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                       covering_number, dialog_cover_experiment,
                       dialog_length_bound, lorentz_bounds, packing_exponent)
 from .funcs import modulus_fn
-from .machine import equality_from_metric, exp_max_time, RunningTime
-from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
+from .machine import (BudgetExceeded, equality_from_metric, exp_max_time,
+                      RunningTime)
+from .reprs import (MalformedName, cauchy_metric_program, cauchy_metric_time,
+                    cauchy_name)
 from .schauder import fs_coeffs, fs_partial_sum_pl, haar_integral
+from .strings import MalformedEncoding, is_binstr
 COLUMNS_DOC = """\
 CSV columns:
   entropy / dialog-cover:
@@ -47,6 +51,11 @@ CSV columns:
 
 class ConfigError(Exception):
     pass
+
+
+# a name, or a run over names, broke its representation or its budget
+CONTRACT_ERRORS = (ContractViolation, MalformedName, MalformedEncoding,
+                   ParameterViolation, BoundViolation, NotAPair, BudgetExceeded)
 
 
 def _parse_l_table(spec: str):
@@ -190,6 +199,10 @@ def cmd_translate(args) -> int:
             raise ConfigError(f"cannot read trace {args.trace!r}: {e.strerror}") from e
     else:
         text = sys.stdin.read()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "\t" in line and not is_binstr(line.replace("\t", "", 1)):
+            raise ConfigError(f"trace line {lineno}: query and answer "
+                              "must be binary strings")
     src = name_from_trace(text)
     queries = [q for q in (args.queries.split("|") if args.queries else [])]
     from .baire import TraceMiss
@@ -251,11 +264,14 @@ def main(argv=None) -> int:
                 "bounds": cmd_bounds, "eval": cmd_eval,
                 "translate": cmd_translate}
     try:
+        for flag, v in (("--n-max", args.n_max), ("--samples", args.samples)):
+            if v < 0:
+                raise ConfigError(f"{flag} must be non-negative, got {v}")
         return handlers[args.command](args)
     except ConfigError as e:
         print(f"config-error: {e}", file=sys.stderr)
         return 2
-    except ContractViolation as e:
+    except CONTRACT_ERRORS as e:
         print(f"contract-violation: {e}", file=sys.stderr)
         return 3
 

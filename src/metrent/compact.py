@@ -184,6 +184,9 @@ def greedy_uniform_seq(K: PointCloud, horizon: int) -> UniformSeqSpec:
             sizes.append(covering_number(K, n, "greedy").exponent)
 
     pts = K.points
+    index: dict = {}
+    for i, pt in enumerate(pts):
+        index.setdefault(pt, i)            # a repeated point keeps its first index
 
     def seq(i: int):
         return pts[order[min(i, len(order) - 1)]]
@@ -192,8 +195,7 @@ def greedy_uniform_seq(K: PointCloud, horizon: int) -> UniformSeqSpec:
         return sizes[min(n, horizon)]
 
     def dist(a, b) -> Fraction:
-        ia, ib = pts.index(a), pts.index(b)
-        return K.d(ia, ib)
+        return K.d(index[a], index[b])
 
     return UniformSeqSpec(seq=seq, size_bound=size_bound, horizon=horizon, dist=dist)
 

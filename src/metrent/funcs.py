@@ -197,10 +197,12 @@ def lp_modulus(f: StepFn, p: int, up_to: int) -> list[int]:
 
     table = []
     m = 0
+    worst_m = worst(Fraction(1))
     for n in range(up_to + 1):
         target = Fraction(1, 1 << (n * p))
-        while worst(Fraction(1, 1 << m)) > target:
+        while worst_m > target:
             m += 1
+            worst_m = worst(Fraction(1, 1 << m))
         table.append(m)
     return table
 
@@ -214,20 +216,24 @@ def continuity_modulus(f: PiecewiseLinear, up_to: int) -> list[int]:
             cands.add(x + h)
             cands.add(x - h)
         pts = sorted(c for c in cands if f.xs[0] <= c <= f.xs[-1])
+        vals = [f(u) for u in pts]
         best = Fraction(0)
         for i, u in enumerate(pts):
-            for v in pts[i:]:
-                if v - u > h:
+            fu = vals[i]
+            for j in range(i, len(pts)):
+                if pts[j] - u > h:
                     break
-                best = max(best, abs(f(u) - f(v)))
+                best = max(best, abs(fu - vals[j]))
         return best
 
     table = []
     m = 0
+    osc_m = osc(Fraction(1))
     for n in range(up_to + 1):
         target = Fraction(1, 1 << n)
-        while osc(Fraction(1, 1 << m)) > target:
+        while osc_m > target:
             m += 1
+            osc_m = osc(Fraction(1, 1 << m))
         table.append(m)
     return table
 

@@ -94,24 +94,21 @@ def sup_error(f: PiecewiseLinear, lams: list[Fraction]) -> Fraction:
 
 
 def fs_nonzero_indices(x, count: int) -> list[int]:
-    """Indices i < count with fs_eval(i, x) != 0; at most two per
-    generation plus the two boundary hats."""
+    """Indices i < count with fs_eval(i, x) != 0; at most one per
+    generation plus the two boundary hats.  Generation g's hats have the
+    open supports (2k, 2k+2) 2^-g, k < 2^(g-1), so x = p/q meets the k-th
+    one when k = floor(p 2^(g-1) / q) and the division leaves a remainder."""
     x = Fraction(x)
+    p, q = x.numerator, x.denominator
     out = [i for i in (0, 1) if i < count and fs_eval(i, x) > 0]
     g = 1
     while (1 << (g - 1)) + 1 < count:
-        w = Fraction(1, 1 << g)
-        lo = 1 << (g - 1)
-        hi = min((1 << g), count - 1)
-        k0 = int(x / (2 * w))
-        for c in (2 * k0 - 1, 2 * k0 + 1, 2 * k0 + 3):
-            if c < 1 or c * w >= 1 or c * w <= 0:
-                continue
-            i = lo + (c + 1) // 2
-            if lo <= i <= hi and fs_eval(i, x) > 0:
-                out.append(i)
+        k, r = divmod(p << (g - 1), q)
+        i = (1 << (g - 1)) + k + 1
+        if r and 0 <= k < 1 << (g - 1) and i < count:
+            out.append(i)
         g += 1
-    return sorted(set(out))
+    return out
 
 
 def fs_separation(count: int) -> Fraction:

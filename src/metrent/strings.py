@@ -18,7 +18,7 @@ class MalformedEncoding(ValueError):
 
 
 def is_binstr(a: str) -> bool:
-    return all(c in "01" for c in a)
+    return not a.strip("01")
 
 
 def str_len(a: str) -> int:
@@ -87,14 +87,17 @@ def tuple_strs(parts) -> str:
     then "0"s), then interleave the padded strings column by column.
 
     |result| = k * (max |a_i| + 1) and the map is injective for fixed k.
+    Parts must be ASCII (binary strings are); others raise ValueError.
     """
     parts = list(parts)
     k = len(parts)
     if k < 2:
         raise ValueError("tuple_strs needs at least two parts")
     m = max(len(p) for p in parts)
-    cols = [p + "1" + "0" * (m - len(p)) for p in parts]
-    return "".join(c[t] for t in range(m + 1) for c in cols)
+    out = bytearray(k * (m + 1))
+    for i, p in enumerate(parts):
+        out[i::k] = (p + "1" + "0" * (m - len(p))).encode("ascii")
+    return out.decode("ascii")
 
 
 def proj(i: int, k: int, b: str) -> str:

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from metrent.baire import Name, in_kl, is_length_monotone, pair_names
 from metrent.banach import (BanachReprParams, add_time, banach_add_program,
-                            banach_name, banach_norm_program, banach_time,
+                            _aligned_nonzero_indices, banach_name,
+                            banach_norm_program, banach_time,
                             check_growth, coeff_query, combo_query, counted,
                             delta_square_name, dsq_modulus, dsq_to_xi,
                             dsq_value, fs_vector, haar_vector, lp_name,
@@ -14,7 +17,7 @@ from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem, fs_elem, fs_partial_sum_pl
-from metrent.strings import decode_int, nat_str
+from metrent.strings import ceil_lb, decode_int, nat_str
 
 
 ELL = lambda n: n + 4
@@ -276,3 +279,38 @@ def test_short_name_sandwich():
         f = fs_partial_sum_pl(lams)
         phi = banach_name(fs_vector(f), params, system, ELL)
         assert in_kl(phi, ELL, 6)
+
+
+def _aligned_nonzero_indices_fraction(a, b, max_k):
+    """Reference index search: the per-generation Fraction loop over
+    support widths."""
+    out = {0}
+    gens = ceil_lb(max_k + 1) + 1
+    for g in range(1, gens + 1):
+        width = Fraction(1, 1 << (g - 1))
+        for x in (a, b):
+            c = int(x / width)
+            lo = c * width
+            if lo < x < lo + width:
+                k = (1 << (g - 1)) + c
+                if 1 <= k <= max_k:
+                    out.add(k)
+    return sorted(out)
+
+
+# dyadic and non-dyadic endpoints in [-2, 3], so negative and > 1 too
+endpoints = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3),
+                     Fraction(4, 3), Fraction(-1), Fraction(2)]),
+    st.builds(lambda n, s: Fraction(n, 1 << s), st.integers(-(1 << 12), 3 << 12),
+              st.integers(0, 12)),
+    st.fractions(min_value=-2, max_value=3, max_denominator=10 ** 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(endpoints, endpoints,
+       st.one_of(st.integers(0, 70), st.integers(0, 1 << 40),
+                 st.integers(0, 40).map(lambda e: 1 << e)))
+def test_aligned_nonzero_indices_matches_fraction_loop(a, b, max_k):
+    assert _aligned_nonzero_indices(a, b, max_k) == \
+        _aligned_nonzero_indices_fraction(a, b, max_k)

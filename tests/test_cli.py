@@ -1,9 +1,13 @@
+import contextlib
+import functools
+import io
 import pathlib
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metrent.cli import main
 
@@ -99,6 +103,11 @@ def test_entropy_matches_golden_bytes(tmp_path):
     ["eval", "--basis", "fs", "--n-max", "1", "--out", "{tmp}/no-such-dir/fs.csv"],
     ["entropy", "--samples", "4", "--l-table", "3,1"],
     ["entropy", "--samples", "4", "--l-table", "n+-2"],
+    ["entropy", "--samples", "-3"],
+    ["entropy", "--n-max", "-1"],
+    ["eval", "--n-max", "-2"],
+    ["bounds", "--n-max", "-1"],
+    ["dialog-cover", "--samples", "-1"],
 ])
 def test_bad_input_is_config_error(tmp_path, args):
     rc, _, err = run_cli([a.format(tmp=tmp_path) for a in args])
@@ -150,3 +159,99 @@ def test_help_documents_columns():
                 "bound_lorentz_lo", "classes_observed", "dialog_bound",
                 "sup_error"):
         assert col in out
+
+
+
+@functools.cache
+def _recorded_trace(kind):
+    """The trace lines a source name of the kind's input type answers when
+    the translated name is asked one query, and that query."""
+    from metrent.baire import Name
+    from metrent.banach import (BanachReprParams, banach_name, coeff_query,
+                                delta_square_name, dsq_query, fs_vector,
+                                haar_vector, lp_name, lp_query)
+    from metrent.cli import _translation
+    from metrent.funcs import (PiecewiseLinear, chi, continuity_modulus,
+                               lp_modulus, modulus_fn)
+    from metrent.machine import exp_max_time
+    from metrent.schauder import FSSystem, HaarSystem
+
+    params, p = BanachReprParams(S=exp_max_time()), Fraction(2)
+    f = PiecewiseLinear.build([0, Fraction(1, 2), 1], [0, 1, Fraction(1, 4)])
+    g = chi(0, Fraction(1, 2))
+    src, query = {
+        "xi-to-dsq": (banach_name(fs_vector(f), params, FSSystem(), lambda n: n + 4),
+                      dsq_query(2, 1, 1)),
+        "dsq-to-xi": (delta_square_name(f, modulus_fn(continuity_modulus(f, 8))),
+                      coeff_query(2, 1, 3)),
+        "xi-to-lp": (banach_name(haar_vector(g, p), params, HaarSystem(p), lambda n: n + 4),
+                     lp_query(0, 1, 1, 1)),
+        "lp-to-xi": (lp_name(g, p, modulus_fn(lp_modulus(g, 2, 8))), coeff_query(1, 1, 3)),
+    }[kind]
+    seen = Name(src)
+    _translation(kind)(seen)(query)
+    return [f"{a}\t{b}" for a, b in seen._cache.items()], query
+
+
+KINDS = ["xi-to-dsq", "dsq-to-xi", "xi-to-lp", "lp-to-xi"]
+
+# trace lines "query<TAB>answer" over short queries, with answers that are
+# sometimes not binary, plus lines without a tab
+trace_lines = st.one_of(
+    st.tuples(st.text("01", max_size=4), st.text("01x", max_size=6)).map("\t".join),
+    st.text("01x \t", max_size=6))
+
+
+def _run_main(argv, stdin_text):
+    """cli.main on argv with the given standard input: (exit code, stderr),
+    argparse's own exits included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        saved, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+        try:
+            rc = main(argv)
+        except SystemExit as e:          # argparse rejects the argv
+            rc = e.code
+        finally:
+            sys.stdin = saved
+    return rc, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["entropy", "dialog-cover", "bounds", "eval", "translate"]),
+       st.integers(-3, 4), st.integers(-3, 30),
+       st.sampled_from(["n", "n+2", "1,2,3", "3,1", "n+-2", "n+x", "x", ""]),
+       st.sampled_from(["2", "3/2", "0", "-1", "abc", "1/0"]),
+       st.sampled_from(["fs", "haar"]), st.sampled_from(KINDS + ["moon"]),
+       st.lists(trace_lines, max_size=4), st.sampled_from(["", "0", "1|00", "x"]))
+def test_exit_code_contract_fuzz(cmd, n_max, samples, l_table, p, basis, kind,
+                                 lines, queries):
+    argv = [cmd, f"--n-max={n_max}", f"--samples={samples}", f"--l-table={l_table}"]
+    if cmd == "eval":
+        argv += ["--basis", basis, f"--p={p}"]
+    if cmd == "translate":
+        argv += ["--kind", kind, f"--queries={queries}"]
+    rc, err = _run_main(argv, "\n".join(lines))
+    assert rc in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+
+
+# one answer of a recorded trace altered: kept, cut, extended, replaced
+corruptions = st.sampled_from([
+    lambda a: a, lambda a: a[:-1], lambda a: a[1:], lambda a: a + "0",
+    lambda a: a + "1", lambda a: a[:len(a) // 2], lambda a: "0",
+    lambda a: "", lambda a: "x", lambda a: "1" * 50])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(0, 20), corruptions,
+       st.sampled_from(["", "|0", "|x"]))
+def test_translate_exit_code_on_altered_traces(kind, i, alter, extra):
+    lines, query = _recorded_trace(kind)
+    lines = list(lines)
+    q, _, a = lines[i % len(lines)].partition("\t")
+    lines[i % len(lines)] = f"{q}\t{alter(a)}"
+    argv = ["translate", "--kind", kind, f"--queries={query}{extra}"]
+    rc, err = _run_main(argv, "\n".join(lines))
+    assert rc in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err

@@ -167,6 +167,67 @@ def test_continuity_modulus_pl():
     assert continuity_modulus(g, 4) == [0, 0, 0, 1, 2]
 
 
+def _continuity_modulus_reevaluating(f, up_to):
+    """Reference modulus: osc evaluates f at both ends of every candidate
+    pair and is recomputed for every n."""
+    def osc(h):
+        cands = set(f.xs)
+        for x in f.xs:
+            cands.add(x + h)
+            cands.add(x - h)
+        pts = sorted(c for c in cands if f.xs[0] <= c <= f.xs[-1])
+        best = Fraction(0)
+        for i, u in enumerate(pts):
+            for v in pts[i:]:
+                if v - u > h:
+                    break
+                best = max(best, abs(f(u) - f(v)))
+        return best
+
+    table = []
+    m = 0
+    for n in range(up_to + 1):
+        target = Fraction(1, 1 << n)
+        while osc(Fraction(1, 1 << m)) > target:
+            m += 1
+        table.append(m)
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 16), min_size=1, max_size=6, unique=True),
+       st.lists(st.integers(-16, 16), min_size=8, max_size=8),
+       st.integers(0, 8))
+def test_continuity_modulus_matches_reevaluating_osc(cuts, ys, up_to):
+    xs = [Fraction(0)] + sorted(Fraction(c, 16) for c in cuts if c < 16) + [Fraction(1)]
+    f = PiecewiseLinear.build(xs, [Fraction(y, 8) for y in ys[:len(xs)]])
+    assert continuity_modulus(f, up_to) == _continuity_modulus_reevaluating(f, up_to)
+
+
+def _lp_modulus_per_n(f, p, up_to):
+    """Reference L^p-modulus: the worst shift distance at 2^-m recomputed
+    for every n."""
+    gaps = sorted({abs(a - b) for a in f.cuts for b in f.cuts if a != b})
+
+    def worst(h):
+        return max(shifted_p_power_dist(f, t, p) for t in [g for g in gaps if g <= h] + [h])
+
+    table = []
+    m = 0
+    for n in range(up_to + 1):
+        while worst(Fraction(1, 1 << m)) > Fraction(1, 1 << (n * p)):
+            m += 1
+        table.append(m)
+    return table
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3]), st.integers(0, 8))
+def test_lp_modulus_matches_per_n_recomputation(seed, p, up_to):
+    f = rand_step(random.Random(seed))
+    assert lp_modulus(f, p, up_to) == _lp_modulus_per_n(f, p, up_to)
+
+
 def test_csv_roundtrip(tmp_path):
     f = PiecewiseLinear.build([0, Fraction(1, 4), 1], [0, Fraction(3, 4), Fraction(-1, 2)])
     p = tmp_path / "f.csv"

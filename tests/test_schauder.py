@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metrent.compact import q_seq
 from metrent.entropy import ContractViolation
@@ -81,6 +81,61 @@ def test_fs_nonzero_indices():
         idx = set(fs_nonzero_indices(x, 64))
         truth = {i for i in range(64) if fs_eval(i, x) > 0}
         assert idx == truth
+
+
+def _fs_nonzero_indices_fraction(x, count):
+    """Reference index search: per generation, the Fraction loop that
+    tests each candidate hat with fs_eval."""
+    x = Fraction(x)
+    out = [i for i in (0, 1) if i < count and fs_eval(i, x) > 0]
+    g = 1
+    while (1 << (g - 1)) + 1 < count:
+        w = Fraction(1, 1 << g)
+        lo = 1 << (g - 1)
+        hi = min((1 << g), count - 1)
+        k0 = int(x / (2 * w))
+        for c in (2 * k0 - 1, 2 * k0 + 1, 2 * k0 + 3):
+            if c < 1 or c * w >= 1 or c * w <= 0:
+                continue
+            i = lo + (c + 1) // 2
+            if lo <= i <= hi and fs_eval(i, x) > 0:
+                out.append(i)
+        g += 1
+    return sorted(set(out))
+
+
+# dyadic and non-dyadic points in [-2, 3], so negative and > 1 too
+search_points = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3),
+                     Fraction(4, 3), Fraction(-1), Fraction(2)]),
+    st.builds(lambda n, s: Fraction(n, 1 << s), st.integers(-(1 << 12), 3 << 12),
+              st.integers(0, 12)),
+    st.fractions(min_value=-2, max_value=3, max_denominator=10 ** 6))
+search_counts = st.one_of(st.integers(0, 70), st.integers(0, 1 << 40),
+                          st.integers(0, 40).map(lambda e: 1 << e),
+                          st.integers(0, 40).map(lambda e: (1 << e) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_points, search_counts)
+@example(Fraction(3, 8), 6)             # the hat one past count - 1
+def test_fs_nonzero_indices_matches_fraction_loop(x, count):
+    assert fs_nonzero_indices(x, count) == _fs_nonzero_indices_fraction(x, count)
+
+
+def test_fs_nonzero_indices_evaluates_only_boundary_hats(monkeypatch):
+    import metrent.schauder as schauder
+    calls = []
+
+    def counting(i, x):
+        calls.append(i)
+        return fs_eval(i, x)
+
+    monkeypatch.setattr(schauder, "fs_eval", counting)
+    for x in (Fraction(1, 3), Fraction(5, 8), Fraction(-1, 7), Fraction(9, 4)):
+        calls.clear()
+        schauder.fs_nonzero_indices(x, 1 << 40)
+        assert len(calls) <= 2 and set(calls) <= {0, 1}
 
 
 def test_fs_separation_value():

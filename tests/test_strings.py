@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metrent.strings import (Dyadic, MalformedEncoding, all_strings, ceil_lb,
-                             decode_int, encode_int, floor_lb, nat_str,
+                             decode_int, encode_int, floor_lb, is_binstr, nat_str,
                              parse_nat, proj, proj_value, round_half_away,
                              str_len, tuple_list, tuple_strs, untuple)
 
@@ -51,6 +51,42 @@ def test_tuple_length_law():
         for parts in [[""] * k, ["1", "0" * 3] + [""] * (k - 2)]:
             m = max(len(p) for p in parts)
             assert len(tuple_strs(parts)) == k * (m + 1)
+
+
+# binary strings of any length up to 2000, drawn from a seeded generator so
+# that long parts are as likely as short ones
+long_binstr = st.builds(lambda n, rnd: format(rnd.getrandbits(n), "b").zfill(n) if n else "",
+                        st.integers(0, 2000), st.randoms(use_true_random=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.lists(long_binstr, min_size=k, max_size=k)))
+@example(["", ""])
+@example(["1" * 2000, ""])
+@example(["", "0" * 1999, "1", "01" * 1000, ""])
+def test_tuple_strs_matches_oracle_on_long_parts(parts):
+    assert tuple_strs(parts) == oracle_tuple(parts)
+
+
+def test_tuple_strs_rejects_non_ascii():
+    with pytest.raises(ValueError):
+        tuple_strs(["0", "\u00e9"])
+
+
+# arbitrary code points (lone surrogates included), and short strings that
+# are mostly binary with the odd ASCII or non-ASCII character
+any_text = st.one_of(
+    st.lists(st.integers(0, 0x10FFFF)).map(lambda cs: "".join(map(chr, cs))),
+    st.text(alphabet="01x \t\u00e9\u0660", max_size=20))
+
+
+@given(any_text)
+@example("")
+@example("\u0660")
+@example("01\u00e91")
+@example("0 1")
+def test_is_binstr_matches_per_character_check(a):
+    assert is_binstr(a) == all(c in "01" for c in a)
 
 
 def test_proj_examples():
