@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .strings import is_binstr, proj_value, tuple_strs
+from .strings import (ConfigError, ContractError, MalformedName, is_binstr,
+                      proj_value, tuple_strs)
 
 LengthFn = Callable[[int], int]
 
@@ -19,19 +20,19 @@ LengthFn = Callable[[int], int]
 SCAN_CUTOFF = 20
 
 
-class ScanCutoffExceeded(ValueError):
+class ScanCutoffExceeded(ConfigError, ValueError):
     """A length scan was requested beyond the configured cutoff."""
 
 
-class BoundViolation(ValueError):
+class BoundViolation(ContractError, ValueError):
     """A name answered longer than its declared length bound."""
 
 
-class NotAPair(ValueError):
+class NotAPair(ContractError, ValueError):
     """A value queried from a split name is not in the pairing image."""
 
 
-class TraceMiss(KeyError):
+class TraceMiss(ConfigError, KeyError):
     """A traced name was queried outside its table."""
 
 
@@ -58,7 +59,7 @@ class Name:
             return hit
         v = self._fn(a)
         if not isinstance(v, str) or not is_binstr(v):
-            raise ValueError(f"name {self.label!r} answered a non-binary value at {a!r}")
+            raise MalformedName(f"name {self.label!r} answered a non-binary value at {a!r}")
         if self.declared_bound is not None and len(v) > self.declared_bound(len(a)):
             raise BoundViolation(
                 f"name {self.label!r}: |answer|={len(v)} exceeds bound at |a|={len(a)}")
@@ -140,7 +141,7 @@ def pad(phi: Name, m: LengthFn) -> Name:
     return Name(fn, label=f"pad({phi.label})")
 
 
-class MalformedPadding(ValueError):
+class MalformedPadding(MalformedName):
     pass
 
 

@@ -23,13 +23,12 @@ from .compact import (ParameterViolation, _with_length_branch,
                       name_length_fn, q_seq)
 from .funcs import PiecewiseLinear, StepFn
 from .machine import Ctx, RunningTime
-from .reprs import MalformedName
 from .schauder import (FSSystem, HaarSystem, RootSum, ScaledVal, fs_eval,
                        fs_nonzero_indices, haar_gen, haar_integral,
                        haar_scale_exp, haar_support, fs_coeffs, haar_coeffs)
-from .strings import (ceil_lb, decode_int, encode_int, nat_str, parse_nat,
-                      parse_nats, proj_value, round_half_away, tuple_list,
-                      tuple_strs, untuple)
+from .strings import (MalformedName, ceil_lb, decode_int, encode_int,
+                      nat_str, parse_nat, parse_nats, proj_value,
+                      round_half_away, tuple_list, tuple_strs, untuple)
 
 
 @dataclass
@@ -213,11 +212,7 @@ def xi_read_combo(phi: Name, n: int, params: BanachReprParams,
         indices = range(N + 1)
     out = []
     for i in indices:
-        raw = phi(coeff_query(i, n, m))
-        try:
-            out.append((i, decode_int(raw)))
-        except ValueError as e:
-            raise MalformedName(str(e)) from e
+        out.append((i, decode_int(phi(coeff_query(i, n, m)))))
     return out, m
 
 
@@ -255,17 +250,10 @@ def banach_norm_program(params: BanachReprParams) -> Callable[[Ctx], None]:
         m = (N2 + 1) * (np + 1) + 1
         zs = []
         for i in range(N + 1):
-            raw = ctx.ask(coeff_query(i, np, m))
-            try:
-                zs.append(decode_int(raw))
-            except ValueError as e:
-                raise MalformedName(str(e)) from e
+            zs.append(decode_int(ctx.ask(coeff_query(i, np, m))))
         ctx.tick(len(na) + 2)
         raw = ctx.ask(combo_query(zs, 4 * n + 3, m))
-        try:
-            zpp = decode_int(raw)
-        except ValueError as e:
-            raise MalformedName(str(e)) from e
+        zpp = decode_int(raw)
         ctx.tick(len(raw) + 2)
         ctx.emit(encode_int(round_half_away(Fraction(zpp, 4))))
     return prog
@@ -301,10 +289,7 @@ def banach_add_program() -> Callable[[Ctx], None]:
             if pair is None:
                 raise MalformedName("paired oracle answer is not a pair")
             za, zb = pair
-            try:
-                z = decode_int(za) + decode_int(zb)
-            except ValueError as e:
-                raise MalformedName(str(e)) from e
+            z = decode_int(za) + decode_int(zb)
             ctx.tick(len(ans) + 2)
             ctx.emit(encode_int(z))
             return
@@ -405,12 +390,7 @@ def dsq_value(psi: Name, n: int, r: int, m: int) -> Fraction:
     if pair is None or not pair[1] or pair[1][0] != "1":
         raise MalformedName(f"bad point-value answer {raw!r}")
     q_enc, tail = pair
-    k = len(tail) - 1
-    try:
-        q = decode_int(q_enc)
-    except ValueError as e:
-        raise MalformedName(str(e)) from e
-    return Fraction(q, 1 << k)
+    return Fraction(decode_int(q_enc), 1 << (len(tail) - 1))
 
 
 def dsq_modulus(psi: Name) -> Callable[[int], int]:
@@ -474,11 +454,7 @@ def lp_value(psi: Name, k: int, l: int, m: int, n: int) -> Fraction:
     if pair is None or pair[1] != "0" * len(pair[1]):
         raise MalformedName(f"bad integral answer {raw!r}")
     q_enc, tail = pair
-    try:
-        q = decode_int(q_enc)
-    except ValueError as e:
-        raise MalformedName(str(e)) from e
-    return Fraction(q, 1 << len(tail))
+    return Fraction(decode_int(q_enc), 1 << len(tail))
 
 
 # ---------------------------------------------------------------------------

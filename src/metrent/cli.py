@@ -1,8 +1,9 @@
 """Experiment harness: entropy and dialog-cover runs, name translation,
 basis evaluation, and bound tables, all emitted as deterministic CSV.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on contract
-violations discovered during a run.
+Exit codes: 0 on success, 2 on a ConfigError (a bad request, including a
+flag the subcommand does not read), 3 on a ContractError (a name broke its
+representation or its budget during the run).
 """
 
 from __future__ import annotations
@@ -13,21 +14,18 @@ import random
 import sys
 from fractions import Fraction
 
-from .baire import BoundViolation, NotAPair, name_from_trace, trace_of
+from .baire import name_from_trace, trace_of
 from .banach import (BanachReprParams, dsq_to_xi, lp_to_xi, xi_to_dsq,
                      xi_to_lp)
-from .compact import (ParameterViolation, unit_interval_short_approx,
-                      unit_interval_space)
-from .entropy import (ApproxSetSpec, ContractViolation, PointCloud,
-                      covering_number, dialog_cover_experiment,
-                      dialog_length_bound, lorentz_bounds, packing_exponent)
+from .compact import unit_interval_short_approx, unit_interval_space
+from .entropy import (ApproxSetSpec, PointCloud, covering_number,
+                      dialog_cover_experiment, dialog_length_bound,
+                      lorentz_bounds, packing_exponent)
 from .funcs import modulus_fn
-from .machine import (BudgetExceeded, equality_from_metric, exp_max_time,
-                      RunningTime)
-from .reprs import (MalformedName, cauchy_metric_program, cauchy_metric_time,
-                    cauchy_name)
+from .machine import equality_from_metric, exp_max_time, RunningTime
+from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
 from .schauder import fs_coeffs, fs_partial_sum_pl, haar_integral
-from .strings import MalformedEncoding, is_binstr
+from .strings import ConfigError, ContractError, is_binstr
 COLUMNS_DOC = """\
 CSV columns:
   entropy / dialog-cover:
@@ -47,15 +45,6 @@ CSV columns:
   eval (haar):
     i, p, coef, exp2  exact integral coef * 2^exp2 over the left half-support
 """
-
-
-class ConfigError(Exception):
-    pass
-
-
-# a name, or a run over names, broke its representation or its budget
-CONTRACT_ERRORS = (ContractViolation, MalformedName, MalformedEncoding,
-                   ParameterViolation, BoundViolation, NotAPair, BudgetExceeded)
 
 
 def _parse_l_table(spec: str):
@@ -204,14 +193,8 @@ def cmd_translate(args) -> int:
             raise ConfigError(f"trace line {lineno}: query and answer "
                               "must be binary strings")
     src = name_from_trace(text)
-    queries = [q for q in (args.queries.split("|") if args.queries else [])]
-    from .baire import TraceMiss
-    try:
-        out_name = translate(src)
-        trace = trace_of(out_name, queries)
-    except TraceMiss as e:
-        print(f"missing-queries: {e}", file=sys.stderr)
-        return 2
+    queries = args.queries.split("|") if args.queries else []
+    trace = trace_of(translate(src), queries)
     if args.out:
         with _open_out(args.out) as fh:
             fh.write(trace + "\n")
@@ -228,31 +211,31 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--space", default="unit-interval")
-        p.add_argument("--rep", default="cauchy")
-        p.add_argument("--l-table", dest="l_table", default="n",
-                       help="length function: 'n', 'n+C', or a comma table")
-        p.add_argument("--S", dest="S", default="expmax")
+    # each subcommand declares only the flags its handler reads
+    def table(p):
         p.add_argument("--n-max", dest="n_max", type=int, default=6)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out", default="")
 
     for name in ("entropy", "dialog-cover"):
         p = sub.add_parser(name, help="dialog classes vs covering numbers")
-        common(p)
+        table(p)
+        p.add_argument("--space", default="unit-interval")
+        p.add_argument("--rep", default="cauchy")
+        p.add_argument("--l-table", dest="l_table", default="n",
+                       help="length function: 'n', 'n+C', or a comma table")
+        p.add_argument("--samples", type=int, default=50)
+        p.add_argument("--seed", type=int, default=1)
 
     p = sub.add_parser("bounds", help="dialog length bound table")
-    common(p)
+    table(p)
 
     p = sub.add_parser("eval", help="basis evaluation tables")
-    common(p)
+    table(p)
     p.add_argument("--basis", default="fs", choices=("fs", "haar"))
     p.add_argument("--p", default="2")
 
     p = sub.add_parser("translate", help="translate a traced name")
-    common(p)
+    p.add_argument("--out", default="")
     p.add_argument("--kind", required=True,
                    choices=("xi-to-dsq", "dsq-to-xi", "xi-to-lp", "lp-to-xi"))
     p.add_argument("--trace", default="")
@@ -264,14 +247,15 @@ def main(argv=None) -> int:
                 "bounds": cmd_bounds, "eval": cmd_eval,
                 "translate": cmd_translate}
     try:
-        for flag, v in (("--n-max", args.n_max), ("--samples", args.samples)):
+        for flag, dest in (("--n-max", "n_max"), ("--samples", "samples")):
+            v = getattr(args, dest, 0)
             if v < 0:
                 raise ConfigError(f"{flag} must be non-negative, got {v}")
         return handlers[args.command](args)
     except ConfigError as e:
         print(f"config-error: {e}", file=sys.stderr)
         return 2
-    except CONTRACT_ERRORS as e:
+    except ContractError as e:
         print(f"contract-violation: {e}", file=sys.stderr)
         return 3
 

@@ -21,14 +21,14 @@ from .baire import LengthFn, Name
 from .entropy import (PointCloud, covering_number, farthest_first,
                       interval_cover_count)
 from .machine import Ctx, RunningTime
-from .reprs import (MalformedName, MetricSpaceSpec, metric_answer,
-                    metric_query)
-from .strings import (Dyadic, ceil_lb, decode_int, encode_int, floor_lb,
-                      nat_str, parse_nat, parse_nats, proj_value,
-                      round_half_away, tuple_strs, untuple)
+from .reprs import MetricSpaceSpec, metric_answer, metric_query
+from .strings import (ContractError, Dyadic, MalformedName, ceil_lb,
+                      decode_int, encode_int, floor_lb, nat_str, parse_nat,
+                      parse_nats, proj_value, round_half_away, tuple_strs,
+                      untuple)
 
 
-class ParameterViolation(ValueError):
+class ParameterViolation(ContractError, ValueError):
     """A representation parameter (chunk or span budget, length target)
     cannot hold the value a name has to answer."""
 
@@ -354,29 +354,6 @@ def compact_decode_index(phi: Name, n: int, params: CompactReprParams) -> int:
     return int(bits, 2) if bits else 0
 
 
-def compact_decode(phi: Name, n: int, space: MetricSpaceSpec,
-                   params: CompactReprParams):
-    return space.point(compact_decode_index(phi, n, params))
-
-
-def compact_validate(phi: Name, depth: int, space: MetricSpaceSpec,
-                     params: CompactReprParams):
-    """Reject on a certified pairwise violation among decoded indices, as
-    for the Cauchy representation."""
-    idx = []
-    for n in range(depth + 1):
-        try:
-            idx.append(compact_decode_index(phi, n, params))
-        except (ValueError, MalformedName):
-            return ("rejected", n)
-    for i in range(depth + 1):
-        for j in range(i + 1, depth + 1):
-            d = space.exact_dist(space.point(idx[i]), space.point(idx[j]))
-            if d > Fraction(1, i + 1) + Fraction(1, j + 1):
-                return ("rejected", (i, j))
-    return ("consistent", None)
-
-
 def compact_metric(phi: Name, psi: Name, n: int, space: MetricSpaceSpec,
                    params: CompactReprParams) -> str:
     """Integer encoding z with |d(x,y) - z/(n+1)| <= 1/(n+1).
@@ -387,10 +364,7 @@ def compact_metric(phi: Name, psi: Name, n: int, space: MetricSpaceSpec,
     """
     i = compact_decode_index(phi, 8 * n + 7, params)
     k = compact_decode_index(psi, 8 * n + 7, params)
-    try:
-        zp = decode_int(phi(metric_query(i, k, 4 * n + 3)))
-    except ValueError as e:
-        raise MalformedName(str(e)) from e
+    zp = decode_int(phi(metric_query(i, k, 4 * n + 3)))
     return encode_int(round_half_away(Fraction(zp, 4)))
 
 
@@ -422,10 +396,7 @@ def compact_metric_program(params: CompactReprParams) -> Callable[[Ctx], None]:
         raw = proj_value(1, 2, ans2)
         if raw is None:
             raise MalformedName("paired oracle answer is not a pair")
-        try:
-            zp = decode_int(raw)
-        except ValueError as e:
-            raise MalformedName(str(e)) from e
+        zp = decode_int(raw)
         ctx.tick(len(raw) + 2)
         ctx.emit(encode_int(round_half_away(Fraction(zp, 4))))
     return prog
@@ -504,19 +475,12 @@ def lipschitz_cloud(level: int) -> PointCloud:
 # ---------------------------------------------------------------------------
 # instance configuration files
 
-_S_REGISTRY: dict[str, Callable[[], RunningTime]] = {}
-
-
-def register_S(name: str, factory: Callable[[], RunningTime]) -> None:
-    _S_REGISTRY[name] = factory
-
-
 def load_instance(path: str) -> tuple[MetricSpaceSpec, CompactReprParams, int]:
     """Instance config: JSON with space id, sequence id, ell table, S id,
     horizon."""
     from .funcs import modulus_fn
     from .machine import const_time, exp_max_time
-    defaults = {"const1": lambda: const_time(1), "expmax": exp_max_time}
+    running_times = {"const1": lambda: const_time(1), "expmax": exp_max_time}
     with open(path) as fh:
         cfg = json.load(fh)
     if cfg.get("space") != "unit-interval":
@@ -524,7 +488,7 @@ def load_instance(path: str) -> tuple[MetricSpaceSpec, CompactReprParams, int]:
     space = unit_interval_space()
     ell = modulus_fn([int(v) for v in cfg["ell"]])
     s_id = cfg.get("S", "const1")
-    factory = _S_REGISTRY.get(s_id) or defaults.get(s_id)
+    factory = running_times.get(s_id)
     if factory is None:
         raise ValueError(f"unknown running time {s_id!r}")
     return space, CompactReprParams(ell=ell, S=factory()), int(cfg.get("horizon", 6))

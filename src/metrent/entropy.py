@@ -17,12 +17,12 @@ from typing import Callable, NamedTuple
 from .baire import LengthFn, Name, pair_names
 from .machine import (ContractViolation, Ctx, RunningTime,
                       dialog_length_bound, metered_run)
-from .strings import ceil_lb, floor_lb
+from .strings import ConfigError, ceil_lb, floor_lb
 
 EXACT_COVER_CAP = 20
 
 
-class SizeExceeded(ValueError):
+class SizeExceeded(ConfigError, ValueError):
     """Exact set-cover requested on a cloud above the brute-force cap."""
 
 
@@ -227,7 +227,7 @@ class ApproxSetSpec:
             raise ValueError("tolerances must be positive")
 
 
-class InsufficientTabulation(ValueError):
+class InsufficientTabulation(ConfigError, ValueError):
     pass
 
 
@@ -278,10 +278,6 @@ class DialogCoverReport:
     max_dialog_len: int
     max_class_dist: Fraction
     class_sizes: list[int]
-
-    def class_count_ok(self) -> bool:
-        return self.classes_observed <= 1 << min(self.dialog_bound, 62) \
-            if self.dialog_bound <= 62 else True
 
 
 def dialog_cover_experiment(samples: list[Name], points: list,

@@ -95,11 +95,6 @@ class PiecewiseLinear:
     def build(xs: Iterable, ys: Iterable) -> "PiecewiseLinear":
         return PiecewiseLinear(tuple(map(_frac, xs)), tuple(map(_frac, ys)))
 
-    @staticmethod
-    def from_callable(f: Callable, grid: Iterable) -> "PiecewiseLinear":
-        grid = [_frac(g) for g in grid]
-        return PiecewiseLinear(tuple(grid), tuple(_frac(f(g)) for g in grid))
-
     def __call__(self, x) -> Fraction:
         x = _frac(x)
         if x < self.xs[0] or x > self.xs[-1]:

@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .strings import nat_str, tuple_list, tuple_strs
+from .strings import ContractError, nat_str, tuple_list, tuple_strs
 
 
-class ContractViolation(AssertionError):
+class ContractViolation(ContractError):
     """A library computation broke a contract it certifies (an evaluator's
     value, an empirical covering claim); carries the offending data."""
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ContractError, RuntimeError):
     """Raised when a metered run overruns its step budget."""
 
     def __init__(self, report: "MeterReport"):

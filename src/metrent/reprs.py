@@ -16,12 +16,9 @@ from typing import Callable
 
 from .baire import LengthFn, Name, pair_names
 from .machine import Ctx, RunningTime
-from .strings import (Dyadic, decode_int, encode_int, nat_str, parse_nat,
-                      parse_nats, proj_value, round_half_away, tuple_strs)
-
-
-class MalformedName(ValueError):
-    """A queried value violates the representation's layout."""
+from .strings import (Dyadic, MalformedName, decode_int, encode_int, nat_str,
+                      parse_nat, parse_nats, proj_value, round_half_away,
+                      tuple_strs)
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +105,7 @@ def real_name(x: Dyadic | Fraction, label: str = "") -> Name:
 
 def real_decode(phi: Name, n: int) -> tuple[Fraction, Fraction]:
     """Value z/(n+1) together with its error bound 1/(n+1)."""
-    raw = phi(nat_str(n))
-    try:
-        z = decode_int(raw)
-    except ValueError as e:
-        raise MalformedName(f"query {n}: {e}") from e
+    z = decode_int(phi(nat_str(n)))
     return Fraction(z, n + 1), Fraction(1, n + 1)
 
 
@@ -154,10 +147,6 @@ def cauchy_index(phi: Name, n: int) -> int:
     if i is None:
         raise MalformedName(f"query {n}: not an index")
     return i
-
-
-def cauchy_decode(phi: Name, n: int, M: MetricSpaceSpec):
-    return M.point(cauchy_index(phi, n))
 
 
 def cauchy_validate(phi: Name, depth: int, M: MetricSpaceSpec):
@@ -278,10 +267,7 @@ def relativized_metric_program() -> Callable[[Ctx], None]:
         raw = proj_value(1, 2, ans2)
         if raw is None:
             raise MalformedName("paired oracle answer is not a pair")
-        try:
-            zp = decode_int(raw)
-        except ValueError as e:
-            raise MalformedName(str(e)) from e
+        zp = decode_int(raw)
         ctx.tick(len(ans2) + 4)
         ctx.emit(encode_int(round_half_away(Fraction(zp, 4))))
     return prog
@@ -337,29 +323,6 @@ def co_re_reject(phi: Name, M: MetricSpaceSpec, budget: int):
                 return ("rejected", (i, j))
         s += 1
     return ("undecided", None)
-
-
-# ---------------------------------------------------------------------------
-# representation descriptors
-
-@dataclass
-class Representation:
-    label: str
-    decode: Callable[[Name, int], object]
-    validate: Callable[[Name, int], tuple]
-    length: LengthFn | None = None
-
-
-def real_representation() -> Representation:
-    return Representation("reals", lambda phi, n: real_decode(phi, n)[0],
-                          real_validate)
-
-
-def cauchy_representation(M: MetricSpaceSpec, length: LengthFn | None = None) -> Representation:
-    return Representation(f"cauchy[{M.label}]",
-                          lambda phi, n: cauchy_decode(phi, n, M),
-                          lambda phi, depth: cauchy_validate(phi, depth, M),
-                          length)
 
 
 # ---------------------------------------------------------------------------

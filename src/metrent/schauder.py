@@ -356,9 +356,6 @@ class HaarExpansion:
     def lam(self, k: int) -> ScaledVal:
         return ScaledVal(self.c[k], -haar_scale_exp(k, self.p))
 
-    def nonzero_indices(self) -> list[int]:
-        return [k for k, v in enumerate(self.c) if v != 0]
-
 
 def haar_coeffs(f: StepFn, p: Fraction, up_to: int) -> HaarExpansion:
     """Unique Haar coefficients of a step function via the local integral

@@ -1,4 +1,5 @@
-"""Bit-exact binary strings: codecs, tupling, and exact dyadic arithmetic.
+"""Bit-exact binary strings: codecs, tupling, and exact dyadic arithmetic,
+plus the root of the library's typed errors.
 
 Strings over the alphabet {0,1} are plain Python ``str`` values restricted
 to the characters "0" and "1".  The empty string is written ``""`` in code
@@ -13,7 +14,26 @@ from fractions import Fraction
 from itertools import product
 
 
-class MalformedEncoding(ValueError):
+class MetrentError(Exception):
+    """Root of the errors the library raises on purpose.  A run fails in one
+    of two ways, and each branch has its own command-line exit code."""
+
+
+class ConfigError(MetrentError):
+    """The request was bad: an option, a table, a size or a scan depth
+    (exit code 2)."""
+
+
+class ContractError(MetrentError):
+    """A name broke its representation or its budget, or a computation broke
+    a contract it certifies (exit code 3)."""
+
+
+class MalformedName(ContractError, ValueError):
+    """A queried value violates the representation's layout."""
+
+
+class MalformedEncoding(MalformedName):
     """A string does not follow the claimed encoding convention."""
 
 
@@ -161,12 +181,6 @@ def tuple_list(parts) -> str:
     if len(parts) == 1:
         return parts[0]
     return tuple_strs(parts)
-
-
-def var_tuple(parts) -> str:
-    """Variable-length encoding <k, <a_1, ..., a_k>>."""
-    parts = list(parts)
-    return tuple_strs([nat_str(len(parts)), tuple_list(parts)])
 
 
 # ---------------------------------------------------------------------------

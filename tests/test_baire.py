@@ -6,7 +6,7 @@ from metrent.baire import (BoundViolation, MalformedPadding, Name, NotAPair,
                            is_length_monotone, length_of, name_from_trace,
                            pad, pair_names, split_pair, trace_of, unpad,
                            unpad_value)
-from metrent.strings import all_strings, tuple_strs
+from metrent.strings import MalformedName, all_strings, tuple_strs
 
 
 def identity_name():
@@ -30,6 +30,11 @@ def test_name_determinism_and_cache():
     phi = Name(lambda a: (calls.append(a), "1")[1])
     assert phi("01") == phi("01") == "1"
     assert calls == ["01"]
+
+
+def test_non_binary_answer_is_malformed_name():
+    with pytest.raises(MalformedName):
+        Name(lambda a: "x")("")
 
 
 def test_declared_bound_checked():

@@ -144,12 +144,13 @@ def test_translate_roundtrip(tmp_path):
     assert line.split("\t")[1] == probe(wanted)
 
 
-def test_translate_missing_queries(tmp_path):
+def test_translate_missing_queries(tmp_path, capsys):
     trace = tmp_path / "short.trace"
     trace.write_text("0\t1\n")
     rc = main(["translate", "--kind", "xi-to-dsq", "--trace", str(trace),
                "--queries", "000"])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("config-error:")
 
 
 def test_help_documents_columns():
@@ -226,14 +227,30 @@ def _run_main(argv, stdin_text):
        st.lists(trace_lines, max_size=4), st.sampled_from(["", "0", "1|00", "x"]))
 def test_exit_code_contract_fuzz(cmd, n_max, samples, l_table, p, basis, kind,
                                  lines, queries):
-    argv = [cmd, f"--n-max={n_max}", f"--samples={samples}", f"--l-table={l_table}"]
+    # each subcommand gets only the flags it declares
+    if cmd == "translate":
+        argv = [cmd, "--kind", kind, f"--queries={queries}"]
+    else:
+        argv = [cmd, f"--n-max={n_max}"]
+    if cmd in ("entropy", "dialog-cover"):
+        argv += [f"--samples={samples}", f"--l-table={l_table}"]
     if cmd == "eval":
         argv += ["--basis", basis, f"--p={p}"]
-    if cmd == "translate":
-        argv += ["--kind", kind, f"--queries={queries}"]
     rc, err = _run_main(argv, "\n".join(lines))
     assert rc in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--kind", "xi-to-dsq", "--seed", "1"],
+    ["bounds", "--samples", "3"],
+    ["eval", "--l-table", "n"],
+    ["entropy", "--S", "expmax"],
+])
+def test_unread_flag_is_rejected(argv):
+    rc, err = _run_main(argv, "")
+    assert rc == 2
+    assert "unrecognized arguments" in err
 
 
 # one answer of a recorded trace altered: kept, cut, extended, replaced

@@ -15,7 +15,7 @@ from metrent.machine import (RunningTime, const_time, equality_from_metric)
 from metrent.reprs import (cauchy_metric_program, cauchy_metric_time,
                            cauchy_name, space_from_csv)
 from metrent.schauder import ScaledVal, coeffs_from_csv, coeffs_to_csv
-from metrent.strings import Dyadic
+from metrent.strings import ConfigError, ContractError, Dyadic, MetrentError
 
 
 def test_space_from_csv(tmp_path):
@@ -81,6 +81,48 @@ def test_dialog_classes_vs_cauchy_covering():
         assert rep.classes_observed <= 1 << min(rep.dialog_bound, 64)
         cover = covering_number(cloud, n, "greedy")
         assert cover.exponent <= l(n) + 1      # sampled subset of xi(K_l)
+
+
+# every error class the library defines: its branch of the error root, and
+# the stdlib base it keeps beside it so that callers catching that base still
+# work (ContractViolation has none: a contract check is not an assert)
+ERROR_CLASSES = {
+    "ScanCutoffExceeded": (ConfigError, ValueError),
+    "TraceMiss": (ConfigError, KeyError),
+    "SizeExceeded": (ConfigError, ValueError),
+    "InsufficientTabulation": (ConfigError, ValueError),
+    "MalformedName": (ContractError, ValueError),
+    "MalformedEncoding": (ContractError, ValueError),
+    "MalformedPadding": (ContractError, ValueError),
+    "BoundViolation": (ContractError, ValueError),
+    "NotAPair": (ContractError, ValueError),
+    "ParameterViolation": (ContractError, ValueError),
+    "BudgetExceeded": (ContractError, RuntimeError),
+    "ContractViolation": (ContractError, None),
+}
+
+
+def test_every_error_takes_one_branch_of_the_root():
+    import importlib
+    import pkgutil
+
+    import metrent
+    roots = (MetrentError, ConfigError, ContractError)
+    found = {}
+    for info in pkgutil.iter_modules(metrent.__path__):
+        mod = importlib.import_module(f"metrent.{info.name}")
+        for obj in vars(mod).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) \
+                    and obj.__module__ == mod.__name__ and obj not in roots:
+                found[obj.__name__] = obj
+    assert set(found) == set(ERROR_CLASSES)
+    for name, cls in found.items():
+        branch, base = ERROR_CLASSES[name]
+        assert issubclass(cls, ConfigError) != issubclass(cls, ContractError), name
+        assert issubclass(cls, branch), name
+        if base is not None:
+            assert issubclass(cls, base), name
+    assert not issubclass(found["ContractViolation"], AssertionError)
 
 
 def test_cli_contract_violation_exit_code(monkeypatch, tmp_path):

@@ -33,6 +33,13 @@ def test_real_decode_and_validate():
     assert real_validate(garbage, 2)[0] == "rejected"
 
 
+def test_non_binary_answer_is_rejected():
+    # an oracle answering outside {0,1} fails validation instead of escaping
+    phi = Name(lambda a: "x")
+    assert real_validate(phi, 3) == ("rejected", 0)
+    assert cauchy_validate(phi, 3, unit_interval_space()) == ("rejected", 0)
+
+
 def test_real_name_contract_grid():
     for num in range(-40, 41):
         for scale in (0, 1, 3, 5):
