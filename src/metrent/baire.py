@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .strings import (ConfigError, ContractError, MalformedName, is_binstr,
-                      proj_value, tuple_strs)
+                      proj_value, strings_of_length, tuple_strs)
 
 LengthFn = Callable[[int], int]
 
@@ -88,18 +88,12 @@ def length_of(phi: Name, n: int, cutoff: int = SCAN_CUTOFF) -> int:
     start = max((k for k in memo if k < n), default=-1)
     best = memo.get(start, 0)
     for k in range(start + 1, n + 1):
-        for bits in _level(k):
+        for bits in strings_of_length(k):
             m = len(phi(bits))
             if m > best:
                 best = m
         memo[k] = best
     return best
-
-
-def _level(k: int):
-    from itertools import product
-    for bits in product("01", repeat=k):
-        yield "".join(bits)
 
 
 def in_kl(phi: Name, l: LengthFn, depth: int, cutoff: int = SCAN_CUTOFF) -> bool:
@@ -117,7 +111,7 @@ def is_length_monotone(phi: Name, depth: int, cutoff: int = SCAN_CUTOFF) -> bool
         raise ScanCutoffExceeded(f"depth {depth} exceeds cutoff {cutoff}")
     prev_max = 0
     for k in range(depth + 1):
-        lens = [len(phi(a)) for a in _level(k)]
+        lens = [len(phi(a)) for a in strings_of_length(k)]
         if min(lens) != max(lens):
             return False
         if k > 0 and lens[0] < prev_max:

@@ -19,13 +19,15 @@ from functools import cache
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .compact import (ParameterViolation, _with_length_branch,
-                      name_length_fn, q_seq)
+from .compact import ParameterViolation, _with_length_branch, name_length_fn
 from .funcs import PiecewiseLinear, StepFn
-from .machine import Ctx, RunningTime
-from .schauder import (FSSystem, HaarSystem, RootSum, ScaledVal, fs_eval,
-                       fs_nonzero_indices, haar_gen, haar_integral,
-                       haar_scale_exp, haar_support, fs_coeffs, haar_coeffs)
+from .machine import (Ctx, RunningTime, need_evaluator, paired,
+                      precision_input, quarter_round)
+from .schauder import (FSSystem, HaarExpansion, HaarSystem, RootSum,
+                       ScaledVal, _scale_of, fs_coeff, fs_coeffs, fs_eval,
+                       fs_nonzero_indices, fs_partial_sum_pl, haar_coeffs,
+                       haar_gen, haar_integral, haar_scale_exp, haar_stepform,
+                       sup_error)
 from .strings import (MalformedName, ceil_lb, decode_int, encode_int,
                       nat_str, parse_nat, parse_nats, proj_value,
                       round_half_away, tuple_list, tuple_strs, untuple)
@@ -61,43 +63,34 @@ def banach_time(params: BanachReprParams) -> RunningTime:
 def fs_vector(f: PiecewiseLinear) -> list[Fraction]:
     """Exact finite hat-coefficient list of a piecewise-linear function with
     dyadic breakpoints."""
-    scale = max((x.denominator.bit_length() - 1 for x in f.xs), default=0)
+    scale = max((_scale_of(x) for x in f.xs), default=0)
     lams = fs_coeffs(f, (1 << scale) + 1)
-    from .schauder import sup_error
     if sup_error(f, lams) != 0:
         raise ParameterViolation("breakpoints are not dyadic at the claimed scale")
     return lams
 
 
-def haar_vector(f: StepFn, p: Fraction) -> "HaarVector":
-    scale = max((x.denominator.bit_length() - 1 for x in f.cuts), default=0)
-    exp = haar_coeffs(f, p, max(1 << scale, 1))
-    return HaarVector(exp.c, Fraction(p))
-
-
-@dataclass
-class HaarVector:
-    c: list[Fraction]          # step-form coefficients
-    p: Fraction
-
-    def lam(self, k: int) -> ScaledVal:
-        if k >= len(self.c):
-            return ScaledVal(Fraction(0), Fraction(0))
-        return ScaledVal(self.c[k], -haar_scale_exp(k, self.p))
+def haar_vector(f: StepFn, p: Fraction) -> HaarExpansion:
+    """Exact finite Haar expansion of a step function with dyadic cuts."""
+    scale = max((_scale_of(x) for x in f.cuts), default=0)
+    return haar_coeffs(f, p, 1 << scale)
 
 
 def _round_scaled(v: ScaledVal, factor: int) -> int:
     """round(v * factor) with ties away from zero, within 1/2 + 2^-16 of
     the exact product."""
     s = RootSum.of(ScaledVal(v.coef * factor, v.exp2))
-    lo, hi = _tight_bounds(s, Fraction(1, 1 << 16))
+    lo, hi = _tight_bounds(s.bounds, Fraction(1, 1 << 16))
     return round_half_away((lo + hi) / 2)
 
 
-def _tight_bounds(s: RootSum, width: Fraction) -> tuple[Fraction, Fraction]:
+def _tight_bounds(enclose: Callable[[int], tuple[Fraction, Fraction]],
+                  width: Fraction) -> tuple[Fraction, Fraction]:
+    """The first enclosure enclose(prec), for prec = 24, 48, 96, ..., that
+    is at most ``width`` wide."""
     prec = 24
     while True:
-        lo, hi = s.bounds(prec)
+        lo, hi = enclose(prec)
         if hi - lo <= width:
             return lo, hi
         prec *= 2
@@ -109,19 +102,13 @@ def _tight_bounds(s: RootSum, width: Fraction) -> tuple[Fraction, Fraction]:
 def banach_name(vec, params: BanachReprParams, system, ell: LengthFn,
                 label: str = "") -> Name:
     """Name of the vector with exact coefficients ``vec`` (a Fraction list
-    for the hat system, a HaarVector for the Haar system).
+    for the hat system, a HaarExpansion for the Haar system).
 
     The coefficient branch answers round(lam_i * (m+1)) for every (i, n, m);
     whenever the span budget S(ell, |n|) cannot hold the vector's support
     within precision 1/(n+1) the name raises ParameterViolation.
     """
     is_haar = isinstance(system, HaarSystem)
-
-    def lam_round(i: int, m: int) -> int:
-        if is_haar:
-            return _round_scaled(vec.lam(i), m + 1)
-        lam = vec[i] if i < len(vec) else Fraction(0)
-        return round_half_away(lam * (m + 1))
 
     @cache
     def tail_ok(n: int) -> bool:
@@ -137,19 +124,30 @@ def banach_name(vec, params: BanachReprParams, system, ell: LengthFn,
             return True
         return system.tail_sup(vec, cutoff) <= Fraction(1, n + 1)
 
+    def coeff(i: int, n: int, m: int) -> int:
+        if not tail_ok(n):
+            raise ParameterViolation(
+                f"span budget at precision {n} cannot approximate the vector")
+        if is_haar:
+            return _round_scaled(vec.lam(i), m + 1)
+        lam = vec[i] if i < len(vec) else Fraction(0)
+        return round_half_away(lam * (m + 1))
+
     def branch(a: str) -> str:
-        if a[0] == "0":
-            vals = parse_nats(3, a[1:])
-            if vals is None:
-                return ""
-            i, n, m = vals
-            if not tail_ok(n):
-                raise ParameterViolation(
-                    f"span budget at precision {n} cannot approximate the vector")
-            return encode_int(lam_round(i, m))
-        return _norm_answer(system, a[1:])
+        return _xi_answer(a, coeff, system)
 
     return _with_length_branch(branch, ell, label or "xi-name")
+
+
+def _xi_answer(a: str, coeff: Callable[[int, int, int], int], system) -> str:
+    """Answer of a coefficient name's branch to a query a that is not all
+    zeros: "0" + <i, n, m> answers coeff(i, n, m), the integer z with
+    z/(m+1) close to the i-th coefficient, and epsilon when the triple does
+    not parse; every other query is a norm query over ``system``."""
+    if a[0] == "0":
+        vals = parse_nats(3, a[1:])
+        return "" if vals is None else encode_int(coeff(*vals))
+    return _norm_answer(system, a[1:])
 
 
 def _norm_answer(system, rest: str) -> str:
@@ -162,13 +160,9 @@ def _norm_answer(system, rest: str) -> str:
         return ""
     zs, n, m = parsed
     coeffs = [Fraction(z, m + 1) for z in zs]
-    prec = 24
-    while True:
-        lo, hi = system.norm_bounds(coeffs) if isinstance(system, FSSystem) \
-            else system.norm_bounds(coeffs, prec=prec)
-        if hi - lo <= Fraction(1, 4 * (n + 1)):
-            return encode_int(round_half_away((lo + hi) / 2 * (n + 1)))
-        prec *= 2
+    lo, hi = _tight_bounds(lambda prec: system.norm_bounds(coeffs, prec),
+                           Fraction(1, 4 * (n + 1)))
+    return encode_int(round_half_away((lo + hi) / 2 * (n + 1)))
 
 
 def combo_query(zs: list[int], n: int, m: int) -> str:
@@ -205,15 +199,20 @@ def xi_read_combo(phi: Name, n: int, params: BanachReprParams,
     for i over the span budget (or the given indices), plus the denominator
     m+1 used."""
     l = name_length_fn(phi)
-    digits = len(nat_str(n))
-    N = params.S.bound(l, digits)
-    m = (params.S.bound(l, digits + 1) + 1) * (n + 1) + 1
+    N, m = _coeff_plan(lambda k: params.S.bound(l, k), len(nat_str(n)), n)
     if indices is None:
         indices = range(N + 1)
-    out = []
-    for i in indices:
-        out.append((i, decode_int(phi(coeff_query(i, n, m)))))
-    return out, m
+    return [(i, decode_int(phi(coeff_query(i, n, m)))) for i in indices], m
+
+
+def _coeff_plan(S_at: Callable[[int], int], digits: int,
+                level: int) -> tuple[int, int]:
+    """(N, m) for reading a coefficient name at precision ``level``, whose
+    numeral has ``digits`` digits: the span N = S(l, digits) and the
+    denominator parameter m = (S(l, digits+1) + 1)(level+1) + 1, from
+    S_at(k) = S(l, k).  S_at(digits) is asked first."""
+    N = S_at(digits)
+    return N, (S_at(digits + 1) + 1) * (level + 1) + 1
 
 
 def xi_decode_pl(phi: Name, n: int, params: BanachReprParams) -> PiecewiseLinear:
@@ -221,7 +220,6 @@ def xi_decode_pl(phi: Name, n: int, params: BanachReprParams) -> PiecewiseLinear
     represented function in supremum norm)."""
     pairs, m = xi_read_combo(phi, n, params)
     lams = [Fraction(z, m) for _, z in pairs]
-    from .schauder import fs_partial_sum_pl
     return fs_partial_sum_pl(lams)
 
 
@@ -236,26 +234,19 @@ def banach_norm_program(params: BanachReprParams) -> Callable[[Ctx], None]:
     rounded to the output grid; the error terms add to the contract.
     """
     S = params.S
+    need_evaluator(S)
 
     def prog(ctx: Ctx) -> None:
-        n = parse_nat(ctx.input)
-        if n is None:
-            raise MalformedName(f"input {ctx.input!r} is not a precision index")
+        n = precision_input(ctx)
         np = 8 * n + 7
         na = nat_str(np)
-        if S.evaluator is None:
-            raise ValueError("S has no metered evaluator")
-        N = S.evaluator(ctx, len(na))
-        N2 = S.evaluator(ctx, len(na) + 1)
-        m = (N2 + 1) * (np + 1) + 1
-        zs = []
-        for i in range(N + 1):
-            zs.append(decode_int(ctx.ask(coeff_query(i, np, m))))
+        N, m = _coeff_plan(lambda k: S.evaluator(ctx, k), len(na), np)
+        zs = [decode_int(ctx.ask(coeff_query(i, np, m))) for i in range(N + 1)]
         ctx.tick(len(na) + 2)
         raw = ctx.ask(combo_query(zs, 4 * n + 3, m))
         zpp = decode_int(raw)
         ctx.tick(len(raw) + 2)
-        ctx.emit(encode_int(round_half_away(Fraction(zpp, 4))))
+        ctx.emit(quarter_round(zpp))
     return prog
 
 
@@ -271,9 +262,7 @@ def banach_add_program() -> Callable[[Ctx], None]:
         a = ctx.input
         if a == "0" * len(a):
             ans = ctx.ask("0" * (len(a) + 1))
-            half = proj_value(1, 2, ans)
-            if half is None:
-                raise MalformedName("paired oracle answer is not a pair")
+            paired(proj_value(1, 2, ans))
             ctx.tick(2)
             ctx.emit("1" * (max(len(ans) // 2, len(a) + 1) + 2))
             return
@@ -283,20 +272,13 @@ def banach_add_program() -> Callable[[Ctx], None]:
                 ctx.emit("")
                 return
             i, n, m = vals
-            q = coeff_query(i, 2 * n + 1, m)
-            ans = ctx.ask(q)
-            pair = untuple(2, ans)
-            if pair is None:
-                raise MalformedName("paired oracle answer is not a pair")
-            za, zb = pair
+            ans = ctx.ask(coeff_query(i, 2 * n + 1, m))
+            za, zb = paired(untuple(2, ans))
             z = decode_int(za) + decode_int(zb)
             ctx.tick(len(ans) + 2)
             ctx.emit(encode_int(z))
             return
-        ans = ctx.ask(a)
-        first = proj_value(1, 2, ans)
-        if first is None:
-            raise MalformedName("paired oracle answer is not a pair")
+        first = paired(proj_value(1, 2, ctx.ask(a)))
         ctx.tick(2)
         ctx.emit(first)
     return prog
@@ -324,20 +306,29 @@ def _uniform_value(q0: int, k0: int, target: int, kind: str) -> str:
     return tuple_strs([q_enc, tail])
 
 
-class _LevelSizer:
-    """Per-level component target max(B + t + 3, ceil(mu(t)/2) + 1); the
-    supplied modulus must be non-decreasing, which makes the target
+def _level_sizer(B: int, mu: Callable[[int], int]) -> Callable[[int], int]:
+    """Memoized per-level component target max(B + t + 3, ceil(mu(t)/2) + 1);
+    the supplied modulus must be non-decreasing, which makes the target
     non-decreasing too."""
+    return cache(lambda t: max(B + t + 3, -(-mu(t) // 2) + 1))
 
-    def __init__(self, B: int, mu: Callable[[int], int]):
-        self.B = B
-        self.mu = mu
-        self.memo: dict[int, int] = {}
 
-    def __call__(self, t: int) -> int:
-        if t not in self.memo:
-            self.memo[t] = max(self.B + t + 3, -(-self.mu(t) // 2) + 1)
-        return self.memo[t]
+def _value_answer(a: str, size: Callable[[int], int], parse, value,
+                  kind: str) -> str:
+    """Answer of a point-value (kind "dsq") or integral (kind "lp") name to
+    the query a: value(*parse(a)) = (q0, k0) padded to the component size
+    of a's level, or, when a does not parse, 1^(2(size+1)), which is as
+    long as every value answer at that level."""
+    target = size(len(a))
+    parsed = parse(a)
+    if parsed is None:
+        return "1" * (2 * (target + 1))
+    return _uniform_value(*value(*parsed), target, kind)
+
+
+def _scale_block(s: str) -> int | None:
+    """m for the unary scale block 1 0^m, else None."""
+    return len(s) - 1 if s[:1] == "1" and s[1:] == "0" * (len(s) - 1) else None
 
 
 def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int],
@@ -346,18 +337,14 @@ def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int],
     <0^n, r, 1 0^m> answers <q, 1 0^k> with |f(r 2^-m) - q 2^-k| <= 2^-n,
     every value at query length t has one fixed length, and that length
     realizes a modulus of continuity of f (it dominates mu)."""
-    B = int(f.sup_norm()).bit_length() + 2
-    size = _LevelSizer(B, mu)
+    size = _level_sizer(int(f.sup_norm()).bit_length() + 2, mu)
+
+    def value(n: int, r: int, m: int) -> tuple[int, int]:
+        k0 = n + 1
+        return round_half_away(f(Fraction(r, 1 << m)) * (1 << k0)), k0
 
     def fn(a: str) -> str:
-        target = size(len(a))
-        parsed = _parse_dsq_query(a)
-        if parsed is not None:
-            n, r, m = parsed
-            k0 = n + 1
-            q0 = round_half_away(f(Fraction(r, 1 << m)) * (1 << k0))
-            return _uniform_value(q0, k0, target, "dsq")
-        return "1" * (2 * (target + 1))
+        return _value_answer(a, size, _parse_dsq_query, value, "dsq")
 
     return Name(fn, label=label or "dsq-name")
 
@@ -373,13 +360,8 @@ def _parse_dsq_query(a: str) -> tuple[int, int, int] | None:
     if parts is None:
         return None
     zs, rs, ms = parts
-    r = parse_nat(rs)
-    if zs != "0" * len(zs) or r is None:
-        return None
-    if not ms or ms[0] != "1" or ms[1:] != "0" * (len(ms) - 1):
-        return None
-    m = len(ms) - 1
-    if r > 1 << m:
+    r, m = parse_nat(rs), _scale_block(ms)
+    if zs != "0" * len(zs) or r is None or m is None or r > 1 << m:
         return None
     return len(zs), r, m
 
@@ -411,14 +393,10 @@ def _parse_lp_query(a: str) -> tuple[int, int, int, int] | None:
     if parts is None:
         return None
     ks, ls, ms, ns = parts
-    k, l = parse_nat(ks), parse_nat(ls)
-    if k is None or l is None:
+    k, l, m = parse_nat(ks), parse_nat(ls), _scale_block(ms)
+    if k is None or l is None or m is None or ns != "0" * len(ns):
         return None
-    if not ms or ms[0] != "1" or ms[1:] != "0" * (len(ms) - 1):
-        return None
-    if ns != "0" * len(ns):
-        return None
-    return k, l, len(ms) - 1, len(ns)
+    return k, l, m, len(ns)
 
 
 def lp_name(f: StepFn, p: Fraction, mu: Callable[[int], int],
@@ -426,20 +404,16 @@ def lp_name(f: StepFn, p: Fraction, mu: Callable[[int], int],
     """Integral name: the query <k, l, 1 0^m, 0^n> answers <q, 0^j> with
     the integral of f from k 2^-m to l 2^-m strictly within 2^-n of
     q 2^-j; lengths are uniform per level and dominate the L^p modulus mu."""
-    B = max(int(sum(abs(l) for l in f.levels)), 1).bit_length() + 2
-    size = _LevelSizer(B, mu)
+    size = _level_sizer(
+        max(int(sum(abs(l) for l in f.levels)), 1).bit_length() + 2, mu)
+
+    def value(k: int, l: int, m: int, n: int) -> tuple[int, int]:
+        j0 = n + 2
+        val = f.integral(Fraction(k, 1 << m), Fraction(l, 1 << m))
+        return round_half_away(val * (1 << j0)), j0
 
     def fn(a: str) -> str:
-        t = len(a)
-        target = size(t)
-        parsed = _parse_lp_query(a)
-        if parsed is not None:
-            k, l, m, n = parsed
-            val = f.integral(Fraction(k, 1 << m), Fraction(l, 1 << m))
-            j0 = n + 2
-            q0 = round_half_away(val * (1 << j0))
-            return _uniform_value(q0, j0, target, "lp")
-        return "1" * (2 * (target + 1))
+        return _value_answer(a, size, _parse_lp_query, value, "lp")
 
     return Name(fn, label=label or "lp-name")
 
@@ -483,9 +457,7 @@ def xi_to_dsq(phi: Name, params: BanachReprParams, label: str = "") -> Name:
 
     def value_at(x: Fraction, n: int) -> Fraction:
         level = (1 << (n + 3)) - 1
-        digits = n + 3
-        N = S.bound(lfn, digits)
-        m = (S.bound(lfn, digits + 1) + 1) * (level + 1) + 1
+        N, m = _coeff_plan(lambda k: S.bound(lfn, k), n + 3, level)
         total = Fraction(0)
         for i in fs_nonzero_indices(x, N + 1):
             z = decode_int(phi(coeff_query(i, level, m)))
@@ -498,18 +470,14 @@ def xi_to_dsq(phi: Name, params: BanachReprParams, label: str = "") -> Name:
         return (t + 1) + 3 * a + b + 1
 
     base = int(value_at(Fraction(1, 2), 0) + 2).bit_length() + 3
-    size = _LevelSizer(base, mu_out)
+    size = _level_sizer(base, mu_out)
+
+    def value(n: int, r: int, m: int) -> tuple[int, int]:
+        k0 = n + 2
+        return round_half_away(value_at(Fraction(r, 1 << m), n) * (1 << k0)), k0
 
     def fn(a: str) -> str:
-        target = size(len(a))
-        parsed = _parse_dsq_query(a)
-        if parsed is not None:
-            n, r, m = parsed
-            k0 = n + 2
-            v = value_at(Fraction(r, 1 << m), n)
-            q0 = round_half_away(v * (1 << k0))
-            return _uniform_value(q0, k0, target, "dsq")
-        return "1" * (2 * (target + 1))
+        return _value_answer(a, size, _parse_dsq_query, value, "dsq")
 
     return Name(fn, label=label or f"dsq({phi.label})")
 
@@ -522,32 +490,19 @@ def dsq_to_xi(psi: Name, params: BanachReprParams, label: str = "") -> Name:
     fs_system = FSSystem()
 
     def fval(x: Fraction, n: int) -> Fraction:
-        m = max(x.denominator.bit_length() - 1, 0)
-        r = int(x * (1 << m))
-        return dsq_value(psi, n, r, m)
+        m = _scale_of(x)
+        return dsq_value(psi, n, int(x * (1 << m)), m)
 
-    def lam_at(i: int, n_prec: int) -> Fraction:
-        if i == 0:
-            return fval(Fraction(0), n_prec)
-        if i == 1:
-            return fval(Fraction(1), n_prec)
-        q = q_seq(i)
-        w = Fraction(1, 1 << ceil_lb(i))
-        return fval(q, n_prec) - (fval(q - w, n_prec) + fval(q + w, n_prec)) / 2
+    def coeff(i: int, n: int, m: int) -> int:
+        prec = n + len(nat_str(m + 1)) + ceil_lb(i + 2) + 4
+        lam = fs_coeff(lambda x: fval(x, prec), i)
+        return round_half_away(lam * (m + 1))
 
     def ell_out(k: int) -> int:
         return max(mu_in(k + 3) + 2, k + 2)
 
     def branch(a: str) -> str:
-        if a[0] == "0":
-            vals = parse_nats(3, a[1:])
-            if vals is None:
-                return ""
-            i, n, m = vals
-            prec = n + len(nat_str(m + 1)) + ceil_lb(i + 2) + 4
-            lam = lam_at(i, prec)
-            return encode_int(round_half_away(lam * (m + 1)))
-        return _norm_answer(fs_system, a[1:])
+        return _xi_answer(a, coeff, fs_system)
 
     return _with_length_branch(branch, ell_out, label or f"xi({psi.label})")
 
@@ -589,9 +544,7 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction,
         if a > b:
             a, b, sign = b, a, -1
         level = (1 << (n + 3)) - 1
-        digits = n + 3
-        N = S.bound(lfn, digits)
-        m = (S.bound(lfn, digits + 1) + 1) * (level + 1) + 1
+        N, m = _coeff_plan(lambda k: S.bound(lfn, k), n + 3, level)
         total = RootSum()
         for k in _aligned_nonzero_indices(a, b, N):
             z = decode_int(phi(coeff_query(k, level, m)))
@@ -609,20 +562,16 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction,
         ceil_p = -(-p.numerator // p.denominator)
         return ceil_p * (t + 2) + lfn(t + 3) + t + 7
 
-    size = _LevelSizer(int(lfn(4)) + 4, mu_out)
+    size = _level_sizer(int(lfn(4)) + 4, mu_out)
+
+    def value(k: int, l: int, m: int, n: int) -> tuple[int, int]:
+        j0 = n + 2
+        val = integral_val(Fraction(k, 1 << m), Fraction(l, 1 << m), n)
+        lo, hi = _tight_bounds(val.scaled(Fraction(1 << j0)).bounds, Fraction(1, 16))
+        return round_half_away((lo + hi) / 2), j0
 
     def fn(a: str) -> str:
-        t = len(a)
-        target = size(t)
-        parsed = _parse_lp_query(a)
-        if parsed is not None:
-            k, l, m, n = parsed
-            val = integral_val(Fraction(k, 1 << m), Fraction(l, 1 << m), n)
-            j0 = n + 2
-            lo, hi = _tight_bounds(val.scaled(Fraction(1 << j0)), Fraction(1, 16))
-            q0 = round_half_away((lo + hi) / 2)
-            return _uniform_value(q0, j0, target, "lp")
-        return "1" * (2 * (target + 1))
+        return _value_answer(a, size, _parse_lp_query, value, "lp")
 
     return Name(fn, label=label or f"lp({phi.label})")
 
@@ -636,32 +585,23 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction,
     haar_sys = HaarSystem(Fraction(p))
 
     def int_val(a: Fraction, b: Fraction, n: int) -> Fraction:
-        m = max(max(a.denominator, b.denominator).bit_length() - 1, 0)
+        m = max(_scale_of(a), _scale_of(b))
         return lp_value(psi, int(a * (1 << m)), int(b * (1 << m)), m, n)
 
-    def lam_bounds(i: int, m: int) -> tuple[Fraction, Fraction]:
-        if i == 0:
-            v = int_val(Fraction(0), Fraction(1), m.bit_length() + 18)
-            return v, v
-        lo_s, q, hi_s = haar_support(i)
-        g = haar_gen(i)
-        prec = len(nat_str(m + 1)) + g + 20
-        diff = int_val(lo_s, q, prec) - int_val(q, hi_s, prec)
-        val = RootSum.of(ScaledVal(diff * (1 << (g - 1)),
-                                   -haar_scale_exp(i, Fraction(p))))
-        return val.bounds(prec + 8)
+    def coeff(i: int, n: int, m: int) -> int:
+        # c_0 is exact; c_i (i >= 1) is lam_i in step form, whose symbolic
+        # scale is enclosed
+        prec = (m.bit_length() + 18 if i == 0
+                else len(nat_str(m + 1)) + haar_gen(i) + 20)
+        c = haar_stepform(lambda a, b: int_val(a, b, prec), i)
+        lo, hi = (c, c) if i == 0 else RootSum.of(
+            ScaledVal(c, -haar_scale_exp(i, haar_sys.p))).bounds(prec + 8)
+        return round_half_away((lo + hi) / 2 * (m + 1))
 
     def ell_out(k: int) -> int:
         return max(mu_in(k + 3) + 3, k + 2)
 
     def branch(a: str) -> str:
-        if a[0] == "0":
-            vals = parse_nats(3, a[1:])
-            if vals is None:
-                return ""
-            i, n, m = vals
-            lo, hi = lam_bounds(i, m)
-            return encode_int(round_half_away((lo + hi) / 2 * (m + 1)))
-        return _norm_answer(haar_sys, a[1:])
+        return _xi_answer(a, coeff, haar_sys)
 
     return _with_length_branch(branch, ell_out, label or f"xi({psi.label})")

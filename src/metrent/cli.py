@@ -24,7 +24,7 @@ from .entropy import (ApproxSetSpec, PointCloud, covering_number,
 from .funcs import modulus_fn
 from .machine import equality_from_metric, exp_max_time, RunningTime
 from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
-from .schauder import fs_coeffs, fs_partial_sum_pl, haar_integral
+from .schauder import fs_coeffs, fs_partial_sum_pl, haar_integral, haar_support
 from .strings import ConfigError, ContractError, is_binstr
 COLUMNS_DOC = """\
 CSV columns:
@@ -145,7 +145,6 @@ def cmd_eval(args) -> int:
         return 0
     if args.basis == "haar":
         p = _parse_p(args.p)
-        from .schauder import haar_support
         for i in range(1, args.n_max + 1):
             lo, q, _ = haar_support(i)
             v = haar_integral(i, p, lo, q)

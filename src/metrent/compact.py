@@ -14,18 +14,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import ceil
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .entropy import (PointCloud, covering_number, farthest_first,
-                      interval_cover_count)
-from .machine import Ctx, RunningTime
+from .entropy import (PointCloud, SizeExceeded, covering_number,
+                      farthest_first, interval_cover_count)
+from .funcs import PiecewiseLinear, modulus_fn, sup_dist_pl
+from .machine import (Ctx, RunningTime, const_time, exp_max_time,
+                      need_evaluator, paired, precision_input, quarter_round)
 from .reprs import MetricSpaceSpec, metric_answer, metric_query
-from .strings import (ContractError, Dyadic, MalformedName, ceil_lb,
-                      decode_int, encode_int, floor_lb, nat_str, parse_nat,
-                      parse_nats, proj_value, round_half_away, tuple_strs,
-                      untuple)
+from .strings import (ContractError, Dyadic, InvalidConfig, MalformedName,
+                      ceil_lb, decode_int, floor_lb, nat_str, parse_nat,
+                      parse_nats, proj_value, tuple_strs, untuple)
 
 
 class ParameterViolation(ContractError, ValueError):
@@ -172,7 +174,6 @@ def greedy_uniform_seq(K: PointCloud, horizon: int) -> UniformSeqSpec:
     concatenation misses the covering budget at small n.  Cloud size
     exponents are measured on the way (exact below the brute-force cap,
     greedy above)."""
-    from .entropy import SizeExceeded
     m = len(K)
     start = min(range(m), key=lambda p: (max(K.d(p, q) for q in range(m)), p))
     order, _ = farthest_first(K, start)
@@ -364,41 +365,31 @@ def compact_metric(phi: Name, psi: Name, n: int, space: MetricSpaceSpec,
     """
     i = compact_decode_index(phi, 8 * n + 7, params)
     k = compact_decode_index(psi, 8 * n + 7, params)
-    zp = decode_int(phi(metric_query(i, k, 4 * n + 3)))
-    return encode_int(round_half_away(Fraction(zp, 4)))
+    return quarter_round(decode_int(phi(metric_query(i, k, 4 * n + 3))))
 
 
 def compact_metric_program(params: CompactReprParams) -> Callable[[Ctx], None]:
     """Metered metric against a paired oracle <phi, psi>.  The chunk count
     is obtained from the time-constructible evaluator of S."""
+    need_evaluator(params.S)
+
     def prog(ctx: Ctx) -> None:
-        n = parse_nat(ctx.input)
-        if n is None:
-            raise MalformedName(f"input {ctx.input!r} is not a precision index")
+        n = precision_input(ctx)
         na = nat_str(8 * n + 7)
-        if params.S.evaluator is None:
-            raise ValueError("S has no metered evaluator")
         nchunks = params.S.evaluator(ctx, len(na)) + 1
         bits_phi: list[str] = []
         bits_psi: list[str] = []
         for j in range(nchunks):
-            ans = ctx.ask(chunk_query(j, 8 * n + 7))
-            pair = untuple(2, ans)
-            if pair is None:
-                raise MalformedName("paired oracle answer is not a pair")
-            ca, cb = pair
+            ca, cb = paired(untuple(2, ctx.ask(chunk_query(j, 8 * n + 7))))
             bits_phi.append(ca)
             bits_psi.append(cb)
         i = int("".join(bits_phi) or "0", 2)
         k = int("".join(bits_psi) or "0", 2)
         ctx.tick(len(na) + 2)
-        ans2 = ctx.ask(metric_query(i, k, 4 * n + 3))
-        raw = proj_value(1, 2, ans2)
-        if raw is None:
-            raise MalformedName("paired oracle answer is not a pair")
+        raw = paired(proj_value(1, 2, ctx.ask(metric_query(i, k, 4 * n + 3))))
         zp = decode_int(raw)
         ctx.tick(len(raw) + 2)
-        ctx.emit(encode_int(round_half_away(Fraction(zp, 4))))
+        ctx.emit(quarter_round(zp))
     return prog
 
 
@@ -452,12 +443,10 @@ def relativized_to_compact(rel: Name, params: CompactReprParams,
 def lipschitz_family(level: int):
     """All piecewise-linear functions on the 2^-level grid with f(0) = 0 and
     increments in {-h, 0, h}; 3^(2^level) functions of Lipschitz constant 1."""
-    from itertools import product as iproduct
-    from .funcs import PiecewiseLinear
     h = Fraction(1, 1 << level)
     grid = [k * h for k in range((1 << level) + 1)]
     fns = []
-    for incs in iproduct((-h, Fraction(0), h), repeat=1 << level):
+    for incs in product((-h, Fraction(0), h), repeat=1 << level):
         ys = [Fraction(0)]
         for d in incs:
             ys.append(ys[-1] + d)
@@ -466,7 +455,6 @@ def lipschitz_family(level: int):
 
 
 def lipschitz_cloud(level: int) -> PointCloud:
-    from .funcs import sup_dist_pl
     fns = lipschitz_family(level)
     return PointCloud(fns, lambda i, j: sup_dist_pl(fns[i], fns[j]),
                       label=f"lip1-level{level}")
@@ -478,17 +466,15 @@ def lipschitz_cloud(level: int) -> PointCloud:
 def load_instance(path: str) -> tuple[MetricSpaceSpec, CompactReprParams, int]:
     """Instance config: JSON with space id, sequence id, ell table, S id,
     horizon."""
-    from .funcs import modulus_fn
-    from .machine import const_time, exp_max_time
     running_times = {"const1": lambda: const_time(1), "expmax": exp_max_time}
     with open(path) as fh:
         cfg = json.load(fh)
     if cfg.get("space") != "unit-interval":
-        raise ValueError(f"unknown space {cfg.get('space')!r}")
+        raise InvalidConfig(f"unknown space {cfg.get('space')!r}")
     space = unit_interval_space()
     ell = modulus_fn([int(v) for v in cfg["ell"]])
     s_id = cfg.get("S", "const1")
     factory = running_times.get(s_id)
     if factory is None:
-        raise ValueError(f"unknown running time {s_id!r}")
+        raise InvalidConfig(f"unknown running time {s_id!r}")
     return space, CompactReprParams(ell=ell, S=factory()), int(cfg.get("horizon", 6))

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from .baire import LengthFn, Name, pair_names
 from .machine import (ContractViolation, Ctx, RunningTime,
                       dialog_length_bound, metered_run)
-from .strings import ConfigError, ceil_lb, floor_lb
+from .strings import ConfigError, InvalidConfig, ceil_lb, floor_lb
 
 EXACT_COVER_CAP = 20
 
@@ -57,7 +57,7 @@ def cloud_from_vectors(vectors, metric: str = "sup", label: str = "") -> PointCl
     elif metric == "l1":
         d = lambda i, j: sum(abs(a - b) for a, b in zip(vecs[i], vecs[j]))
     else:
-        raise ValueError(f"unknown metric {metric!r}")
+        raise InvalidConfig(f"unknown metric {metric!r}")
     return PointCloud(vecs, d, label=label or f"{metric}^{len(vecs[0])}")
 
 
@@ -76,7 +76,7 @@ def covering_number(K: PointCloud, n: int, mode: str = "exact") -> CoverResult:
     elif mode == "greedy":
         count = _greedy_cover(K, r)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidConfig(f"unknown mode {mode!r}")
     return CoverResult(count, ceil_lb(count), mode)
 
 
@@ -219,12 +219,12 @@ class ApproxSetSpec:
 
     def __post_init__(self):
         if not self.delta:
-            raise ValueError("empty tolerance table")
+            raise InvalidConfig("empty tolerance table")
         for a, b in zip(self.delta, self.delta[1:]):
             if b > a:
-                raise ValueError("tolerances must be non-increasing")
+                raise InvalidConfig("tolerances must be non-increasing")
         if any(d <= 0 for d in self.delta):
-            raise ValueError("tolerances must be positive")
+            raise InvalidConfig("tolerances must be positive")
 
 
 class InsufficientTabulation(ConfigError, ValueError):

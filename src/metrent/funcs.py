@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .strings import InvalidConfig
+
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -236,15 +238,15 @@ def continuity_modulus(f: PiecewiseLinear, up_to: int) -> list[int]:
 def modulus_fn(table: list[int]) -> Callable[[int], int]:
     """Extend a tabulated modulus or length table to a total non-decreasing
     function; past the table it grows by one per step, which stays a valid
-    modulus.  Raises ValueError on an empty or decreasing table or on a
+    modulus.  Raises InvalidConfig on an empty or decreasing table or on a
     negative entry."""
     table = list(table)
     if not table:
-        raise ValueError("empty table")
+        raise InvalidConfig("empty table")
     if table[0] < 0:
-        raise ValueError(f"negative table entry {table[0]}")
+        raise InvalidConfig(f"negative table entry {table[0]}")
     if any(b < a for a, b in zip(table, table[1:])):
-        raise ValueError(f"table {table} is not non-decreasing")
+        raise InvalidConfig(f"table {table} is not non-decreasing")
 
     def mu(n: int) -> int:
         if n < len(table):

@@ -14,10 +14,13 @@ caller-certified bound on the oracle's length function and a is the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .strings import ContractError, nat_str, tuple_list, tuple_strs
+from .strings import (ContractError, InvalidConfig, MalformedName, all_strings,
+                      decode_int, encode_int, nat_str, parse_nat,
+                      round_half_away, tuple_list, tuple_strs)
 
 
 class ContractViolation(ContractError):
@@ -127,6 +130,31 @@ class Ctx:
                       tuple(a[:self.budget] for a in self._full_answers))
 
 
+# ---------------------------------------------------------------------------
+# shared steps of the metered metric and norm programs (none is charged)
+
+def precision_input(ctx: Ctx) -> int:
+    """The run's input read as a precision index n."""
+    n = parse_nat(ctx.input)
+    if n is None:
+        raise MalformedName(f"input {ctx.input!r} is not a precision index")
+    return n
+
+
+def paired(parsed):
+    """The parse of a paired oracle's answer; MalformedName when it failed
+    (None)."""
+    if parsed is None:
+        raise MalformedName("paired oracle answer is not a pair")
+    return parsed
+
+
+def quarter_round(z: int) -> str:
+    """The encoded integer round(z/4): a value read at precision 4n+3 put
+    on the output grid of precision n."""
+    return encode_int(round_half_away(Fraction(z, 4)))
+
+
 @dataclass
 class RunningTime:
     """A second-order step budget (length-function, input-size) -> steps.
@@ -169,7 +197,6 @@ def oracle_length(ctx: Ctx, k: int) -> int:
 def oracle_length_scan(ctx: Ctx, k: int) -> int:
     """|phi|(k) by exhaustive scan over all queries of length <= k; the
     query count alone is 2^(k+1) - 1, which is the point."""
-    from .strings import all_strings
     best = 0
     for a in all_strings(k):
         best = max(best, len(ctx.ask(a)))
@@ -213,10 +240,17 @@ def length_time_by_scan(label: str = "L=l(n), by scan") -> RunningTime:
                        monotone=True, constructible=False, evaluator=ev)
 
 
+def need_evaluator(S: RunningTime) -> None:
+    """Reject, when a program is built, a running time that the program
+    must evaluate under the meter but that has no evaluator."""
+    if S.evaluator is None:
+        raise InvalidConfig(f"running time {S.label!r} has no evaluator")
+
+
 def constructibility_program(S: RunningTime) -> Callable[[Ctx], None]:
     """The program computing (phi, a) |-> S(|phi|, |a|), output in unary."""
-    if S.evaluator is None:
-        raise ValueError(f"running time {S.label!r} has no evaluator")
+    need_evaluator(S)
+
     def prog(ctx: Ctx) -> None:
         v = S.evaluator(ctx, len(ctx.input))
         ctx.emit("1" * v)
@@ -230,7 +264,6 @@ def is_time_constructible(S: RunningTime, probe_names, depth: int,
 
     Each probe must carry a certified length bound (``declared_bound``).
     """
-    from .strings import all_strings
     prog = constructibility_program(S)
     budget = RunningTime(lambda l, n: c * S.bound(l, n) + c, label=f"{c}*S+{c}")
     for phi in probe_names:
@@ -276,8 +309,6 @@ def equality_from_metric(metric_program: Callable[[Ctx], None],
     2^(-n-1) + 2^(-n-2), else "1".  Paired with the budget T~(l,n) = T(l,n+2)
     scaled by a constant.
     """
-    from .strings import decode_int
-
     def prog(ctx: Ctx) -> None:
         a = ctx.input
         if a != "1" * len(a):

@@ -15,10 +15,10 @@ from math import isqrt
 from typing import Callable
 
 from .baire import LengthFn, Name, pair_names
-from .machine import Ctx, RunningTime
-from .strings import (Dyadic, MalformedName, decode_int, encode_int, nat_str,
-                      parse_nat, parse_nats, proj_value, round_half_away,
-                      tuple_strs)
+from .machine import Ctx, RunningTime, paired, precision_input, quarter_round
+from .strings import (Dyadic, InvalidConfig, MalformedName, decode_int,
+                      encode_int, nat_str, parse_nat, parse_nats, proj_value,
+                      round_half_away, tuple_strs)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +184,9 @@ def cauchy_metric(phi: Name, psi: Name, n: int, M: MetricSpaceSpec) -> str:
 def cauchy_metric_program(M: MetricSpaceSpec) -> Callable[[Ctx], None]:
     """Metered variant running against a paired oracle <phi, psi>."""
     def prog(ctx: Ctx) -> None:
-        n = parse_nat(ctx.input)
-        if n is None:
-            raise MalformedName(f"input {ctx.input!r} is not a precision index")
-        q = nat_str(4 * n + 3)
-        ans = ctx.ask(q)
-        pair = parse_nats(2, ans)
-        if pair is None:
-            raise MalformedName("paired oracle answer is not a pair of indices")
-        i, j = pair
+        n = precision_input(ctx)
+        ans = ctx.ask(nat_str(4 * n + 3))
+        i, j = paired(parse_nats(2, ans))
         ctx.tick(len(ans) + len(ctx.input) + 4)
         v = M.dist(i, j, 2 * n + 1)
         ctx.emit(encode_int(round_half_away(v * (n + 1))))
@@ -254,22 +248,12 @@ def relativized_metric_program() -> Callable[[Ctx], None]:
     terms add to exactly 1/(n+1) at contract level.
     """
     def prog(ctx: Ctx) -> None:
-        n = parse_nat(ctx.input)
-        if n is None:
-            raise MalformedName(f"input {ctx.input!r} is not a precision index")
-        q = "0" + nat_str(8 * n + 7)
-        ans = ctx.ask(q)
-        pair = parse_nats(2, ans)
-        if pair is None:
-            raise MalformedName("paired oracle answer is not a pair of indices")
-        i, j = pair
+        n = precision_input(ctx)
+        i, j = paired(parse_nats(2, ctx.ask("0" + nat_str(8 * n + 7))))
         ans2 = ctx.ask(metric_query(i, j, 4 * n + 3))
-        raw = proj_value(1, 2, ans2)
-        if raw is None:
-            raise MalformedName("paired oracle answer is not a pair")
-        zp = decode_int(raw)
+        zp = decode_int(paired(proj_value(1, 2, ans2)))
         ctx.tick(len(ans2) + 4)
-        ctx.emit(encode_int(round_half_away(Fraction(zp, 4))))
+        ctx.emit(quarter_round(zp))
     return prog
 
 
@@ -338,7 +322,7 @@ def space_from_csv(path: str, dist_id: str = "sup") -> MetricSpaceSpec:
     """Finite space from a CSV of dyadic coordinates plus a distance formula
     identifier ("abs" for the line, "sup" for the supremum metric)."""
     if dist_id not in _DIST_FORMULAS:
-        raise ValueError(f"unknown distance formula {dist_id!r}")
+        raise InvalidConfig(f"unknown distance formula {dist_id!r}")
     formula = _DIST_FORMULAS[dist_id]
     points: list[tuple[Fraction, ...]] = []
     with open(path, newline="") as fh:

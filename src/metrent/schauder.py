@@ -18,6 +18,7 @@ inherit the parent value plus or minus the element's value
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -48,20 +49,21 @@ def fs_elem(i: int) -> PiecewiseLinear:
     return PiecewiseLinear(tuple(xs), tuple(fs_eval(i, x) for x in xs))
 
 
-def fs_coeffs(f: Callable, up_to: int) -> list[Fraction]:
-    """Unique hat-expansion coefficients from exact dyadic point values:
+def fs_coeff(f: Callable, j: int) -> Fraction:
+    """The j-th hat-expansion coefficient from exact dyadic point values:
     lam_0 = f(0), lam_1 = f(1), and for j >= 2
     lam_j = f(q_j) - (f(q_j - w) + f(q_j + w)) / 2 with w the halfwidth."""
-    out = []
-    for j in range(up_to):
-        if j == 0:
-            out.append(Fraction(f(Fraction(0))))
-        elif j == 1:
-            out.append(Fraction(f(Fraction(1))))
-        else:
-            q, w = q_seq(j), fs_halfwidth(j)
-            out.append(Fraction(f(q)) - (Fraction(f(q - w)) + Fraction(f(q + w))) / 2)
-    return out
+    if j == 0:
+        return Fraction(f(Fraction(0)))
+    if j == 1:
+        return Fraction(f(Fraction(1)))
+    q, w = q_seq(j), fs_halfwidth(j)
+    return Fraction(f(q)) - (Fraction(f(q - w)) + Fraction(f(q + w))) / 2
+
+
+def fs_coeffs(f: Callable, up_to: int) -> list[Fraction]:
+    """Unique hat-expansion coefficients lam_0 .. lam_{up_to-1} of f."""
+    return [fs_coeff(f, j) for j in range(up_to)]
 
 
 def fs_partial_sum_eval(lams: Iterable[Fraction], x) -> Fraction:
@@ -348,25 +350,33 @@ def haar_integral(k: int, p: Fraction, a, b) -> ScaledVal:
 class HaarExpansion:
     """Coefficients in step form: c[k] = lam_k * 2^((g-1)/p), which is
     rational for rational step functions; lam(k) recovers the symbolic
-    basis coefficient."""
+    basis coefficient, zero past the list."""
 
     c: list[Fraction]
     p: Fraction
 
     def lam(self, k: int) -> ScaledVal:
+        if k >= len(self.c):
+            return ScaledVal(Fraction(0), Fraction(0))
         return ScaledVal(self.c[k], -haar_scale_exp(k, self.p))
 
 
-def haar_coeffs(f: StepFn, p: Fraction, up_to: int) -> HaarExpansion:
-    """Unique Haar coefficients of a step function via the local integral
-    differences: in step form
+def haar_stepform(integral: Callable, k: int) -> Fraction:
+    """Step-form coefficient c_k of the function whose integrals over
+    [a, b] are integral(a, b), via the local integral differences:
+    c_0 = int over [0, 1] and, for k >= 1,
     c_k = (int over left half - int over right half) * 2^(g-1)."""
-    c = [f.integral(0, 1)]
-    for k in range(1, up_to):
-        left, q, right = haar_support(k)
-        g = haar_gen(k)
-        c.append((f.integral(left, q) - f.integral(q, right)) * (1 << (g - 1)))
-    return HaarExpansion(c, Fraction(p))
+    if k == 0:
+        return integral(0, 1)
+    left, q, right = haar_support(k)
+    return (integral(left, q) - integral(q, right)) * (1 << (haar_gen(k) - 1))
+
+
+def haar_coeffs(f: StepFn, p: Fraction, up_to: int) -> HaarExpansion:
+    """Unique Haar coefficients c_0 .. c_{up_to-1} of a step function, in
+    step form."""
+    return HaarExpansion([haar_stepform(f.integral, k) for k in range(up_to)],
+                         Fraction(p))
 
 
 def _is_zero(z) -> bool:
@@ -468,16 +478,13 @@ def haar_unit_norm_power(k: int, p: int) -> Fraction:
 class FSSystem:
     """Hat-function system under the supremum norm."""
 
-    label: str = "fs"
-    norm_kind: str = "sup"
-
-    def coeffs(self, f: PiecewiseLinear, up_to: int) -> list[Fraction]:
-        return fs_coeffs(f, up_to)
-
     def combo_pl(self, zs: list[Fraction]) -> PiecewiseLinear:
         return fs_partial_sum_pl(list(zs))
 
-    def norm_bounds(self, zs: list[Fraction]) -> tuple[Fraction, Fraction]:
+    def norm_bounds(self, zs: list[Fraction],
+                    prec: int = 24) -> tuple[Fraction, Fraction]:
+        """Exact supremum norm of sum z_k e_k as a zero-width enclosure;
+        prec is ignored, so callers treat both systems alike."""
         v = self.combo_pl(zs).sup_norm() if any(zs) else Fraction(0)
         return v, v
 
@@ -493,8 +500,6 @@ class HaarSystem:
     """p-normalized Haar system under the L^p norm (p a positive rational)."""
 
     p: Fraction
-    label: str = "haar"
-    norm_kind: str = "lp"
 
     def combo_pieces(self, zs: list) -> list[tuple[Fraction, RootSum]]:
         """Constant pieces (width, value) of sum z_k f_{k,p}, left to right
@@ -557,9 +562,8 @@ def _frac_pow_bounds(x: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fra
 # encode lam_i = (num / 2^scale) * 2^(exp_num / exp_den)
 
 def coeffs_to_csv(lams, path: str) -> None:
-    import csv as _csv
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         for i, lam in enumerate(lams):
             if not isinstance(lam, ScaledVal):
                 lam = ScaledVal(Fraction(lam), Fraction(0))
@@ -574,10 +578,9 @@ def coeffs_to_csv(lams, path: str) -> None:
 
 
 def coeffs_from_csv(path: str) -> list[ScaledVal]:
-    import csv as _csv
     out: dict[int, ScaledVal] = {}
     with open(path, newline="") as fh:
-        for row in _csv.reader(fh):
+        for row in csv.reader(fh):
             if not row or row[0].startswith("#"):
                 continue
             i, num, scale, en, ed = (int(c) for c in row)

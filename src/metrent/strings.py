@@ -24,6 +24,12 @@ class ConfigError(MetrentError):
     (exit code 2)."""
 
 
+class InvalidConfig(ConfigError, ValueError):
+    """A configuration value the library does not accept: an unknown
+    identifier (space, running time, distance formula, metric, covering
+    mode) or a malformed table."""
+
+
 class ContractError(MetrentError):
     """A name broke its representation or its budget, or a computation broke
     a contract it certifies (exit code 3)."""
@@ -49,8 +55,7 @@ def str_len(a: str) -> int:
 def all_strings(max_len: int):
     """Yield every binary string of length <= max_len, shortest first."""
     for n in range(max_len + 1):
-        for bits in product("01", repeat=n):
-            yield "".join(bits)
+        yield from strings_of_length(n)
 
 
 def strings_of_length(n: int):

@@ -17,7 +17,7 @@ from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem, fs_elem, fs_partial_sum_pl
-from metrent.strings import ceil_lb, decode_int, nat_str
+from metrent.strings import ceil_lb, decode_int, nat_str, tuple_strs
 
 
 ELL = lambda n: n + 4
@@ -247,6 +247,40 @@ def test_lp_to_xi_unit_vector():
     lams = {i: Fraction(z, m) for i, z in pairs}
     assert abs(lams[0] - 1) <= Fraction(2, m)
     assert all(abs(lams[i]) <= Fraction(2, m) for i in (1, 2, 3))
+
+
+def test_queries_that_do_not_parse():
+    # every factory's answer to a malformed query: epsilon from the three
+    # coefficient names, and from the four value names a run of ones as
+    # long as the value answers at that query length
+    params, p = BanachReprParams(S=exp_max_time()), Fraction(2)
+    f = PiecewiseLinear.build([0, Fraction(1, 2), 1], [0, 1, Fraction(1, 4)])
+    g = chi(0, Fraction(1, 2))
+    xi_fs = banach_name(fs_vector(f), params, FSSystem(), ELL)
+    xi_haar = banach_name(haar_vector(g, p), params, HaarSystem(p), ELL)
+    dsq = delta_square_name(f, modulus_fn(continuity_modulus(f, 8)))
+    lp = lp_name(g, p, modulus_fn(lp_modulus(g, 2, 8)))
+    for phi in (xi_fs, xi_haar, dsq_to_xi(dsq, params), lp_to_xi(lp, params, p)):
+        for bad in ("0" + "11", "0" + tuple_strs(["1", "01", "1"])):
+            assert phi(bad) == ""
+    dsq_good = tuple_strs(["00", "1", "10"])
+    dsq_bad = [tuple_strs(["00", "1", "00"]),      # scale block without its 1
+               tuple_strs(["00", "11", "10"]),     # numerator above 2^m
+               tuple_strs(["01", "1", "10"]),      # precision block not unary
+               "1" * len(dsq_good)]
+    lp_good = tuple_strs(["1", "10", "100", "00"])
+    lp_bad = [tuple_strs(["1", "10", "000", "00"]),
+              tuple_strs(["1", "01", "100", "00"]),  # endpoint not a numeral
+              tuple_strs(["1", "10", "100", "01"]),
+              "1" * len(lp_good)]
+    for psi, good, bads in ((dsq, dsq_good, dsq_bad),
+                            (xi_to_dsq(xi_fs, params), dsq_good, dsq_bad),
+                            (lp, lp_good, lp_bad),
+                            (xi_to_lp(xi_haar, params, p), lp_good, lp_bad)):
+        size = len(psi(good))
+        assert size % 2 == 0 and psi(good) != "1" * size
+        for bad in bads:
+            assert len(bad) == len(good) and psi(bad) == "1" * size
 
 
 def test_growth_condition():

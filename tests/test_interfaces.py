@@ -2,20 +2,24 @@
 membership, dialog classes against the Cauchy covering column, and the
 harness exit code for contract violations."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from metrent.compact import (CompactReprParams, compact_name, q_seq,
-                             unit_interval_ell, unit_interval_space)
-from metrent.entropy import (ContractViolation, PointCloud, covering_number,
+from metrent.compact import (CompactReprParams, compact_name, load_instance,
+                             q_seq, unit_interval_ell, unit_interval_space)
+from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
+                             cloud_from_vectors, covering_number,
                              dialog_cover_experiment)
+from metrent.funcs import modulus_fn
 from metrent.machine import (RunningTime, const_time, equality_from_metric)
 from metrent.reprs import (cauchy_metric_program, cauchy_metric_time,
                            cauchy_name, space_from_csv)
 from metrent.schauder import ScaledVal, coeffs_from_csv, coeffs_to_csv
-from metrent.strings import ConfigError, ContractError, Dyadic, MetrentError
+from metrent.strings import (ConfigError, ContractError, Dyadic, InvalidConfig,
+                             MetrentError)
 
 
 def test_space_from_csv(tmp_path):
@@ -91,6 +95,7 @@ ERROR_CLASSES = {
     "TraceMiss": (ConfigError, KeyError),
     "SizeExceeded": (ConfigError, ValueError),
     "InsufficientTabulation": (ConfigError, ValueError),
+    "InvalidConfig": (ConfigError, ValueError),
     "MalformedName": (ContractError, ValueError),
     "MalformedEncoding": (ContractError, ValueError),
     "MalformedPadding": (ContractError, ValueError),
@@ -123,6 +128,35 @@ def test_every_error_takes_one_branch_of_the_root():
         if base is not None:
             assert issubclass(cls, base), name
     assert not issubclass(found["ContractViolation"], AssertionError)
+
+
+def _instance_file(tmp_path, **cfg):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"space": "unit-interval", "ell": [1, 2], **cfg}))
+    return str(path)
+
+
+# one bad configuration per library entry point that reads one
+INVALID_CONFIGS = {
+    "load_instance-space": lambda tmp: load_instance(_instance_file(tmp, space="bogus")),
+    "load_instance-S": lambda tmp: load_instance(_instance_file(tmp, S="bogus")),
+    "space_from_csv": lambda tmp: space_from_csv(str(tmp / "none.csv"), "taxicab"),
+    "ApproxSetSpec": lambda tmp: ApproxSetSpec([Fraction(1, 2), Fraction(1)]),
+    "modulus_fn": lambda tmp: modulus_fn([2, 1]),
+    "cloud_from_vectors": lambda tmp: cloud_from_vectors([(0,), (1,)], "taxicab"),
+    "covering_number": lambda tmp: covering_number(
+        cloud_from_vectors([(0,), (1,)]), 0, "bogus"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INVALID_CONFIGS))
+def test_invalid_config_takes_the_config_branch(site, tmp_path):
+    # a bad request raises a ConfigError (exit code 2) that is still a
+    # ValueError for callers that catch that
+    with pytest.raises(InvalidConfig) as info:
+        INVALID_CONFIGS[site](tmp_path)
+    assert isinstance(info.value, ConfigError) and isinstance(info.value, ValueError)
+    assert not isinstance(info.value, ContractError)
 
 
 def test_cli_contract_violation_exit_code(monkeypatch, tmp_path):

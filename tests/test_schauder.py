@@ -8,11 +8,12 @@ from metrent.compact import q_seq
 from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
 from metrent.schauder import (FSSystem, HaarExpansion, HaarSystem, RootSum,
-                              ScaledVal, chi_expand, frac_root_bounds, fs_coeffs,
-                              fs_elem, fs_eval, fs_nonzero_indices,
-                              fs_partial_sum_eval, fs_partial_sum_pl,
-                              fs_separation, haar_coeffs, haar_eval, haar_gen,
-                              haar_integral, haar_support,
+                              ScaledVal, chi_expand, frac_root_bounds, fs_coeff,
+                              fs_coeffs, fs_elem, fs_eval, fs_halfwidth,
+                              fs_nonzero_indices, fs_partial_sum_eval,
+                              fs_partial_sum_pl, fs_separation, haar_coeffs,
+                              haar_eval, haar_gen, haar_integral,
+                              haar_scale_exp, haar_stepform, haar_support,
                               haar_unit_norm_power, pow2_bounds,
                               step_from_haar, sup_error)
 
@@ -204,6 +205,54 @@ def test_haar_coeffs_examples():
     assert all(c == 0 for c in exp.c[2:])
     # so f = (f_0 + f_1) / 2
     assert exp.lam(1).same_value(ScaledVal(Fraction(1, 2), Fraction(0)))
+
+
+def test_haar_expansion_lam_is_zero_past_the_list():
+    p = Fraction(3, 2)
+    exp = haar_coeffs(chi(0, Fraction(1, 4)), p, 4)
+    for k in range(4):
+        assert exp.lam(k) == ScaledVal(exp.c[k], -haar_scale_exp(k, p))
+    for k in (4, 5, 100):
+        assert exp.lam(k).is_zero()
+
+
+def _fs_coeffs_loop(f, up_to):
+    # the expansion written out as one loop over the midpoint deviations
+    out = []
+    for j in range(up_to):
+        if j < 2:
+            out.append(Fraction(f(Fraction(j))))
+        else:
+            q, w = q_seq(j), fs_halfwidth(j)
+            out.append(Fraction(f(q)) - (Fraction(f(q - w)) + Fraction(f(q + w))) / 2)
+    return out
+
+
+def _haar_stepforms_loop(f, up_to):
+    # the step-form coefficients written out as one loop over the local
+    # integral differences
+    out = [f.integral(0, 1)]
+    for k in range(1, up_to):
+        left, q, right = haar_support(k)
+        diff = f.integral(left, q) - f.integral(q, right)
+        out.append(diff * (1 << (haar_gen(k) - 1)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4), st.integers(1, 40))
+def test_single_coefficients_match_the_list_builders(seed, scale, up_to):
+    rnd = random.Random(seed)
+    grid = [Fraction(t, 1 << scale) for t in range((1 << scale) + 1)]
+    f = PiecewiseLinear.build(grid, [Fraction(rnd.randrange(-8, 9), 8) for _ in grid])
+    lams = fs_coeffs(f, up_to)
+    assert lams == [fs_coeff(f, j) for j in range(up_to)] == _fs_coeffs_loop(f, up_to)
+    inner = sorted(rnd.sample(grid[1:-1], min(2, len(grid) - 2)))
+    g = StepFn.build([Fraction(0), *inner, Fraction(1)],
+                     [Fraction(rnd.randrange(-8, 9), 4) for _ in range(len(inner) + 1)])
+    exp = haar_coeffs(g, Fraction(2), up_to)
+    assert exp.c == [haar_stepform(g.integral, k) for k in range(up_to)] \
+        == _haar_stepforms_loop(g, up_to)
 
 
 def test_haar_unit_vector_stepform():
