@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .strings import InvalidConfig
+from .strings import InvalidConfig, ceil_lb_ratio
 
 
 def _frac(x) -> Fraction:
@@ -181,32 +181,61 @@ def shifted_p_power_dist(f: StepFn, h: Fraction, p: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # moduli
 
+def _least_moduli(up_to: int, scale: int, rate: Fraction, width: Fraction,
+                  spread: Callable[[Fraction], Fraction]) -> list[int]:
+    """Row n is the least m >= 0 with spread(2^-m) <= 2^-(n*scale), for a
+    non-decreasing spread with spread(h) = h * rate whenever h <= width.
+    Let m_w be the least m with 2^-m <= width.  Every row whose closed form
+    n*scale + ceil(log2 rate) exceeds m_w is that closed form; the rows
+    below it are found by stepping m, which stops by m_w.  A zero rate
+    makes every row 0."""
+    if rate == 0:
+        return [0] * (up_to + 1)
+    tail = ceil_lb_ratio(rate)
+    m_w = max(0, ceil_lb_ratio(1 / width))
+    looped = min(up_to + 1, max(0, (m_w - tail) // scale + 1))
+    table = []
+    m = 0
+    spread_m = spread(Fraction(1)) if looped else None
+    for n in range(looped):
+        target = Fraction(1, 1 << (n * scale))
+        while spread_m > target:
+            m += 1
+            spread_m = spread(Fraction(1, 1 << m))
+        table.append(m)
+    return table + [n * scale + tail for n in range(looped, up_to + 1)]
+
+
 def lp_modulus(f: StepFn, p: int, up_to: int) -> list[int]:
     """Exact least L^p-modulus of a step function, tabulated for n <= up_to:
     mu(n) = least m with sup over 0 < |h| <= 2^-m of the shift distance at
     most 2^-n.  The shift distance in t is piecewise linear with vertices at
-    breakpoint gaps, so the supremum is evaluated at finitely many points."""
+    breakpoint gaps, so the supremum is evaluated at finitely many points.
+    Below the smallest gap g the shifts slide each jump over its own
+    interval, so the p-th power distance is exactly t * sum |jump|^p and
+    the search is needed only for the first rows (see _least_moduli)."""
     gaps = sorted({abs(a - b) for a in f.cuts for b in f.cuts if a != b})
+    dist: dict[Fraction, Fraction] = {}
+
+    def shift_dist(t: Fraction) -> Fraction:
+        if t not in dist:
+            dist[t] = shifted_p_power_dist(f, t, p)
+        return dist[t]
 
     def worst(h: Fraction) -> Fraction:
-        cands = [g for g in gaps if g <= h] + [h]
-        return max(shifted_p_power_dist(f, t, p) for t in cands)
+        return max(shift_dist(t) for t in [g for g in gaps if g <= h] + [h])
 
-    table = []
-    m = 0
-    worst_m = worst(Fraction(1))
-    for n in range(up_to + 1):
-        target = Fraction(1, 1 << (n * p))
-        while worst_m > target:
-            m += 1
-            worst_m = worst(Fraction(1, 1 << m))
-        table.append(m)
-    return table
+    jumps = sum(j ** p for j in f.jump_sizes())
+    return _least_moduli(up_to, p, jumps, gaps[0], worst)
 
 
 def continuity_modulus(f: PiecewiseLinear, up_to: int) -> list[int]:
     """Exact least modulus of continuity of a piecewise-linear function,
-    tabulated for n <= up_to."""
+    tabulated for n <= up_to.  The oscillation is taken over the breakpoint
+    span [xs[0], xs[-1]] only: the carrier is zero outside it, so a nonzero
+    end value is a jump that this modulus does not count.  Within the
+    narrowest segment width the oscillation is h times the largest |slope|,
+    so the search is needed only for the first rows (see _least_moduli)."""
     def osc(h: Fraction) -> Fraction:
         cands = set(f.xs)
         for x in f.xs:
@@ -223,16 +252,9 @@ def continuity_modulus(f: PiecewiseLinear, up_to: int) -> list[int]:
                 best = max(best, abs(fu - vals[j]))
         return best
 
-    table = []
-    m = 0
-    osc_m = osc(Fraction(1))
-    for n in range(up_to + 1):
-        target = Fraction(1, 1 << n)
-        while osc_m > target:
-            m += 1
-            osc_m = osc(Fraction(1, 1 << m))
-        table.append(m)
-    return table
+    widths = [x1 - x0 for x0, x1 in zip(f.xs, f.xs[1:])]
+    slope = max(abs(y1 - y0) / w for y0, y1, w in zip(f.ys, f.ys[1:], widths))
+    return _least_moduli(up_to, 1, slope, min(widths), osc)
 
 
 def modulus_fn(table: list[int]) -> Callable[[int], int]:

@@ -273,6 +273,18 @@ def ceil_lb(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def ceil_lb_ratio(r) -> int:
+    """Exact ceiling of the base-2 logarithm of a positive rational: the
+    least integer k with r <= 2^k (negative when r < 1/2)."""
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError(f"ceil_lb_ratio needs r > 0, got {r}")
+    a, b = r.numerator, r.denominator
+    # 2^(k-1) < a/b < 2^(k+1), so the answer is k or k + 1
+    k = a.bit_length() - b.bit_length()
+    return k if a << max(-k, 0) <= b << max(k, 0) else k + 1
+
+
 def floor_lb(n: int) -> int:
     if n < 1:
         raise ValueError("floor_lb needs n >= 1")

@@ -1,9 +1,11 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from metrent import funcs
 from metrent.funcs import (PiecewiseLinear, StepFn, approx_check, chi,
                            continuity_modulus, lp_modulus,
                            lp_modulus_shift_check, modulus_fn, p_power_dist,
@@ -194,13 +196,23 @@ def _continuity_modulus_reevaluating(f, up_to):
     return table
 
 
+# breakpoints on dyadic and non-dyadic grids, spans that need not start at 0
+# or fit in [0, 1], and non-dyadic values
+breakpoints = st.builds(
+    lambda start, den, ks: [start + Fraction(k, den) for k in sorted(ks)],
+    st.integers(-8, 8).map(lambda k: Fraction(k, 8)), st.sampled_from([4, 12, 16]),
+    st.lists(st.integers(0, 24), min_size=2, max_size=6, unique=True))
+rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3, 4, 5, 8]))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(1, 16), min_size=1, max_size=6, unique=True),
-       st.lists(st.integers(-16, 16), min_size=8, max_size=8),
-       st.integers(0, 8))
-def test_continuity_modulus_matches_reevaluating_osc(cuts, ys, up_to):
-    xs = [Fraction(0)] + sorted(Fraction(c, 16) for c in cuts if c < 16) + [Fraction(1)]
-    f = PiecewiseLinear.build(xs, [Fraction(y, 8) for y in ys[:len(xs)]])
+@given(breakpoints, st.lists(rationals, min_size=6, max_size=6), st.integers(0, 24))
+@example([0, Fraction(1, 2), 1], [0, 0, 0], 24)
+@example([Fraction(1, 3), Fraction(5, 3)], [Fraction(-2, 5), Fraction(7, 3)], 24)
+@example([Fraction(3, 8), Fraction(1, 2), Fraction(7, 8), Fraction(9, 4)],
+         [Fraction(1, 3), Fraction(-1, 5), 0, Fraction(5, 4)], 24)
+def test_continuity_modulus_matches_reevaluating_osc(xs, ys, up_to):
+    f = PiecewiseLinear.build(xs, ys[:len(xs)])
     assert continuity_modulus(f, up_to) == _continuity_modulus_reevaluating(f, up_to)
 
 
@@ -221,11 +233,102 @@ def _lp_modulus_per_n(f, p, up_to):
     return table
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3]), st.integers(0, 8))
-def test_lp_modulus_matches_per_n_recomputation(seed, p, up_to):
-    f = rand_step(random.Random(seed))
+@settings(max_examples=40, deadline=None)
+@given(breakpoints, st.lists(rationals, min_size=5, max_size=5),
+       st.sampled_from([1, 2, 3]), st.integers(0, 24))
+@example([0, Fraction(1, 2), 1], [0, 0], 3, 24)
+@example([Fraction(-1, 3), Fraction(2, 3)], [Fraction(7, 5)], 2, 24)
+@example([Fraction(3, 8), Fraction(1, 2), Fraction(7, 8), Fraction(9, 4)],
+         [Fraction(1, 3), Fraction(-1, 5), Fraction(5, 4)], 1, 24)
+def test_lp_modulus_matches_per_n_recomputation(cuts, levels, p, up_to):
+    f = StepFn.build(cuts, levels[:len(cuts) - 1])
     assert lp_modulus(f, p, up_to) == _lp_modulus_per_n(f, p, up_to)
+
+
+def test_moduli_strict_closed_form_bound():
+    # each first row equals its closed form n*p + ceil(log2 rate) = 1 = m_w,
+    # which is not strictly above m_w, so the search finds the smaller 0
+    tent = PiecewiseLinear.build([0, Fraction(1, 2), 1], [0, 1, 0])
+    assert continuity_modulus(tent, 4) == [0, 2, 3, 4, 5]
+    half = StepFn.build([0, Fraction(1, 2), 1], [1, 0])
+    assert lp_modulus(half, 2, 3) == [0, 3, 5, 7]
+
+
+def test_lp_modulus_computes_each_shift_distance_once(monkeypatch):
+    shifts = []
+
+    def counted(f, t, p):
+        shifts.append(t)
+        return shifted_p_power_dist(f, t, p)
+
+    monkeypatch.setattr(funcs, "shifted_p_power_dist", counted)
+    rnd = random.Random(8)
+    for scale in (2, 3, 2, 3, 2):
+        pool = [Fraction(k, 1 << scale) for k in range(1, 1 << scale)]
+        cuts = [Fraction(0)] + sorted(rnd.sample(pool, 2)) + [Fraction(1)]
+        f = StepFn.build(cuts, [Fraction(rnd.randrange(-4, 5), 2) for _ in range(3)])
+        shifts.clear()
+        assert lp_modulus(f, 2, 16) == _lp_modulus_per_n(f, 2, 16)
+        assert len(shifts) == len(set(shifts)), (f, sorted(shifts))
+
+
+# ---------------------------------------------------------------------------
+# golden modulus tables: C09- and C10-shaped corpora at up_to 24
+
+MODULI_GOLDEN = pathlib.Path(__file__).parent / "data" / "moduli.golden"
+
+
+def _c09_step_corpus():
+    rnd = random.Random(9)
+    out = []
+    for _ in range(100):
+        scale = rnd.randrange(2, 5)
+        pool = [Fraction(k, 1 << scale) for k in range(1, 1 << scale)]
+        cuts = [Fraction(0)] + sorted(rnd.sample(pool, min(3, len(pool)))) + [Fraction(1)]
+        out.append(StepFn.build(cuts, [Fraction(rnd.randrange(-8, 9), 4)
+                                       for _ in range(len(cuts) - 1)]))
+    return out
+
+
+def _c10_corpora():
+    rnd = random.Random(10)
+    pls = []
+    for _ in range(25):
+        scale = rnd.randrange(1, 4)
+        grid = [Fraction(t, 1 << scale) for t in range((1 << scale) + 1)]
+        pls.append(PiecewiseLinear.build(grid, [Fraction(rnd.randrange(-8, 9), 8)
+                                                for _ in grid]))
+    steps = []
+    for _ in range(25):
+        scale = rnd.randrange(2, 4)
+        pool = [Fraction(k, 1 << scale) for k in range(1, 1 << scale)]
+        cuts = [Fraction(0)] + sorted(rnd.sample(pool, min(2, len(pool)))) + [Fraction(1)]
+        steps.append(StepFn.build(cuts, [Fraction(rnd.randrange(-4, 5), 2)
+                                         for _ in range(len(cuts) - 1)]))
+    return pls, steps
+
+
+def _moduli_golden_text(up_to=24):
+    """One line per table: which modulus, the function's breakpoints and
+    values, then the table."""
+    def line(kind, xs, ys, table):
+        return (f"{kind} xs={','.join(map(str, xs))} ys={','.join(map(str, ys))}: "
+                f"{' '.join(map(str, table))}\n")
+
+    out = []
+    for f in _c09_step_corpus():
+        for p in (1, 2):
+            out.append(line(f"c09 lp p={p}", f.cuts, f.levels, lp_modulus(f, p, up_to)))
+    pls, steps = _c10_corpora()
+    for f in pls:
+        out.append(line("c10 continuity", f.xs, f.ys, continuity_modulus(f, up_to)))
+    for f in steps:
+        out.append(line("c10 lp p=2", f.cuts, f.levels, lp_modulus(f, 2, up_to)))
+    return "".join(out)
+
+
+def test_moduli_match_golden_bytes():
+    assert _moduli_golden_text().encode() == MODULI_GOLDEN.read_bytes()
 
 
 def test_csv_roundtrip(tmp_path):

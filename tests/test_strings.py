@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from metrent.strings import (Dyadic, MalformedEncoding, all_strings, ceil_lb,
-                             decode_int, encode_int, floor_lb, is_binstr, nat_str,
-                             parse_nat, proj, proj_value, round_half_away,
-                             str_len, tuple_list, tuple_strs, untuple)
+                             ceil_lb_ratio, decode_int, encode_int, floor_lb,
+                             is_binstr, nat_str, parse_nat, proj, proj_value,
+                             round_half_away, str_len, tuple_list, tuple_strs,
+                             untuple)
 
 binstr = st.text(alphabet="01", max_size=7)
 
@@ -220,3 +221,36 @@ def test_round_half_away():
 def test_lb_helpers():
     assert [ceil_lb(i) for i in (0, 1, 2, 3, 4, 5)] == [0, 0, 1, 2, 2, 3]
     assert [floor_lb(i) for i in (1, 2, 3, 4)] == [0, 1, 1, 2]
+
+
+def _ceil_lb_by_search(r: Fraction) -> int:
+    """Least k with r <= 2^k, found by stepping k from 0."""
+    k = 0
+    while r > Fraction(2) ** k:
+        k += 1
+    while r <= Fraction(2) ** (k - 1):
+        k -= 1
+    return k
+
+
+def test_ceil_lb_ratio_examples():
+    cases = {Fraction(1): 0, Fraction(2): 1, Fraction(3): 2, Fraction(1, 2): -1,
+             Fraction(3, 4): 0, Fraction(1, 3): -1, Fraction(1, 4): -2,
+             Fraction(5, 4): 1, Fraction(1, 1 << 40): -40}
+    for r, k in cases.items():
+        assert ceil_lb_ratio(r) == k, r
+    assert ceil_lb_ratio(5) == ceil_lb(5)
+    for bad in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            ceil_lb_ratio(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 12), st.integers(1, 10 ** 12), st.integers(-40, 40))
+@example(1, 1, 0)
+@example(1, 1, 17)
+@example(1, 1, -17)
+@example(3, 1, -2)
+def test_ceil_lb_ratio_matches_power_search(a, b, shift):
+    r = Fraction(a, b) * Fraction(2) ** shift
+    assert ceil_lb_ratio(r) == _ceil_lb_by_search(r)
