@@ -12,6 +12,7 @@ import csv
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable
 
 from .strings import InvalidConfig, ceil_lb_ratio
@@ -215,18 +216,17 @@ def lp_modulus(f: StepFn, p: int, up_to: int) -> list[int]:
     interval, so the p-th power distance is exactly t * sum |jump|^p and
     the search is needed only for the first rows (see _least_moduli)."""
     gaps = sorted({abs(a - b) for a in f.cuts for b in f.cuts if a != b})
-    dist: dict[Fraction, Fraction] = {}
 
+    @cache
     def shift_dist(t: Fraction) -> Fraction:
-        if t not in dist:
-            dist[t] = shifted_p_power_dist(f, t, p)
-        return dist[t]
+        return shifted_p_power_dist(f, t, p)
 
     def worst(h: Fraction) -> Fraction:
         return max(shift_dist(t) for t in [g for g in gaps if g <= h] + [h])
 
     jumps = sum(j ** p for j in f.jump_sizes())
-    return _least_moduli(up_to, p, jumps, gaps[0], worst)
+    # a single cut has no gaps, and its zero jump sum makes every row 0
+    return _least_moduli(up_to, p, jumps, min(gaps, default=Fraction(1)), worst)
 
 
 def continuity_modulus(f: PiecewiseLinear, up_to: int) -> list[int]:

@@ -201,16 +201,18 @@ def _continuity_modulus_reevaluating(f, up_to):
 breakpoints = st.builds(
     lambda start, den, ks: [start + Fraction(k, den) for k in sorted(ks)],
     st.integers(-8, 8).map(lambda k: Fraction(k, 8)), st.sampled_from([4, 12, 16]),
-    st.lists(st.integers(0, 24), min_size=2, max_size=6, unique=True))
-rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3, 4, 5, 8]))
+    st.lists(st.integers(0, 24), min_size=2, max_size=8, unique=True))
+rationals = st.builds(Fraction, st.integers(-16, 16), st.sampled_from([1, 3, 4, 5, 8]))
 
 
 @settings(max_examples=40, deadline=None)
-@given(breakpoints, st.lists(rationals, min_size=6, max_size=6), st.integers(0, 24))
+@given(breakpoints, st.lists(rationals, min_size=8, max_size=8), st.integers(0, 24))
 @example([0, Fraction(1, 2), 1], [0, 0, 0], 24)
 @example([Fraction(1, 3), Fraction(5, 3)], [Fraction(-2, 5), Fraction(7, 3)], 24)
 @example([Fraction(3, 8), Fraction(1, 2), Fraction(7, 8), Fraction(9, 4)],
          [Fraction(1, 3), Fraction(-1, 5), 0, Fraction(5, 4)], 24)
+@example([Fraction(k, 16) for k in (0, 1, 2, 3, 5, 8, 13, 16)],
+         [Fraction(y, 8) for y in (15, -13, 14, 0, -16, 9, 13, -15)], 24)
 def test_continuity_modulus_matches_reevaluating_osc(xs, ys, up_to):
     f = PiecewiseLinear.build(xs, ys[:len(xs)])
     assert continuity_modulus(f, up_to) == _continuity_modulus_reevaluating(f, up_to)
@@ -234,12 +236,15 @@ def _lp_modulus_per_n(f, p, up_to):
 
 
 @settings(max_examples=40, deadline=None)
-@given(breakpoints, st.lists(rationals, min_size=5, max_size=5),
+@given(breakpoints, st.lists(rationals, min_size=7, max_size=7),
        st.sampled_from([1, 2, 3]), st.integers(0, 24))
 @example([0, Fraction(1, 2), 1], [0, 0], 3, 24)
+@example([Fraction(1, 3)], [], 2, 24)
 @example([Fraction(-1, 3), Fraction(2, 3)], [Fraction(7, 5)], 2, 24)
 @example([Fraction(3, 8), Fraction(1, 2), Fraction(7, 8), Fraction(9, 4)],
          [Fraction(1, 3), Fraction(-1, 5), Fraction(5, 4)], 1, 24)
+@example([Fraction(k, 16) for k in (0, 1, 2, 5, 11, 16)],
+         [Fraction(y, 4) for y in (8, -7, 3, -8, 5)], 3, 24)
 def test_lp_modulus_matches_per_n_recomputation(cuts, levels, p, up_to):
     f = StepFn.build(cuts, levels[:len(cuts) - 1])
     assert lp_modulus(f, p, up_to) == _lp_modulus_per_n(f, p, up_to)
