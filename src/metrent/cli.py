@@ -61,10 +61,13 @@ def _parse_l_table(spec: str):
         raise ConfigError(f"bad length table {spec!r}: {e}") from e
 
 
-def _sample_dyadics(count: int, seed: int, scale: int = 8):
+_SAMPLE_SCALE = 8
+
+
+def _sample_numerators(count: int, seed: int) -> list[int]:
+    """Numerators k of the sample points k / 2^_SAMPLE_SCALE in [0, 1]."""
     rnd = random.Random(seed)
-    return [Fraction(rnd.randrange(0, (1 << scale) + 1), 1 << scale)
-            for _ in range(count)]
+    return [rnd.randrange(0, (1 << _SAMPLE_SCALE) + 1) for _ in range(count)]
 
 
 def _open_out(path: str):
@@ -93,13 +96,15 @@ def cmd_entropy(args) -> int:
         raise ConfigError(f"unknown representation {args.rep!r}")
     l = _parse_l_table(args.l_table)
     M = unit_interval_space()
-    points = _sample_dyadics(args.samples, args.seed)
+    ks = _sample_numerators(args.samples, args.seed)
+    points = [Fraction(k, 1 << _SAMPLE_SCALE) for k in ks]
     names = [cauchy_name(M, unit_interval_short_approx(x)) for x in points]
     metric = cauchy_metric_program(M)
     eq_prog, T_eq = equality_from_metric(metric, cauchy_metric_time())
     budget = RunningTime(lambda lf, n: 8 * T_eq.bound(lf, n) + 8,
                          label="8*T+8", monotone=True)
-    cloud = PointCloud(points, lambda i, j: abs(points[i] - points[j])) \
+    cloud = PointCloud(points, lambda i, j: Fraction(abs(ks[i] - ks[j]),
+                                                      1 << _SAMPLE_SCALE)) \
         if points else None
     delta = ApproxSetSpec([Fraction(1)] + [
         Fraction(1, 1 << n) for n in range(1, args.n_max + 6)])

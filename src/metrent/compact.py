@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil
 from typing import Callable
 
 from .baire import LengthFn, Name
@@ -24,9 +23,9 @@ from .entropy import (PointCloud, SizeExceeded, covering_number,
 from .funcs import PiecewiseLinear, modulus_fn, sup_dist_pl
 from .machine import (Ctx, RunningTime, const_time, exp_max_time,
                       need_evaluator, paired, precision_input, quarter_round)
-from .reprs import MetricSpaceSpec, metric_answer, metric_query
+from .reprs import MetricSpaceSpec, _line_dist, metric_answer, metric_query
 from .strings import (ContractError, Dyadic, InvalidConfig, MalformedName,
-                      ceil_lb, decode_int, floor_lb, nat_str, parse_nat,
+                      ceil_lb, decode_int, nat_str, parse_nat,
                       parse_nats, proj_value, tuple_strs, untuple)
 
 
@@ -38,15 +37,30 @@ class ParameterViolation(ContractError, ValueError):
 # ---------------------------------------------------------------------------
 # dyadic enumeration of [0, 1]
 
+def _q_node(i: int) -> tuple[int, int]:
+    """(c, s) with q_i = c / 2^s: past 0 and 1, node i is the odd numerator
+    c = 2i - 2^s - 1 at the level s given by the bit length of i - 1."""
+    if i < 2:
+        if i < 0:
+            raise ValueError("index must be non-negative")
+        return i, 0
+    s = (i - 1).bit_length()
+    return 2 * i - (1 << s) - 1, s
+
+
 def q_seq(i: int) -> Fraction:
     """The node enumeration 0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, 5/8, 7/8, ..."""
-    if i < 0:
-        raise ValueError("index must be non-negative")
-    if i == 0:
-        return Fraction(0)
-    if i == 1:
-        return Fraction(1)
-    return Fraction(2 * (i - (1 << floor_lb(i - 1))) - 1, 1 << ceil_lb(i))
+    c, s = _q_node(i)
+    return Fraction(c, 1 << s)
+
+
+def _q_dist(i: int, j: int, precision: int) -> Fraction:
+    """|q_i - q_j| exactly, with both nodes put on the finer of their two
+    grids."""
+    ci, si = _q_node(i)
+    cj, sj = _q_node(j)
+    s = max(si, sj)
+    return Fraction(abs((ci << (s - si)) - (cj << (s - sj))), 1 << s)
 
 
 def q_index(x) -> int:
@@ -79,39 +93,52 @@ def unit_interval_approx(x, n: int) -> int:
     increasing order, so the least index is 0, 1, or the least odd c within
     tolerance at the first level that has one.  By level ceil_lb(n+1) every
     point of [0, 1] has a node within 1/(n+1); a point farther than that
-    from [0, 1] has none and raises ValueError."""
-    x = Fraction(x)
-    tol = Fraction(1, n + 1)
-    if abs(x) <= tol:
+    from [0, 1] has none and raises ValueError.
+
+    All tests run in integers on x = p/q and t = n+1: the candidate at
+    level s is the least odd c >= (x - 1/t) 2^s, and it is within
+    tolerance when (c q - p 2^s) t <= q 2^s."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    t = n + 1
+    if abs(p) * t <= q:
         return 0
-    if abs(x - 1) <= tol:
+    if abs(p - q) * t <= q:
         return 1
-    for s in range(1, max(ceil_lb(n + 1), 1) + 1):
-        c = max(ceil((x - tol) * (1 << s)), 1) | 1
-        if c < 1 << s and Fraction(c, 1 << s) - x <= tol:
+    pt, qt = p * t - q, q * t
+    for s in range(1, max(ceil_lb(t), 1) + 1):
+        c = max(-((-pt << s) // qt), 1) | 1
+        if c < 1 << s and (c * q - (p << s)) * t <= q << s:
             return (1 << (s - 1)) + (c + 1) // 2
-    raise ValueError(f"{x} is farther than 1/{n + 1} from [0, 1]")
+    raise ValueError(f"{x} is farther than 1/{t} from [0, 1]")
 
 
 def unit_interval_short_approx(x) -> Callable[[int], int]:
     """Nearest node among the first 2^|n| at precision n; the answer's
     numeral length stays at most the query's, so the name lies in K_l for
     l(n) = n.  The first 2^k nodes form the dyadic grid of step 2^(1-k),
-    so the nearest one is found from the two grid neighbours, compared in
-    integers: |c/2^s - p/q| is |c*q - p*2^s| / (q*2^s)."""
+    so the nearest one is found from the two grid neighbours lo/2^s and
+    (lo+1)/2^s, compared in integers: |c/2^s - p/q| is |c*q - p*2^s| /
+    (q*2^s), which is r and q - r for p*2^s = lo*q + r."""
     x = Fraction(x)
     p, q = x.numerator, x.denominator
 
     def approx(n: int) -> int:
-        k = len(nat_str(n))
-        if k == 0:
+        s = n.bit_length() - 1
+        if s < 0:
             return 0
-        s = k - 1
         S = 1 << s
-        lo = p * S // q
-        best = min((min(max(c, 0), S) for c in (lo, lo + 1)),
-                   key=lambda c: (abs(c * q - p * S), _grid_index(c, s)))
-        if abs(best * q - p * S) * (n + 1) > q * S:
+        lo, r = divmod(p << s, q)
+        if lo < 0:
+            best = 0
+        elif lo >= S:
+            best = S
+        else:
+            # a tie goes to the even neighbour: its level is coarser, so
+            # its index is the smaller one
+            best = lo + (2 * r > q or (2 * r == q and lo & 1))
+        if abs(best * q - (p << s)) * (n + 1) > q * S:
             raise ParameterViolation(f"no admissible short index at precision {n}")
         return _grid_index(best, s)
 
@@ -122,8 +149,8 @@ def unit_interval_space() -> MetricSpaceSpec:
     return MetricSpaceSpec(
         label="unit-interval",
         point=q_seq,
-        dist=lambda i, j, precision: abs(q_seq(i) - q_seq(j)),
-        exact_dist=lambda a, b: abs(Fraction(a) - Fraction(b)),
+        dist=_q_dist,
+        exact_dist=_line_dist,
         approx_index=lambda x, n: unit_interval_approx(x, n),
     )
 

@@ -14,13 +14,12 @@ caller-certified bound on the oracle's length function and a is the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from .baire import LengthFn, Name
 from .strings import (ContractError, InvalidConfig, MalformedName, all_strings,
                       decode_int, encode_int, nat_str, parse_nat,
-                      round_half_away, tuple_list, tuple_strs)
+                      round_ratio, tuple_list, tuple_strs)
 
 
 class ContractViolation(ContractError):
@@ -152,7 +151,7 @@ def paired(parsed):
 def quarter_round(z: int) -> str:
     """The encoded integer round(z/4): a value read at precision 4n+3 put
     on the output grid of precision n."""
-    return encode_int(round_half_away(Fraction(z, 4)))
+    return encode_int(round_ratio(z, 4))
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .baire import LengthFn, Name, pair_names
 from .machine import Ctx, RunningTime, paired, precision_input, quarter_round
 from .strings import (Dyadic, InvalidConfig, MalformedName, decode_int,
                       encode_int, nat_str, parse_nat, parse_nats, proj_value,
-                      round_half_away, tuple_strs)
+                      round_ratio, tuple_strs)
 
 
 # ---------------------------------------------------------------------------
@@ -31,14 +31,25 @@ class MetricSpaceSpec:
 
     ``dist(i, j, precision)`` returns a rational within 1/(precision+1) of
     d(r_i, r_j); for the library's dyadic spaces it is exact.  ``exact_dist``
-    compares arbitrary points exactly and is the test oracle.
+    compares arbitrary points exactly: metric queries are answered and
+    names validated with it, so every space must supply it.
     """
 
     label: str
     point: Callable[[int], object]
     dist: Callable[[int, int, int], Fraction]
-    exact_dist: Callable[[object, object], Fraction] | None = None
+    exact_dist: Callable[[object, object], Fraction]
     approx_index: Callable[[object, int], int] | None = None
+
+
+def _line_dist(a, b) -> Fraction:
+    """|a - b| on the real line; only operands that are not Fractions yet
+    are converted."""
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    if not isinstance(b, Fraction):
+        b = Fraction(b)
+    return abs(a - b)
 
 
 def _zigzag(z: int) -> int:
@@ -81,7 +92,7 @@ def dyadic_line_space() -> MetricSpaceSpec:
         label="dyadic-line",
         point=dyadic_line_point,
         dist=dist,
-        exact_dist=lambda a, b: abs(Fraction(a) - Fraction(b)),
+        exact_dist=_line_dist,
         approx_index=approx,
     )
 
@@ -98,7 +109,7 @@ def real_name(x: Dyadic | Fraction, label: str = "") -> Name:
         n = parse_nat(a)
         if n is None:
             return ""
-        return encode_int(round_half_away(xf * (n + 1)))
+        return encode_int(round_ratio(xf.numerator * (n + 1), xf.denominator))
 
     return Name(fn, label=label or f"real({xf})")
 
@@ -178,7 +189,7 @@ def cauchy_metric(phi: Name, psi: Name, n: int, M: MetricSpaceSpec) -> str:
     i = cauchy_index(phi, 4 * n + 3)
     j = cauchy_index(psi, 4 * n + 3)
     v = M.dist(i, j, 2 * n + 1)
-    return encode_int(round_half_away(v * (n + 1)))
+    return encode_int(round_ratio(v.numerator * (n + 1), v.denominator))
 
 
 def cauchy_metric_program(M: MetricSpaceSpec) -> Callable[[Ctx], None]:
@@ -189,7 +200,7 @@ def cauchy_metric_program(M: MetricSpaceSpec) -> Callable[[Ctx], None]:
         i, j = paired(parse_nats(2, ans))
         ctx.tick(len(ans) + len(ctx.input) + 4)
         v = M.dist(i, j, 2 * n + 1)
-        ctx.emit(encode_int(round_half_away(v * (n + 1))))
+        ctx.emit(encode_int(round_ratio(v.numerator * (n + 1), v.denominator)))
     return prog
 
 
@@ -237,7 +248,7 @@ def metric_answer(M: MetricSpaceSpec, rest: str) -> str:
         return ""
     i, j, n = idx
     d = M.exact_dist(M.point(i), M.point(j))
-    return encode_int(round_half_away(d * (n + 1)))
+    return encode_int(round_ratio(d.numerator * (n + 1), d.denominator))
 
 
 def relativized_metric_program() -> Callable[[Ctx], None]:

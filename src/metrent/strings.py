@@ -191,12 +191,17 @@ def tuple_list(parts) -> str:
 # ---------------------------------------------------------------------------
 # exact dyadic rationals
 
-def round_half_away(x: Fraction) -> int:
-    """Nearest integer with ties rounded away from zero."""
-    n, d = x.numerator, x.denominator
+def round_ratio(n: int, d: int) -> int:
+    """Nearest integer to n/d (d > 0) with ties rounded away from zero; n/d
+    need not be in lowest terms."""
     if n >= 0:
         return (2 * n + d) // (2 * d)
     return -((-2 * n + d) // (2 * d))
+
+
+def round_half_away(x: Fraction) -> int:
+    """Nearest integer with ties rounded away from zero."""
+    return round_ratio(x.numerator, x.denominator)
 
 
 class Dyadic:

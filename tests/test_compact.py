@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from metrent.baire import in_kl, length_of, pair_names
 from metrent.banach import (BanachReprParams, banach_name, delta_square_name,
                             dsq_to_xi, fs_vector, haar_vector, lp_name,
                             lp_to_xi)
-from metrent.compact import (CompactReprParams, ParameterViolation,
+from metrent.compact import (CompactReprParams, ParameterViolation, _q_node,
                              _with_length_branch, check_uniformly_dense,
                              compact_decode_index, compact_metric,
                              compact_metric_program, compact_metric_time,
@@ -25,7 +26,7 @@ from metrent.funcs import (PiecewiseLinear, StepFn, continuity_modulus,
 from metrent.machine import const_time, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem
 from metrent.reprs import cauchy_validate
-from metrent.strings import decode_int, nat_str, tuple_strs
+from metrent.strings import ceil_lb, decode_int, floor_lb, nat_str, tuple_strs
 
 
 def params_unit(S=None):
@@ -40,6 +41,26 @@ def test_q_seq_paper_values():
     assert q_seq(2) == Fraction(1, 2)
     assert q_seq(6) == Fraction(3, 8)
     assert q_seq(9) == Fraction(1, 16)
+
+
+def test_q_node_matches_fraction_formula():
+    """The integer node (c, s) against the closed form in floor and ceiling
+    logarithms that q_seq used to evaluate in Fractions."""
+    assert [_q_node(i) for i in range(2)] == [(0, 0), (1, 0)]
+    assert [q_seq(i) for i in range(2)] == [0, 1]
+    for i in range(2, 1 << 12):
+        ref = Fraction(2 * (i - (1 << floor_lb(i - 1))) - 1, 1 << ceil_lb(i))
+        c, s = _q_node(i)
+        assert c % 2 == 1 and Fraction(c, 1 << s) == ref == q_seq(i), i
+    with pytest.raises(ValueError):
+        q_seq(-1)
+
+
+def test_unit_interval_dist_matches_node_difference():
+    M = unit_interval_space()
+    for i in range(200):
+        for j in range(200):
+            assert M.dist(i, j, 0) == abs(q_seq(i) - q_seq(j)), (i, j)
 
 
 def test_q_index_inverse():
@@ -131,15 +152,51 @@ def _approx_by_scan(x, n):
     return i
 
 
+def _approx_by_fractions(x, n):
+    """Reference for unit_interval_approx: its level loop in Fractions."""
+    x = Fraction(x)
+    tol = Fraction(1, n + 1)
+    if abs(x) <= tol:
+        return 0
+    if abs(x - 1) <= tol:
+        return 1
+    for s in range(1, max(ceil_lb(n + 1), 1) + 1):
+        c = max(math.ceil((x - tol) * (1 << s)), 1) | 1
+        if c < 1 << s and Fraction(c, 1 << s) - x <= tol:
+            return (1 << (s - 1)) + (c + 1) // 2
+    raise ValueError(f"{x} is farther than 1/{n + 1} from [0, 1]")
+
+
+# compact names query their approximation indices at precision 8n+7, which
+# reaches 71 for n = 8; the draw of n covers that
 @settings(max_examples=300, deadline=None)
 @given(st.fractions(-Fraction(1, 2), Fraction(3, 2), max_denominator=1 << 10),
-       st.integers(0, 40))
+       st.integers(0, 80))
 def test_unit_interval_approx_matches_scan(x, n):
     if x < -Fraction(1, n + 1) or x > 1 + Fraction(1, n + 1):
         with pytest.raises(ValueError):
             unit_interval_approx(x, n)
+        with pytest.raises(ValueError):
+            _approx_by_fractions(x, n)
     else:
-        assert unit_interval_approx(x, n) == _approx_by_scan(x, n)
+        assert unit_interval_approx(x, n) == _approx_by_scan(x, n) \
+            == _approx_by_fractions(x, n)
+
+
+def test_unit_interval_approx_matches_fraction_loop_on_a_grid():
+    """Every p/q with q <= 12 in [-1, 2], at every precision up to 80; the
+    grid holds the exact tolerance boundaries x = k/(n+1) for n < 12."""
+    for q in range(1, 13):
+        for p in range(-q, 2 * q + 1):
+            x = Fraction(p, q)
+            for n in range(81):
+                try:
+                    ref = _approx_by_fractions(x, n)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        unit_interval_approx(x, n)
+                else:
+                    assert unit_interval_approx(x, n) == ref, (x, n)
 
 
 @pytest.mark.parametrize("x, n", [(5, 3), (Fraction(-1, 2), 2), (Fraction(5, 2), 0)])

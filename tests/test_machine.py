@@ -8,10 +8,11 @@ from metrent.machine import (BudgetExceeded, ContractViolation, RunningTime,
                              dialog_length_bound, equality_from_metric,
                              exp_max_time, first_order, is_time_constructible,
                              length_time_by_convention, length_time_by_scan,
-                             metered_run)
+                             metered_run, quarter_round)
 from metrent.reprs import cauchy_metric_program, cauchy_metric_time
 from metrent.compact import unit_interval_short_approx, unit_interval_space
 from metrent.reprs import cauchy_name
+from metrent.strings import encode_int, round_half_away
 
 
 def copy_program(ctx):
@@ -169,3 +170,8 @@ def test_equality_sixteenth():
             assert out == "0"
     assert run_eq(M, prog, budget, Fraction(0), d, 2) == "1"
     assert run_eq(M, prog, budget, Fraction(0), d, 4) == "0"
+
+
+def test_quarter_round_matches_fraction_rounding():
+    for z in range(-300, 301):
+        assert quarter_round(z) == encode_int(round_half_away(Fraction(z, 4))), z

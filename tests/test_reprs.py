@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from metrent.baire import Name, constant_name, in_kl, pair_names, split_pair
-from metrent.compact import unit_interval_approx, unit_interval_space
-from metrent.reprs import (MalformedName, box_product_length, cauchy_metric,
-                           cauchy_name, cauchy_validate, co_re_reject,
-                           dyadic_line_index, dyadic_line_point,
+from metrent.compact import q_seq, unit_interval_approx, unit_interval_space
+from metrent.reprs import (MalformedName, MetricSpaceSpec, box_product_length,
+                           cauchy_metric, cauchy_name, cauchy_validate,
+                           co_re_reject, dyadic_line_index, dyadic_line_point,
                            dyadic_line_space, product_name_list, real_decode,
                            real_name, real_validate, relativized_cauchy_name)
 from metrent.strings import Dyadic, all_strings, encode_int, nat_str
@@ -184,3 +184,19 @@ def test_co_re_reject_limitless_prefix_stays_undecided():
 
     phi = cauchy_name(M, third_approx)
     assert co_re_reject(phi, M, budget=200) == ("undecided", None)
+
+
+def test_space_without_exact_dist_is_refused():
+    """Metric queries and validators call exact_dist unguarded, so a spec
+    that lacks it fails where it is built, not at its first metric query."""
+    with pytest.raises(TypeError):
+        MetricSpaceSpec("bare", q_seq, lambda i, j, precision: abs(q_seq(i) - q_seq(j)),
+                        approx_index=unit_interval_approx)
+
+
+def test_line_spaces_share_one_exact_distance():
+    d = unit_interval_space().exact_dist
+    assert dyadic_line_space().exact_dist is d
+    assert d(Fraction(1, 4), Fraction(3, 4)) == Fraction(1, 2)
+    assert d(1, Fraction(3, 8)) == d(Fraction(3, 8), 1) == Fraction(5, 8)
+    assert d(-2, 3) == 5 and isinstance(d(-2, 3), Fraction)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from metrent.strings import (Dyadic, MalformedEncoding, all_strings, ceil_lb,
                              ceil_lb_ratio, decode_int, encode_int, floor_lb,
                              is_binstr, nat_str, parse_nat, proj, proj_value,
-                             round_half_away, str_len, tuple_list, tuple_strs,
+                             round_half_away, round_ratio, str_len, tuple_list,
+                             tuple_strs,
                              untuple)
 
 binstr = st.text(alphabet="01", max_size=7)
@@ -216,6 +218,32 @@ def test_round_half_away():
     assert round_half_away(Fraction(3, 4)) == 1
     assert round_half_away(Fraction(1, 4)) == 0
     assert round_half_away(Fraction(-5, 2)) == -3
+
+
+def _round_by_floor(x: Fraction) -> int:
+    """Reference rounding: floor(|x| + 1/2) with the sign of x."""
+    r = math.floor(abs(x) + Fraction(1, 2))
+    return r if x >= 0 else -r
+
+
+@given(st.integers(-1 << 40, 1 << 40), st.integers(1, 1 << 20), st.integers(1, 9))
+@example(1, 2, 1)
+@example(-1, 2, 1)
+@example(-5, 2, 3)
+@example(7, 4, 6)
+@example(0, 3, 5)
+def test_round_ratio_matches_round_half_away(n, d, k):
+    """n*k / d*k is n/d unreduced by the factor k."""
+    expect = round_half_away(Fraction(n, d))
+    assert round_ratio(n * k, d * k) == expect == _round_by_floor(Fraction(n, d))
+
+
+@given(st.integers(-1 << 30, 1 << 30), st.integers(1, 1 << 10))
+def test_round_ratio_sends_half_ties_away_from_zero(m, k):
+    """(2m+1)/2, written unreduced as (2m+1)k / 2k."""
+    expect = m + 1 if m >= 0 else m
+    assert round_ratio((2 * m + 1) * k, 2 * k) == expect \
+        == round_half_away(Fraction(2 * m + 1, 2))
 
 
 def test_lb_helpers():
