@@ -24,10 +24,10 @@ from .funcs import PiecewiseLinear, StepFn
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
 from .schauder import (FSSystem, HaarExpansion, HaarSystem, RootSum,
-                       ScaledVal, _scale_of, fs_coeff, fs_coeffs, fs_eval,
-                       fs_nonzero_indices, fs_partial_sum_pl, haar_coeffs,
-                       haar_gen, haar_integral, haar_scale_exp, haar_stepform,
-                       sup_error)
+                       ScaledVal, _scale_of, _tight_bounds, fs_coeff,
+                       fs_coeffs, fs_eval, fs_nonzero_indices,
+                       fs_partial_sum_pl, haar_coeffs, haar_gen, haar_integral,
+                       haar_scale_exp, haar_stepform, sup_error)
 from .strings import (MalformedName, ceil_lb, decode_int, encode_int,
                       nat_str, parse_nat, parse_nats, proj_value,
                       round_half_away, tuple_list, tuple_strs, untuple)
@@ -76,26 +76,6 @@ def haar_vector(f: StepFn, p: Fraction) -> HaarExpansion:
     return haar_coeffs(f, p, 1 << scale)
 
 
-def _round_scaled(v: ScaledVal, factor: int) -> int:
-    """round(v * factor) with ties away from zero, within 1/2 + 2^-16 of
-    the exact product."""
-    s = RootSum.of(ScaledVal(v.coef * factor, v.exp2))
-    lo, hi = _tight_bounds(s.bounds, Fraction(1, 1 << 16))
-    return round_half_away((lo + hi) / 2)
-
-
-def _tight_bounds(enclose: Callable[[int], tuple[Fraction, Fraction]],
-                  width: Fraction) -> tuple[Fraction, Fraction]:
-    """The first enclosure enclose(prec), for prec = 24, 48, 96, ..., that
-    is at most ``width`` wide."""
-    prec = 24
-    while True:
-        lo, hi = enclose(prec)
-        if hi - lo <= width:
-            return lo, hi
-        prec *= 2
-
-
 # ---------------------------------------------------------------------------
 # name generation
 
@@ -108,30 +88,16 @@ def banach_name(vec, params: BanachReprParams, system, ell: LengthFn,
     whenever the span budget S(ell, |n|) cannot hold the vector's support
     within precision 1/(n+1) the name raises ParameterViolation.
     """
-    is_haar = isinstance(system, HaarSystem)
-
     @cache
     def tail_ok(n: int) -> bool:
         cutoff = params.S.bound(ell, len(nat_str(n))) + 1
-        if is_haar:
-            tail = [Fraction(0)] * cutoff + [
-                vec.lam(k) for k in range(cutoff, len(vec.c))]
-            if all(isinstance(t, Fraction) or t.coef == 0 for t in tail[cutoff:]):
-                return True
-            lo, hi = system.norm_bounds(tail)
-            return hi <= Fraction(1, n + 1)
-        if all(l == 0 for l in vec[cutoff:]):
-            return True
-        return system.tail_sup(vec, cutoff) <= Fraction(1, n + 1)
+        return system.tail_within(vec, cutoff, Fraction(1, n + 1))
 
     def coeff(i: int, n: int, m: int) -> int:
         if not tail_ok(n):
             raise ParameterViolation(
                 f"span budget at precision {n} cannot approximate the vector")
-        if is_haar:
-            return _round_scaled(vec.lam(i), m + 1)
-        lam = vec[i] if i < len(vec) else Fraction(0)
-        return round_half_away(lam * (m + 1))
+        return system.coeff_int(vec, i, m + 1)
 
     def branch(a: str) -> str:
         return _xi_answer(a, coeff, system)

@@ -10,23 +10,25 @@ representation boundaries.
 
 Synthesis is linear in the number of coefficients.  Hat partial sums
 follow the node recurrence V(q_j) = lam_j + (V(q_j - w_j) + V(q_j + w_j))/2
-(``fs_partial_sum_pl``); Haar combinations are built coarse to fine as a
-pyramid, where each element splits its support cell into two halves that
-inherit the parent value plus or minus the element's value
+on integer numerators over one denominator (``_hat_nodes``), so the sup
+norm is one ``max`` over integers; Haar combinations are built coarse to
+fine as a pyramid, where each element splits its support cell into two
+halves that inherit the parent value plus or minus the element's value
 (``_haar_pyramid``).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .compact import q_seq
+from .compact import _q_node, q_seq
 from .entropy import ContractViolation
 from .funcs import PiecewiseLinear, StepFn, sup_dist_pl
-from .strings import ceil_lb
+from .strings import ceil_lb, round_half_away, round_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +74,37 @@ def fs_partial_sum_eval(lams: Iterable[Fraction], x) -> Fraction:
                Fraction(0))
 
 
+def _hat_nodes(lams) -> tuple[list, int]:
+    """(A, S): A[t] / S is the partial sum of lam_0 .. lam_{N-1} (Fractions
+    or ints) at the node t / 2^G, G the bit length of N - 2 (0 for N <= 2),
+    and A[t] is None where t / 2^G is not a node; S = D 2^G, D the lcm of
+    the denominators.  In index order V(q_j) = lam_j + (V(q_j - w_j) +
+    V(q_j + w_j)) / 2: later hats vanish at q_j, earlier ones are linear
+    across hat j's support, whose ends are earlier nodes.  A level-s value
+    has a denominator dividing D 2^s, so the halving is exact."""
+    n = len(lams)
+    g = (n - 2).bit_length() if n > 2 else 0
+    scale = math.lcm(*(lam.denominator for lam in lams)) << g
+    num = lambda lam: lam.numerator * (scale // lam.denominator)
+    A = [None] * ((1 << g) + 1)
+    A[0] = num(lams[0]) if n else 0
+    A[1 << g] = num(lams[1]) if n > 1 else 0
+    for j in range(2, n):
+        c, s = _q_node(j)
+        u = 1 << (g - s)
+        A[c * u] = num(lams[j]) + (A[(c - 1) * u] + A[(c + 1) * u]) // 2
+    return A, scale
+
+
 def fs_partial_sum_pl(lams: list[Fraction]) -> PiecewiseLinear:
     """The partial sum of the hat expansion as its interpolant on the nodes
-    q_0 .. q_{N-1} (and 0, 1).
-
-    Node values follow from V(0) = lam_0, V(1) = lam_1 and, in index order,
-    V(q_j) = lam_j + (V(q_j - w_j) + V(q_j + w_j)) / 2: hats after j vanish
-    at q_j, and the hats before j are linear across the support of hat j,
-    whose ends are earlier nodes.  O(N) exact operations."""
-    lam = lambda j: Fraction(lams[j]) if j < len(lams) else Fraction(0)
-    vals = {Fraction(0): lam(0), Fraction(1): lam(1)}
-    for j in range(2, len(lams)):
-        q, w = q_seq(j), fs_halfwidth(j)
-        vals[q] = lam(j) + (vals[q - w] + vals[q + w]) / 2
-    nodes = sorted(vals)
-    return PiecewiseLinear(tuple(nodes), tuple(vals[x] for x in nodes))
+    q_0 .. q_{N-1} (and 0, 1), read off the integer node values of
+    ``_hat_nodes``."""
+    A, scale = _hat_nodes(lams)
+    top = len(A) - 1
+    nodes = [t for t, a in enumerate(A) if a is not None]
+    return PiecewiseLinear(tuple(Fraction(t, top) for t in nodes),
+                           tuple(Fraction(A[t], scale) for t in nodes))
 
 
 def sup_error(f: PiecewiseLinear, lams: list[Fraction]) -> Fraction:
@@ -478,21 +496,28 @@ def haar_unit_norm_power(k: int, p: int) -> Fraction:
 class FSSystem:
     """Hat-function system under the supremum norm."""
 
-    def combo_pl(self, zs: list[Fraction]) -> PiecewiseLinear:
-        return fs_partial_sum_pl(list(zs))
-
     def norm_bounds(self, zs: list[Fraction],
                     prec: int = 24) -> tuple[Fraction, Fraction]:
         """Exact supremum norm of sum z_k e_k as a zero-width enclosure;
         prec is ignored, so callers treat both systems alike."""
-        v = self.combo_pl(zs).sup_norm() if any(zs) else Fraction(0)
+        A, scale = _hat_nodes(zs)
+        v = Fraction(max(abs(a) for a in A if a is not None), scale)
         return v, v
 
     def tail_sup(self, lams: list[Fraction], start: int) -> Fraction:
-        tail = [Fraction(0)] * start + lams[start:]
-        if not any(tail):
+        if not any(lams[start:]):
             return Fraction(0)
-        return self.combo_pl(tail).sup_norm()
+        return self.norm_bounds([0] * start + lams[start:])[0]
+
+    def coeff_int(self, lams: list[Fraction], i: int, scale: int) -> int:
+        """round(lam_i * scale), ties away from zero; lam_i = 0 past the list."""
+        if i >= len(lams):
+            return 0
+        return round_ratio(lams[i].numerator * scale, lams[i].denominator)
+
+    def tail_within(self, lams: list[Fraction], start: int, eps: Fraction) -> bool:
+        """Whether sum_{k >= start} lam_k e_k has supremum norm at most eps."""
+        return self.tail_sup(lams, start) <= eps
 
 
 @dataclass
@@ -546,6 +571,34 @@ class HaarSystem:
         rl = _frac_pow_bounds(lo, Fraction(v, u), prec)
         rh = _frac_pow_bounds(hi, Fraction(v, u), prec)
         return rl[0], rh[1]
+
+    def coeff_int(self, exp: HaarExpansion, i: int, scale: int) -> int:
+        """round(lam_i * scale), ties away from zero, within 1/2 + 2^-16 of
+        the exact product."""
+        v = exp.lam(i)
+        s = RootSum.of(ScaledVal(v.coef * scale, v.exp2))
+        lo, hi = _tight_bounds(s.bounds, Fraction(1, 1 << 16))
+        return round_half_away((lo + hi) / 2)
+
+    def tail_within(self, exp: HaarExpansion, start: int, eps: Fraction) -> bool:
+        """Whether a certified upper bound on the L^p norm of the tail
+        sum_{k >= start} lam_k f_{k,p} is at most eps."""
+        if all(c == 0 for c in exp.c[start:]):
+            return True
+        tail = [Fraction(0)] * start + [exp.lam(k) for k in range(start, len(exp.c))]
+        return self.norm_bounds(tail)[1] <= eps
+
+
+def _tight_bounds(enclose: Callable[[int], tuple[Fraction, Fraction]],
+                  width: Fraction) -> tuple[Fraction, Fraction]:
+    """The first enclosure enclose(prec), for prec = 24, 48, 96, ..., that
+    is at most ``width`` wide."""
+    prec = 24
+    while True:
+        lo, hi = enclose(prec)
+        if hi - lo <= width:
+            return lo, hi
+        prec *= 2
 
 
 def _frac_pow_bounds(x: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]:

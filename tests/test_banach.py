@@ -17,7 +17,8 @@ from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem, fs_elem, fs_partial_sum_pl
-from metrent.strings import ceil_lb, decode_int, nat_str, tuple_strs
+from metrent.strings import (ceil_lb, decode_int, nat_str, round_half_away,
+                             tuple_strs)
 
 
 ELL = lambda n: n + 4
@@ -47,6 +48,20 @@ def test_banach_name_coeff_branch():
         assert decode_int(phi(coeff_query(0, n, m))) == m + 1
         assert decode_int(phi(coeff_query(1, n, m))) == 0
     assert in_kl(phi, ELL, 7)
+
+
+def test_banach_name_hat_coeff_rounds_half_ties_away():
+    params, system = fs_setup()
+    for m in (0, 1, 24601, 29999):
+        # lam (m+1) = (2k+1)/2 exactly, both signs, and one value off a tie
+        vec = [Fraction(sgn * (2 * k + 1), 2 * (m + 1)) for k in range(4)
+               for sgn in (1, -1)] + [Fraction(-7, 3 * (m + 1))]
+        phi = banach_name(vec, params, system, ELL)
+        for i, lam in enumerate(vec):
+            got = decode_int(phi(coeff_query(i, 0, m)))
+            assert got == round_half_away(lam * (m + 1))
+            if i < 8:
+                assert got == (i // 2 + 1) * (1 if lam > 0 else -1)
 
 
 def test_banach_name_norm_branch():

@@ -8,14 +8,15 @@ from metrent.compact import q_seq
 from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
 from metrent.schauder import (FSSystem, HaarExpansion, HaarSystem, RootSum,
-                              ScaledVal, chi_expand, frac_root_bounds, fs_coeff,
-                              fs_coeffs, fs_elem, fs_eval, fs_halfwidth,
-                              fs_nonzero_indices, fs_partial_sum_eval,
-                              fs_partial_sum_pl, fs_separation, haar_coeffs,
-                              haar_eval, haar_gen, haar_integral,
-                              haar_scale_exp, haar_stepform, haar_support,
-                              haar_unit_norm_power, pow2_bounds,
+                              ScaledVal, _hat_nodes, chi_expand,
+                              frac_root_bounds, fs_coeff, fs_coeffs, fs_elem,
+                              fs_eval, fs_halfwidth, fs_nonzero_indices,
+                              fs_partial_sum_eval, fs_partial_sum_pl,
+                              fs_separation, haar_coeffs, haar_eval, haar_gen,
+                              haar_integral, haar_scale_exp, haar_stepform,
+                              haar_support, haar_unit_norm_power, pow2_bounds,
                               step_from_haar, sup_error)
+from metrent.strings import round_half_away
 
 
 def test_fs_eval_examples():
@@ -380,6 +381,92 @@ def test_fs_partial_sum_pl_every_length():
     for size in range(71):
         _check_fs_partial_sum(
             [Fraction(rnd.randrange(-9, 10), 1 << rnd.randrange(4)) for _ in range(size)])
+
+
+def _fs_partial_sum_ref(lams):
+    """Reference: the node recurrence V(q_j) = lam_j + (V(q_j - w_j) +
+    V(q_j + w_j)) / 2 on a dict keyed by Fraction nodes."""
+    lam = lambda j: Fraction(lams[j]) if j < len(lams) else Fraction(0)
+    vals = {Fraction(0): lam(0), Fraction(1): lam(1)}
+    for j in range(2, len(lams)):
+        q, w = q_seq(j), fs_halfwidth(j)
+        vals[q] = lam(j) + (vals[q - w] + vals[q + w]) / 2
+    nodes = sorted(vals)
+    return PiecewiseLinear(tuple(nodes), tuple(vals[x] for x in nodes))
+
+
+EDGE_SIZES = sorted({0, 1, 2, 3} | {1 << k for k in range(1, 10)}
+                    | {(1 << k) + 1 for k in range(1, 10)})
+
+
+@st.composite
+def hat_lists(draw, max_size=600):
+    """Sparse hat-coefficient lists: a dyadic or z/(m+1) denominator (m+1 up
+    to 30 000), each value reduced on its own, so the denominators differ."""
+    size = draw(st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, max_size)))
+    den = draw(st.one_of(st.builds(lambda s: 1 << s, st.integers(0, 14)),
+                         st.integers(1, 30000)))
+    lams = [Fraction(0)] * size
+    if size:
+        for i, z in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(-10 ** 6, 10 ** 6)),
+                                  max_size=12)):
+            lams[i] = Fraction(z, den)
+    return lams
+
+
+@settings(max_examples=80, deadline=None)
+@given(hat_lists())
+@example([Fraction(0)] * 513)
+@example([Fraction(z, 24602) for z in range(-256, 257)])
+def test_fs_partial_sum_pl_matches_fraction_recurrence(lams):
+    ref = _fs_partial_sum_ref(lams)
+    pl = fs_partial_sum_pl(lams)
+    assert (pl.xs, pl.ys) == (ref.xs, ref.ys)
+    assert FSSystem().norm_bounds(lams) == (ref.sup_norm(), ref.sup_norm())
+
+
+@settings(max_examples=30, deadline=None)
+@given(hat_lists())
+def test_tail_sup_matches_fraction_recurrence_at_every_start(lams):
+    sysf, refs = FSSystem(), {}
+    for start in range(len(lams) + 3):
+        nonzero = tuple(i for i in range(start, len(lams)) if lams[i])
+        if nonzero not in refs:     # the tail's sum depends only on these
+            tail = [Fraction(0)] * start + lams[start:]
+            refs[nonzero] = _fs_partial_sum_ref(tail).sup_norm()
+        assert sysf.tail_sup(lams, start) == refs[nonzero]
+
+
+def test_hat_nodes_share_the_least_denominator():
+    for lams, lcm in (([Fraction(1, 12), Fraction(1, 6), Fraction(3, 4)], 12),
+                      ([Fraction(5, 24602), Fraction(2, 24602)] + [0] * 7, 24602),
+                      ([Fraction(7, 8), 3, Fraction(-1, 3), Fraction(0)], 24)):
+        A, scale = _hat_nodes(lams)
+        g = (len(lams) - 2).bit_length() if len(lams) > 2 else 0
+        assert (len(A), scale) == ((1 << g) + 1, lcm << g)
+
+
+def test_fs_norm_builds_no_piecewise_linear(monkeypatch):
+    built = []
+    init = PiecewiseLinear.__post_init__
+    monkeypatch.setattr(PiecewiseLinear, "__post_init__",
+                        lambda self: built.append(1) or init(self))
+    rnd = random.Random(7)
+    zs = [Fraction(rnd.randrange(-99, 100), 24602) if k % 57 == 0 else Fraction(0)
+          for k in range(513)]
+    v = FSSystem().norm_bounds(zs)[0]
+    FSSystem().tail_sup(zs, 100)
+    assert built == []
+    assert v == _fs_partial_sum_ref(zs).sup_norm() > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 30000), st.integers(1, 30000))
+def test_fs_coeff_int_matches_fraction_rounding(z, d, scale):
+    lam = Fraction(z, d)
+    assert FSSystem().coeff_int([Fraction(0), lam], 1, scale) == round_half_away(lam * scale)
+    assert FSSystem().coeff_int([lam], 5, scale) == 0
 
 
 def _haar_midpoint_sums(zs, p):
