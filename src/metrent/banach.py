@@ -54,7 +54,7 @@ def banach_time(params: BanachReprParams) -> RunningTime:
     def bound(l: LengthFn, n: int) -> int:
         s = params.S.bound(l, n + 1)
         return l(n + ceil_lb(s + 1) + 1) * s
-    return RunningTime(bound, label="l(n+lb(S+1)+1)S(l,n+1)", monotone=True)
+    return RunningTime(bound, label="l(n+lb(S+1)+1)S(l,n+1)")
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +159,6 @@ def coeff_query(i: int, n: int, m: int) -> str:
     return "0" + tuple_strs([nat_str(i), nat_str(n), nat_str(m)])
 
 
-def xi_read_combo(phi: Name, n: int, params: BanachReprParams,
-                  indices=None) -> tuple[list[tuple[int, int]], int]:
-    """Coefficient integers of a name at precision level n: pairs (i, z_i)
-    for i over the span budget (or the given indices), plus the denominator
-    m+1 used."""
-    l = name_length_fn(phi)
-    N, m = _coeff_plan(lambda k: params.S.bound(l, k), len(nat_str(n)), n)
-    if indices is None:
-        indices = range(N + 1)
-    return [(i, decode_int(phi(coeff_query(i, n, m)))) for i in indices], m
-
-
 def _coeff_plan(S_at: Callable[[int], int], digits: int,
                 level: int) -> tuple[int, int]:
     """(N, m) for reading a coefficient name at precision ``level``, whose
@@ -181,12 +169,24 @@ def _coeff_plan(S_at: Callable[[int], int], digits: int,
     return N, (S_at(digits + 1) + 1) * (level + 1) + 1
 
 
+def _xi_reader(phi: Name, level: int, params: BanachReprParams
+               ) -> tuple[int, Callable[[int], Fraction]]:
+    """The span N of a coefficient name at precision ``level`` and the
+    accessor i -> z_i/(m+1) asking <i, level, m>, (N, m) from _coeff_plan."""
+    l = name_length_fn(phi)
+    N, m = _coeff_plan(lambda k: params.S.bound(l, k), len(nat_str(level)),
+                       level)
+
+    def coeff(i: int) -> Fraction:
+        return Fraction(decode_int(phi(coeff_query(i, level, m))), m + 1)
+    return N, coeff
+
+
 def xi_decode_pl(phi: Name, n: int, params: BanachReprParams) -> PiecewiseLinear:
     """Decoded hat combination at precision level n (within 2/(n+1) of the
     represented function in supremum norm)."""
-    pairs, m = xi_read_combo(phi, n, params)
-    lams = [Fraction(z, m) for _, z in pairs]
-    return fs_partial_sum_pl(lams)
+    N, coeff = _xi_reader(phi, n, params)
+    return fs_partial_sum_pl([coeff(i) for i in range(N + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def banach_add_program() -> Callable[[Ctx], None]:
 
 def add_time(kappa: int = 8) -> RunningTime:
     return RunningTime(lambda l, n: kappa * (l(n + 1) + n + 1) + kappa,
-                       label="l(n+1)", monotone=True)
+                       label="l(n+1)+n+1")
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +292,14 @@ def _value_answer(a: str, size: Callable[[int], int], parse, value,
     return _uniform_value(*value(*parsed), target, kind)
 
 
+def _unary(s: str) -> int | None:
+    """n for the unary block 0^n, else None."""
+    return len(s) if s == "0" * len(s) else None
+
+
 def _scale_block(s: str) -> int | None:
     """m for the unary scale block 1 0^m, else None."""
-    return len(s) - 1 if s[:1] == "1" and s[1:] == "0" * (len(s) - 1) else None
+    return _unary(s[1:]) if s[:1] == "1" else None
 
 
 def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int],
@@ -326,19 +331,19 @@ def _parse_dsq_query(a: str) -> tuple[int, int, int] | None:
     if parts is None:
         return None
     zs, rs, ms = parts
-    r, m = parse_nat(rs), _scale_block(ms)
-    if zs != "0" * len(zs) or r is None or m is None or r > 1 << m:
+    n, r, m = _unary(zs), parse_nat(rs), _scale_block(ms)
+    if n is None or r is None or m is None or r > 1 << m:
         return None
-    return len(zs), r, m
+    return n, r, m
 
 
 def dsq_value(psi: Name, n: int, r: int, m: int) -> Fraction:
     raw = psi(dsq_query(n, r, m))
     pair = untuple(2, raw)
-    if pair is None or not pair[1] or pair[1][0] != "1":
+    k = None if pair is None else _scale_block(pair[1])
+    if k is None:
         raise MalformedName(f"bad point-value answer {raw!r}")
-    q_enc, tail = pair
-    return Fraction(decode_int(q_enc), 1 << (len(tail) - 1))
+    return Fraction(decode_int(pair[0]), 1 << k)
 
 
 def dsq_modulus(psi: Name) -> Callable[[int], int]:
@@ -359,10 +364,10 @@ def _parse_lp_query(a: str) -> tuple[int, int, int, int] | None:
     if parts is None:
         return None
     ks, ls, ms, ns = parts
-    k, l, m = parse_nat(ks), parse_nat(ls), _scale_block(ms)
-    if k is None or l is None or m is None or ns != "0" * len(ns):
+    k, l, m, n = parse_nat(ks), parse_nat(ls), _scale_block(ms), _unary(ns)
+    if k is None or l is None or m is None or n is None:
         return None
-    return k, l, m, len(ns)
+    return k, l, m, n
 
 
 def lp_name(f: StepFn, p: Fraction, mu: Callable[[int], int],
@@ -391,10 +396,10 @@ def lp_query(k: int, l: int, m: int, n: int) -> str:
 def lp_value(psi: Name, k: int, l: int, m: int, n: int) -> Fraction:
     raw = psi(lp_query(k, l, m, n))
     pair = untuple(2, raw)
-    if pair is None or pair[1] != "0" * len(pair[1]):
+    j = None if pair is None else _unary(pair[1])
+    if j is None:
         raise MalformedName(f"bad integral answer {raw!r}")
-    q_enc, tail = pair
-    return Fraction(decode_int(q_enc), 1 << len(tail))
+    return Fraction(decode_int(pair[0]), 1 << j)
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +423,13 @@ def xi_to_dsq(phi: Name, params: BanachReprParams, label: str = "") -> Name:
     for the at most two nonzero hats per generation at the point; the
     output lengths are driven by the modulus bound assembled from the
     queried length data."""
-    S = params.S
     lfn = name_length_fn(phi)
 
     def value_at(x: Fraction, n: int) -> Fraction:
-        level = (1 << (n + 3)) - 1
-        N, m = _coeff_plan(lambda k: S.bound(lfn, k), n + 3, level)
+        N, coeff = _xi_reader(phi, (1 << (n + 3)) - 1, params)
         total = Fraction(0)
         for i in fs_nonzero_indices(x, N + 1):
-            z = decode_int(phi(coeff_query(i, level, m)))
-            total += Fraction(z, m + 1) * fs_eval(i, x)
+            total += coeff(i) * fs_eval(i, x)
         return total
 
     def mu_out(t: int) -> int:
@@ -502,23 +504,20 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction,
     the level-(2^(n+3)-1) combination over the requested dyadic interval is
     evaluated symbolically from the at most two contributing elements per
     generation."""
-    S = params.S
     lfn = name_length_fn(phi)
 
     def integral_val(a: Fraction, b: Fraction, n: int) -> RootSum:
         sign = 1
         if a > b:
             a, b, sign = b, a, -1
-        level = (1 << (n + 3)) - 1
-        N, m = _coeff_plan(lambda k: S.bound(lfn, k), n + 3, level)
+        N, coeff = _xi_reader(phi, (1 << (n + 3)) - 1, params)
         total = RootSum()
         for k in _aligned_nonzero_indices(a, b, N):
-            z = decode_int(phi(coeff_query(k, level, m)))
-            if z == 0:
+            c = coeff(k)
+            if not c:
                 continue
             term = haar_integral(k, p, a, b)
-            total = total.plus(RootSum.of(
-                ScaledVal(term.coef * Fraction(z, m + 1), term.exp2)))
+            total = total.plus(RootSum.of(ScaledVal(term.coef * c, term.exp2)))
         return total.scaled(Fraction(sign))
 
     def mu_out(t: int) -> int:

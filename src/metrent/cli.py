@@ -18,9 +18,9 @@ from .baire import name_from_trace, trace_of
 from .banach import (BanachReprParams, dsq_to_xi, lp_to_xi, xi_to_dsq,
                      xi_to_lp)
 from .compact import unit_interval_short_approx, unit_interval_space
-from .entropy import (ApproxSetSpec, PointCloud, covering_number,
-                      dialog_cover_experiment, dialog_length_bound,
-                      lorentz_bounds, packing_exponent)
+from .entropy import (EXACT_COVER_CAP, ApproxSetSpec, PointCloud,
+                      covering_number, dialog_cover_experiment,
+                      dialog_length_bound, lorentz_bounds, packing_exponent)
 from .funcs import modulus_fn
 from .machine import equality_from_metric, exp_max_time, RunningTime
 from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
@@ -102,7 +102,7 @@ def cmd_entropy(args) -> int:
     metric = cauchy_metric_program(M)
     eq_prog, T_eq = equality_from_metric(metric, cauchy_metric_time())
     budget = RunningTime(lambda lf, n: 8 * T_eq.bound(lf, n) + 8,
-                         label="8*T+8", monotone=True)
+                         label="8*T+8")
     cloud = PointCloud(points, lambda i, j: Fraction(abs(ks[i] - ks[j]),
                                                       1 << _SAMPLE_SCALE)) \
         if points else None
@@ -115,7 +115,7 @@ def cmd_entropy(args) -> int:
         report = dialog_cover_experiment(names, points, eq_prog, budget,
                                          l, n, M.exact_dist)
         cover_e = covering_number(cloud, n, "exact").count \
-            if len(cloud) <= 20 else ""
+            if len(cloud) <= EXACT_COVER_CAP else ""
         cover_g = covering_number(cloud, n, "greedy").count
         lo, hi = lorentz_bounds(delta, n)
         rows.append([n, packing_exponent(cloud, n), cover_e, cover_g,

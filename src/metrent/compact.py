@@ -23,7 +23,8 @@ from .entropy import (PointCloud, SizeExceeded, covering_number,
 from .funcs import PiecewiseLinear, modulus_fn, sup_dist_pl
 from .machine import (Ctx, RunningTime, const_time, exp_max_time,
                       need_evaluator, paired, precision_input, quarter_round)
-from .reprs import MetricSpaceSpec, _line_dist, metric_answer, metric_query
+from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, metric_answer,
+                    metric_query)
 from .strings import (ContractError, Dyadic, InvalidConfig, MalformedName,
                       ceil_lb, decode_int, nat_str, parse_nat,
                       parse_nats, proj_value, tuple_strs, untuple)
@@ -382,22 +383,12 @@ def compact_decode_index(phi: Name, n: int, params: CompactReprParams) -> int:
     return int(bits, 2) if bits else 0
 
 
-def compact_metric(phi: Name, psi: Name, n: int, space: MetricSpaceSpec,
-                   params: CompactReprParams) -> str:
-    """Integer encoding z with |d(x,y) - z/(n+1)| <= 1/(n+1).
-
-    Indices are decoded at precision 8n+7 and the metric branch is queried
-    at precision 4n+3; rounding z'/4 to the output grid makes the three
-    error terms add to exactly the contract.
-    """
-    i = compact_decode_index(phi, 8 * n + 7, params)
-    k = compact_decode_index(psi, 8 * n + 7, params)
-    return quarter_round(decode_int(phi(metric_query(i, k, 4 * n + 3))))
-
-
 def compact_metric_program(params: CompactReprParams) -> Callable[[Ctx], None]:
-    """Metered metric against a paired oracle <phi, psi>.  The chunk count
-    is obtained from the time-constructible evaluator of S."""
+    """Integer encoding z with |d(x,y) - z/(n+1)| <= 1/(n+1) from a paired
+    oracle <phi, psi>: indices are decoded at precision 8n+7 (chunk count
+    from the evaluator of S), the metric branch is asked at 4n+3, and z'/4
+    is rounded to the output grid, so the three error terms add to exactly
+    the contract."""
     need_evaluator(params.S)
 
     def prog(ctx: Ctx) -> None:
@@ -425,7 +416,7 @@ def compact_metric_time(params: CompactReprParams) -> RunningTime:
     below a constant multiple of it (the constant is recorded by tests)."""
     def bound(l: LengthFn, n: int) -> int:
         return l(n + 2) * params.S.bound(l, n + 2)
-    return RunningTime(bound, label="l(n+2)S(l,n+2)", monotone=True)
+    return RunningTime(bound, label="l(n+2)S(l,n+2)")
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +427,9 @@ def compact_to_relativized(phi: Name, params: CompactReprParams) -> Name:
     def fn(a: str) -> str:
         if a == "":
             return ""
-        tag, rest = a[0], a[1:]
-        if tag == "0":
-            n = parse_nat(rest)
-            if n is None:
-                return ""
-            return nat_str(compact_decode_index(phi, n, params))
+        if a[0] == "0":
+            return _index_answer(lambda n: compact_decode_index(phi, n, params),
+                                 a[1:])
         return phi(a)
     return Name(fn, label=f"rel({phi.label})")
 

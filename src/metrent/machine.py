@@ -76,23 +76,20 @@ class Ctx:
         self.steps = 0
         self._out: list[str] = []
         self._queries: list[tuple[str, str]] = []
-        self._full_answers: list[str] = []
 
     # -- accounting ---------------------------------------------------
     def _report(self) -> MeterReport:
         return MeterReport(self.steps, self.budget, list(self._queries))
 
-    def charge(self, k: int) -> None:
+    def tick(self, k: int = 1) -> None:
+        """Charge k steps; BudgetExceeded once the budget is overrun."""
         self.steps += k
         if self.steps > self.budget:
             raise BudgetExceeded(self._report())
 
-    def tick(self, k: int = 1) -> None:
-        self.charge(k)
-
     # -- output -------------------------------------------------------
     def emit(self, s: str) -> None:
-        self.charge(len(s))
+        self.tick(len(s))
         self._out.append(s)
 
     def output(self) -> str:
@@ -100,16 +97,12 @@ class Ctx:
 
     # -- oracle port ----------------------------------------------------
     def ask(self, q: str) -> str:
-        """Write the query, invoke the oracle, read the full answer."""
-        self.charge(len(q) + 1)
+        """Write the query, invoke the oracle, read the full answer; the log
+        keeps the part of the answer that the budget lets the run read."""
+        self.tick(len(q) + 1)
         ans = self.oracle(q)
-        self._full_answers.append(ans)
-        room = self.budget - self.steps
-        if len(ans) > room:
-            self._queries.append((q, ans[:max(room, 0)]))
-            self.charge(len(ans))       # raises
-        self.charge(len(ans))
-        self._queries.append((q, ans))
+        self._queries.append((q, ans[:self.budget - self.steps]))
+        self.tick(len(ans))
         return ans
 
     # -- composition ----------------------------------------------------
@@ -125,8 +118,9 @@ class Ctx:
             self._out, self.input = saved_out, saved_in
 
     def dialog(self) -> Dialog:
-        return Dialog(len(self._full_answers),
-                      tuple(a[:self.budget] for a in self._full_answers))
+        """The dialog of a completed run: every answer was charged in full
+        within the budget, so the logged answers are the truncated ones."""
+        return Dialog(len(self._queries), tuple(a for _, a in self._queries))
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +159,7 @@ class RunningTime:
 
     bound: Callable[[LengthFn, int], int]
     label: str = ""
-    monotone: bool = True
-    constructible: bool = False
     evaluator: Callable[[Ctx, int], int] | None = None
-
-    def __call__(self, l: LengthFn, n: int) -> int:
-        return self.bound(l, n)
 
 
 def metered_run(program: Callable[[Ctx], None], phi: Name, a: str,
@@ -180,7 +169,7 @@ def metered_run(program: Callable[[Ctx], None], phi: Name, a: str,
     touches (caller-certified).  Raises BudgetExceeded, with the partial
     meter report attached, when the budget runs out."""
     ctx = Ctx(phi, a, T.bound(l, len(a)))
-    ctx.charge(1)                     # setup step
+    ctx.tick(1)                       # setup step
     program(ctx)
     return ctx.output(), ctx._report(), ctx.dialog()
 
@@ -206,8 +195,7 @@ def first_order(f: Callable[[int], int], label: str = "") -> RunningTime:
     def ev(ctx: Ctx, n: int) -> int:
         ctx.tick(1)
         return f(n)
-    return RunningTime(lambda l, n: f(n), label or "first-order",
-                       monotone=True, constructible=True, evaluator=ev)
+    return RunningTime(lambda l, n: f(n), label or "first-order", evaluator=ev)
 
 
 def const_time(c: int = 1, label: str = "S=1") -> RunningTime:
@@ -221,22 +209,15 @@ def exp_max_time(label: str = "S=2^max{l(n),n}") -> RunningTime:
         k = oracle_length(ctx, n)
         ctx.tick(max(n, 1))
         return 2 ** max(k, n)
-    return RunningTime(lambda l, n: 2 ** max(l(n), n), label,
-                       monotone=True, constructible=True, evaluator=ev)
+    return RunningTime(lambda l, n: 2 ** max(l(n), n), label, evaluator=ev)
 
 
 def length_time_by_convention(label: str = "L=l(n), via 0^n") -> RunningTime:
-    def ev(ctx: Ctx, n: int) -> int:
-        return oracle_length(ctx, n)
-    return RunningTime(lambda l, n: l(n), label,
-                       monotone=True, constructible=True, evaluator=ev)
+    return RunningTime(lambda l, n: l(n), label, evaluator=oracle_length)
 
 
 def length_time_by_scan(label: str = "L=l(n), by scan") -> RunningTime:
-    def ev(ctx: Ctx, n: int) -> int:
-        return oracle_length_scan(ctx, n)
-    return RunningTime(lambda l, n: l(n), label,
-                       monotone=True, constructible=False, evaluator=ev)
+    return RunningTime(lambda l, n: l(n), label, evaluator=oracle_length_scan)
 
 
 def need_evaluator(S: RunningTime) -> None:
@@ -320,5 +301,5 @@ def equality_from_metric(metric_program: Callable[[Ctx], None],
         ctx.emit("0" if z > 3 else "1")
 
     shifted = RunningTime(lambda l, n: T.bound(l, n + 2),
-                          label=f"{T.label or 'T'}(l,n+2)", monotone=T.monotone)
+                          label=f"{T.label or 'T'}(l,n+2)")
     return prog, shifted

@@ -123,16 +123,28 @@ def real_decode(phi: Name, n: int) -> tuple[Fraction, Fraction]:
 def real_validate(phi: Name, depth: int):
     """Finite-depth consistency of the real-name contract: decodability and
     pairwise |z_n/(n+1) - z_m/(m+1)| <= 1/(n+1) + 1/(m+1)."""
+    return _validate(lambda n: real_decode(phi, n)[0], _line_dist, depth)
+
+
+def _too_far(d: Fraction, n: int, m: int) -> bool:
+    """d exceeds the pair bound 1/(n+1) + 1/(m+1) of precisions n and m."""
+    return d > Fraction(1, n + 1) + Fraction(1, m + 1)
+
+
+def _validate(decode: Callable[[int], object],
+              dist: Callable[[object, object], Fraction], depth: int):
+    """("rejected", n) for the first n <= depth that ``decode`` rejects,
+    else ("rejected", (n, m)) for the first pair n < m too far apart under
+    ``dist``, else ("consistent", None)."""
     vals = []
     for n in range(depth + 1):
         try:
-            v, _ = real_decode(phi, n)
+            vals.append(decode(n))
         except MalformedName:
             return ("rejected", n)
-        vals.append(v)
     for n in range(depth + 1):
         for m in range(n + 1, depth + 1):
-            if abs(vals[n] - vals[m]) > Fraction(1, n + 1) + Fraction(1, m + 1):
+            if _too_far(dist(vals[n], vals[m]), n, m):
                 return ("rejected", (n, m))
     return ("consistent", None)
 
@@ -140,17 +152,19 @@ def real_validate(phi: Name, depth: int):
 # ---------------------------------------------------------------------------
 # Cauchy representation
 
+def _index_answer(approx: Callable[[int], int], a: str) -> str:
+    """The index layout's answer to the numeral a = n: approx(n), the index
+    of a 1/(n+1)-approximation; epsilon when a is not a numeral."""
+    n = parse_nat(a)
+    return "" if n is None else nat_str(approx(n))
+
+
 def cauchy_name(M: MetricSpaceSpec, approx: Callable[[int], int],
                 label: str = "") -> Name:
     """phi(n) = index of a 1/(n+1)-approximation, per the caller-certified
     ``approx``."""
-    def fn(a: str) -> str:
-        n = parse_nat(a)
-        if n is None:
-            return ""
-        return nat_str(approx(n))
-
-    return Name(fn, label=label or f"cauchy[{M.label}]")
+    return Name(lambda a: _index_answer(approx, a),
+                label=label or f"cauchy[{M.label}]")
 
 
 def cauchy_index(phi: Name, n: int) -> int:
@@ -163,37 +177,16 @@ def cauchy_index(phi: Name, n: int) -> int:
 def cauchy_validate(phi: Name, depth: int, M: MetricSpaceSpec):
     """Rejects on a certified violation of
     d(r_phi(i), r_phi(j)) <= 1/(i+1) + 1/(j+1) up to the given depth."""
-    idx = []
-    for n in range(depth + 1):
-        try:
-            idx.append(cauchy_index(phi, n))
-        except MalformedName:
-            return ("rejected", n)
-    for i in range(depth + 1):
-        for j in range(i + 1, depth + 1):
-            lhs = M.exact_dist(M.point(idx[i]), M.point(idx[j]))
-            if lhs > Fraction(1, i + 1) + Fraction(1, j + 1):
-                return ("rejected", (i, j))
-    return ("consistent", None)
-
-
-def cauchy_metric(phi: Name, psi: Name, n: int, M: MetricSpaceSpec) -> str:
-    """Integer encoding z with |d(x,y) - z/(n+1)| <= 1/(n+1).
-
-    Queries i = phi(4n+3), j = psi(4n+3) and evaluates the discrete metric
-    at precision 2n+1.  The output contract is guaranteed when the discrete
-    metric is computed exactly (all library spaces); with an approximate
-    discrete metric the error can exceed the contract by its approximation
-    error.
-    """
-    i = cauchy_index(phi, 4 * n + 3)
-    j = cauchy_index(psi, 4 * n + 3)
-    v = M.dist(i, j, 2 * n + 1)
-    return encode_int(round_ratio(v.numerator * (n + 1), v.denominator))
+    return _validate(lambda n: M.point(cauchy_index(phi, n)), M.exact_dist,
+                     depth)
 
 
 def cauchy_metric_program(M: MetricSpaceSpec) -> Callable[[Ctx], None]:
-    """Metered variant running against a paired oracle <phi, psi>."""
+    """Integer encoding z with |d(x,y) - z/(n+1)| <= 1/(n+1) from a paired
+    oracle <phi, psi>: the index pair is read at 4n+3 and the discrete
+    metric evaluated at precision 2n+1.  The contract holds when the
+    discrete metric is exact (all library spaces); an approximate one adds
+    its approximation error."""
     def prog(ctx: Ctx) -> None:
         n = precision_input(ctx)
         ans = ctx.ask(nat_str(4 * n + 3))
@@ -209,7 +202,7 @@ def cauchy_metric_time(kappa: int = 6) -> RunningTime:
     kappa*(a+b) + kappa."""
     def bound(l: LengthFn, n: int) -> int:
         return kappa * (l(n + 3) + n + 1) + kappa
-    return RunningTime(bound, label="t(l(n+3),n+1)", monotone=True)
+    return RunningTime(bound, label="t(l(n+3),n+1)")
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +216,9 @@ def relativized_cauchy_name(M: MetricSpaceSpec, approx: Callable[[int], int],
     def fn(a: str) -> str:
         if a == "":
             return ""
-        tag, rest = a[0], a[1:]
-        if tag == "0":
-            n = parse_nat(rest)
-            if n is None:
-                return ""
-            return nat_str(approx(n))
-        return metric_answer(M, rest)
+        if a[0] == "0":
+            return _index_answer(approx, a[1:])
+        return metric_answer(M, a[1:])
 
     return Name(fn, label=label or f"rel-cauchy[{M.label}]")
 
@@ -269,10 +258,10 @@ def relativized_metric_program() -> Callable[[Ctx], None]:
 
 
 def relativized_metric_time(kappa: int = 10) -> RunningTime:
-    """Budget of shape max(l(n+2), n) up to the recorded constant."""
+    """Budget of shape max(l(n+4), n) up to the recorded constant."""
     def bound(l: LengthFn, n: int) -> int:
         return kappa * (max(l(n + 4), n) + 1) + kappa
-    return RunningTime(bound, label="max{l(n+2),n}", monotone=True)
+    return RunningTime(bound, label="max{l(n+4),n}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +302,7 @@ def co_re_reject(phi: Name, M: MetricSpaceSpec, budget: int):
                 b = cauchy_index(phi, j)
             except MalformedName:
                 return ("rejected", (i, j))
-            d = M.exact_dist(M.point(a), M.point(b))
-            if d > Fraction(1, i + 1) + Fraction(1, j + 1):
+            if _too_far(M.exact_dist(M.point(a), M.point(b)), i, j):
                 return ("rejected", (i, j))
         s += 1
     return ("undecided", None)

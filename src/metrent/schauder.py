@@ -23,7 +23,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .compact import _q_node, q_seq
 from .entropy import ContractViolation
@@ -66,12 +66,6 @@ def fs_coeff(f: Callable, j: int) -> Fraction:
 def fs_coeffs(f: Callable, up_to: int) -> list[Fraction]:
     """Unique hat-expansion coefficients lam_0 .. lam_{up_to-1} of f."""
     return [fs_coeff(f, j) for j in range(up_to)]
-
-
-def fs_partial_sum_eval(lams: Iterable[Fraction], x) -> Fraction:
-    x = Fraction(x)
-    return sum((lam * fs_eval(i, x) for i, lam in enumerate(lams) if lam),
-               Fraction(0))
 
 
 def _hat_nodes(lams) -> tuple[list, int]:

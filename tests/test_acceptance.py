@@ -15,9 +15,9 @@ from metrent.banach import (BanachReprParams, banach_name, counted,
                             delta_square_name, dsq_to_xi, dsq_value,
                             fs_vector, lp_name, lp_to_xi, lp_value,
                             xi_to_dsq, xi_to_lp)
-from metrent.compact import (CompactReprParams, compact_metric,
-                             compact_metric_program, compact_metric_time,
-                             compact_name, measured_size_unit_interval,
+from metrent.compact import (CompactReprParams, compact_metric_program,
+                             compact_metric_time, compact_name,
+                             measured_size_unit_interval,
                              name_length_fn, q_seq, unit_interval_ell,
                              unit_interval_short_approx, unit_interval_space)
 from metrent.entropy import (ApproxSetSpec, PointCloud, build_large_compact,
@@ -29,8 +29,8 @@ from metrent.funcs import (PiecewiseLinear, StepFn, approx_check,
                            lp_modulus_shift_check, modulus_fn, sup_dist_pl)
 from metrent.machine import (RunningTime, const_time, equality_from_metric,
                              exp_max_time, metered_run)
-from metrent.reprs import (cauchy_metric, cauchy_metric_program,
-                           cauchy_metric_time, cauchy_name)
+from metrent.reprs import (cauchy_metric_program, cauchy_metric_time,
+                           cauchy_name)
 from metrent.schauder import (FSSystem, chi_expand, fs_coeffs, fs_elem,
                               haar_integral, haar_scale_exp, haar_support,
                               haar_unit_norm_power, sup_error)
@@ -103,13 +103,19 @@ def test_c02_real_representation_contract():
         zi = (2 * t + den) // (2 * den) if t >= 0 else -((-2 * t + den) // (2 * den))
         assert z == zi
     M = unit_interval_space()
+    metric = cauchy_metric_program(M)
+    # the long approx_index names outgrow the library budget (C03 checks
+    # budgets on short names), so this one does not bind
+    unbounded = RunningTime(lambda l, n: 1 << 40, label="unbounded")
     for _ in range(1000):
         x = Fraction(rnd.randrange(0, 257), 256)
         y = Fraction(rnd.randrange(0, 257), 256)
         phi = cauchy_name(M, lambda n, x=x: M.approx_index(x, n))
         psi = cauchy_name(M, lambda n, y=y: M.approx_index(y, n))
         n = rnd.randrange(9)
-        z = decode_int(cauchy_metric(phi, psi, n, M))
+        out, _, _ = metered_run(metric, pair_names(phi, psi), nat_str(n),
+                                unbounded, lambda k: 0)
+        z = decode_int(out)
         if abs(abs(x - y) - Fraction(z, n + 1)) > Fraction(1, n + 1):
             violations += 1
     report(2, violations == 0, f"{cells} grid cells + 1000 metric pairs, "
@@ -192,26 +198,30 @@ def test_c05_entropy_sandwich():
 def test_c06_compact_construction():
     space = unit_interval_space()
     params = CompactReprParams(ell=unit_interval_ell, S=const_time(1))
-    rnd = random.Random(6)
-    violations = 0
-    for _ in range(60):
-        x = Fraction(rnd.randrange(0, 257), 256)
-        y = Fraction(rnd.randrange(0, 257), 256)
-        phi = compact_name(space, params, x)
-        psi = compact_name(space, params, y)
-        for n in range(9):
-            z = decode_int(compact_metric(phi, psi, n, space, params))
-            if abs(abs(x - y) - Fraction(z, n + 1)) > Fraction(1, n + 1):
-                violations += 1
     # metered budget against l(n+2) S(l,n+2) with the recorded constant
     c = 24
     T = compact_metric_time(params)
     prog = compact_metric_program(params)
+    run_budget = RunningTime(lambda l, m: 64 * T.bound(l, m) + 64)
+    rnd = random.Random(6)
+    violations = 0
+    over = 0
+    for _ in range(60):
+        x = Fraction(rnd.randrange(0, 257), 256)
+        y = Fraction(rnd.randrange(0, 257), 256)
+        chi = pair_names(compact_name(space, params, x),
+                         compact_name(space, params, y))
+        lc = name_length_fn(chi)
+        for n in range(9):
+            out, rep, _ = metered_run(prog, chi, nat_str(n), run_budget, lc)
+            z = decode_int(out)
+            if abs(abs(x - y) - Fraction(z, n + 1)) > Fraction(1, n + 1):
+                violations += 1
+            if rep.steps_used > c * T.bound(lc, len(nat_str(n))) + c:
+                over += 1
     chi_n = pair_names(compact_name(space, params, Fraction(1, 3)),
                        compact_name(space, params, Fraction(7, 8)))
     l2 = name_length_fn(chi_n)
-    over = 0
-    run_budget = RunningTime(lambda l, m: 64 * T.bound(l, m) + 64)
     for n in range(9):
         _, rep, _ = metered_run(prog, chi_n, nat_str(n), run_budget, l2)
         if rep.steps_used > c * T.bound(l2, len(nat_str(n))) + c:

@@ -1,24 +1,25 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from metrent.baire import Name, in_kl, is_length_monotone, pair_names
 from metrent.banach import (BanachReprParams, add_time, banach_add_program,
-                            _aligned_nonzero_indices, banach_name,
+                            _aligned_nonzero_indices, _xi_reader, banach_name,
                             banach_norm_program, banach_time,
                             check_growth, coeff_query, combo_query, counted,
                             delta_square_name, dsq_modulus, dsq_to_xi,
                             dsq_value, fs_vector, haar_vector, lp_name,
                             lp_to_xi, lp_value,
-                            xi_decode_pl, xi_read_combo, xi_to_dsq, xi_to_lp)
+                            xi_decode_pl, xi_to_dsq, xi_to_lp)
 from metrent.compact import name_length_fn
 from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem, fs_elem, fs_partial_sum_pl
-from metrent.strings import (ceil_lb, decode_int, nat_str, round_half_away,
-                             tuple_strs)
+from metrent.strings import (MalformedName, ceil_lb, decode_int, nat_str,
+                             round_half_away, tuple_strs)
 
 
 ELL = lambda n: n + 4
@@ -83,6 +84,19 @@ def test_banach_decode_combo():
         for n in (0, 1, 3):
             combo = xi_decode_pl(phi, n, params)
             assert sup_dist_pl(combo, f) <= Fraction(2, n + 1)
+
+
+def test_banach_decode_combo_exact_on_integer_coefficients():
+    # a coefficient z/(m+1) with z = lam (m+1) is lam itself, so a vector
+    # of integer coefficients decodes to its own hat sum at every level
+    params, system = fs_setup()
+    rnd = random.Random(4)
+    for size in (1, 2, 3, 5, 9):
+        lams = [Fraction(rnd.randrange(-4, 5)) for _ in range(size)]
+        f = fs_partial_sum_pl(lams)
+        phi = banach_name(fs_vector(f), params, system, ELL)
+        for n in (0, 1, 3):
+            assert sup_dist_pl(xi_decode_pl(phi, n, params), f) == 0
 
 
 def test_banach_norm_program_fs():
@@ -258,10 +272,18 @@ def test_lp_to_xi_unit_vector():
     f = StepFn.build([0, 1], [1])                  # the constant element
     mu = modulus_fn(lp_modulus(f, 2, 14))
     xi2 = lp_to_xi(lp_name(f, p, mu), params, p)
-    pairs, m = xi_read_combo(xi2, 4, params, indices=range(4))
-    lams = {i: Fraction(z, m) for i, z in pairs}
-    assert abs(lams[0] - 1) <= Fraction(2, m)
-    assert all(abs(lams[i]) <= Fraction(2, m) for i in (1, 2, 3))
+    _, coeff = _xi_reader(xi2, 4, params)
+    assert [coeff(i) for i in range(4)] == [1, 0, 0, 0]
+
+
+def test_value_answers_need_unary_blocks():
+    # the scale block of a point-value answer is 1 0^k and that of an
+    # integral answer 0^j; "101" is neither
+    bad = Name(lambda a: tuple_strs(["1", "101"]))
+    with pytest.raises(MalformedName):
+        dsq_value(bad, 0, 0, 0)
+    with pytest.raises(MalformedName):
+        lp_value(bad, 0, 1, 0, 0)
 
 
 def test_queries_that_do_not_parse():

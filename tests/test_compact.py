@@ -11,9 +11,9 @@ from metrent.banach import (BanachReprParams, banach_name, delta_square_name,
                             lp_to_xi)
 from metrent.compact import (CompactReprParams, ParameterViolation, _q_node,
                              _with_length_branch, check_uniformly_dense,
-                             compact_decode_index, compact_metric,
-                             compact_metric_program, compact_metric_time,
-                             compact_name, compact_to_relativized,
+                             compact_decode_index, compact_metric_program,
+                             compact_metric_time, compact_name,
+                             compact_to_relativized,
                              greedy_uniform_seq, lipschitz_cloud,
                              measured_size_unit_interval, name_length_fn,
                              q_index, q_seq, relativized_to_compact,
@@ -23,7 +23,7 @@ from metrent.entropy import (PointCloud, SizeExceeded, cloud_from_vectors,
                              covering_number)
 from metrent.funcs import (PiecewiseLinear, StepFn, continuity_modulus,
                            lp_modulus, modulus_fn)
-from metrent.machine import const_time, exp_max_time, metered_run
+from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem
 from metrent.reprs import cauchy_validate
 from metrent.strings import ceil_lb, decode_int, floor_lb, nat_str, tuple_strs
@@ -330,14 +330,19 @@ def test_compact_name_metric_branch_oracle():
 def test_compact_metric_contract():
     space = unit_interval_space()
     params = params_unit()
+    T = compact_metric_time(params)
+    prog = compact_metric_program(params)
+    budget = RunningTime(lambda l, m: 64 * T.bound(l, m) + 64, label="64T+64")
     rnd = random.Random(13)
     for _ in range(30):
         x = Fraction(rnd.randrange(0, 65), 64)
         y = Fraction(rnd.randrange(0, 65), 64)
-        phi = compact_name(space, params, x)
-        psi = compact_name(space, params, y)
+        chi = pair_names(compact_name(space, params, x),
+                         compact_name(space, params, y))
         for n in (0, 1, 2, 5):
-            z = decode_int(compact_metric(phi, psi, n, space, params))
+            out, _, _ = metered_run(prog, chi, nat_str(n), budget,
+                                    name_length_fn(chi))
+            z = decode_int(out)
             assert abs(abs(x - y) - Fraction(z, n + 1)) <= Fraction(1, n + 1)
 
 

@@ -112,7 +112,7 @@ def test_wrong_evaluator_is_contract_violation():
         ctx.tick(1)
         return n
     off_by_one = RunningTime(lambda l, n: n + 1, "n+1, evaluated as n",
-                             constructible=True, evaluator=ev)
+                             evaluator=ev)
     with pytest.raises(ContractViolation, match="computed 0 != 1"):
         is_time_constructible(off_by_one, [bounded_probe(lambda n: n)], depth=2)
 

@@ -11,7 +11,7 @@ from metrent.schauder import (FSSystem, HaarExpansion, HaarSystem, RootSum,
                               ScaledVal, _hat_nodes, chi_expand,
                               frac_root_bounds, fs_coeff, fs_coeffs, fs_elem,
                               fs_eval, fs_halfwidth, fs_nonzero_indices,
-                              fs_partial_sum_eval, fs_partial_sum_pl,
+                              fs_partial_sum_pl,
                               fs_separation, haar_coeffs, haar_eval, haar_gen,
                               haar_integral, haar_scale_exp, haar_stepform,
                               haar_support, haar_unit_norm_power, pow2_bounds,
@@ -39,12 +39,19 @@ def test_fs_coeffs_examples():
     assert lams[2] == Fraction(1, 4)
 
 
+def _fs_partial_sum_eval(lams, x) -> Fraction:
+    """Pointwise reference for the hat partial sum: sum of lam_i e_i(x)."""
+    x = Fraction(x)
+    return sum((lam * fs_eval(i, x) for i, lam in enumerate(lams) if lam),
+               Fraction(0))
+
+
 def test_fs_partial_sum_interpolates():
     parab = lambda x: Fraction(x) * (1 - Fraction(x))
     for k in (1, 2, 3):
         lams = fs_coeffs(parab, (1 << k) + 1)
         for j in range((1 << k) + 1):
-            assert fs_partial_sum_eval(lams, q_seq(j)) == parab(q_seq(j))
+            assert _fs_partial_sum_eval(lams, q_seq(j)) == parab(q_seq(j))
 
 
 def test_fs_reconstructs_piecewise_linear():
@@ -367,7 +374,7 @@ def _check_fs_partial_sum(lams):
     pl = fs_partial_sum_pl(lams)
     nodes = sorted({q_seq(i) for i in range(max(len(lams), 2))})
     assert pl.xs == tuple(nodes)
-    assert pl.ys == tuple(fs_partial_sum_eval(lams, x) for x in nodes)
+    assert pl.ys == tuple(_fs_partial_sum_eval(lams, x) for x in nodes)
 
 
 @settings(max_examples=60, deadline=None)
