@@ -103,9 +103,8 @@ def cmd_entropy(args) -> int:
     eq_prog, T_eq = equality_from_metric(metric, cauchy_metric_time())
     budget = RunningTime(lambda lf, n: 8 * T_eq.bound(lf, n) + 8,
                          label="8*T+8")
-    cloud = PointCloud(points, lambda i, j: Fraction(abs(ks[i] - ks[j]),
-                                                      1 << _SAMPLE_SCALE)) \
-        if points else None
+    # in 2^-_SAMPLE_SCALE units: scaling distances and radii keeps each test
+    cloud = PointCloud(ks, lambda i, j: abs(ks[i] - ks[j])) if ks else None
     delta = ApproxSetSpec([Fraction(1)] + [
         Fraction(1, 1 << n) for n in range(1, args.n_max + 6)])
     rows = []
@@ -114,11 +113,12 @@ def cmd_entropy(args) -> int:
             break
         report = dialog_cover_experiment(names, points, eq_prog, budget,
                                          l, n, M.exact_dist)
-        cover_e = covering_number(cloud, n, "exact").count \
+        shift = n - _SAMPLE_SCALE
+        cover_e = covering_number(cloud, shift, "exact").count \
             if len(cloud) <= EXACT_COVER_CAP else ""
-        cover_g = covering_number(cloud, n, "greedy").count
+        cover_g = covering_number(cloud, shift, "greedy").count
         lo, hi = lorentz_bounds(delta, n)
-        rows.append([n, packing_exponent(cloud, n), cover_e, cover_g,
+        rows.append([n, packing_exponent(cloud, shift), cover_e, cover_g,
                      report.dialog_bound, f"{lo:.6f}", f"{hi:.6f}",
                      report.classes_observed, l(n)])
     _write_csv(args.out, ["n", "packing_exp", "cover_exact", "cover_greedy",

@@ -1,10 +1,13 @@
 """Covering numbers, packings, Lorentz bounds, and the dialog-cover
 experiment that checks the complexity-to-entropy inequality at desk scale.
 
-All cloud distances are exact rationals.  Ball centers are restricted to
-cloud points in both covering modes; this can overestimate the true
-covering number by at most a radius-doubling factor, and reports record the
-mode used.
+All cloud distances are exact rationals or ints.  Radii and packing
+thresholds 2^-n are ints when they are whole numbers and Fractions below 1,
+so a cloud of integer distances compares ints with ints at whole-number
+radii (int-Fraction comparison is exact).  Ball centers are restricted to
+cloud points in both covering modes; this can overestimate the true covering
+number by at most a radius-doubling factor, and reports record the mode
+used.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class PointCloud:
     """Finite list of points with an exact pairwise distance."""
 
     points: list
-    dist: Callable[[int, int], Fraction]
+    dist: Callable[[int, int], int | Fraction]
     label: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
     _traversals: dict = field(default_factory=dict, repr=False)
@@ -39,7 +42,7 @@ class PointCloud:
     def __len__(self):
         return len(self.points)
 
-    def d(self, i: int, j: int) -> Fraction:
+    def d(self, i: int, j: int) -> int | Fraction:
         if i > j:
             i, j = j, i
         key = (i, j)
@@ -67,10 +70,15 @@ class CoverResult(NamedTuple):
     mode: str
 
 
+def _pow2(e: int):
+    """2^e exactly: an int for e >= 0, a Fraction below 1."""
+    return 1 << e if e >= 0 else Fraction(1, 1 << -e)
+
+
 def covering_number(K: PointCloud, n: int, mode: str = "exact") -> CoverResult:
     """Fewest (exact) or witnessed (greedy farthest-point-first) closed
     2^-n balls centered at cloud points covering every cloud point."""
-    r = Fraction(1, 1 << n) if n >= 0 else Fraction(1 << -n)
+    r = _pow2(-n)
     if mode == "exact":
         count = _exact_cover(K, r)
     elif mode == "greedy":
@@ -80,7 +88,7 @@ def covering_number(K: PointCloud, n: int, mode: str = "exact") -> CoverResult:
     return CoverResult(count, ceil_lb(count), mode)
 
 
-def _ball_masks(K: PointCloud, r: Fraction) -> list[int]:
+def _ball_masks(K: PointCloud, r: int | Fraction) -> list[int]:
     m = len(K)
     masks = []
     for c in range(m):
@@ -92,7 +100,7 @@ def _ball_masks(K: PointCloud, r: Fraction) -> list[int]:
     return masks
 
 
-def _exact_cover(K: PointCloud, r: Fraction) -> int:
+def _exact_cover(K: PointCloud, r: int | Fraction) -> int:
     m = len(K)
     if m == 0:
         return 0
@@ -148,7 +156,7 @@ def farthest_first(K: PointCloud, start: int) -> tuple[list[int], list]:
     return order, radii
 
 
-def _greedy_cover(K: PointCloud, r: Fraction) -> int:
+def _greedy_cover(K: PointCloud, r: int | Fraction) -> int:
     """Centers are added farthest-first from point 0 while some point lies
     beyond r; since the insertion radii do not increase, that is one center
     plus every later point inserted at a radius above r."""
@@ -161,7 +169,7 @@ def _greedy_cover(K: PointCloud, r: Fraction) -> int:
 def packing_witness(K: PointCloud, n: int) -> list[int]:
     """Greedy maximal set of cloud indices with pairwise distance strictly
     above 2^-(n-1); its floor-lb size is a spanning-bound value at n."""
-    thr = Fraction(1, 1 << (n - 1)) if n >= 1 else Fraction(1 << (1 - n))
+    thr = _pow2(1 - n)
     chosen: list[int] = []
     for p in range(len(K)):
         if all(K.d(p, c) > thr for c in chosen):
@@ -299,11 +307,11 @@ def dialog_cover_experiment(samples: list[Name], points: list,
     for idx, psi in enumerate(samples):
         chi = pair_names(psi, psi)
         _, _, dialog = metered_run(eq_program, chi, "1" * (n + 1), T, l_pair)
-        enc = dialog.encode()
-        if len(enc) > bound:
+        enc_len = dialog.encoded_length()
+        if enc_len > bound:
             raise ContractViolation(
-                f"dialog length {len(enc)} exceeds bound {bound} at sample {idx}")
-        max_len = max(max_len, len(enc))
+                f"dialog length {enc_len} exceeds bound {bound} at sample {idx}")
+        max_len = max(max_len, enc_len)
         key = (dialog.query_count, dialog.truncated_answers)
         if key not in classes:
             classes[key] = []

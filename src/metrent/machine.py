@@ -19,7 +19,7 @@ from typing import Callable
 from .baire import LengthFn, Name
 from .strings import (ContractError, InvalidConfig, MalformedName, all_strings,
                       decode_int, encode_int, nat_str, parse_nat,
-                      round_ratio, tuple_list, tuple_strs)
+                      round_ratio, tuple_list, tuple_list_len, tuple_strs)
 
 
 class ContractViolation(ContractError):
@@ -58,6 +58,12 @@ class Dialog:
     def encode(self) -> str:
         return tuple_strs([nat_str(self.query_count),
                            tuple_list(self.truncated_answers)])
+
+    def encoded_length(self) -> int:
+        """len(self.encode()) without building it; the query count's
+        numeral has bit_length symbols."""
+        listed = tuple_list_len(map(len, self.truncated_answers))
+        return tuple_list_len([self.query_count.bit_length(), listed])
 
 
 def dialog_length_bound(t_value: int) -> int:

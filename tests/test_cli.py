@@ -9,7 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metrent import cli
 from metrent.cli import main
+from metrent.entropy import (EXACT_COVER_CAP, PointCloud, covering_number,
+                             farthest_first, packing_exponent, packing_witness)
 
 
 def run_cli(args):
@@ -92,6 +95,54 @@ def test_entropy_matches_golden_bytes(tmp_path):
     assert main(["entropy", "--n-max", "8", "--samples", "80", "--seed", "3",
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "entropy_n8_s80_seed3.csv").read_bytes()
+
+
+def test_entropy_across_the_sample_scale_matches_golden_bytes(tmp_path):
+    # rows n > 8 put the cover radius below the 2^-8 grid step of the samples
+    out = tmp_path / "entropy.csv"
+    assert main(["entropy", "--n-max", "12", "--samples", "20", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "entropy_n12_s20_seed5.csv").read_bytes()
+
+
+def _cli_cloud(monkeypatch, tmp_path, samples, seed):
+    """The point cloud that ``metrent entropy`` covers, caught at its first
+    covering_number call."""
+    seen = []
+    real = cli.covering_number
+
+    def spy(K, n, mode="exact"):
+        seen.append(K)
+        return real(K, n, mode)
+
+    monkeypatch.setattr(cli, "covering_number", spy)
+    assert main(["entropy", "--n-max", "0", "--samples", str(samples),
+                 "--seed", str(seed), "--out", str(tmp_path / "e.csv")]) == 0
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("samples", [1, 2, 20, 21, 80])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_scaled_cli_cloud_matches_fraction_cloud(monkeypatch, tmp_path,
+                                                 samples, seed):
+    ks = cli._sample_numerators(samples, seed)
+    pts = [Fraction(k, 1 << cli._SAMPLE_SCALE) for k in ks]
+    reference = PointCloud(pts, lambda i, j: abs(pts[i] - pts[j]))
+    cloud = _cli_cloud(monkeypatch, tmp_path, samples, seed)
+    assert cloud.points == ks
+    for n in range(13):
+        shift = n - cli._SAMPLE_SCALE
+        if samples <= EXACT_COVER_CAP:
+            assert covering_number(cloud, shift, "exact") == \
+                covering_number(reference, n, "exact")
+        assert covering_number(cloud, shift, "greedy") == \
+            covering_number(reference, n, "greedy")
+        assert packing_witness(cloud, shift) == packing_witness(reference, n)
+        assert packing_exponent(cloud, shift) == packing_exponent(reference, n)
+    _, radii = farthest_first(cloud, 0)
+    assert all(type(d) is int for d in radii[1:])
+    assert cloud._cache and all(type(d) is int for d in cloud._cache.values())
 
 
 @pytest.mark.parametrize("args", [

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metrent.baire import Name, constant_name, pair_names
-from metrent.machine import (BudgetExceeded, ContractViolation, RunningTime,
+from metrent.machine import (BudgetExceeded, ContractViolation, Dialog,
+                             RunningTime,
                              check_monotone_sampled, const_time,
                              dialog_length_bound, equality_from_metric,
                              exp_max_time, first_order, is_time_constructible,
@@ -74,6 +78,37 @@ def test_dialog_length_bound_holds_on_runs():
     T = first_order(lambda n: 40)
     _, report, dialog = metered_run(chatty, phi, "", T, lambda n: 6)
     assert len(dialog.encode()) <= dialog_length_bound(report.budget)
+
+
+answer = st.text(alphabet="01", max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 12),
+       st.one_of(st.just([]), st.lists(answer, min_size=1, max_size=1),
+                 st.lists(answer, min_size=2, max_size=12),
+                 st.lists(st.just(""), min_size=2, max_size=5)))
+def test_dialog_encoded_length_is_the_encoding_length(count, answers):
+    dialog = Dialog(count, tuple(answers))
+    assert dialog.encoded_length() == len(dialog.encode())
+
+
+def test_dialog_encoded_length_on_equality_runs():
+    # C03-shaped runs: equality from the metric on paired grid points
+    M = unit_interval_space()
+    prog, T_eq = equality_from_metric(cauchy_metric_program(M),
+                                      cauchy_metric_time())
+    budget = RunningTime(lambda l, n: 8 * T_eq.bound(l, n) + 8)
+    rnd = random.Random(11)
+    for _ in range(40):
+        x, y = (Fraction(rnd.randrange(0, 257), 256) for _ in range(2))
+        chi = pair_names(cauchy_name(M, unit_interval_short_approx(x)),
+                         cauchy_name(M, unit_interval_short_approx(y)))
+        for n in range(11):
+            _, _, dialog = metered_run(prog, chi, "1" * n, budget,
+                                       lambda k: 2 * (k + 1))
+            assert dialog.query_count >= 1
+            assert dialog.encoded_length() == len(dialog.encode())
 
 
 def test_dialog_determinism_replay():

@@ -76,20 +76,38 @@ def test_tuple_strs_rejects_non_ascii():
         tuple_strs(["0", "\u00e9"])
 
 
-# arbitrary code points (lone surrogates included), and short strings that
-# are mostly binary with the odd ASCII or non-ASCII character
+# one character that int(a, 2) accepts or rejects, at any position of a
+# binary string of up to 200 characters, on both sides of the length where
+# is_binstr switches from strip to counting
+def _binary_with_one(n):
+    return st.tuples(st.text(alphabet="01", min_size=n, max_size=n),
+                     st.integers(0, n),
+                     st.sampled_from(["", "2", "_", " ", "\n", "\u00e9",
+                                      "\u0660"])).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+
+
+# arbitrary code points (lone surrogates included), short strings that are
+# mostly binary with the odd ASCII or non-ASCII character, and long binary
+# strings with at most one such character
 any_text = st.one_of(
     st.lists(st.integers(0, 0x10FFFF)).map(lambda cs: "".join(map(chr, cs))),
-    st.text(alphabet="01x \t\u00e9\u0660", max_size=20))
+    st.text(alphabet="01x \t\u00e9\u0660", max_size=20),
+    st.integers(0, 200).flatmap(_binary_with_one))
 
 
+@settings(max_examples=300, deadline=None)
 @given(any_text)
 @example("")
 @example("\u0660")
 @example("01\u00e91")
 @example("0 1")
+@example("0" * 31 + "_")
+@example(" " + "1" * 31)
+@example("01" * 16)
+@example("01" * 100 + "_")
 def test_is_binstr_matches_per_character_check(a):
-    assert is_binstr(a) == all(c in "01" for c in a)
+    assert is_binstr(a) == all(c in "01" for c in a) == (set(a) <= {"0", "1"})
 
 
 def test_proj_examples():
