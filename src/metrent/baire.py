@@ -15,8 +15,8 @@ from .strings import (ConfigError, ContractError, MalformedName, is_binstr,
 
 LengthFn = Callable[[int], int]
 
-#: default cutoff for exhaustive scans over queries; the scan cost is
-#: exponential in the depth (2^(n+1) - 1 queries), so keep this small.
+#: cutoff for exhaustive scans over queries; the scan cost is exponential
+#: in the depth (2^(n+1) - 1 queries), so keep this small.
 SCAN_CUTOFF = 20
 
 
@@ -70,18 +70,23 @@ class Name:
         return f"Name({self.label or '?'})"
 
 
-def constant_name(value: str = "", label: str = "const") -> Name:
-    return Name(lambda a: value, label=label)
+def constant_name(value: str = "") -> Name:
+    return Name(lambda a: value, label="const")
 
 
-def length_of(phi: Name, n: int, cutoff: int = SCAN_CUTOFF) -> int:
+def _check_scan_depth(depth: int) -> None:
+    """Refuse, before any query, a scan deeper than SCAN_CUTOFF."""
+    if depth > SCAN_CUTOFF:
+        raise ScanCutoffExceeded(f"scan depth {depth} exceeds cutoff {SCAN_CUTOFF}")
+
+
+def length_of(phi: Name, n: int) -> int:
     """max{|phi(a)| : |a| <= n} by exhaustive scan, memoized per name.
 
     The scan touches 2^(n+1) - 1 queries, which is why this map is not
-    cheap to evaluate; n above the cutoff raises.
+    cheap to evaluate; n above SCAN_CUTOFF raises.
     """
-    if n > cutoff:
-        raise ScanCutoffExceeded(f"scan depth {n} exceeds cutoff {cutoff}")
+    _check_scan_depth(n)
     memo = phi._length_memo
     if n in memo:
         return memo[n]
@@ -96,19 +101,20 @@ def length_of(phi: Name, n: int, cutoff: int = SCAN_CUTOFF) -> int:
     return best
 
 
-def in_kl(phi: Name, l: LengthFn, depth: int, cutoff: int = SCAN_CUTOFF) -> bool:
-    """Finite-depth membership check for K_l: |phi|(n) <= l(n) for n <= depth."""
-    return all(length_of(phi, n, cutoff) <= l(n) for n in range(depth + 1))
+def in_kl(phi: Name, l: LengthFn, depth: int) -> bool:
+    """Finite-depth membership check for K_l: |phi|(n) <= l(n) for n <= depth;
+    a depth above SCAN_CUTOFF raises before any query."""
+    _check_scan_depth(depth)
+    return all(length_of(phi, n) <= l(n) for n in range(depth + 1))
 
 
-def is_length_monotone(phi: Name, depth: int, cutoff: int = SCAN_CUTOFF) -> bool:
+def is_length_monotone(phi: Name, depth: int) -> bool:
     """Exhaustively check |a| <= |b| => |phi(a)| <= |phi(b)| for |a|,|b| <= depth.
 
     Equal query lengths force equal answer lengths, so the check reduces to
     per-level min/max bookkeeping.
     """
-    if depth > cutoff:
-        raise ScanCutoffExceeded(f"depth {depth} exceeds cutoff {cutoff}")
+    _check_scan_depth(depth)
     prev_max = 0
     for k in range(depth + 1):
         lens = [len(phi(a)) for a in strings_of_length(k)]
@@ -182,7 +188,7 @@ def split_pair(chi: Name) -> tuple[Name, Name]:
 # ---------------------------------------------------------------------------
 # trace fixtures: text lines "query<TAB>answer"
 
-def name_from_trace(text: str, label: str = "traced") -> Name:
+def name_from_trace(text: str) -> Name:
     table: dict[str, str] = {}
     for line in text.splitlines():
         if "\t" not in line:
@@ -193,7 +199,7 @@ def name_from_trace(text: str, label: str = "traced") -> Name:
         if a not in table:
             raise TraceMiss(f"trace has no entry for {a!r}")
         return table[a]
-    return Name(fn, label=label)
+    return Name(fn, label="traced")
 
 
 def trace_of(phi: Name, queries) -> str:

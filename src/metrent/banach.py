@@ -79,8 +79,7 @@ def haar_vector(f: StepFn, p: Fraction) -> HaarExpansion:
 # ---------------------------------------------------------------------------
 # name generation
 
-def banach_name(vec, params: BanachReprParams, system, ell: LengthFn,
-                label: str = "") -> Name:
+def banach_name(vec, params: BanachReprParams, system, ell: LengthFn) -> Name:
     """Name of the vector with exact coefficients ``vec`` (a Fraction list
     for the hat system, a HaarExpansion for the Haar system).
 
@@ -102,7 +101,7 @@ def banach_name(vec, params: BanachReprParams, system, ell: LengthFn,
     def branch(a: str) -> str:
         return _xi_answer(a, coeff, system)
 
-    return _with_length_branch(branch, ell, label or "xi-name")
+    return _with_length_branch(branch, ell, "xi-name")
 
 
 def _xi_answer(a: str, coeff: Callable[[int, int, int], int], system) -> str:
@@ -250,8 +249,8 @@ def banach_add_program() -> Callable[[Ctx], None]:
     return prog
 
 
-def add_time(kappa: int = 8) -> RunningTime:
-    return RunningTime(lambda l, n: kappa * (l(n + 1) + n + 1) + kappa,
+def add_time() -> RunningTime:
+    return RunningTime(lambda l, n: 8 * (l(n + 1) + n + 1) + 8,
                        label="l(n+1)+n+1")
 
 
@@ -302,8 +301,7 @@ def _scale_block(s: str) -> int | None:
     return _unary(s[1:]) if s[:1] == "1" else None
 
 
-def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int],
-                      label: str = "") -> Name:
+def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int]) -> Name:
     """Point-value name of a continuous function: the query
     <0^n, r, 1 0^m> answers <q, 1 0^k> with |f(r 2^-m) - q 2^-k| <= 2^-n,
     every value at query length t has one fixed length, and that length
@@ -317,7 +315,7 @@ def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int],
     def fn(a: str) -> str:
         return _value_answer(a, size, _parse_dsq_query, value, "dsq")
 
-    return Name(fn, label=label or "dsq-name")
+    return Name(fn, label="dsq-name")
 
 
 def dsq_query(n: int, r: int, m: int) -> str:
@@ -370,8 +368,7 @@ def _parse_lp_query(a: str) -> tuple[int, int, int, int] | None:
     return k, l, m, n
 
 
-def lp_name(f: StepFn, p: Fraction, mu: Callable[[int], int],
-            label: str = "") -> Name:
+def lp_name(f: StepFn, p: Fraction, mu: Callable[[int], int]) -> Name:
     """Integral name: the query <k, l, 1 0^m, 0^n> answers <q, 0^j> with
     the integral of f from k 2^-m to l 2^-m strictly within 2^-n of
     q 2^-j; lengths are uniform per level and dominate the L^p modulus mu."""
@@ -386,7 +383,7 @@ def lp_name(f: StepFn, p: Fraction, mu: Callable[[int], int],
     def fn(a: str) -> str:
         return _value_answer(a, size, _parse_lp_query, value, "lp")
 
-    return Name(fn, label=label or "lp-name")
+    return Name(fn, label="lp-name")
 
 
 def lp_query(k: int, l: int, m: int, n: int) -> str:
@@ -416,7 +413,7 @@ def counted(phi: Name) -> tuple[Name, list]:
     return Name(fn, label=f"counted({phi.label})"), counter
 
 
-def xi_to_dsq(phi: Name, params: BanachReprParams, label: str = "") -> Name:
+def xi_to_dsq(phi: Name, params: BanachReprParams) -> Name:
     """Point-value name computed from a hat-coefficient name.
 
     A value at (n, r, m) reads the coefficient branch at level 2^(n+3) - 1
@@ -447,10 +444,10 @@ def xi_to_dsq(phi: Name, params: BanachReprParams, label: str = "") -> Name:
     def fn(a: str) -> str:
         return _value_answer(a, size, _parse_dsq_query, value, "dsq")
 
-    return Name(fn, label=label or f"dsq({phi.label})")
+    return Name(fn, label=f"dsq({phi.label})")
 
 
-def dsq_to_xi(psi: Name, params: BanachReprParams, label: str = "") -> Name:
+def dsq_to_xi(psi: Name, params: BanachReprParams) -> Name:
     """Hat-coefficient name computed from a point-value name via the local
     midpoint-deviation formula; norm queries are answered by exact library
     evaluation of the queried combination."""
@@ -472,7 +469,7 @@ def dsq_to_xi(psi: Name, params: BanachReprParams, label: str = "") -> Name:
     def branch(a: str) -> str:
         return _xi_answer(a, coeff, fs_system)
 
-    return _with_length_branch(branch, ell_out, label or f"xi({psi.label})")
+    return _with_length_branch(branch, ell_out, f"xi({psi.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +495,7 @@ def _aligned_nonzero_indices(a: Fraction, b: Fraction, max_k: int) -> list[int]:
     return sorted(out)
 
 
-def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction,
-             label: str = "") -> Name:
+def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
     """Integral name computed from a Haar-coefficient name: the integral of
     the level-(2^(n+3)-1) combination over the requested dyadic interval is
     evaluated symbolically from the at most two contributing elements per
@@ -538,11 +534,10 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction,
     def fn(a: str) -> str:
         return _value_answer(a, size, _parse_lp_query, value, "lp")
 
-    return Name(fn, label=label or f"lp({phi.label})")
+    return Name(fn, label=f"lp({phi.label})")
 
 
-def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction,
-             label: str = "") -> Name:
+def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction) -> Name:
     """Haar-coefficient name computed from an integral name via the local
     half-support integral differences; norm queries are answered by exact
     library evaluation."""
@@ -569,4 +564,4 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction,
     def branch(a: str) -> str:
         return _xi_answer(a, coeff, haar_sys)
 
-    return _with_length_branch(branch, ell_out, label or f"xi({psi.label})")
+    return _with_length_branch(branch, ell_out, f"xi({psi.label})")

@@ -23,11 +23,11 @@ from .entropy import (PointCloud, SizeExceeded, covering_number,
 from .funcs import PiecewiseLinear, modulus_fn, sup_dist_pl
 from .machine import (Ctx, RunningTime, const_time, exp_max_time,
                       need_evaluator, paired, precision_input, quarter_round)
-from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, metric_answer,
-                    metric_query)
-from .strings import (ContractError, Dyadic, InvalidConfig, MalformedName,
-                      ceil_lb, decode_int, nat_str, parse_nat,
-                      parse_nats, proj_value, tuple_strs, untuple)
+from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, cauchy_index,
+                    metric_answer, metric_query)
+from .strings import (ContractError, Dyadic, InvalidConfig, ceil_lb,
+                      decode_int, nat_str, parse_nats, proj_value, tuple_strs,
+                      untuple)
 
 
 class ParameterViolation(ContractError, ValueError):
@@ -229,10 +229,12 @@ def greedy_uniform_seq(K: PointCloud, horizon: int) -> UniformSeqSpec:
     return UniformSeqSpec(seq=seq, size_bound=size_bound, horizon=horizon, dist=dist)
 
 
-def _max_separated(points: list, dist, thr: Fraction, exhaustive_cap: int = 12) -> int:
+def _max_separated(points: list, dist, thr: Fraction) -> int:
+    """Size of a largest subset with pairwise distance above thr: exact by
+    subset search up to 12 points, first-fit greedy (a lower bound) above."""
     best = 0
     m = len(points)
-    if m <= exhaustive_cap:
+    if m <= 12:
         for mask in range(1 << m):
             sel = [i for i in range(m) if mask >> i & 1]
             if len(sel) <= best:
@@ -327,24 +329,20 @@ def _chunk_branch(params: CompactReprParams,
     return chunk
 
 
-def compact_name(space: MetricSpaceSpec, params: CompactReprParams, x,
-                 approx: Callable[[int], int] | None = None,
-                 label: str = "") -> Name:
+def compact_name(space: MetricSpaceSpec, params: CompactReprParams, x) -> Name:
     """Name of x in the compact-space representation: chunk queries read
-    the index of a 1/(n+1)-approximation, metric queries the discrete
-    metric, and 0^k the declared floor ell(k)."""
-    if approx is None:
-        if space.approx_index is None:
-            raise ValueError("space has no approximation chooser")
-        approx = lambda n: space.approx_index(x, n)
-    chunk = _chunk_branch(params, approx)
+    the index space.approx_index(x, n) of a 1/(n+1)-approximation, metric
+    queries the discrete metric, and 0^k the declared floor ell(k)."""
+    if space.approx_index is None:
+        raise ValueError("space has no approximation chooser")
+    chunk = _chunk_branch(params, lambda n: space.approx_index(x, n))
 
     def branch(a: str) -> str:
         if a[0] == "0":
             return chunk(a[1:])
         return metric_answer(space, a[1:])
 
-    return _with_length_branch(branch, params.ell, label or f"compact({x})")
+    return _with_length_branch(branch, params.ell, f"compact({x})")
 
 
 def _with_length_branch(branch: Callable[[str], str], floor: LengthFn,
@@ -434,22 +432,19 @@ def compact_to_relativized(phi: Name, params: CompactReprParams) -> Name:
     return Name(fn, label=f"rel({phi.label})")
 
 
-def relativized_to_compact(rel: Name, params: CompactReprParams,
-                           label: str = "") -> Name:
-    """Compact-representation name computed from a relativized-Cauchy name."""
-    def approx(n: int) -> int:
-        i = parse_nat(rel("0" + nat_str(n)))
-        if i is None:
-            raise MalformedName(f"relativized name: bad index at {n}")
-        return i
-    chunk = _chunk_branch(params, approx)
+def relativized_to_compact(rel: Name, params: CompactReprParams) -> Name:
+    """Compact-representation name computed from a relativized-Cauchy name:
+    its "0"-tagged index branch, viewed as a Cauchy name, is read by
+    cauchy_index."""
+    indices = Name(lambda a: rel("0" + a), label=f"index({rel.label})")
+    chunk = _chunk_branch(params, lambda n: cauchy_index(indices, n))
 
     def branch(a: str) -> str:
         if a[0] == "0":
             return chunk(a[1:])
         return rel(a)
 
-    return _with_length_branch(branch, params.ell, label or f"compact({rel.label})")
+    return _with_length_branch(branch, params.ell, f"compact({rel.label})")
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class PointCloud:
         return v
 
 
-def cloud_from_vectors(vectors, metric: str = "sup", label: str = "") -> PointCloud:
+def cloud_from_vectors(vectors, metric: str = "sup") -> PointCloud:
     vecs = [tuple(Fraction(c) for c in v) for v in vectors]
     if metric == "sup":
         d = lambda i, j: max(abs(a - b) for a, b in zip(vecs[i], vecs[j]))
@@ -61,7 +61,7 @@ def cloud_from_vectors(vectors, metric: str = "sup", label: str = "") -> PointCl
         d = lambda i, j: sum(abs(a - b) for a, b in zip(vecs[i], vecs[j]))
     else:
         raise InvalidConfig(f"unknown metric {metric!r}")
-    return PointCloud(vecs, d, label=label or f"{metric}^{len(vecs[0])}")
+    return PointCloud(vecs, d, label=f"{metric}^{len(vecs[0])}")
 
 
 class CoverResult(NamedTuple):
@@ -198,7 +198,7 @@ def check_spanning_le_covering(K: PointCloud, n: int) -> bool:
 def build_large_compact(mu: Callable[[int], int], family: Callable[[int], object],
                         scale: Callable[[Fraction, object], object],
                         zero: object, dist: Callable[[object, object], Fraction],
-                        horizon: int, label: str = "") -> PointCloud:
+                        horizon: int) -> PointCloud:
     """Finite truncation of {0} union over shells i <= horizon of
     2^(1-i) * x_j, with 2^mu(i) - 2^mu(i-1) family members per shell
     (mu(-1) read as -infinity).  For a unit-norm family of pairwise distance
@@ -212,7 +212,7 @@ def build_large_compact(mu: Callable[[int], int], family: Callable[[int], object
         for j in range(1, cnt + 1):
             pts.append(scale(factor, family(j)))
     return PointCloud(pts, lambda a, b: dist(pts[a], pts[b]),
-                      label=label or "large-compact")
+                      label="large-compact")
 
 
 # ---------------------------------------------------------------------------

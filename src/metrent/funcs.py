@@ -293,7 +293,7 @@ def smooth(f: StepFn, m: int) -> PiecewiseLinear:
 def approx_check(f: StepFn, mu, n: int, p: int) -> tuple[bool, Fraction, Fraction]:
     """Strict inequality ||f - A_mu(n) f||_p < 2^-n, compared via exact
     p-th powers.  Returns (ok, lhs^p, rhs^p)."""
-    g = smooth(f, mu(n) if callable(mu) else mu[n])
+    g = smooth(f, mu(n))
     lhs = p_power_dist(f, g, p)
     rhs = Fraction(1, 1 << (n * p))
     return lhs < rhs, lhs, rhs
@@ -303,12 +303,8 @@ def lp_modulus_shift_check(f: StepFn, mu, m: int, up_to: int) -> bool:
     """Check on the breakpoint grid that n -> mu(n + m) is a modulus of
     continuity of A_m(f)."""
     g = smooth(f, m)
-    mu_at = (lambda k: mu(k)) if callable(mu) else (lambda k: mu[k])
     table = continuity_modulus(g, up_to)
-    for n in range(up_to + 1):
-        if mu_at(n + m) < table[n]:
-            return False
-    return True
+    return all(mu(n + m) >= table[n] for n in range(up_to + 1))
 
 
 # ---------------------------------------------------------------------------

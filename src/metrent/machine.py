@@ -204,26 +204,26 @@ def first_order(f: Callable[[int], int], label: str = "") -> RunningTime:
     return RunningTime(lambda l, n: f(n), label or "first-order", evaluator=ev)
 
 
-def const_time(c: int = 1, label: str = "S=1") -> RunningTime:
-    return first_order(lambda n: c, label)
+def const_time(c: int = 1) -> RunningTime:
+    return first_order(lambda n: c, "S=1")
 
 
-def exp_max_time(label: str = "S=2^max{l(n),n}") -> RunningTime:
+def exp_max_time() -> RunningTime:
     """The time-constructible bound 2^{max(l(n), n)}; its evaluator reads
     the length from the (l)-convention query 0^n."""
     def ev(ctx: Ctx, n: int) -> int:
         k = oracle_length(ctx, n)
         ctx.tick(max(n, 1))
         return 2 ** max(k, n)
-    return RunningTime(lambda l, n: 2 ** max(l(n), n), label, evaluator=ev)
+    return RunningTime(lambda l, n: 2 ** max(l(n), n), "S=2^max{l(n),n}", evaluator=ev)
 
 
-def length_time_by_convention(label: str = "L=l(n), via 0^n") -> RunningTime:
-    return RunningTime(lambda l, n: l(n), label, evaluator=oracle_length)
+def length_time_by_convention() -> RunningTime:
+    return RunningTime(lambda l, n: l(n), "L=l(n), via 0^n", evaluator=oracle_length)
 
 
-def length_time_by_scan(label: str = "L=l(n), by scan") -> RunningTime:
-    return RunningTime(lambda l, n: l(n), label, evaluator=oracle_length_scan)
+def length_time_by_scan() -> RunningTime:
+    return RunningTime(lambda l, n: l(n), "L=l(n), by scan", evaluator=oracle_length_scan)
 
 
 def need_evaluator(S: RunningTime) -> None:
@@ -243,15 +243,14 @@ def constructibility_program(S: RunningTime) -> Callable[[Ctx], None]:
     return prog
 
 
-def is_time_constructible(S: RunningTime, probe_names, depth: int,
-                          c: int = 8) -> bool:
-    """Run the library evaluator for S with budget c*S + c on every probe
+def is_time_constructible(S: RunningTime, probe_names, depth: int) -> bool:
+    """Run the library evaluator for S with budget 8*S + 8 on every probe
     and input of length <= depth; True iff no run exhausts its budget.
 
     Each probe must carry a certified length bound (``declared_bound``).
     """
     prog = constructibility_program(S)
-    budget = RunningTime(lambda l, n: c * S.bound(l, n) + c, label=f"{c}*S+{c}")
+    budget = RunningTime(lambda l, n: 8 * S.bound(l, n) + 8, label="8*S+8")
     for phi in probe_names:
         if phi.declared_bound is None:
             raise ValueError("probe names must carry a certified length bound")

@@ -30,9 +30,11 @@ class MetricSpaceSpec:
     metric evaluator.
 
     ``dist(i, j, precision)`` returns a rational within 1/(precision+1) of
-    d(r_i, r_j); for the library's dyadic spaces it is exact.  ``exact_dist``
-    compares arbitrary points exactly: metric queries are answered and
-    names validated with it, so every space must supply it.
+    d(r_i, r_j); for the library's dyadic spaces it is exact.  Metric
+    queries and ``cauchy_metric_program`` are answered from it.
+    ``exact_dist`` compares arbitrary points exactly: the validators, the
+    co-r.e. rejection and the dialog check use it, so every space must
+    supply it.
     """
 
     label: str
@@ -100,7 +102,7 @@ def dyadic_line_space() -> MetricSpaceSpec:
 # ---------------------------------------------------------------------------
 # the standard representation of the reals
 
-def real_name(x: Dyadic | Fraction, label: str = "") -> Name:
+def real_name(x: Dyadic | Fraction) -> Name:
     """Name with phi(n) an integer encoding and |x - phi(n)/(n+1)| <= 1/(n+1);
     the generator picks round(x*(n+1)) with ties away from zero."""
     xf = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
@@ -109,9 +111,15 @@ def real_name(x: Dyadic | Fraction, label: str = "") -> Name:
         n = parse_nat(a)
         if n is None:
             return ""
-        return encode_int(round_ratio(xf.numerator * (n + 1), xf.denominator))
+        return _grid_answer(xf, n)
 
-    return Name(fn, label=label or f"real({xf})")
+    return Name(fn, label=f"real({xf})")
+
+
+def _grid_answer(v: Fraction, n: int) -> str:
+    """The encoded integer round(v * (n+1)), ties away from zero: v put on
+    the output grid of precision n."""
+    return encode_int(round_ratio(v.numerator * (n + 1), v.denominator))
 
 
 def real_decode(phi: Name, n: int) -> tuple[Fraction, Fraction]:
@@ -159,12 +167,10 @@ def _index_answer(approx: Callable[[int], int], a: str) -> str:
     return "" if n is None else nat_str(approx(n))
 
 
-def cauchy_name(M: MetricSpaceSpec, approx: Callable[[int], int],
-                label: str = "") -> Name:
+def cauchy_name(M: MetricSpaceSpec, approx: Callable[[int], int]) -> Name:
     """phi(n) = index of a 1/(n+1)-approximation, per the caller-certified
     ``approx``."""
-    return Name(lambda a: _index_answer(approx, a),
-                label=label or f"cauchy[{M.label}]")
+    return Name(lambda a: _index_answer(approx, a), label=f"cauchy[{M.label}]")
 
 
 def cauchy_index(phi: Name, n: int) -> int:
@@ -192,24 +198,23 @@ def cauchy_metric_program(M: MetricSpaceSpec) -> Callable[[Ctx], None]:
         ans = ctx.ask(nat_str(4 * n + 3))
         i, j = paired(parse_nats(2, ans))
         ctx.tick(len(ans) + len(ctx.input) + 4)
-        v = M.dist(i, j, 2 * n + 1)
-        ctx.emit(encode_int(round_ratio(v.numerator * (n + 1), v.denominator)))
+        ctx.emit(_grid_answer(M.dist(i, j, 2 * n + 1), n))
     return prog
 
 
-def cauchy_metric_time(kappa: int = 6) -> RunningTime:
+def cauchy_metric_time() -> RunningTime:
     """T(l,n) = t(l(n+3), n+1) for the discrete-metric cost t(a,b) =
-    kappa*(a+b) + kappa."""
+    6(a+b) + 6."""
     def bound(l: LengthFn, n: int) -> int:
-        return kappa * (l(n + 3) + n + 1) + kappa
+        return 6 * (l(n + 3) + n + 1) + 6
     return RunningTime(bound, label="t(l(n+3),n+1)")
 
 
 # ---------------------------------------------------------------------------
 # relativized Cauchy representation
 
-def relativized_cauchy_name(M: MetricSpaceSpec, approx: Callable[[int], int],
-                            label: str = "") -> Name:
+def relativized_cauchy_name(M: MetricSpaceSpec,
+                            approx: Callable[[int], int]) -> Name:
     """Layout: phi("0" + n) is an approximation index; phi("1" + <k,m,n>) is
     an integer z with |d(r_k, r_m) - z/(n+1)| <= 1/(n+1); other queries
     answer epsilon."""
@@ -220,7 +225,7 @@ def relativized_cauchy_name(M: MetricSpaceSpec, approx: Callable[[int], int],
             return _index_answer(approx, a[1:])
         return metric_answer(M, a[1:])
 
-    return Name(fn, label=label or f"rel-cauchy[{M.label}]")
+    return Name(fn, label=f"rel-cauchy[{M.label}]")
 
 
 def metric_query(i: int, j: int, n: int) -> str:
@@ -230,14 +235,13 @@ def metric_query(i: int, j: int, n: int) -> str:
 
 def metric_answer(M: MetricSpaceSpec, rest: str) -> str:
     """Answer to the metric query "1" + rest for rest = <i, j, n>: the
-    integer round(d(r_i, r_j) * (n+1)); epsilon when rest is not a triple
-    of numerals."""
+    discrete metric dist(i, j, 2n+1) put on the grid of precision n, within
+    1/(n+1) of d(r_i, r_j); epsilon when rest is not a triple of numerals."""
     idx = parse_nats(3, rest)
     if idx is None:
         return ""
     i, j, n = idx
-    d = M.exact_dist(M.point(i), M.point(j))
-    return encode_int(round_ratio(d.numerator * (n + 1), d.denominator))
+    return _grid_answer(M.dist(i, j, 2 * n + 1), n)
 
 
 def relativized_metric_program() -> Callable[[Ctx], None]:
@@ -257,10 +261,10 @@ def relativized_metric_program() -> Callable[[Ctx], None]:
     return prog
 
 
-def relativized_metric_time(kappa: int = 10) -> RunningTime:
-    """Budget of shape max(l(n+4), n) up to the recorded constant."""
+def relativized_metric_time() -> RunningTime:
+    """Budget of shape max(l(n+4), n) up to the recorded constant 10."""
     def bound(l: LengthFn, n: int) -> int:
-        return kappa * (max(l(n + 4), n) + 1) + kappa
+        return 10 * (max(l(n + 4), n) + 1) + 10
     return RunningTime(bound, label="max{l(n+4),n}")
 
 

@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metrent.baire import (BoundViolation, MalformedPadding, Name, NotAPair,
-                           TraceMiss, constant_name, in_kl,
-                           is_length_monotone, length_of, name_from_trace,
-                           pad, pair_names, split_pair, trace_of, unpad,
-                           unpad_value)
+from metrent.baire import (SCAN_CUTOFF, BoundViolation, MalformedPadding,
+                           Name, NotAPair, ScanCutoffExceeded, TraceMiss,
+                           constant_name, in_kl, is_length_monotone,
+                           length_of, name_from_trace, pad, pair_names,
+                           split_pair, trace_of, unpad, unpad_value)
 from metrent.strings import MalformedName, all_strings, tuple_strs
 
 
@@ -57,6 +57,21 @@ def test_is_length_monotone_examples():
     assert is_length_monotone(Name(lambda a: a[::-1]), 4)
     bad = Name(lambda a: "11" if a == "" else "")
     assert not is_length_monotone(bad, 2)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda phi, depth: length_of(phi, depth),
+    lambda phi, depth: in_kl(phi, lambda n: n, depth),
+    lambda phi, depth: is_length_monotone(phi, depth),
+], ids=["length_of", "in_kl", "is_length_monotone"])
+def test_scan_past_the_cutoff_raises_before_any_query(scan):
+    asked = []
+    phi = Name(lambda a: (asked.append(a), "")[1])
+    with pytest.raises(ScanCutoffExceeded):
+        scan(phi, SCAN_CUTOFF + 1)
+    assert asked == []
+    scan(phi, 2)                  # within the cutoff every query is seen
+    assert len(asked) == 7
 
 
 def test_pad_examples():

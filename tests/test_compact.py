@@ -11,8 +11,9 @@ from metrent.banach import (BanachReprParams, banach_name, delta_square_name,
                             lp_to_xi)
 from metrent.compact import (CompactReprParams, ParameterViolation, _q_node,
                              _with_length_branch, check_uniformly_dense,
-                             compact_decode_index, compact_metric_program,
-                             compact_metric_time, compact_name,
+                             chunk_query, compact_decode_index,
+                             compact_metric_program, compact_metric_time,
+                             compact_name,
                              compact_to_relativized,
                              greedy_uniform_seq, lipschitz_cloud,
                              measured_size_unit_interval, name_length_fn,
@@ -389,6 +390,19 @@ def test_translations_roundtrip():
     for n in range(8):
         i = compact_decode_index(back, n, params)
         assert abs(q_seq(i) - x) <= Fraction(1, n + 1)
+
+
+def test_relativized_name_with_a_bad_index_is_malformed():
+    """The chunk branch of relativized_to_compact reads the "0"-tagged
+    index through reprs.cauchy_index, so a non-numeral there is a
+    MalformedName at the first chunk query."""
+    from metrent.baire import Name
+    from metrent.strings import MalformedName
+    params = params_unit()
+    rel = Name(lambda a: "0" if a == "0" + nat_str(3) else "")
+    back = relativized_to_compact(rel, params)
+    with pytest.raises(MalformedName, match="query 3: not an index"):
+        back(chunk_query(0, 3))
 
 
 def test_lipschitz_instance():

@@ -2,6 +2,7 @@
 membership, dialog classes against the Cauchy covering column, and the
 harness exit code for contract violations."""
 
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -128,6 +129,69 @@ def test_every_error_takes_one_branch_of_the_root():
         if base is not None:
             assert issubclass(cls, base), name
     assert not issubclass(found["ContractViolation"], AssertionError)
+
+
+# every defaulted parameter of the public API, as (module, callable,
+# parameter); a new knob needs a visible edit here
+DEFAULTED_PARAMETERS = {
+    ("baire", "Name.__init__", "declared_bound"),
+    ("baire", "Name.__init__", "label"),
+    ("baire", "constant_name", "value"),
+    ("cli", "main", "argv"),
+    ("entropy", "PointCloud.__init__", "_cache"),
+    ("entropy", "PointCloud.__init__", "_traversals"),
+    ("entropy", "PointCloud.__init__", "label"),
+    ("entropy", "cloud_from_vectors", "metric"),
+    ("entropy", "covering_number", "mode"),
+    ("machine", "Ctx.tick", "k"),
+    ("machine", "MeterReport.__init__", "queries"),
+    ("machine", "RunningTime.__init__", "evaluator"),
+    ("machine", "RunningTime.__init__", "label"),
+    ("machine", "const_time", "c"),
+    ("machine", "first_order", "label"),
+    ("reprs", "MetricSpaceSpec.__init__", "approx_index"),
+    ("reprs", "space_from_csv", "dist_id"),
+    ("schauder", "FSSystem.norm_bounds", "prec"),
+    ("schauder", "HaarSystem.norm_bounds", "prec"),
+    ("schauder", "RootSum.__init__", "terms"),
+    ("schauder", "RootSum.accumulate", "c"),
+    ("strings", "Dyadic.__init__", "scale"),
+}
+
+
+def _public_callables(mod):
+    """(qualified name, function) for the public functions of a module and
+    the public methods and __init__ of its public classes."""
+    for name, obj in vars(mod).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif isinstance(obj, type):
+            for attr, fn in vars(obj).items():
+                if isinstance(fn, (staticmethod, classmethod)):
+                    fn = fn.__func__
+                if inspect.isfunction(fn) and (not attr.startswith("_")
+                                               or attr == "__init__"):
+                    yield f"{name}.{attr}", fn
+
+
+def test_every_defaulted_parameter_is_listed():
+    import importlib
+    import pkgutil
+
+    import metrent
+    found = set()
+    for info in pkgutil.iter_modules(metrent.__path__):
+        mod = importlib.import_module(f"metrent.{info.name}")
+        for qual, fn in _public_callables(mod):
+            found |= {(info.name, qual, p.name)
+                      for p in inspect.signature(fn).parameters.values()
+                      if p.default is not inspect.Parameter.empty}
+    assert found == DEFAULTED_PARAMETERS
+    from metrent.compact import _max_separated
+    assert list(inspect.signature(_max_separated).parameters) == \
+        ["points", "dist", "thr"]
 
 
 def _instance_file(tmp_path, **cfg):

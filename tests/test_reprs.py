@@ -9,10 +9,12 @@ from metrent.machine import RunningTime, metered_run
 from metrent.reprs import (MalformedName, MetricSpaceSpec, box_product_length,
                            cauchy_metric_program, cauchy_name, cauchy_validate,
                            co_re_reject, dyadic_line_index, dyadic_line_point,
-                           dyadic_line_space, product_name_list, real_decode,
-                           real_name, real_validate, relativized_cauchy_name)
+                           dyadic_line_space, metric_answer,
+                           product_name_list, real_decode, real_name,
+                           real_validate, relativized_cauchy_name,
+                           space_from_csv)
 from metrent.strings import (Dyadic, all_strings, decode_int, encode_int,
-                             nat_str)
+                             nat_str, round_ratio, tuple_strs)
 
 
 def test_real_name_examples():
@@ -195,11 +197,29 @@ def test_co_re_reject_limitless_prefix_stays_undecided():
 
 
 def test_space_without_exact_dist_is_refused():
-    """Metric queries and validators call exact_dist unguarded, so a spec
-    that lacks it fails where it is built, not at its first metric query."""
+    """Validators and the dialog check call exact_dist unguarded (metric
+    queries read dist), so a spec that lacks it fails where it is built,
+    not at its first validation."""
     with pytest.raises(TypeError):
         MetricSpaceSpec("bare", q_seq, lambda i, j, precision: abs(q_seq(i) - q_seq(j)),
                         approx_index=unit_interval_approx)
+
+
+def test_metric_answer_reads_the_index_metric(tmp_path):
+    """metric_answer's integer from dist(i, j, 2n+1) equals the rounding of
+    the exact distance of the two points on every library space."""
+    path = tmp_path / "pts.csv"
+    path.write_text("0,0\n1/2,1/4\n1,1\n-3/8,5/16\n7/4,-1/2\n")
+    for M in (unit_interval_space(), dyadic_line_space(),
+              space_from_csv(str(path), "sup")):
+        for i in range(40):
+            for j in range(40):
+                d = M.exact_dist(M.point(i), M.point(j))
+                for n in range(20):
+                    old = encode_int(round_ratio(d.numerator * (n + 1),
+                                                 d.denominator))
+                    assert metric_answer(M, tuple_strs(
+                        [nat_str(i), nat_str(j), nat_str(n)])) == old
 
 
 def test_line_spaces_share_one_exact_distance():
