@@ -97,22 +97,23 @@ def cmd_entropy(args) -> int:
     l = _parse_l_table(args.l_table)
     M = unit_interval_space()
     ks = _sample_numerators(args.samples, args.seed)
-    points = [Fraction(k, 1 << _SAMPLE_SCALE) for k in ks]
-    names = [cauchy_name(M, unit_interval_short_approx(x)) for x in points]
+    names = [cauchy_name(M, unit_interval_short_approx(Fraction(k, 1 << _SAMPLE_SCALE)))
+             for k in ks]
     metric = cauchy_metric_program(M)
     eq_prog, T_eq = equality_from_metric(metric, cauchy_metric_time())
     budget = RunningTime(lambda lf, n: 8 * T_eq.bound(lf, n) + 8,
                          label="8*T+8")
     # in 2^-_SAMPLE_SCALE units: scaling distances and radii keeps each test
     cloud = PointCloud(ks, lambda i, j: abs(ks[i] - ks[j])) if ks else None
+    k_dist = lambda a, b: abs(a - b)
     delta = ApproxSetSpec([Fraction(1)] + [
         Fraction(1, 1 << n) for n in range(1, args.n_max + 6)])
     rows = []
     for n in range(args.n_max + 1):
-        if not points:
+        if not ks:
             break
-        report = dialog_cover_experiment(names, points, eq_prog, budget,
-                                         l, n, M.exact_dist)
+        report = dialog_cover_experiment(names, ks, eq_prog, budget, l, n,
+                                         k_dist, _SAMPLE_SCALE)
         shift = n - _SAMPLE_SCALE
         cover_e = covering_number(cloud, shift, "exact").count \
             if len(cloud) <= EXACT_COVER_CAP else ""

@@ -334,7 +334,7 @@ def compact_name(space: MetricSpaceSpec, params: CompactReprParams, x) -> Name:
     the index space.approx_index(x, n) of a 1/(n+1)-approximation, metric
     queries the discrete metric, and 0^k the declared floor ell(k)."""
     if space.approx_index is None:
-        raise ValueError("space has no approximation chooser")
+        raise InvalidConfig("space has no approximation chooser")
     chunk = _chunk_branch(params, lambda n: space.approx_index(x, n))
 
     def branch(a: str) -> str:

@@ -291,19 +291,22 @@ class DialogCoverReport:
 def dialog_cover_experiment(samples: list[Name], points: list,
                             eq_program: Callable[[Ctx], None],
                             T: RunningTime, l: LengthFn, n: int,
-                            exact_dist: Callable[[object, object], Fraction]) -> DialogCoverReport:
+                            dist: Callable[[object, object], object],
+                            u: int) -> DialogCoverReport:
     """Group sample names by the dialog of the metered equality run on
     <psi, psi> with input 1^(n+1); verify the class count stays below
     2^(dialog bound) and that every sample sits within closed 2^-n of its
-    class representative.  Raises ContractViolation on a failed cover."""
+    class representative.  ``dist`` measures points in units of 2^-u (ints
+    for an integer cloud); the reported ``max_class_dist`` is the exact
+    distance.  Raises ContractViolation on a failed cover."""
     l_pair: LengthFn = lambda k: 2 * (l(k) + 1)
     budget = T.bound(l_pair, n + 1)
     bound = dialog_length_bound(budget)
     classes: dict = {}
     reps: dict = {}
     max_len = 0
-    max_dist = Fraction(0)
-    radius = Fraction(1, 1 << n)
+    max_dist = 0
+    radius = _pow2(u - n)
     for idx, psi in enumerate(samples):
         chi = pair_names(psi, psi)
         _, _, dialog = metered_run(eq_program, chi, "1" * (n + 1), T, l_pair)
@@ -317,15 +320,17 @@ def dialog_cover_experiment(samples: list[Name], points: list,
             classes[key] = []
             reps[key] = idx
         classes[key].append(idx)
-        d = exact_dist(points[idx], points[reps[key]])
+        d = dist(points[idx], points[reps[key]])
         if d > radius:
             raise ContractViolation(
-                f"sample {idx} at distance {d} > 2^-{n} from representative {reps[key]}")
+                f"sample {idx} at distance {Fraction(d) / _pow2(u)} > 2^-{n} "
+                f"from representative {reps[key]}")
         max_dist = max(max_dist, d)
     return DialogCoverReport(
         n=n, sample_size=len(samples), classes_observed=len(classes),
         budget=budget, dialog_bound=bound, max_dialog_len=max_len,
-        max_class_dist=max_dist, class_sizes=sorted(map(len, classes.values())),
+        max_class_dist=Fraction(max_dist) / _pow2(u),
+        class_sizes=sorted(map(len, classes.values())),
     )
 
 

@@ -6,11 +6,22 @@ to the characters "0" and "1".  The empty string is written ``""`` in code
 and called epsilon in docs.  Naturals are identified with their binary
 numerals (epsilon, "1", "10", ...); integers use the convention that a
 leading "0" flips the sign of the numeral that follows.
+
+``nat_str``, ``parse_nat`` and ``parse_nats`` are memoized in a bounded
+``functools.lru_cache`` (``_MEMO_SIZE`` entries each, typed, so that ``1.0``
+and ``True`` do not hit the entry for ``1``): metered round trips re-read
+the same few numerals thousands of times per run, and both sides of these
+three are small and immutable (``parse_nats`` returns a tuple).  The integer
+codec ``encode_int``/``decode_int`` stays uncached: translated names answer
+with integers tens of thousands of characters long, which a cache would keep
+alive.  ``tuple_strs`` stays uncached too: it takes a list of parts, and the
+benchmark tracer counts its calls and characters, which a cache would hide.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 
@@ -74,6 +85,10 @@ def strings_of_length(n: int):
 # ---------------------------------------------------------------------------
 # natural / integer codecs
 
+_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def nat_str(n: int) -> str:
     """Binary numeral of a non-negative integer; 0 encodes as epsilon."""
     if n < 0:
@@ -81,6 +96,7 @@ def nat_str(n: int) -> str:
     return "" if n == 0 else format(n, "b")
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def parse_nat(a: str) -> int | None:
     """Inverse of nat_str; None when a is not a valid numeral."""
     if a == "":
@@ -175,13 +191,14 @@ def untuple(k: int, b: str) -> list[str] | None:
     return out if full else None
 
 
-def parse_nats(k: int, b: str) -> list[int] | None:
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def parse_nats(k: int, b: str) -> tuple[int, ...] | None:
     """The k numerals of a k-tuple, or None when b is not a k-tuple or a
     component is not a numeral."""
     parts = untuple(k, b)
     if parts is None:
         return None
-    vals = [parse_nat(p) for p in parts]
+    vals = tuple([parse_nat(p) for p in parts])
     return None if None in vals else vals
 
 

@@ -161,7 +161,7 @@ def test_c04_dialog_bounds():
     l = lambda n: n
     for n in range(7):
         rep = dialog_cover_experiment(names, points, prog, budget, l, n,
-                                      M.exact_dist)
+                                      M.exact_dist, 0)
         assert rep.max_dialog_len <= rep.dialog_bound
         assert rep.classes_observed <= (1 << min(rep.dialog_bound, 200))
         assert rep.max_class_dist <= Fraction(1, 1 << n)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from metrent import cli
 from metrent.cli import main
+from metrent.compact import unit_interval_space
 from metrent.entropy import (EXACT_COVER_CAP, PointCloud, covering_number,
                              farthest_first, packing_exponent, packing_witness)
 
@@ -143,6 +144,34 @@ def test_scaled_cli_cloud_matches_fraction_cloud(monkeypatch, tmp_path,
     _, radii = farthest_first(cloud, 0)
     assert all(type(d) is int for d in radii[1:])
     assert cloud._cache and all(type(d) is int for d in cloud._cache.values())
+
+
+@pytest.mark.parametrize("samples", [1, 20, 80])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_integer_dialog_check_matches_fraction_check(monkeypatch, tmp_path,
+                                                     samples, seed):
+    # the CLI checks its dialog classes on the numerators k in 2^-8 units;
+    # the same names checked on the points k/2^8 in exact Fractions must
+    # give the same report at every n
+    calls = []
+    real = cli.dialog_cover_experiment
+
+    def spy(*args):
+        report = real(*args)
+        calls.append((args, report))
+        return report
+
+    monkeypatch.setattr(cli, "dialog_cover_experiment", spy)
+    assert main(["entropy", "--n-max", "12", "--samples", str(samples),
+                 "--seed", str(seed), "--out", str(tmp_path / "e.csv")]) == 0
+    monkeypatch.undo()
+    assert [args[5] for args, _ in calls] == list(range(13))
+    M = unit_interval_space()
+    for (names, ks, prog, budget, l, n, _, u), report in calls:
+        assert u == cli._SAMPLE_SCALE and all(type(k) is int for k in ks)
+        points = [Fraction(k, 1 << u) for k in ks]
+        assert report == real(names, points, prog, budget, l, n, M.exact_dist, 0)
+        assert type(report.max_class_dist) is Fraction
 
 
 @pytest.mark.parametrize("args", [

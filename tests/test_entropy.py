@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metrent.baire import Name
 from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              SizeExceeded, build_large_compact,
                              check_spanning_le_covering, cloud_from_vectors,
-                             covering_number, farthest_first,
-                             interval_cover_count, lorentz_bounds,
-                             packing_exponent, packing_witness)
+                             covering_number, dialog_cover_experiment,
+                             farthest_first, interval_cover_count,
+                             lorentz_bounds, packing_exponent, packing_witness)
+from metrent.machine import const_time
 
 
 def line_cloud(values):
@@ -201,3 +203,32 @@ def test_interval_cover_count():
     assert interval_cover_count(pts, Fraction(1, 8)) == 3
     assert interval_cover_count(pts, Fraction(1, 16)) == 9
     assert interval_cover_count([Fraction(0)], Fraction(1, 16)) == 1
+
+
+def _one_class_report(ks, n, u):
+    """Dialog check of integer points ks (units 2^-u) under a program that
+    answers "1" without a query, so every sample lands in one class."""
+    names = [Name(lambda a: "") for _ in ks]
+    return dialog_cover_experiment(names, ks, lambda ctx: ctx.emit("1"),
+                                   const_time(4), lambda k: k, n,
+                                   lambda a, b: abs(a - b), u)
+
+
+def test_integer_dialog_check_within_the_radius():
+    # 2^-2 units: 0 and 4 are 1 apart, and 1 = 2^-0 is inside the closed ball
+    rep = _one_class_report([0, 4, 3], 0, 2)
+    assert rep.class_sizes == [3] and rep.classes_observed == 1
+    assert rep.max_class_dist == Fraction(1) and type(rep.max_class_dist) is Fraction
+    assert _one_class_report([0, 1], 2, 2).max_class_dist == Fraction(1, 4)
+    assert _one_class_report([5], 12, 2).max_class_dist == 0
+
+
+@pytest.mark.parametrize("ks, n, u, shown", [
+    ([0, 5], 0, 2, "5/4"),         # 5/4 > 2^-0
+    ([0, 1], 3, 2, "1/4"),         # radius 2^-1 units: below the grid step
+    ([7, 7, 0], 1, 0, "7"),
+])
+def test_integer_dialog_check_rejects_a_wide_class(ks, n, u, shown):
+    with pytest.raises(ContractViolation,
+                       match=rf"sample {len(ks) - 1} at distance {shown} > 2\^-{n}"):
+        _one_class_report(ks, n, u)

@@ -82,7 +82,7 @@ def test_dialog_classes_vs_cauchy_covering():
     cloud = PointCloud(points, lambda i, j: abs(points[i] - points[j]))
     for n in range(1, 5):
         rep = dialog_cover_experiment(names, points, prog, budget, l, n,
-                                      M.exact_dist)
+                                      M.exact_dist, 0)
         assert rep.classes_observed <= 1 << min(rep.dialog_bound, 64)
         cover = covering_number(cloud, n, "greedy")
         assert cover.exponent <= l(n) + 1      # sampled subset of xi(K_l)
@@ -200,11 +200,21 @@ def _instance_file(tmp_path, **cfg):
     return str(path)
 
 
+def _csv_file(tmp_path):
+    path = tmp_path / "line.csv"
+    path.write_text("0\n1/2\n1\n")
+    return str(path)
+
+
 # one bad configuration per library entry point that reads one
 INVALID_CONFIGS = {
     "load_instance-space": lambda tmp: load_instance(_instance_file(tmp, space="bogus")),
     "load_instance-S": lambda tmp: load_instance(_instance_file(tmp, S="bogus")),
     "space_from_csv": lambda tmp: space_from_csv(str(tmp / "none.csv"), "taxicab"),
+    # a finite space read from a file has no approximation chooser
+    "compact_name": lambda tmp: compact_name(
+        space_from_csv(_csv_file(tmp), "abs"),
+        CompactReprParams(ell=unit_interval_ell, S=const_time(1)), 0),
     "ApproxSetSpec": lambda tmp: ApproxSetSpec([Fraction(1, 2), Fraction(1)]),
     "modulus_fn": lambda tmp: modulus_fn([2, 1]),
     "cloud_from_vectors": lambda tmp: cloud_from_vectors([(0,), (1,)], "taxicab"),

@@ -6,10 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from metrent.strings import (Dyadic, MalformedEncoding, all_strings, ceil_lb,
                              ceil_lb_ratio, decode_int, encode_int, floor_lb,
-                             is_binstr, nat_str, parse_nat, proj, proj_value,
-                             round_half_away, round_ratio, str_len, tuple_list,
-                             tuple_strs,
-                             untuple)
+                             is_binstr, nat_str, parse_nat, parse_nats, proj,
+                             proj_value, round_half_away, round_ratio, str_len,
+                             tuple_list, tuple_strs, untuple)
 
 binstr = st.text(alphabet="01", max_size=7)
 
@@ -200,6 +199,80 @@ def test_nat_codec():
     assert nat_str(6) == "110"
     assert parse_nat("110") == 6
     assert parse_nat("01") is None
+
+
+def _outcome(f, *args):
+    """What one call does: its value with the value's type, or the type of
+    the exception it raised."""
+    try:
+        v = f(*args)
+    except Exception as e:
+        return "raised", type(e)
+    return "returned", v, type(v)
+
+
+NUMERAL_CORNERS = ["", "0", "00", "01", "001", "1", "10", "1_0", " 1", "1\n",
+                   "0b1", "1\u0660", "\u0661", "1" * 70, "1" + "0" * 200]
+numeral_text = st.one_of(st.sampled_from(NUMERAL_CORNERS),
+                         st.text(alphabet="01_ b\n\u0660", max_size=12))
+nat_args = st.one_of(st.sampled_from([0, 1, 2, -1, 1 << 64, 1 << 200, -(1 << 200),
+                                      True, False, 1.0, 0.0]),
+                     st.integers(-(1 << 80), 1 << 80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nat_args)
+def test_memoized_nat_str_matches_original(n):
+    # each outcome twice: a cached entry and an exception must both repeat
+    for _ in range(2):
+        assert _outcome(nat_str, n) == _outcome(nat_str.__wrapped__, n)
+
+
+def test_memoized_nat_str_raises_on_every_call():
+    for n in (-1, -(1 << 200)):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                nat_str(n)
+
+
+def test_memo_keeps_types_apart():
+    # typed: 1.0 and True get their own entries, not the entry for 1
+    assert nat_str(1) == "1"
+    assert _outcome(nat_str, 1.0) == _outcome(nat_str.__wrapped__, 1.0)
+    with pytest.raises(ValueError):
+        nat_str(1.0)
+    assert _outcome(nat_str, True) == ("returned", "1", str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeral_text)
+def test_memoized_parse_nat_matches_original(a):
+    for _ in range(2):
+        assert _outcome(parse_nat, a) == _outcome(parse_nat.__wrapped__, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.one_of(
+    numeral_text,
+    st.lists(numeral_text, min_size=2, max_size=4).map(
+        lambda ps: tuple_strs(ps) if all(p.isascii() for p in ps) else "".join(ps))))
+def test_memoized_parse_nats_matches_original(k, b):
+    for _ in range(2):
+        got = _outcome(parse_nats, k, b)
+        assert got == _outcome(parse_nats.__wrapped__, k, b)
+        assert got[0] == "returned" and got[2] in (tuple, type(None))
+
+
+def test_parse_nats_returns_a_tuple():
+    assert parse_nats(3, tuple_strs([nat_str(4), "", "1"])) == (4, 0, 1)
+    assert parse_nats(2, tuple_strs(["01", "1"])) is None
+    assert parse_nats(2, "1") is None
+
+
+def test_memo_is_bounded():
+    for f in (nat_str, parse_nat, parse_nats):
+        size = f.cache_info().maxsize
+        assert size is not None and 0 < size <= 4096
 
 
 def test_tuple_list():
