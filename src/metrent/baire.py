@@ -43,13 +43,12 @@ class Name:
     every query; it is checked lazily and a violation raises.
     """
 
-    __slots__ = ("_fn", "_cache", "declared_bound", "label", "_length_memo")
+    __slots__ = ("_fn", "_cache", "declared_bound", "label")
 
     def __init__(self, fn: Callable[[str], str], declared_bound: LengthFn | None = None,
                  label: str = ""):
         self._fn = fn
         self._cache: dict[str, str] = {}
-        self._length_memo: dict[int, int] = {}
         self.declared_bound = declared_bound
         self.label = label
 
@@ -80,32 +79,33 @@ def _check_scan_depth(depth: int) -> None:
         raise ScanCutoffExceeded(f"scan depth {depth} exceeds cutoff {SCAN_CUTOFF}")
 
 
+def _level_lengths(phi: Name, k: int) -> list[int]:
+    """The answer lengths of phi at the 2^k queries of length k, in order;
+    a repeated scan is answered from the name's memo."""
+    return [len(phi(a)) for a in strings_of_length(k)]
+
+
 def length_of(phi: Name, n: int) -> int:
-    """max{|phi(a)| : |a| <= n} by exhaustive scan, memoized per name.
+    """max{|phi(a)| : |a| <= n} by exhaustive scan.
 
     The scan touches 2^(n+1) - 1 queries, which is why this map is not
     cheap to evaluate; n above SCAN_CUTOFF raises.
     """
     _check_scan_depth(n)
-    memo = phi._length_memo
-    if n in memo:
-        return memo[n]
-    start = max((k for k in memo if k < n), default=-1)
-    best = memo.get(start, 0)
-    for k in range(start + 1, n + 1):
-        for bits in strings_of_length(k):
-            m = len(phi(bits))
-            if m > best:
-                best = m
-        memo[k] = best
-    return best
+    return max((max(_level_lengths(phi, k)) for k in range(n + 1)), default=0)
 
 
 def in_kl(phi: Name, l: LengthFn, depth: int) -> bool:
-    """Finite-depth membership check for K_l: |phi|(n) <= l(n) for n <= depth;
-    a depth above SCAN_CUTOFF raises before any query."""
+    """Finite-depth membership check for K_l: |phi|(n) <= l(n) for n <= depth,
+    scanned level by level up to the first level over l; a depth above
+    SCAN_CUTOFF raises before any query."""
     _check_scan_depth(depth)
-    return all(length_of(phi, n) <= l(n) for n in range(depth + 1))
+    best = 0
+    for n in range(depth + 1):
+        best = max(best, *_level_lengths(phi, n))
+        if best > l(n):
+            return False
+    return True
 
 
 def is_length_monotone(phi: Name, depth: int) -> bool:
@@ -117,7 +117,7 @@ def is_length_monotone(phi: Name, depth: int) -> bool:
     _check_scan_depth(depth)
     prev_max = 0
     for k in range(depth + 1):
-        lens = [len(phi(a)) for a in strings_of_length(k)]
+        lens = _level_lengths(phi, k)
         if min(lens) != max(lens):
             return False
         if k > 0 and lens[0] < prev_max:

@@ -257,18 +257,16 @@ def add_time() -> RunningTime:
 # ---------------------------------------------------------------------------
 # point-value names for continuous functions
 
-def _uniform_value(q0: int, k0: int, target: int, kind: str) -> str:
-    """Scale (q0, k0) to (q0*2^j, k0+j) so the padded pair has the exact
-    target component size; the scale block is "1" followed by k zeros for
-    point values and a bare run of j zeros for integral values."""
-    tail_extra = 1 if kind == "dsq" else 0
-    base = max(len(encode_int(q0)), k0 + tail_extra)
+def _uniform_value(q0: int, k0: int, target: int, mark: str) -> str:
+    """Scale (q0, k0) to (q0*2^j, k0+j) so the padded pair <q, mark 0^k>
+    has the exact target component size; the scale block's mark is "1"
+    for point values and empty for integral values."""
+    base = max(len(encode_int(q0)), k0 + len(mark))
     j = target - base
     if j < 0:
         raise ParameterViolation("length target below the content size")
     q_enc = encode_int(q0) + "0" * j if q0 != 0 else ""
-    tail = ("1" if kind == "dsq" else "") + "0" * (k0 + j)
-    return tuple_strs([q_enc, tail])
+    return tuple_strs([q_enc, mark + "0" * (k0 + j)])
 
 
 def _level_sizer(B: int, mu: Callable[[int], int]) -> Callable[[int], int]:
@@ -279,26 +277,33 @@ def _level_sizer(B: int, mu: Callable[[int], int]) -> Callable[[int], int]:
 
 
 def _value_answer(a: str, size: Callable[[int], int], parse, value,
-                  kind: str) -> str:
-    """Answer of a point-value (kind "dsq") or integral (kind "lp") name to
-    the query a: value(*parse(a)) = (q0, k0) padded to the component size
-    of a's level, or, when a does not parse, 1^(2(size+1)), which is as
-    long as every value answer at that level."""
+                  mark: str) -> str:
+    """Answer of a point-value (mark "1") or integral (mark "") name to the
+    query a: value(*parse(a)) = (q0, k0) padded to the component size of
+    a's level, or, when a does not parse, 1^(2(size+1)), which is as long
+    as every value answer at that level."""
     target = size(len(a))
     parsed = parse(a)
     if parsed is None:
         return "1" * (2 * (target + 1))
-    return _uniform_value(*value(*parsed), target, kind)
+    return _uniform_value(*value(*parsed), target, mark)
 
 
-def _unary(s: str) -> int | None:
-    """n for the unary block 0^n, else None."""
-    return len(s) if s == "0" * len(s) else None
+def _block(s: str, mark: str) -> int | None:
+    """n for the block mark 0^n, else None: mark "1" for scale blocks and
+    "" for unary precision blocks."""
+    body = s[len(mark):]
+    return len(body) if s.startswith(mark) and body == "0" * len(body) else None
 
 
-def _scale_block(s: str) -> int | None:
-    """m for the unary scale block 1 0^m, else None."""
-    return _unary(s[1:]) if s[:1] == "1" else None
+def _read_value(raw: str, mark: str) -> Fraction:
+    """q 2^-k from a value answer <q, mark 0^k>; MalformedName when raw is
+    not one."""
+    pair = untuple(2, raw)
+    k = None if pair is None else _block(pair[1], mark)
+    if k is None:
+        raise MalformedName(f"bad value answer {raw!r}")
+    return Fraction(decode_int(pair[0]), 1 << k)
 
 
 def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int]) -> Name:
@@ -313,7 +318,7 @@ def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int]) -> Name:
         return round_half_away(f(Fraction(r, 1 << m)) * (1 << k0)), k0
 
     def fn(a: str) -> str:
-        return _value_answer(a, size, _parse_dsq_query, value, "dsq")
+        return _value_answer(a, size, _parse_dsq_query, value, "1")
 
     return Name(fn, label="dsq-name")
 
@@ -329,19 +334,14 @@ def _parse_dsq_query(a: str) -> tuple[int, int, int] | None:
     if parts is None:
         return None
     zs, rs, ms = parts
-    n, r, m = _unary(zs), parse_nat(rs), _scale_block(ms)
+    n, r, m = _block(zs, ""), parse_nat(rs), _block(ms, "1")
     if n is None or r is None or m is None or r > 1 << m:
         return None
     return n, r, m
 
 
 def dsq_value(psi: Name, n: int, r: int, m: int) -> Fraction:
-    raw = psi(dsq_query(n, r, m))
-    pair = untuple(2, raw)
-    k = None if pair is None else _scale_block(pair[1])
-    if k is None:
-        raise MalformedName(f"bad point-value answer {raw!r}")
-    return Fraction(decode_int(pair[0]), 1 << k)
+    return _read_value(psi(dsq_query(n, r, m)), "1")
 
 
 def dsq_modulus(psi: Name) -> Callable[[int], int]:
@@ -362,7 +362,7 @@ def _parse_lp_query(a: str) -> tuple[int, int, int, int] | None:
     if parts is None:
         return None
     ks, ls, ms, ns = parts
-    k, l, m, n = parse_nat(ks), parse_nat(ls), _scale_block(ms), _unary(ns)
+    k, l, m, n = parse_nat(ks), parse_nat(ls), _block(ms, "1"), _block(ns, "")
     if k is None or l is None or m is None or n is None:
         return None
     return k, l, m, n
@@ -381,7 +381,7 @@ def lp_name(f: StepFn, p: Fraction, mu: Callable[[int], int]) -> Name:
         return round_half_away(val * (1 << j0)), j0
 
     def fn(a: str) -> str:
-        return _value_answer(a, size, _parse_lp_query, value, "lp")
+        return _value_answer(a, size, _parse_lp_query, value, "")
 
     return Name(fn, label="lp-name")
 
@@ -391,12 +391,7 @@ def lp_query(k: int, l: int, m: int, n: int) -> str:
 
 
 def lp_value(psi: Name, k: int, l: int, m: int, n: int) -> Fraction:
-    raw = psi(lp_query(k, l, m, n))
-    pair = untuple(2, raw)
-    j = None if pair is None else _unary(pair[1])
-    if j is None:
-        raise MalformedName(f"bad integral answer {raw!r}")
-    return Fraction(decode_int(pair[0]), 1 << j)
+    return _read_value(psi(lp_query(k, l, m, n)), "")
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +437,7 @@ def xi_to_dsq(phi: Name, params: BanachReprParams) -> Name:
         return round_half_away(value_at(Fraction(r, 1 << m), n) * (1 << k0)), k0
 
     def fn(a: str) -> str:
-        return _value_answer(a, size, _parse_dsq_query, value, "dsq")
+        return _value_answer(a, size, _parse_dsq_query, value, "1")
 
     return Name(fn, label=f"dsq({phi.label})")
 
@@ -532,7 +527,7 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
         return round_half_away((lo + hi) / 2), j0
 
     def fn(a: str) -> str:
-        return _value_answer(a, size, _parse_lp_query, value, "lp")
+        return _value_answer(a, size, _parse_lp_query, value, "")
 
     return Name(fn, label=f"lp({phi.label})")
 

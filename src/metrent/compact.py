@@ -25,7 +25,7 @@ from .machine import (Ctx, RunningTime, const_time, exp_max_time,
                       need_evaluator, paired, precision_input, quarter_round)
 from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, cauchy_index,
                     metric_answer, metric_query)
-from .strings import (ContractError, Dyadic, InvalidConfig, ceil_lb,
+from .strings import (ContractError, Dyadic, InvalidConfig, _frac, ceil_lb,
                       decode_int, nat_str, parse_nats, proj_value, tuple_strs,
                       untuple)
 
@@ -99,8 +99,7 @@ def unit_interval_approx(x, n: int) -> int:
     All tests run in integers on x = p/q and t = n+1: the candidate at
     level s is the least odd c >= (x - 1/t) 2^s, and it is within
     tolerance when (c q - p 2^s) t <= q 2^s."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+    x = _frac(x)
     p, q = x.numerator, x.denominator
     t = n + 1
     if abs(p) * t <= q:

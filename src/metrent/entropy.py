@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from .baire import LengthFn, Name, pair_names
 from .machine import (ContractViolation, Ctx, RunningTime,
                       dialog_length_bound, metered_run)
-from .strings import ConfigError, InvalidConfig, ceil_lb, floor_lb
+from .strings import ConfigError, InvalidConfig, _pow2, ceil_lb, floor_lb
 
 EXACT_COVER_CAP = 20
 
@@ -36,8 +36,8 @@ class PointCloud:
     points: list
     dist: Callable[[int, int], int | Fraction]
     label: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
-    _traversals: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    _traversals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
         return len(self.points)
@@ -68,11 +68,6 @@ class CoverResult(NamedTuple):
     count: int
     exponent: int          # ceil(lb count)
     mode: str
-
-
-def _pow2(e: int):
-    """2^e exactly: an int for e >= 0, a Fraction below 1."""
-    return 1 << e if e >= 0 else Fraction(1, 1 << -e)
 
 
 def covering_number(K: PointCloud, n: int, mode: str = "exact") -> CoverResult:
@@ -208,7 +203,7 @@ def build_large_compact(mu: Callable[[int], int], family: Callable[[int], object
     for i in range(horizon + 1):
         cnt = (1 << mu(i)) - prev
         prev = 1 << mu(i)
-        factor = Fraction(1 << 1, 1 << i) if i >= 0 else Fraction(1 << (1 - i))
+        factor = _pow2(1 - i)
         for j in range(1, cnt + 1):
             pts.append(scale(factor, family(j)))
     return PointCloud(pts, lambda a, b: dist(pts[a], pts[b]),

@@ -15,11 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable
 
-from .strings import InvalidConfig, ceil_lb_ratio
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .strings import InvalidConfig, _csv_rows, _frac, ceil_lb_ratio
 
 
 @dataclass(frozen=True)
@@ -58,17 +54,10 @@ class StepFn:
                 total += lev * (hi - lo)
         return total
 
-    def sup_norm(self) -> Fraction:
-        return max((abs(l) for l in self.levels), default=Fraction(0))
-
     def p_power_norm(self, p: int) -> Fraction:
         """Integral of |f|^p over the line (integer p)."""
         return sum((abs(l) ** p * (b - a) for l, a, b in
                     zip(self.levels, self.cuts, self.cuts[1:])), Fraction(0))
-
-    def scaled(self, c) -> "StepFn":
-        c = _frac(c)
-        return StepFn(self.cuts, tuple(c * l for l in self.levels))
 
     def jump_sizes(self) -> list[Fraction]:
         vals = [Fraction(0), *self.levels, Fraction(0)]
@@ -319,12 +308,9 @@ def pl_to_csv(f: PiecewiseLinear, path: str) -> None:
 
 def pl_from_csv(path: str) -> PiecewiseLinear:
     xs, ys = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#"):
-                continue
-            xs.append(Fraction(row[0]))
-            ys.append(Fraction(row[1]))
+    for row in _csv_rows(path):
+        xs.append(Fraction(row[0]))
+        ys.append(Fraction(row[1]))
     return PiecewiseLinear.build(xs, ys)
 
 
@@ -337,12 +323,9 @@ def step_to_csv(f: StepFn, path: str) -> None:
 
 def step_from_csv(path: str) -> StepFn:
     cuts, levels = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#"):
-                continue
-            if not cuts:
-                cuts.append(Fraction(row[0]))
-            levels.append(Fraction(row[2]))
-            cuts.append(Fraction(row[1]))
+    for row in _csv_rows(path):
+        if not cuts:
+            cuts.append(Fraction(row[0]))
+        levels.append(Fraction(row[2]))
+        cuts.append(Fraction(row[1]))
     return StepFn.build(cuts, levels)

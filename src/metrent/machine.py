@@ -205,7 +205,7 @@ def first_order(f: Callable[[int], int], label: str = "") -> RunningTime:
 
 
 def const_time(c: int = 1) -> RunningTime:
-    return first_order(lambda n: c, "S=1")
+    return first_order(lambda n: c, f"S={c}")
 
 
 def exp_max_time() -> RunningTime:

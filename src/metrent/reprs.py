@@ -8,7 +8,6 @@ zero).  All "is a name" checks are finite-depth semi-decisions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -16,9 +15,9 @@ from typing import Callable
 
 from .baire import LengthFn, Name, pair_names
 from .machine import Ctx, RunningTime, paired, precision_input, quarter_round
-from .strings import (Dyadic, InvalidConfig, MalformedName, decode_int,
-                      encode_int, nat_str, parse_nat, parse_nats, proj_value,
-                      round_ratio, tuple_strs)
+from .strings import (Dyadic, InvalidConfig, MalformedName, _csv_rows, _frac,
+                      decode_int, encode_int, nat_str, parse_nat, parse_nats,
+                      proj_value, round_ratio, tuple_strs)
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +44,8 @@ class MetricSpaceSpec:
 
 
 def _line_dist(a, b) -> Fraction:
-    """|a - b| on the real line; only operands that are not Fractions yet
-    are converted."""
-    if not isinstance(a, Fraction):
-        a = Fraction(a)
-    if not isinstance(b, Fraction):
-        b = Fraction(b)
-    return abs(a - b)
+    """|a - b| on the real line."""
+    return abs(_frac(a) - _frac(b))
 
 
 def _zigzag(z: int) -> int:
@@ -82,7 +76,7 @@ def dyadic_line_space() -> MetricSpaceSpec:
         return abs(dyadic_line_point(i) - dyadic_line_point(j))
 
     def approx(x, n: int) -> int:
-        x = Fraction(x) if not isinstance(x, Fraction) else x
+        x = _frac(x)
         top = dyadic_line_index(x)
         tol = Fraction(1, n + 1)
         for i in range(top + 1):
@@ -219,9 +213,7 @@ def relativized_cauchy_name(M: MetricSpaceSpec,
     an integer z with |d(r_k, r_m) - z/(n+1)| <= 1/(n+1); other queries
     answer epsilon."""
     def fn(a: str) -> str:
-        if a == "":
-            return ""
-        if a[0] == "0":
+        if a[:1] == "0":
             return _index_answer(approx, a[1:])
         return metric_answer(M, a[1:])
 
@@ -327,12 +319,8 @@ def space_from_csv(path: str, dist_id: str = "sup") -> MetricSpaceSpec:
     if dist_id not in _DIST_FORMULAS:
         raise InvalidConfig(f"unknown distance formula {dist_id!r}")
     formula = _DIST_FORMULAS[dist_id]
-    points: list[tuple[Fraction, ...]] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#"):
-                continue
-            points.append(tuple(Fraction(cell) for cell in row))
+    points = [tuple(Fraction(cell) for cell in row) for row in _csv_rows(path)]
+
     def pt(i: int):
         return points[i % len(points)]
     return MetricSpaceSpec(

@@ -28,7 +28,8 @@ from typing import Callable
 from .compact import _q_node, q_seq
 from .entropy import ContractViolation
 from .funcs import PiecewiseLinear, StepFn, sup_dist_pl
-from .strings import ceil_lb, round_half_away, round_ratio
+from .strings import (Dyadic, _csv_rows, _pow2, ceil_lb, round_half_away,
+                      round_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +152,6 @@ class ScaledVal:
     def is_zero(self) -> bool:
         return self.coef == 0
 
-    def __mul__(self, other):
-        if isinstance(other, ScaledVal):
-            return ScaledVal(self.coef * other.coef, self.exp2 + other.exp2)
-        return ScaledVal(self.coef * Fraction(other), self.exp2)
-
     def same_value(self, other: "ScaledVal") -> bool:
         if self.coef == 0 or other.coef == 0:
             return self.coef == other.coef
@@ -165,15 +161,12 @@ class ScaledVal:
     def as_fraction(self) -> Fraction:
         if self.exp2.denominator != 1:
             raise ValueError(f"irrational value 2^{self.exp2}")
-        e = int(self.exp2)
-        return self.coef * (Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e))
+        return self.coef * _pow2(int(self.exp2))
 
 
 def _normalize_term(coef: Fraction, exp2: Fraction) -> tuple[Fraction, Fraction]:
     shift = exp2.numerator // exp2.denominator
-    frac = exp2 - shift
-    c = coef * (Fraction(1 << shift) if shift >= 0 else Fraction(1, 1 << -shift))
-    return (c, frac)
+    return coef * _pow2(shift), exp2 - shift
 
 
 def _iroot(n: int, k: int) -> int:
@@ -198,7 +191,7 @@ def pow2_bounds(e: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     t = _iroot(1 << (a + b * prec), b)
     lo = Fraction(t, 1 << prec)
     hi = Fraction(t + 1, 1 << prec)
-    base = Fraction(1 << shift) if shift >= 0 else Fraction(1, 1 << -shift)
+    base = _pow2(shift)
     return lo * base, hi * base
 
 
@@ -266,9 +259,6 @@ class RootSum:
             out._add_term(c0 * c, e)
         return out
 
-    def neg(self) -> "RootSum":
-        return self.scaled(Fraction(-1))
-
     def power(self, p: int) -> "RootSum":
         out = RootSum.of(Fraction(1))
         for _ in range(p):
@@ -303,7 +293,7 @@ class RootSum:
             prec *= 2
 
     def abs(self) -> "RootSum":
-        return self if self.sign() >= 0 else self.neg()
+        return self if self.sign() >= 0 else self.scaled(Fraction(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -616,21 +606,14 @@ def coeffs_to_csv(lams, path: str) -> None:
                 lam = ScaledVal(Fraction(lam), Fraction(0))
             if lam.coef == 0:
                 continue
-            d = lam.coef.denominator
-            scale = d.bit_length() - 1
-            if d != 1 << scale:
-                raise ValueError(f"coefficient {lam.coef} is not dyadic")
-            w.writerow([i, lam.coef.numerator, scale,
-                        lam.exp2.numerator, lam.exp2.denominator])
+            d = Dyadic.from_fraction(lam.coef)
+            w.writerow([i, d.num, d.scale, lam.exp2.numerator, lam.exp2.denominator])
 
 
 def coeffs_from_csv(path: str) -> list[ScaledVal]:
     out: dict[int, ScaledVal] = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#"):
-                continue
-            i, num, scale, en, ed = (int(c) for c in row)
-            out[i] = ScaledVal(Fraction(num, 1 << scale), Fraction(en, ed))
+    for row in _csv_rows(path):
+        i, num, scale, en, ed = (int(c) for c in row)
+        out[i] = ScaledVal(Fraction(num, 1 << scale), Fraction(en, ed))
     size = max(out, default=-1) + 1
     return [out.get(i, ScaledVal(Fraction(0), Fraction(0))) for i in range(size)]

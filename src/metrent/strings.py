@@ -20,6 +20,7 @@ benchmark tracer counts its calls and characters, which a cache would hide.
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -225,6 +226,16 @@ def tuple_list_len(lengths) -> int:
 # ---------------------------------------------------------------------------
 # exact dyadic rationals
 
+def _frac(x) -> Fraction:
+    """x as a Fraction; a Fraction is returned as it is."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _pow2(e: int) -> int | Fraction:
+    """2^e exactly: an int for e >= 0, a Fraction below 1."""
+    return 1 << e if e >= 0 else Fraction(1, 1 << -e)
+
+
 def round_ratio(n: int, d: int) -> int:
     """Nearest integer to n/d (d > 0) with ties rounded away from zero; n/d
     need not be in lowest terms."""
@@ -276,9 +287,6 @@ class Dyadic:
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.num, self.scale)
 
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.num), self.scale)
-
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         return Dyadic(self.num * other.num, self.scale + other.scale)
 
@@ -295,14 +303,8 @@ class Dyadic:
     def __gt__(self, other): return self._cmp(other) > 0
     def __ge__(self, other): return self._cmp(other) >= 0
 
-    def __hash__(self):
-        return hash((self.num, self.scale))
-
     def __repr__(self):
         return f"Dyadic({self.num}, {self.scale})"
-
-    def __str__(self):
-        return f"{self.num}/2^{self.scale}" if self.scale else str(self.num)
 
 
 def ceil_lb(n: int) -> int:
@@ -328,3 +330,15 @@ def floor_lb(n: int) -> int:
     if n < 1:
         raise ValueError("floor_lb needs n >= 1")
     return n.bit_length() - 1
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+
+def _csv_rows(path: str):
+    """The rows of a CSV table, skipping blank rows and rows whose first
+    cell starts with "#"."""
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if row and not row[0].startswith("#"):
+                yield row

@@ -13,10 +13,10 @@ from metrent.banach import (BanachReprParams, add_time, banach_add_program,
                             dsq_value, fs_vector, haar_vector, lp_name,
                             lp_to_xi, lp_value,
                             xi_decode_pl, xi_to_dsq, xi_to_lp)
-from metrent.compact import name_length_fn
+from metrent.compact import ParameterViolation, name_length_fn
 from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
-from metrent.machine import RunningTime, exp_max_time, metered_run
+from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem, fs_elem, fs_partial_sum_pl
 from metrent.strings import (MalformedName, ceil_lb, decode_int, nat_str,
                              round_half_away, tuple_strs)
@@ -162,6 +162,41 @@ def test_banach_addition():
     assert max(ratios) <= 16, max(ratios)
 
 
+def test_banach_add_passes_norm_queries_and_refuses_bad_coefficients():
+    # a hat name paired with a Haar name: their norm answers differ, and the
+    # sum answers a norm query from its first component
+    params, p = BanachReprParams(S=exp_max_time()), Fraction(2)
+    phi = banach_name(fs_vector(fs_elem(0)), params, FSSystem(), ELL)
+    psi = banach_name(haar_vector(chi(0, 1), p), params, HaarSystem(p), ELL)
+    chi_n = pair_names(phi, psi)
+    T = add_time()
+    big = RunningTime(lambda l, n: 64 * T.bound(l, n) + 64)
+
+    def run(a: str) -> str:
+        return metered_run(banach_add_program(), chi_n, a, big,
+                           name_length_fn(chi_n))[0]
+
+    q = combo_query([4, 4], 2, 3)
+    assert phi(q) != psi(q)
+    assert run(q) == phi(q)
+    assert run("0" + "11") == ""          # not a coefficient triple
+
+
+def test_banach_name_refuses_a_support_beyond_the_span_budget():
+    # S = 1 lets a name mention S + 1 = 2 basis vectors: the hat at 1/2
+    # (index 2) and the Haar term of chi[0, 1/4] at index 2 lie beyond that,
+    # within 1/(n+1) only for n = 0 and n <= 1 respectively
+    params, p = BanachReprParams(S=const_time(1)), Fraction(2)
+    hat = banach_name(fs_vector(fs_elem(2)), params, FSSystem(), ELL)
+    haar = banach_name(haar_vector(chi(0, Fraction(1, 4)), p), params,
+                       HaarSystem(p), ELL)
+    assert decode_int(hat(coeff_query(2, 0, 3))) == 4
+    assert decode_int(haar(coeff_query(0, 1, 3))) == 1
+    for name, n in ((hat, 1), (haar, 2)):
+        with pytest.raises(ParameterViolation):
+            name(coeff_query(0, n, 3))
+
+
 def test_delta_square_name_contract():
     f = PiecewiseLinear.build([0, 1], [0, 1])
     mu = modulus_fn(continuity_modulus(f, 12))
@@ -247,6 +282,7 @@ def test_xi_to_lp_values():
             v = lp_value(psi, k, l, m, n)
             exact = f.integral(Fraction(k, 1 << m), Fraction(l, 1 << m))
             assert abs(exact - v) < Fraction(1, 1 << n)
+            assert lp_value(psi, l, k, m, n) == -v     # the reversed interval
 
 
 def test_lp_xi_roundtrip():

@@ -9,8 +9,8 @@ from metrent.baire import in_kl, length_of, pair_names
 from metrent.banach import (BanachReprParams, banach_name, delta_square_name,
                             dsq_to_xi, fs_vector, haar_vector, lp_name,
                             lp_to_xi)
-from metrent.compact import (CompactReprParams, ParameterViolation, _q_node,
-                             _with_length_branch, check_uniformly_dense,
+from metrent.compact import (CompactReprParams, ParameterViolation,
+                             _max_separated, _q_node, _with_length_branch, check_uniformly_dense,
                              chunk_query, compact_decode_index,
                              compact_metric_program, compact_metric_time,
                              compact_name,
@@ -134,6 +134,22 @@ def test_check_uniformly_dense_failures():
                         horizon=4, dist=base.dist)
     c_ok, _, _ = check_uniformly_dense(halved, grid)
     assert not c_ok
+
+
+def test_max_separated_above_the_subset_cap_is_first_fit():
+    # 16 points: past 12 the count is first-fit's, which depends on the order
+    thr = Fraction(1, 8)
+    rnd = random.Random(5)
+    for _ in range(4):
+        pts = [Fraction(k, 16) for k in range(16)]
+        rnd.shuffle(pts)
+        chosen = []
+        for p in pts:
+            if all(abs(p - c) > thr for c in chosen):
+                chosen.append(p)
+        assert _max_separated(pts, lambda a, b: abs(a - b), thr) == len(chosen)
+    in_order = [Fraction(k, 16) for k in range(16)]
+    assert _max_separated(in_order, lambda a, b: abs(a - b), thr) == 6
 
 
 def test_q_seq_is_uniformly_dense():
@@ -382,6 +398,7 @@ def test_translations_roundtrip():
     x = Fraction(5, 8)
     phi = compact_name(space, params, x)
     rel = compact_to_relativized(phi, params)
+    assert rel("") == ""
     # the relativized name validates as a Cauchy name on the index branch
     from metrent.baire import Name
     plain = Name(lambda a: rel("0" + a))

@@ -138,8 +138,6 @@ DEFAULTED_PARAMETERS = {
     ("baire", "Name.__init__", "label"),
     ("baire", "constant_name", "value"),
     ("cli", "main", "argv"),
-    ("entropy", "PointCloud.__init__", "_cache"),
-    ("entropy", "PointCloud.__init__", "_traversals"),
     ("entropy", "PointCloud.__init__", "label"),
     ("entropy", "cloud_from_vectors", "metric"),
     ("entropy", "covering_number", "mode"),

@@ -51,6 +51,13 @@ def test_budget_zero_always_exhausts():
     assert e.value.report.budget == 0
 
 
+@pytest.mark.parametrize("c", [0, 1, 4])
+def test_const_time_label_names_its_bound(c):
+    T = const_time(c)
+    assert T.label == f"S={c}"
+    assert T.bound(lambda n: n, 3) == c
+
+
 def test_report_serialization():
     phi = constant_name("10")
     T = first_order(lambda n: 50)

@@ -117,6 +117,7 @@ def test_relativized_name_layout():
         from metrent.compact import q_seq
         assert abs(abs(q_seq(k) - q_seq(m)) - Fraction(z, n + 1)) <= Fraction(1, n + 1)
     assert rel("00" + "01") == ""        # untagged queries answer epsilon
+    assert rel("") == ""
 
 
 def test_relativized_metric_budget():
@@ -179,6 +180,8 @@ def test_co_re_reject_sound_and_complete():
     assert verdict == "rejected"
     i, j = witness
     assert {i, j} & {9}
+    # an answer that is not a numeral rejects at the first pair
+    assert co_re_reject(Name(lambda a: "01"), M, budget=10) == ("rejected", (0, 0))
 
 
 def test_co_re_reject_limitless_prefix_stays_undecided():

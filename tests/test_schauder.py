@@ -353,6 +353,16 @@ def test_haar_system_norms():
     assert val.terms == {Fraction(0): Fraction(1, 2)}
 
 
+def test_haar_tail_within_a_nonzero_tail():
+    # from index 2 on, chi[0, 1/4] has the one term (1/2) 2^(-1/2) f_2, of
+    # L^2 norm 2^(-3/2) = 0.3535...
+    p = Fraction(2)
+    exp = haar_coeffs(chi(0, Fraction(1, 4)), p, 4)
+    assert exp.c[2:] == [Fraction(1, 2), 0]
+    assert HaarSystem(p).tail_within(exp, 2, Fraction(36, 100))
+    assert not HaarSystem(p).tail_within(exp, 2, Fraction(35, 100))
+
+
 def test_fs_system_norms():
     sysf = FSSystem()
     lo, hi = sysf.norm_bounds([Fraction(1, 2), Fraction(1, 2)])
