@@ -11,7 +11,6 @@ metric to precision 1/(n+1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -20,14 +19,13 @@ from typing import Callable
 from .baire import LengthFn, Name
 from .entropy import (PointCloud, SizeExceeded, covering_number,
                       farthest_first, interval_cover_count)
-from .funcs import PiecewiseLinear, modulus_fn, sup_dist_pl
-from .machine import (Ctx, RunningTime, const_time, exp_max_time,
-                      need_evaluator, paired, precision_input, quarter_round)
+from .funcs import PiecewiseLinear, sup_dist_pl
+from .machine import (Ctx, RunningTime, need_evaluator, paired,
+                      precision_input, quarter_round)
 from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, cauchy_index,
                     metric_answer, metric_query)
-from .strings import (ContractError, Dyadic, InvalidConfig, _frac, ceil_lb,
-                      decode_int, nat_str, parse_nats, proj_value, tuple_strs,
-                      untuple)
+from .strings import (ContractError, Dyadic, _frac, ceil_lb, decode_int,
+                      nat_str, parse_nats, proj_value, tuple_strs, untuple)
 
 
 class ParameterViolation(ContractError, ValueError):
@@ -332,8 +330,6 @@ def compact_name(space: MetricSpaceSpec, params: CompactReprParams, x) -> Name:
     """Name of x in the compact-space representation: chunk queries read
     the index space.approx_index(x, n) of a 1/(n+1)-approximation, metric
     queries the discrete metric, and 0^k the declared floor ell(k)."""
-    if space.approx_index is None:
-        raise InvalidConfig("space has no approximation chooser")
     chunk = _chunk_branch(params, lambda n: space.approx_index(x, n))
 
     def branch(a: str) -> str:
@@ -467,23 +463,3 @@ def lipschitz_cloud(level: int) -> PointCloud:
     fns = lipschitz_family(level)
     return PointCloud(fns, lambda i, j: sup_dist_pl(fns[i], fns[j]),
                       label=f"lip1-level{level}")
-
-
-# ---------------------------------------------------------------------------
-# instance configuration files
-
-def load_instance(path: str) -> tuple[MetricSpaceSpec, CompactReprParams, int]:
-    """Instance config: JSON with space id, sequence id, ell table, S id,
-    horizon."""
-    running_times = {"const1": lambda: const_time(1), "expmax": exp_max_time}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if cfg.get("space") != "unit-interval":
-        raise InvalidConfig(f"unknown space {cfg.get('space')!r}")
-    space = unit_interval_space()
-    ell = modulus_fn([int(v) for v in cfg["ell"]])
-    s_id = cfg.get("S", "const1")
-    factory = running_times.get(s_id)
-    if factory is None:
-        raise InvalidConfig(f"unknown running time {s_id!r}")
-    return space, CompactReprParams(ell=ell, S=factory()), int(cfg.get("horizon", 6))

@@ -8,14 +8,13 @@ arithmetic; p-th-power integrals require integer p.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable
 
-from .strings import InvalidConfig, _csv_rows, _frac, ceil_lb_ratio
+from .strings import InvalidConfig, _frac, ceil_lb_ratio
 
 
 @dataclass(frozen=True)
@@ -294,38 +293,3 @@ def lp_modulus_shift_check(f: StepFn, mu, m: int, up_to: int) -> bool:
     g = smooth(f, m)
     table = continuity_modulus(g, up_to)
     return all(mu(n + m) >= table[n] for n in range(up_to + 1))
-
-
-# ---------------------------------------------------------------------------
-# CSV interchange
-
-def pl_to_csv(f: PiecewiseLinear, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for x, y in zip(f.xs, f.ys):
-            w.writerow([str(x), str(y)])
-
-
-def pl_from_csv(path: str) -> PiecewiseLinear:
-    xs, ys = [], []
-    for row in _csv_rows(path):
-        xs.append(Fraction(row[0]))
-        ys.append(Fraction(row[1]))
-    return PiecewiseLinear.build(xs, ys)
-
-
-def step_to_csv(f: StepFn, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for a, b, l in zip(f.cuts, f.cuts[1:], f.levels):
-            w.writerow([str(a), str(b), str(l)])
-
-
-def step_from_csv(path: str) -> StepFn:
-    cuts, levels = [], []
-    for row in _csv_rows(path):
-        if not cuts:
-            cuts.append(Fraction(row[0]))
-        levels.append(Fraction(row[2]))
-        cuts.append(Fraction(row[1]))
-    return StepFn.build(cuts, levels)

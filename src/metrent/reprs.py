@@ -1,5 +1,5 @@
 """Representations of metric spaces: standard reals, Cauchy, relativized
-Cauchy, products, and the co-r.e. rejection procedure.
+Cauchy, and the co-r.e. rejection procedure.
 
 Decoders accept any value satisfying the contract; generators are
 deterministic (least admissible index, round-to-nearest with ties away from
@@ -13,11 +13,11 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
-from .baire import LengthFn, Name, pair_names
+from .baire import LengthFn, Name
 from .machine import Ctx, RunningTime, paired, precision_input, quarter_round
-from .strings import (Dyadic, InvalidConfig, MalformedName, _csv_rows, _frac,
-                      decode_int, encode_int, nat_str, parse_nat, parse_nats,
-                      proj_value, round_ratio, tuple_strs)
+from .strings import (Dyadic, MalformedName, _frac, decode_int, encode_int,
+                      nat_str, parse_nat, parse_nats, proj_value, round_ratio,
+                      tuple_strs)
 
 
 # ---------------------------------------------------------------------------
@@ -32,15 +32,16 @@ class MetricSpaceSpec:
     d(r_i, r_j); for the library's dyadic spaces it is exact.  Metric
     queries and ``cauchy_metric_program`` are answered from it.
     ``exact_dist`` compares arbitrary points exactly: the validators, the
-    co-r.e. rejection and the dialog check use it, so every space must
-    supply it.
+    co-r.e. rejection and the dialog check use it.  ``approx_index(x, n)``
+    is the index of a 1/(n+1)-approximation of x: compact names read it.
+    Every space must supply both.
     """
 
     label: str
     point: Callable[[int], object]
     dist: Callable[[int, int, int], Fraction]
     exact_dist: Callable[[object, object], Fraction]
-    approx_index: Callable[[object, int], int] | None = None
+    approx_index: Callable[[object, int], int]
 
 
 def _line_dist(a, b) -> Fraction:
@@ -79,7 +80,7 @@ def dyadic_line_space() -> MetricSpaceSpec:
         x = _frac(x)
         top = dyadic_line_index(x)
         tol = Fraction(1, n + 1)
-        for i in range(top + 1):
+        for i in range(top):
             if abs(dyadic_line_point(i) - x) <= tol:
                 return i
         return top
@@ -261,23 +262,6 @@ def relativized_metric_time() -> RunningTime:
 
 
 # ---------------------------------------------------------------------------
-# products
-
-def product_name_list(names) -> Name:
-    """Iterated binary pairing <phi_1, <phi_2, ...>>."""
-    names = list(names)
-    if len(names) == 1:
-        return names[0]
-    return pair_names(names[0], product_name_list(names[1:]))
-
-
-def box_product_length(d: int, C: int) -> LengthFn:
-    """Length of the d-fold product of real names of points with supremum
-    norm below 2^C: n -> 2d(n + C + 4)."""
-    return lambda n: 2 * d * (n + C + 4)
-
-
-# ---------------------------------------------------------------------------
 # co-r.e. rejection
 
 def co_re_reject(phi: Name, M: MetricSpaceSpec, budget: int):
@@ -302,30 +286,3 @@ def co_re_reject(phi: Name, M: MetricSpaceSpec, budget: int):
                 return ("rejected", (i, j))
         s += 1
     return ("undecided", None)
-
-
-# ---------------------------------------------------------------------------
-# CSV loading for finite dyadic spaces
-
-_DIST_FORMULAS = {
-    "abs": lambda p, q: abs(p[0] - q[0]),
-    "sup": lambda p, q: max(abs(a - b) for a, b in zip(p, q)),
-}
-
-
-def space_from_csv(path: str, dist_id: str = "sup") -> MetricSpaceSpec:
-    """Finite space from a CSV of dyadic coordinates plus a distance formula
-    identifier ("abs" for the line, "sup" for the supremum metric)."""
-    if dist_id not in _DIST_FORMULAS:
-        raise InvalidConfig(f"unknown distance formula {dist_id!r}")
-    formula = _DIST_FORMULAS[dist_id]
-    points = [tuple(Fraction(cell) for cell in row) for row in _csv_rows(path)]
-
-    def pt(i: int):
-        return points[i % len(points)]
-    return MetricSpaceSpec(
-        label=f"csv[{path}:{dist_id}]",
-        point=pt,
-        dist=lambda i, j, precision: formula(pt(i), pt(j)),
-        exact_dist=formula,
-    )

@@ -19,7 +19,6 @@ halves that inherit the parent value plus or minus the element's value
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +27,7 @@ from typing import Callable
 from .compact import _q_node, q_seq
 from .entropy import ContractViolation
 from .funcs import PiecewiseLinear, StepFn, sup_dist_pl
-from .strings import (Dyadic, _csv_rows, _pow2, ceil_lb, round_half_away,
-                      round_ratio)
+from .strings import _pow2, ceil_lb, round_half_away, round_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -592,28 +590,3 @@ def _frac_pow_bounds(x: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fra
     num, den = e.numerator, e.denominator
     lo, hi = x ** num, x ** num
     return frac_root_bounds(lo, den, prec)[0], frac_root_bounds(hi, den, prec)[1]
-
-
-# ---------------------------------------------------------------------------
-# coefficient-stream interchange: rows (index, num, scale, exp_num, exp_den)
-# encode lam_i = (num / 2^scale) * 2^(exp_num / exp_den)
-
-def coeffs_to_csv(lams, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for i, lam in enumerate(lams):
-            if not isinstance(lam, ScaledVal):
-                lam = ScaledVal(Fraction(lam), Fraction(0))
-            if lam.coef == 0:
-                continue
-            d = Dyadic.from_fraction(lam.coef)
-            w.writerow([i, d.num, d.scale, lam.exp2.numerator, lam.exp2.denominator])
-
-
-def coeffs_from_csv(path: str) -> list[ScaledVal]:
-    out: dict[int, ScaledVal] = {}
-    for row in _csv_rows(path):
-        i, num, scale, en, ed = (int(c) for c in row)
-        out[i] = ScaledVal(Fraction(num, 1 << scale), Fraction(en, ed))
-    size = max(out, default=-1) + 1
-    return [out.get(i, ScaledVal(Fraction(0), Fraction(0))) for i in range(size)]

@@ -20,7 +20,6 @@ benchmark tracer counts its calls and characters, which a cache would hide.
 
 from __future__ import annotations
 
-import csv
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -65,11 +64,6 @@ def is_binstr(a: str) -> bool:
     if len(a) < _COUNT_PASS_LEN:
         return not a.strip("01")
     return a.count("0") + a.count("1") == len(a)
-
-
-def str_len(a: str) -> int:
-    """Length of a binary string (the unary value |a|)."""
-    return len(a)
 
 
 def all_strings(max_len: int):
@@ -330,15 +324,3 @@ def floor_lb(n: int) -> int:
     if n < 1:
         raise ValueError("floor_lb needs n >= 1")
     return n.bit_length() - 1
-
-
-# ---------------------------------------------------------------------------
-# CSV tables
-
-def _csv_rows(path: str):
-    """The rows of a CSV table, skipping blank rows and rows whose first
-    cell starts with "#"."""
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row and not row[0].startswith("#"):
-                yield row

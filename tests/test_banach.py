@@ -73,6 +73,16 @@ def test_banach_name_norm_branch():
         raw = phi(combo_query([m + 1], n, m))      # the vector e_0 itself
         z = decode_int(raw)
         assert abs(1 - Fraction(z, n + 1)) <= Fraction(1, n + 1)
+    # a norm query with a malformed part is answered with epsilon
+    one, seven = nat_str(1), nat_str(7)
+    assert phi("1" + tuple_strs(["1000", "", one, seven])) != ""
+    for rest in ("1",                                      # not a 4-tuple
+                 tuple_strs(["1000", "0", one, seven]),    # N not a numeral
+                 tuple_strs(["1000", "", "01", seven]),    # n not a numeral
+                 tuple_strs(["1000", "", one, "0"]),       # m not a numeral
+                 tuple_strs(["1", one, one, seven]),       # blob not a 2-tuple
+                 tuple_strs(["00", "", one, seven])):      # z not an integer
+        assert phi("1" + rest) == ""
 
 
 def test_banach_decode_combo():

@@ -45,6 +45,12 @@ def test_entropy_deterministic(tmp_path):
         cells = line.split(",")
         assert int(cells[7]) >= 1           # classes observed
         assert int(cells[8]) == int(cells[0])   # l(n) = n reference
+    # the n+c table shifts the reference column by c
+    c = tmp_path / "c.csv"
+    assert main(args + ["--l-table", "n+2", "--out", str(c)]) == 0
+    for line in c.read_text().splitlines()[1:]:
+        cells = line.split(",")
+        assert int(cells[8]) == int(cells[0]) + 2
 
 
 def test_entropy_empty_sample(tmp_path):

@@ -428,27 +428,3 @@ def test_lipschitz_instance():
     spec = greedy_uniform_seq(K, horizon=2)
     c_ok, s_ok, first = check_uniformly_dense(spec, K.points)
     assert c_ok and s_ok, first
-
-
-def test_load_instance(tmp_path):
-    import json
-    cfg = tmp_path / "inst.json"
-    cfg.write_text(json.dumps({
-        "space": "unit-interval", "sequence": "q",
-        "ell": [unit_interval_ell(n) for n in range(10)],
-        "S": "const1", "horizon": 5}))
-    from metrent.compact import load_instance
-    space, params, horizon = load_instance(str(cfg))
-    assert horizon == 5
-    assert params.ell(3) == unit_interval_ell(3)
-    phi = compact_name(space, params, Fraction(1, 2))
-    assert compact_decode_index(phi, 4, params) is not None
-
-
-def test_load_instance_rejects_decreasing_ell(tmp_path):
-    import json
-    from metrent.compact import load_instance
-    cfg = tmp_path / "inst.json"
-    cfg.write_text(json.dumps({"space": "unit-interval", "ell": [2, 1]}))
-    with pytest.raises(ValueError, match="non-decreasing"):
-        load_instance(str(cfg))

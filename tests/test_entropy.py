@@ -12,7 +12,7 @@ from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              covering_number, dialog_cover_experiment,
                              farthest_first, interval_cover_count,
                              lorentz_bounds, packing_exponent, packing_witness)
-from metrent.machine import const_time
+from metrent.machine import RunningTime, const_time
 
 
 def line_cloud(values):
@@ -232,3 +232,21 @@ def test_integer_dialog_check_rejects_a_wide_class(ks, n, u, shown):
     with pytest.raises(ContractViolation,
                        match=rf"sample {len(ks) - 1} at distance {shown} > 2\^-{n}"):
         _one_class_report(ks, n, u)
+
+
+def test_dialog_check_rejects_a_dialog_over_its_bound():
+    # a run metered under the budget its bound came from cannot overrun the
+    # bound, so this T changes between evaluations: the first, which fixes
+    # the bound, is 1 (bound 6), and the run is metered under 100, where it
+    # reads one 82-symbol answer and its dialog encodes to 166 symbols
+    evaluations = iter([1])
+    T = RunningTime(lambda l, n: next(evaluations, 100))
+
+    def ask_once(ctx):
+        ctx.ask("1")
+        ctx.emit("1")
+
+    with pytest.raises(ContractViolation,
+                       match="dialog length 166 exceeds bound 6 at sample 0"):
+        dialog_cover_experiment([Name(lambda a: "1" * 40)], [0], ask_once, T,
+                                lambda k: k, 0, lambda a, b: abs(a - b), 0)

@@ -9,8 +9,7 @@ from metrent import funcs
 from metrent.funcs import (PiecewiseLinear, StepFn, approx_check, chi,
                            continuity_modulus, lp_modulus,
                            lp_modulus_shift_check, modulus_fn, p_power_dist,
-                           pl_from_csv, pl_to_csv, shifted_p_power_dist,
-                           smooth, step_from_csv, step_to_csv, sup_dist_pl)
+                           shifted_p_power_dist, smooth, sup_dist_pl)
 
 
 def rand_step(rnd, max_cuts=5, scale=4):
@@ -93,6 +92,18 @@ def test_modulus_fn_extends_and_validates():
     for bad in ([], [3, 1], [-1, 0], [0, 2, 1, 4]):
         with pytest.raises(ValueError):
             modulus_fn(bad)
+
+
+@pytest.mark.parametrize("build, xs, ys, message", [
+    (StepFn.build, [0, 1], [1, 2], "one more cut"),
+    (StepFn.build, [0, 1, 1], [1, 2], "strictly increasing"),
+    (PiecewiseLinear.build, [0, 1], [0], "matching"),
+    (PiecewiseLinear.build, [0], [0], "matching"),
+    (PiecewiseLinear.build, [0, 1, 1], [0, 1, 2], "strictly increasing"),
+], ids=["step-levels", "step-cuts", "pl-values", "pl-single", "pl-breakpoints"])
+def test_constructors_refuse_malformed_tables(build, xs, ys, message):
+    with pytest.raises(ValueError, match=message):
+        build(xs, ys)
 
 
 def test_p_power_dist_linear_pieces():
@@ -334,14 +345,3 @@ def _moduli_golden_text(up_to=24):
 
 def test_moduli_match_golden_bytes():
     assert _moduli_golden_text().encode() == MODULI_GOLDEN.read_bytes()
-
-
-def test_csv_roundtrip(tmp_path):
-    f = PiecewiseLinear.build([0, Fraction(1, 4), 1], [0, Fraction(3, 4), Fraction(-1, 2)])
-    p = tmp_path / "f.csv"
-    pl_to_csv(f, str(p))
-    assert pl_from_csv(str(p)) == f
-    g = StepFn.build([0, Fraction(1, 2), 1], [1, Fraction(-1, 4)])
-    q = tmp_path / "g.csv"
-    step_to_csv(g, str(q))
-    assert step_from_csv(str(q)) == g

@@ -1,55 +1,28 @@
-"""Interface coverage: CSV loaders, coefficient streams, short-name-set
-membership, dialog classes against the Cauchy covering column, and the
-harness exit code for contract violations."""
+"""Interface coverage: short-name-set membership, dialog classes against
+the Cauchy covering column, the harness exit code for contract violations,
+and censuses of the public API (error classes, defaulted parameters,
+definitions that only tests call, bad configurations)."""
 
+import ast
 import inspect
-import json
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from metrent.compact import (CompactReprParams, compact_name, load_instance,
-                             q_seq, unit_interval_ell, unit_interval_space)
+from metrent.compact import (CompactReprParams, compact_name, q_seq,
+                             unit_interval_ell, unit_interval_space)
 from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              cloud_from_vectors, covering_number,
                              dialog_cover_experiment)
 from metrent.funcs import modulus_fn
 from metrent.machine import (RunningTime, const_time, equality_from_metric)
 from metrent.reprs import (cauchy_metric_program, cauchy_metric_time,
-                           cauchy_name, space_from_csv)
-from metrent.schauder import ScaledVal, coeffs_from_csv, coeffs_to_csv
+                           cauchy_name)
 from metrent.strings import (ConfigError, ContractError, Dyadic, InvalidConfig,
                              MetrentError)
-
-
-def test_space_from_csv(tmp_path):
-    path = tmp_path / "pts.csv"
-    path.write_text("0,0\n1/2,1/4\n1,1\n")
-    M = space_from_csv(str(path), "sup")
-    assert M.point(1) == (Fraction(1, 2), Fraction(1, 4))
-    assert M.exact_dist(M.point(0), M.point(2)) == 1
-    assert M.dist(0, 1, 5) == Fraction(1, 2)
-    line = space_from_csv(str(path), "abs")
-    assert line.exact_dist(line.point(0), line.point(1)) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        space_from_csv(str(path), "taxicab")
-
-
-def test_coefficient_stream_roundtrip(tmp_path):
-    lams = [ScaledVal(Fraction(1, 2), Fraction(0)),
-            ScaledVal(Fraction(0), Fraction(0)),
-            ScaledVal(Fraction(-3, 8), Fraction(-1, 2))]
-    path = tmp_path / "coeffs.csv"
-    coeffs_to_csv(lams, str(path))
-    back = coeffs_from_csv(str(path))
-    assert len(back) == 3
-    for a, b in zip(lams, back):
-        assert a.same_value(b)
-    # plain fractions are accepted on the way out
-    coeffs_to_csv([Fraction(5, 4)], str(path))
-    assert coeffs_from_csv(str(path))[0].same_value(
-        ScaledVal(Fraction(5, 4), Fraction(0)))
 
 
 def test_short_name_set_membership():
@@ -147,8 +120,6 @@ DEFAULTED_PARAMETERS = {
     ("machine", "RunningTime.__init__", "label"),
     ("machine", "const_time", "c"),
     ("machine", "first_order", "label"),
-    ("reprs", "MetricSpaceSpec.__init__", "approx_index"),
-    ("reprs", "space_from_csv", "dist_id"),
     ("schauder", "FSSystem.norm_bounds", "prec"),
     ("schauder", "HaarSystem.norm_bounds", "prec"),
     ("schauder", "RootSum.__init__", "terms"),
@@ -192,41 +163,76 @@ def test_every_defaulted_parameter_is_listed():
         ["points", "dist", "thr"]
 
 
-def _instance_file(tmp_path, **cfg):
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps({"space": "unit-interval", "ell": [1, 2], **cfg}))
-    return str(path)
+# the public top-level definitions of src/metrent that no code in src/,
+# scripts/ or benchmarks/ names: the paper's checks and test fixtures; a new
+# public definition needs a caller or a visible edit here
+TEST_ONLY_PUBLIC = {
+    ("baire", "constant_name"),
+    ("baire", "in_kl"),
+    ("baire", "is_length_monotone"),
+    ("baire", "length_of"),
+    ("baire", "split_pair"),
+    ("banach", "add_time"),
+    ("banach", "banach_add_program"),
+    ("banach", "xi_decode_pl"),
+    ("compact", "check_uniformly_dense"),
+    ("compact", "compact_to_relativized"),
+    ("compact", "greedy_uniform_seq"),
+    ("compact", "lipschitz_cloud"),
+    ("compact", "relativized_to_compact"),
+    ("entropy", "build_large_compact"),
+    ("entropy", "check_spanning_le_covering"),
+    ("entropy", "cloud_from_vectors"),
+    ("funcs", "approx_check"),
+    ("funcs", "lp_modulus_shift_check"),
+    ("machine", "check_monotone_sampled"),
+    ("machine", "is_time_constructible"),
+    ("machine", "length_time_by_convention"),
+    ("machine", "length_time_by_scan"),
+    ("reprs", "cauchy_validate"),
+    ("reprs", "co_re_reject"),
+    ("reprs", "dyadic_line_space"),
+    ("reprs", "real_name"),
+    ("reprs", "real_validate"),
+    ("reprs", "relativized_cauchy_name"),
+    ("reprs", "relativized_metric_time"),
+    ("schauder", "chi_expand"),
+    ("schauder", "fs_separation"),
+    ("schauder", "haar_unit_norm_power"),
+}
 
 
-def _csv_file(tmp_path):
-    path = tmp_path / "line.csv"
-    path.write_text("0\n1/2\n1\n")
-    return str(path)
+def test_every_test_only_public_definition_is_listed():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    public = {(path.stem, node.name)
+              for path in sorted((root / "src" / "metrent").glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    texts = [path.read_text() for top in ("src", "scripts", "benchmarks")
+             for path in (root / top).rglob("*.py")]
+    # a name that occurs once is named only where it is defined
+    found = {(mod, name) for mod, name in public
+             if sum(len(re.findall(rf"\b{name}\b", t)) for t in texts) == 1}
+    assert found == TEST_ONLY_PUBLIC
 
 
 # one bad configuration per library entry point that reads one
 INVALID_CONFIGS = {
-    "load_instance-space": lambda tmp: load_instance(_instance_file(tmp, space="bogus")),
-    "load_instance-S": lambda tmp: load_instance(_instance_file(tmp, S="bogus")),
-    "space_from_csv": lambda tmp: space_from_csv(str(tmp / "none.csv"), "taxicab"),
-    # a finite space read from a file has no approximation chooser
-    "compact_name": lambda tmp: compact_name(
-        space_from_csv(_csv_file(tmp), "abs"),
-        CompactReprParams(ell=unit_interval_ell, S=const_time(1)), 0),
-    "ApproxSetSpec": lambda tmp: ApproxSetSpec([Fraction(1, 2), Fraction(1)]),
-    "modulus_fn": lambda tmp: modulus_fn([2, 1]),
-    "cloud_from_vectors": lambda tmp: cloud_from_vectors([(0,), (1,)], "taxicab"),
-    "covering_number": lambda tmp: covering_number(
+    "ApproxSetSpec": lambda: ApproxSetSpec([Fraction(1, 2), Fraction(1)]),
+    "modulus_fn": lambda: modulus_fn([2, 1]),
+    "cloud_from_vectors": lambda: cloud_from_vectors([(0,), (1,)], "taxicab"),
+    "covering_number": lambda: covering_number(
         cloud_from_vectors([(0,), (1,)]), 0, "bogus"),
 }
 
 
 @pytest.mark.parametrize("site", sorted(INVALID_CONFIGS))
-def test_invalid_config_takes_the_config_branch(site, tmp_path):
+def test_invalid_config_takes_the_config_branch(site):
     # a bad request raises a ConfigError (exit code 2) that is still a
     # ValueError for callers that catch that
     with pytest.raises(InvalidConfig) as info:
-        INVALID_CONFIGS[site](tmp_path)
+        INVALID_CONFIGS[site]()
     assert isinstance(info.value, ConfigError) and isinstance(info.value, ValueError)
     assert not isinstance(info.value, ContractError)
 

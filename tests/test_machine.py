@@ -116,6 +116,9 @@ def test_dialog_encoded_length_on_equality_runs():
                                        lambda k: 2 * (k + 1))
             assert dialog.query_count >= 1
             assert dialog.encoded_length() == len(dialog.encode())
+    # an input that is not 1^n is answered with epsilon, asking nothing
+    out, _, dialog = metered_run(prog, chi, "10", budget, lambda k: 2 * (k + 1))
+    assert out == "" and dialog.query_count == 0
 
 
 def test_dialog_determinism_replay():

@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from metrent.baire import Name, constant_name, in_kl, pair_names, split_pair
+from metrent.baire import Name, constant_name, pair_names, split_pair
 from metrent.compact import q_seq, unit_interval_approx, unit_interval_space
 from metrent.machine import RunningTime, metered_run
-from metrent.reprs import (MalformedName, MetricSpaceSpec, box_product_length,
+from metrent.reprs import (MalformedName, MetricSpaceSpec,
                            cauchy_metric_program, cauchy_name, cauchy_validate,
                            co_re_reject, dyadic_line_index, dyadic_line_point,
-                           dyadic_line_space, metric_answer,
-                           product_name_list, real_decode, real_name,
-                           real_validate, relativized_cauchy_name,
-                           space_from_csv)
+                           dyadic_line_space, metric_answer, real_decode,
+                           real_name, real_validate, relativized_cauchy_name)
 from metrent.strings import (Dyadic, all_strings, decode_int, encode_int,
                              nat_str, round_ratio, tuple_strs)
 
@@ -157,15 +155,6 @@ def test_product_roundtrip_and_errors():
         bad("1")
 
 
-def test_box_product_length_bound():
-    C = 1
-    for d in (1, 2, 3):
-        coords = [Fraction(1, 2), Fraction(-3, 2), Fraction(3, 4)][:d]
-        chi = product_name_list([real_name(c) for c in coords])
-        ell = box_product_length(d, C)
-        assert in_kl(chi, ell, 6)
-
-
 def test_co_re_reject_sound_and_complete():
     M = dyadic_line_space()
     x = Fraction(5, 8)
@@ -201,20 +190,19 @@ def test_co_re_reject_limitless_prefix_stays_undecided():
 
 def test_space_without_exact_dist_is_refused():
     """Validators and the dialog check call exact_dist unguarded (metric
-    queries read dist), so a spec that lacks it fails where it is built,
-    not at its first validation."""
+    queries read dist), and compact names call approx_index unguarded, so a
+    spec that lacks either fails where it is built, not at its first use."""
+    dist = lambda i, j, precision: abs(q_seq(i) - q_seq(j))
     with pytest.raises(TypeError):
-        MetricSpaceSpec("bare", q_seq, lambda i, j, precision: abs(q_seq(i) - q_seq(j)),
-                        approx_index=unit_interval_approx)
+        MetricSpaceSpec("bare", q_seq, dist, approx_index=unit_interval_approx)
+    with pytest.raises(TypeError):
+        MetricSpaceSpec("bare", q_seq, dist, exact_dist=unit_interval_space().exact_dist)
 
 
-def test_metric_answer_reads_the_index_metric(tmp_path):
+def test_metric_answer_reads_the_index_metric():
     """metric_answer's integer from dist(i, j, 2n+1) equals the rounding of
     the exact distance of the two points on every library space."""
-    path = tmp_path / "pts.csv"
-    path.write_text("0,0\n1/2,1/4\n1,1\n-3/8,5/16\n7/4,-1/2\n")
-    for M in (unit_interval_space(), dyadic_line_space(),
-              space_from_csv(str(path), "sup")):
+    for M in (unit_interval_space(), dyadic_line_space()):
         for i in range(40):
             for j in range(40):
                 d = M.exact_dist(M.point(i), M.point(j))

@@ -175,6 +175,9 @@ def test_haar_integral_examples():
             g = haar_gen(k)
             assert v.coef == Fraction(1, 1 << g)
             assert v.exp2 == Fraction(g - 1) / p
+            # the reversed interval integrates to the negated value
+            assert haar_integral(k, p, q, lo).same_value(
+                ScaledVal(-v.coef, v.exp2))
             if p == 1:
                 # at p = 1 this is exactly 2^(-1/p)
                 assert v.as_fraction() == Fraction(1, 2)
@@ -330,6 +333,12 @@ def test_rootsum_ring():
     sq = a.times(a)
     assert sq.terms == {Fraction(0): Fraction(2)}
     assert a.sign() == 1 and b.sign() == -1
+    # sqrt(2) - 1.414213 is about 5.6e-7: the first enclosure, at precision
+    # 8, straddles 0, and sign refines it
+    near = a.plus(RootSum.of(Fraction(-1414213, 10 ** 6)))
+    lo, hi = near.bounds(8)
+    assert lo < 0 < hi
+    assert near.sign() == 1 and near.scaled(Fraction(-1)).sign() == -1
     lo, hi = a.bounds(30)
     assert lo <= Fraction(1414213562, 10 ** 9) <= hi
     assert hi - lo < Fraction(1, 1 << 20)

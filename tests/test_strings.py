@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from metrent.strings import (Dyadic, MalformedEncoding, all_strings, ceil_lb,
                              ceil_lb_ratio, decode_int, encode_int, floor_lb,
                              is_binstr, nat_str, parse_nat, parse_nats, proj,
-                             proj_value, round_half_away, round_ratio, str_len,
+                             proj_value, round_half_away, round_ratio,
                              tuple_list, tuple_strs, untuple)
 
 binstr = st.text(alphabet="01", max_size=7)
@@ -23,12 +23,6 @@ def oracle_tuple(parts):
         for c in padded:
             out += c[pos]
     return out
-
-
-def test_str_len():
-    assert str_len("") == 0
-    assert str_len("010") == 3
-    assert str_len("1111") == 4
 
 
 def test_tuple_golden():
