@@ -69,10 +69,6 @@ class Name:
         return f"Name({self.label or '?'})"
 
 
-def constant_name(value: str = "") -> Name:
-    return Name(lambda a: value, label="const")
-
-
 def _check_scan_depth(depth: int) -> None:
     """Refuse, before any query, a scan deeper than SCAN_CUTOFF."""
     if depth > SCAN_CUTOFF:

@@ -185,14 +185,19 @@ def _translation(kind: str):
 
 def cmd_translate(args) -> int:
     translate = _translation(args.kind)
-    if args.trace:
-        try:
-            with open(args.trace) as fh:
-                text = fh.read()
-        except OSError as e:
-            raise ConfigError(f"cannot read trace {args.trace!r}: {e.strerror}") from e
-    else:
-        text = sys.stdin.read()
+    # read bytes and decode strictly: standard input's own decoder would
+    # turn undecodable bytes into surrogates instead of failing
+    try:
+        if args.trace:
+            with open(args.trace, "rb") as fh:
+                data = fh.read()
+        else:
+            data = sys.stdin.buffer.read()
+        text = data.decode("utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read trace {args.trace!r}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"trace is not UTF-8 text: {e.reason} at byte {e.start}") from e
     for lineno, line in enumerate(text.splitlines(), 1):
         if "\t" in line and not is_binstr(line.replace("\t", "", 1)):
             raise ConfigError(f"trace line {lineno}: query and answer "

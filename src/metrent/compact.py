@@ -18,13 +18,13 @@ from typing import Callable
 
 from .baire import LengthFn, Name
 from .entropy import (PointCloud, SizeExceeded, covering_number,
-                      farthest_first, interval_cover_count)
+                      farthest_first)
 from .funcs import PiecewiseLinear, sup_dist_pl
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
 from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, cauchy_index,
                     metric_answer, metric_query)
-from .strings import (ContractError, Dyadic, _frac, ceil_lb, decode_int,
+from .strings import (ContractError, _dyadic, _frac, ceil_lb, decode_int,
                       nat_str, parse_nats, proj_value, tuple_strs, untuple)
 
 
@@ -69,10 +69,10 @@ def q_index(x) -> int:
         return 0
     if x == 1:
         return 1
-    d = Dyadic.from_fraction(x)
+    num, scale = _dyadic(x)
     if not 0 < x < 1:
         raise ValueError(f"{x} outside [0, 1]")
-    return _grid_index(d.num, d.scale)
+    return _grid_index(num, scale)
 
 
 def _grid_index(c: int, s: int) -> int:
@@ -153,24 +153,15 @@ def unit_interval_space() -> MetricSpaceSpec:
     )
 
 
-_SIZE_MEMO: dict[int, int] = {}
-_SIZE_MEASURE_CAP = 12
-
-
 def measured_size_unit_interval(n: int) -> int:
-    """Exponent of the measured covering number of [0, 1] at radius 2^-n,
-    with ball centers on a dyadic grid four times finer.  Measured up to a
-    cap, extended by the measured pattern max(n-1, 0) beyond it."""
+    """Exponent ceil lb of the covering number of the grid of step 2^-(n+2)
+    on [0, 1] by balls of radius 2^-n centered on it.  Each ball covers 9
+    of the 2^(n+2) + 1 grid points, so the count is ceil((2^(n+2) + 1)/9),
+    which lies in (2^(n-2), 2^(n-1)] for n >= 1 and is 1 for n = 0: the
+    exponent is max(n - 1, 0) for every n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > _SIZE_MEASURE_CAP:
-        return max(n - 1, 0)
-    if n not in _SIZE_MEMO:
-        step = Fraction(1, 1 << (n + 2))
-        grid = [k * step for k in range((1 << (n + 2)) + 1)]
-        count = interval_cover_count(grid, Fraction(1, 1 << n))
-        _SIZE_MEMO[n] = ceil_lb(count)
-    return _SIZE_MEMO[n]
+    return max(n - 1, 0)
 
 
 def unit_interval_ell(n: int) -> int:
@@ -461,5 +452,4 @@ def lipschitz_family(level: int):
 
 def lipschitz_cloud(level: int) -> PointCloud:
     fns = lipschitz_family(level)
-    return PointCloud(fns, lambda i, j: sup_dist_pl(fns[i], fns[j]),
-                      label=f"lip1-level{level}")
+    return PointCloud(fns, lambda i, j: sup_dist_pl(fns[i], fns[j]))

@@ -35,7 +35,6 @@ class PointCloud:
 
     points: list
     dist: Callable[[int, int], int | Fraction]
-    label: str = ""
     _cache: dict = field(default_factory=dict, init=False, repr=False)
     _traversals: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -61,7 +60,7 @@ def cloud_from_vectors(vectors, metric: str = "sup") -> PointCloud:
         d = lambda i, j: sum(abs(a - b) for a, b in zip(vecs[i], vecs[j]))
     else:
         raise InvalidConfig(f"unknown metric {metric!r}")
-    return PointCloud(vecs, d, label=f"{metric}^{len(vecs[0])}")
+    return PointCloud(vecs, d)
 
 
 class CoverResult(NamedTuple):
@@ -206,8 +205,7 @@ def build_large_compact(mu: Callable[[int], int], family: Callable[[int], object
         factor = _pow2(1 - i)
         for j in range(1, cnt + 1):
             pts.append(scale(factor, family(j)))
-    return PointCloud(pts, lambda a, b: dist(pts[a], pts[b]),
-                      label="large-compact")
+    return PointCloud(pts, lambda a, b: dist(pts[a], pts[b]))
 
 
 # ---------------------------------------------------------------------------

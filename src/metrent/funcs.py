@@ -53,11 +53,6 @@ class StepFn:
                 total += lev * (hi - lo)
         return total
 
-    def p_power_norm(self, p: int) -> Fraction:
-        """Integral of |f|^p over the line (integer p)."""
-        return sum((abs(l) ** p * (b - a) for l, a, b in
-                    zip(self.levels, self.cuts, self.cuts[1:])), Fraction(0))
-
     def jump_sizes(self) -> list[Fraction]:
         vals = [Fraction(0), *self.levels, Fraction(0)]
         return [abs(b - a) for a, b in zip(vals, vals[1:])]

@@ -13,7 +13,7 @@ caller-certified bound on the oracle's length function and a is the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .baire import LengthFn, Name
@@ -39,12 +39,7 @@ class BudgetExceeded(ContractError, RuntimeError):
 class MeterReport:
     steps_used: int
     budget: int
-    queries: list[tuple[str, str]] = field(default_factory=list)
-
-    def serialize(self) -> str:
-        lines = [f"{self.steps_used}\t{self.budget}"]
-        lines += [f"Q\t{q}\t{p}" for q, p in self.queries]
-        return "\n".join(lines)
+    queries: list[tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ def first_order(f: Callable[[int], int], label: str = "") -> RunningTime:
     return RunningTime(lambda l, n: f(n), label or "first-order", evaluator=ev)
 
 
-def const_time(c: int = 1) -> RunningTime:
+def const_time(c: int) -> RunningTime:
     return first_order(lambda n: c, f"S={c}")
 
 

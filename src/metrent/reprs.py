@@ -15,7 +15,7 @@ from typing import Callable
 
 from .baire import LengthFn, Name
 from .machine import Ctx, RunningTime, paired, precision_input, quarter_round
-from .strings import (Dyadic, MalformedName, _frac, decode_int, encode_int,
+from .strings import (MalformedName, _dyadic, _frac, decode_int, encode_int,
                       nat_str, parse_nat, parse_nats, proj_value, round_ratio,
                       tuple_strs)
 
@@ -67,8 +67,8 @@ def dyadic_line_point(i: int) -> Fraction:
 
 
 def dyadic_line_index(x: Fraction) -> int:
-    d = Dyadic.from_fraction(x)
-    return _cantor(_zigzag(d.num), d.scale)
+    num, scale = _dyadic(x)
+    return _cantor(_zigzag(num), scale)
 
 
 def dyadic_line_space() -> MetricSpaceSpec:
@@ -97,10 +97,10 @@ def dyadic_line_space() -> MetricSpaceSpec:
 # ---------------------------------------------------------------------------
 # the standard representation of the reals
 
-def real_name(x: Dyadic | Fraction) -> Name:
+def real_name(x: Fraction) -> Name:
     """Name with phi(n) an integer encoding and |x - phi(n)/(n+1)| <= 1/(n+1);
     the generator picks round(x*(n+1)) with ties away from zero."""
-    xf = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
+    xf = _frac(x)
 
     def fn(a: str) -> str:
         n = parse_nat(a)

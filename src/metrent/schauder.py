@@ -150,17 +150,6 @@ class ScaledVal:
     def is_zero(self) -> bool:
         return self.coef == 0
 
-    def same_value(self, other: "ScaledVal") -> bool:
-        if self.coef == 0 or other.coef == 0:
-            return self.coef == other.coef
-        a, b = _normalize_term(self.coef, self.exp2), _normalize_term(other.coef, other.exp2)
-        return a == b
-
-    def as_fraction(self) -> Fraction:
-        if self.exp2.denominator != 1:
-            raise ValueError(f"irrational value 2^{self.exp2}")
-        return self.coef * _pow2(int(self.exp2))
-
 
 def _normalize_term(coef: Fraction, exp2: Fraction) -> tuple[Fraction, Fraction]:
     shift = exp2.numerator // exp2.denominator
@@ -460,15 +449,6 @@ def _scale_of(x: Fraction) -> int:
 
 def _midpoints(m: int):
     return [Fraction(2 * t + 1, 2 * m) for t in range(m)]
-
-
-def haar_unit_norm_power(k: int, p: int) -> Fraction:
-    """Exact integral of |f_{k,p}|^p (integer p); equals one for every k."""
-    if k == 0:
-        return Fraction(1)
-    g = haar_gen(k)
-    scale_pow = Fraction(1 << (g - 1))          # (2^((g-1)/p))^p
-    return scale_pow * Fraction(2, 1 << g)
 
 
 # ---------------------------------------------------------------------------

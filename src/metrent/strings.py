@@ -1,5 +1,7 @@
-"""Bit-exact binary strings: codecs, tupling, and exact dyadic arithmetic,
-plus the root of the library's typed errors.
+"""Bit-exact binary strings: codecs, tupling, and the exact rational
+helpers the other modules share (``_pow2``, ``_frac``, ``_dyadic``, the
+rounding and base-2 logarithm functions), plus the root of the library's
+typed errors.
 
 Strings over the alphabet {0,1} are plain Python ``str`` values restricted
 to the characters "0" and "1".  The empty string is written ``""`` in code
@@ -218,7 +220,7 @@ def tuple_list_len(lengths) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact dyadic rationals
+# exact rationals
 
 def _frac(x) -> Fraction:
     """x as a Fraction; a Fraction is returned as it is."""
@@ -228,6 +230,16 @@ def _frac(x) -> Fraction:
 def _pow2(e: int) -> int | Fraction:
     """2^e exactly: an int for e >= 0, a Fraction below 1."""
     return 1 << e if e >= 0 else Fraction(1, 1 << -e)
+
+
+def _dyadic(x: Fraction) -> tuple[int, int]:
+    """(num, scale) with x = num / 2^scale in lowest terms: num is odd or
+    scale is 0.  Raises ValueError when x is not dyadic."""
+    d = x.denominator
+    s = d.bit_length() - 1
+    if d != 1 << s:
+        raise ValueError(f"{x} is not dyadic")
+    return x.numerator, s
 
 
 def round_ratio(n: int, d: int) -> int:
@@ -241,64 +253,6 @@ def round_ratio(n: int, d: int) -> int:
 def round_half_away(x: Fraction) -> int:
     """Nearest integer with ties rounded away from zero."""
     return round_ratio(x.numerator, x.denominator)
-
-
-class Dyadic:
-    """Exact value num * 2**(-scale), canonical: num odd or scale == 0."""
-
-    __slots__ = ("num", "scale")
-
-    def __init__(self, num: int, scale: int = 0):
-        if scale < 0:
-            num <<= -scale
-            scale = 0
-        while num != 0 and scale > 0 and num % 2 == 0:
-            num //= 2
-            scale -= 1
-        if num == 0:
-            scale = 0
-        self.num = num
-        self.scale = scale
-
-    @staticmethod
-    def from_fraction(f: Fraction) -> "Dyadic":
-        d = f.denominator
-        s = d.bit_length() - 1
-        if d != 1 << s:
-            raise ValueError(f"{f} is not dyadic")
-        return Dyadic(f.numerator, s)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.scale)
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        s = max(self.scale, other.scale)
-        return Dyadic((self.num << (s - self.scale)) + (other.num << (s - other.scale)), s)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.scale)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.num * other.num, self.scale + other.scale)
-
-    def _cmp(self, other: "Dyadic") -> int:
-        lhs = self.num << other.scale
-        rhs = other.num << self.scale
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Dyadic) and self.num == other.num and self.scale == other.scale
-
-    def __lt__(self, other): return self._cmp(other) < 0
-    def __le__(self, other): return self._cmp(other) <= 0
-    def __gt__(self, other): return self._cmp(other) > 0
-    def __ge__(self, other): return self._cmp(other) >= 0
-
-    def __repr__(self):
-        return f"Dyadic({self.num}, {self.scale})"
 
 
 def ceil_lb(n: int) -> int:

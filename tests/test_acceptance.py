@@ -31,9 +31,9 @@ from metrent.machine import (RunningTime, const_time, equality_from_metric,
                              exp_max_time, metered_run)
 from metrent.reprs import (cauchy_metric_program, cauchy_metric_time,
                            cauchy_name)
-from metrent.schauder import (FSSystem, chi_expand, fs_coeffs, fs_elem,
-                              haar_integral, haar_scale_exp, haar_support,
-                              haar_unit_norm_power, sup_error)
+from metrent.schauder import (FSSystem, HaarSystem, chi_expand, fs_coeffs,
+                              fs_elem, haar_integral, haar_scale_exp,
+                              haar_support, sup_error)
 from metrent.strings import (all_strings, decode_int, encode_int, nat_str,
                              proj_value, round_half_away, tuple_strs)
 
@@ -264,9 +264,12 @@ def test_c07_fs_exactness():
 
 
 def test_c08_haar_exactness():
-    for k in range(65):
-        for p in (1, 2, 3):
-            assert haar_unit_norm_power(k, p) == 1
+    # the integral of |f_{k,p}|^p over the element's own pieces is exactly
+    # 1, the root sum with the single term 1 * 2^0
+    for p in (1, 2, 3):
+        system = HaarSystem(Fraction(p))
+        for k in range(65):
+            assert system.norm_power([0] * k + [1]).terms == {0: 1}, (k, p)
     for p in (Fraction(1), Fraction(2), Fraction(3)):
         for j in range(2, 33):
             lo, q, _ = haar_support(j - 1)

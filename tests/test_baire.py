@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from metrent.baire import (SCAN_CUTOFF, BoundViolation, MalformedPadding,
                            Name, NotAPair, ScanCutoffExceeded, TraceMiss,
-                           constant_name, in_kl, is_length_monotone,
+                           in_kl, is_length_monotone,
                            length_of, name_from_trace, pad, pair_names,
                            split_pair, trace_of, unpad, unpad_value)
 from metrent.strings import MalformedName, all_strings, tuple_strs
@@ -14,7 +14,7 @@ def identity_name():
 
 
 def test_length_of_examples():
-    assert length_of(constant_name(""), 7) == 0
+    assert length_of(Name(lambda a: ""), 7) == 0
     assert length_of(identity_name(), 5) == 5
     assert length_of(Name(lambda a: a + a), 3) == 6
 
@@ -46,14 +46,14 @@ def test_declared_bound_checked():
 
 
 def test_in_kl_examples():
-    assert in_kl(constant_name(""), lambda n: n, 5)
+    assert in_kl(Name(lambda a: ""), lambda n: n, 5)
     clipped = lambda n: max(n - 1, 0)
     assert not in_kl(identity_name(), clipped, 3)
     assert in_kl(identity_name(), lambda n: n, 8)
 
 
 def test_is_length_monotone_examples():
-    assert is_length_monotone(constant_name("11"), 4)
+    assert is_length_monotone(Name(lambda a: "11"), 4)
     assert is_length_monotone(Name(lambda a: a[::-1]), 4)
     bad = Name(lambda a: "11" if a == "" else "")
     assert not is_length_monotone(bad, 2)
@@ -77,7 +77,7 @@ def test_scan_past_the_cutoff_raises_before_any_query(scan):
 def test_pad_examples():
     phi = Name(lambda a: "0")
     assert pad(phi, lambda n: 2)("") == "0100"
-    psi = constant_name("")
+    psi = Name(lambda a: "")
     assert pad(psi, lambda n: 0)("") == ""
     one = Name(lambda a: "1")
     padded = pad(one, lambda n: 3)
@@ -127,13 +127,13 @@ def test_pair_and_split():
 
 
 def test_pair_constant_eps():
-    chi = pair_names(constant_name(""), constant_name(""))
+    chi = pair_names(Name(lambda a: ""), Name(lambda a: ""))
     for a in ("", "0", "11"):
         assert chi(a) == "11"
 
 
 def test_split_not_a_pair():
-    p1, _ = split_pair(constant_name(""))
+    p1, _ = split_pair(Name(lambda a: ""))
     with pytest.raises(NotAPair):
         p1("0")
 
@@ -146,3 +146,8 @@ def test_trace_roundtrip():
         assert replay(a) == phi(a)
     with pytest.raises(TraceMiss):
         replay("0000")
+    # a line without a tab is no entry, so its text is not a query
+    skipped = name_from_trace("0\t1\n101\n")
+    assert skipped("0") == "1"
+    with pytest.raises(TraceMiss):
+        skipped("101")

@@ -230,6 +230,23 @@ def test_translate_roundtrip(tmp_path):
     assert line.split("\t")[1] == probe(wanted)
 
 
+@pytest.mark.parametrize("from_file", [True, False])
+def test_undecodable_trace_is_config_error(tmp_path, from_file):
+    # a trace that is not text, read from a file or from standard input
+    bad = b"\xff\xfe\n"
+    argv = ["translate", "--kind", "xi-to-dsq"]
+    if from_file:
+        path = tmp_path / "bad.trace"
+        path.write_bytes(bad)
+        argv += ["--trace", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "metrent.cli", *argv],
+                          input=bad, capture_output=True)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "config-error: trace is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_translate_missing_queries(tmp_path, capsys):
     trace = tmp_path / "short.trace"
     trace.write_text("0\t1\n")
@@ -294,7 +311,8 @@ def _run_main(argv, stdin_text):
     argparse's own exits included."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        saved, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+        saved = sys.stdin
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()))
         try:
             rc = main(argv)
         except SystemExit as e:          # argparse rejects the argv

@@ -21,7 +21,7 @@ from metrent.compact import (CompactReprParams, ParameterViolation,
                              unit_interval_approx, unit_interval_ell,
                              unit_interval_short_approx, unit_interval_space)
 from metrent.entropy import (PointCloud, SizeExceeded, cloud_from_vectors,
-                             covering_number)
+                             covering_number, interval_cover_count)
 from metrent.funcs import (PiecewiseLinear, StepFn, continuity_modulus,
                            lp_modulus, modulus_fn)
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
@@ -67,11 +67,20 @@ def test_unit_interval_dist_matches_node_difference():
 def test_q_index_inverse():
     for i in range(300):
         assert q_index(q_seq(i)) == i
+    with pytest.raises(ValueError, match="not dyadic"):
+        q_index(Fraction(1, 3))
 
 
 def test_measured_size():
     assert [measured_size_unit_interval(n) for n in range(9)] == \
         [0, 0, 1, 2, 3, 4, 5, 6, 7]
+    # the closed form against the measured cover of the 4x finer grid
+    for n in range(11):
+        grid = [Fraction(k, 1 << (n + 2)) for k in range((1 << (n + 2)) + 1)]
+        count = interval_cover_count(grid, Fraction(1, 1 << n))
+        assert measured_size_unit_interval(n) == ceil_lb(count), n
+    with pytest.raises(ValueError):
+        measured_size_unit_interval(-1)
 
 
 def test_greedy_uniform_seq_on_grid():

@@ -131,6 +131,11 @@ def test_greedy_at_least_exact_and_packing_below():
             assert greedy.count >= exact.count
             assert len(packing_witness(K, n)) <= exact.count
             assert check_spanning_le_covering(K, n)
+    # no points need no balls
+    for metric in ("sup", "l1"):
+        empty = cloud_from_vectors([], metric)
+        for mode in ("exact", "greedy"):
+            assert covering_number(empty, 0, mode).count == 0
 
 
 def test_build_large_compact_unit_peaks():

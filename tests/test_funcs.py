@@ -26,7 +26,7 @@ def test_step_basics():
     assert f(Fraction(1, 2)) == 0
     assert f.integral(0, 1) == Fraction(1, 2)
     assert f.integral(Fraction(1, 4), Fraction(3, 4)) == Fraction(1, 4)
-    assert f.p_power_norm(2) == Fraction(1, 2)
+    assert p_power_dist(f, StepFn.build([0, 1], [0]), 2) == Fraction(1, 2)
 
 
 def test_pl_basics():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metrent.baire import Name, constant_name, pair_names
+from metrent.baire import Name, pair_names
 from metrent.machine import (BudgetExceeded, ContractViolation, Dialog,
                              RunningTime,
                              check_monotone_sampled, const_time,
@@ -29,7 +29,7 @@ def echo_query_program(ctx):
 
 def test_copy_run():
     T = first_order(lambda n: 2 * n + 2)
-    out, report, dialog = metered_run(copy_program, constant_name(""), "101",
+    out, report, dialog = metered_run(copy_program, Name(lambda a: ""), "101",
                                       T, lambda n: 0)
     assert out == "101"
     assert report.steps_used <= 8
@@ -37,7 +37,7 @@ def test_copy_run():
 
 
 def test_echo_run():
-    phi = constant_name("1")
+    phi = Name(lambda a: "1")
     T = RunningTime(lambda l, n: l(n) + 4)
     out, report, dialog = metered_run(echo_query_program, phi, "", T, lambda n: 1)
     assert out == "1"
@@ -47,7 +47,7 @@ def test_echo_run():
 def test_budget_zero_always_exhausts():
     T = const_time(0)
     with pytest.raises(BudgetExceeded) as e:
-        metered_run(copy_program, constant_name(""), "", T, lambda n: 0)
+        metered_run(copy_program, Name(lambda a: ""), "", T, lambda n: 0)
     assert e.value.report.budget == 0
 
 
@@ -56,16 +56,6 @@ def test_const_time_label_names_its_bound(c):
     T = const_time(c)
     assert T.label == f"S={c}"
     assert T.bound(lambda n: n, 3) == c
-
-
-def test_report_serialization():
-    phi = constant_name("10")
-    T = first_order(lambda n: 50)
-    _, report, dialog = metered_run(echo_query_program, phi, "", T, lambda n: 2)
-    text = report.serialize()
-    assert text.splitlines()[0].split("\t") == [str(report.steps_used), "50"]
-    assert text.splitlines()[1] == "Q\t\t10"
-    assert dialog.encode() != ""
 
 
 def test_dialog_length_bound_values():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from metrent.baire import Name, constant_name, pair_names, split_pair
+from metrent.baire import Name, pair_names, split_pair
 from metrent.compact import q_seq, unit_interval_approx, unit_interval_space
 from metrent.machine import RunningTime, metered_run
 from metrent.reprs import (MalformedName, MetricSpaceSpec,
@@ -11,12 +11,12 @@ from metrent.reprs import (MalformedName, MetricSpaceSpec,
                            co_re_reject, dyadic_line_index, dyadic_line_point,
                            dyadic_line_space, metric_answer, real_decode,
                            real_name, real_validate, relativized_cauchy_name)
-from metrent.strings import (Dyadic, all_strings, decode_int, encode_int,
+from metrent.strings import (all_strings, decode_int, encode_int,
                              nat_str, round_ratio, tuple_strs)
 
 
 def test_real_name_examples():
-    zero = real_name(Dyadic(0))
+    zero = real_name(Fraction(0))
     for n in range(6):
         assert zero(nat_str(n)) == ""
     half = real_name(Fraction(1, 2))
@@ -57,6 +57,8 @@ def test_dyadic_line_enumeration():
     for x in (Fraction(0), Fraction(1), Fraction(-3), Fraction(5, 8)):
         i = dyadic_line_index(x)
         assert dyadic_line_point(i) == x
+    with pytest.raises(ValueError, match="not dyadic"):
+        dyadic_line_index(Fraction(1, 3))
 
 
 def test_cauchy_name_on_sequence_point():
@@ -150,7 +152,7 @@ def test_product_roundtrip_and_errors():
     assert abs(va - Fraction(1, 4)) <= Fraction(1, 10)
     assert abs(vb - Fraction(3, 4)) <= Fraction(1, 10)
     from metrent.baire import NotAPair
-    bad, _ = split_pair(constant_name(""))
+    bad, _ = split_pair(Name(lambda a: ""))
     with pytest.raises(NotAPair):
         bad("1")
 

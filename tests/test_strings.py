@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metrent.strings import (Dyadic, MalformedEncoding, all_strings, ceil_lb,
+from metrent.strings import (MalformedEncoding, all_strings, ceil_lb,
                              ceil_lb_ratio, decode_int, encode_int, floor_lb,
                              is_binstr, nat_str, parse_nat, parse_nats, proj,
                              proj_value, round_half_away, round_ratio,
@@ -273,28 +273,6 @@ def test_tuple_list():
     assert tuple_list([]) == ""
     assert tuple_list(["10"]) == "10"
     assert tuple_list(["0", "1"]) == tuple_strs(["0", "1"])
-
-
-fr = st.builds(lambda n, s: Fraction(n, 1 << s),
-               st.integers(min_value=-(10 ** 6), max_value=10 ** 6),
-               st.integers(min_value=0, max_value=12))
-
-
-@given(fr, fr)
-def test_dyadic_matches_fraction_oracle(a, b):
-    da, db = Dyadic.from_fraction(a), Dyadic.from_fraction(b)
-    assert (da + db).as_fraction() == a + b
-    assert (da - db).as_fraction() == a - b
-    assert (da * db).as_fraction() == a * b
-    assert (da < db) == (a < b)
-    assert (da == db) == (a == b)
-
-
-def test_dyadic_canonical():
-    d = Dyadic(4, 2)
-    assert (d.num, d.scale) == (1, 0)
-    assert Dyadic(6, 1).as_fraction() == Fraction(3)
-    assert Dyadic(0, 7).scale == 0
 
 
 def test_round_half_away():
