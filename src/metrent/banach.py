@@ -13,7 +13,6 @@ rational combination to precision 1/(n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable
@@ -28,18 +27,18 @@ from .schauder import (FSSystem, HaarExpansion, HaarSystem, RootSum,
                        fs_coeffs, fs_eval, fs_nonzero_indices,
                        fs_partial_sum_pl, haar_coeffs, haar_gen, haar_integral,
                        haar_scale_exp, haar_stepform, sup_error)
-from .strings import (MalformedName, ceil_lb, decode_int, encode_int,
-                      nat_str, parse_nat, parse_nats, proj_value,
+from .strings import (MalformedName, _Record, ceil_lb, decode_int,
+                      encode_int, nat_str, parse_nat, parse_nats, proj_value,
                       round_half_away, tuple_list, tuple_strs, untuple)
 
 
-@dataclass
-class BanachReprParams:
+class BanachReprParams(_Record):
     """S governs how many basis vectors a name mentions at each precision;
     it must be monotone, time-constructible, and grow past every length
     function (checked on tables by check_growth)."""
 
-    S: RunningTime
+    def __init__(self, S: RunningTime):
+        self.S = S
 
 
 def check_growth(S: RunningTime, l: LengthFn, candidates, depth: int) -> bool:
@@ -269,11 +268,14 @@ def _uniform_value(q0: int, k0: int, target: int, mark: str) -> str:
     return tuple_strs([q_enc, mark + "0" * (k0 + j)])
 
 
-def _level_sizer(B: int, mu: Callable[[int], int]) -> Callable[[int], int]:
-    """Memoized per-level component target max(B + t + 3, ceil(mu(t)/2) + 1);
+def _level_sizer(B: Callable[[], int],
+                 mu: Callable[[int], int]) -> Callable[[int], int]:
+    """Memoized per-level component target max(B() + t + 3, ceil(mu(t)/2) + 1);
     the supplied modulus must be non-decreasing, which makes the target
-    non-decreasing too."""
-    return cache(lambda t: max(B + t + 3, -(-mu(t) // 2) + 1))
+    non-decreasing too.  B is called once, at the first level asked, so a
+    translation built on a source name reads nothing from it until queried."""
+    base = cache(B)
+    return cache(lambda t: max(base() + t + 3, -(-mu(t) // 2) + 1))
 
 
 def _value_answer(a: str, size: Callable[[int], int], parse, value,
@@ -311,7 +313,7 @@ def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int]) -> Name:
     <0^n, r, 1 0^m> answers <q, 1 0^k> with |f(r 2^-m) - q 2^-k| <= 2^-n,
     every value at query length t has one fixed length, and that length
     realizes a modulus of continuity of f (it dominates mu)."""
-    size = _level_sizer(int(f.sup_norm()).bit_length() + 2, mu)
+    size = _level_sizer(lambda: int(f.sup_norm()).bit_length() + 2, mu)
 
     def value(n: int, r: int, m: int) -> tuple[int, int]:
         k0 = n + 1
@@ -373,7 +375,7 @@ def lp_name(f: StepFn, p: Fraction, mu: Callable[[int], int]) -> Name:
     the integral of f from k 2^-m to l 2^-m strictly within 2^-n of
     q 2^-j; lengths are uniform per level and dominate the L^p modulus mu."""
     size = _level_sizer(
-        max(int(sum(abs(l) for l in f.levels)), 1).bit_length() + 2, mu)
+        lambda: max(int(sum(abs(l) for l in f.levels)), 1).bit_length() + 2, mu)
 
     def value(k: int, l: int, m: int, n: int) -> tuple[int, int]:
         j0 = n + 2
@@ -429,8 +431,8 @@ def xi_to_dsq(phi: Name, params: BanachReprParams) -> Name:
         b = lfn(lfn(t + 4) + (t + 4))
         return (t + 1) + 3 * a + b + 1
 
-    base = int(value_at(Fraction(1, 2), 0) + 2).bit_length() + 3
-    size = _level_sizer(base, mu_out)
+    size = _level_sizer(
+        lambda: int(value_at(Fraction(1, 2), 0) + 2).bit_length() + 3, mu_out)
 
     def value(n: int, r: int, m: int) -> tuple[int, int]:
         k0 = n + 2
@@ -518,7 +520,7 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
         ceil_p = -(-p.numerator // p.denominator)
         return ceil_p * (t + 2) + lfn(t + 3) + t + 7
 
-    size = _level_sizer(int(lfn(4)) + 4, mu_out)
+    size = _level_sizer(lambda: int(lfn(4)) + 4, mu_out)
 
     def value(k: int, l: int, m: int, n: int) -> tuple[int, int]:
         j0 = n + 2

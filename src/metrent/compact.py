@@ -11,7 +11,6 @@ metric to precision 1/(n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -24,8 +23,9 @@ from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
 from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, cauchy_index,
                     metric_answer, metric_query)
-from .strings import (ContractError, _dyadic, _frac, ceil_lb, decode_int,
-                      nat_str, parse_nats, proj_value, tuple_strs, untuple)
+from .strings import (ContractError, _dyadic, _frac, _Record, ceil_lb,
+                      decode_int, nat_str, parse_nats, proj_value, tuple_strs,
+                      untuple)
 
 
 class ParameterViolation(ContractError, ValueError):
@@ -172,12 +172,14 @@ def unit_interval_ell(n: int) -> int:
 # ---------------------------------------------------------------------------
 # uniformly dense sequences
 
-@dataclass
-class UniformSeqSpec:
-    seq: Callable[[int], object]
-    size_bound: Callable[[int], int]
-    horizon: int
-    dist: Callable[[object, object], Fraction]
+class UniformSeqSpec(_Record):
+    def __init__(self, seq: Callable[[int], object],
+                 size_bound: Callable[[int], int], horizon: int,
+                 dist: Callable[[object, object], Fraction]):
+        self.seq = seq
+        self.size_bound = size_bound
+        self.horizon = horizon
+        self.dist = dist
 
 
 def greedy_uniform_seq(K: PointCloud, horizon: int) -> UniformSeqSpec:
@@ -273,10 +275,10 @@ def check_uniformly_dense(spec: UniformSeqSpec, grid: list):
 # ---------------------------------------------------------------------------
 # the compact-space representation
 
-@dataclass
-class CompactReprParams:
-    ell: LengthFn
-    S: RunningTime
+class CompactReprParams(_Record):
+    def __init__(self, ell: LengthFn, S: RunningTime):
+        self.ell = ell
+        self.S = S
 
 
 def _chunk_capacity(params: CompactReprParams, n: int) -> tuple[int, int]:

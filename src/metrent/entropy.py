@@ -13,14 +13,14 @@ used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .baire import LengthFn, Name, pair_names
 from .machine import (ContractViolation, Ctx, RunningTime,
                       dialog_length_bound, metered_run)
-from .strings import ConfigError, InvalidConfig, _pow2, ceil_lb, floor_lb
+from .strings import (ConfigError, InvalidConfig, _pow2, _Record, ceil_lb,
+                      floor_lb)
 
 EXACT_COVER_CAP = 20
 
@@ -29,14 +29,15 @@ class SizeExceeded(ConfigError, ValueError):
     """Exact set-cover requested on a cloud above the brute-force cap."""
 
 
-@dataclass
-class PointCloud:
+class PointCloud(_Record):
     """Finite list of points with an exact pairwise distance."""
 
-    points: list
-    dist: Callable[[int, int], int | Fraction]
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-    _traversals: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, points: list,
+                 dist: Callable[[int, int], int | Fraction]):
+        self.points = points
+        self.dist = dist
+        self._cache: dict = {}
+        self._traversals: dict = {}
 
     def __len__(self):
         return len(self.points)
@@ -211,21 +212,19 @@ def build_large_compact(mu: Callable[[int], int], family: Callable[[int], object
 # ---------------------------------------------------------------------------
 # Lorentz's full-approximation-set bounds
 
-@dataclass
-class ApproxSetSpec:
+class ApproxSetSpec(_Record):
     """A non-increasing positive tolerance sequence delta_0, delta_1, ...
     finitely tabulated, with delta_0 >= 1 for the admissible range."""
 
-    delta: list[Fraction]
-
-    def __post_init__(self):
-        if not self.delta:
+    def __init__(self, delta: list[Fraction]):
+        if not delta:
             raise InvalidConfig("empty tolerance table")
-        for a, b in zip(self.delta, self.delta[1:]):
+        for a, b in zip(delta, delta[1:]):
             if b > a:
                 raise InvalidConfig("tolerances must be non-increasing")
-        if any(d <= 0 for d in self.delta):
+        if any(d <= 0 for d in delta):
             raise InvalidConfig("tolerances must be positive")
+        self.delta = delta
 
 
 class InsufficientTabulation(ConfigError, ValueError):
@@ -269,16 +268,18 @@ def lorentz_bounds(spec: ApproxSetSpec, n: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # dialog classes versus covering
 
-@dataclass
-class DialogCoverReport:
-    n: int
-    sample_size: int
-    classes_observed: int
-    budget: int
-    dialog_bound: int
-    max_dialog_len: int
-    max_class_dist: Fraction
-    class_sizes: list[int]
+class DialogCoverReport(_Record):
+    def __init__(self, n: int, sample_size: int, classes_observed: int,
+                 budget: int, dialog_bound: int, max_dialog_len: int,
+                 max_class_dist: Fraction, class_sizes: list[int]):
+        self.n = n
+        self.sample_size = sample_size
+        self.classes_observed = classes_observed
+        self.budget = budget
+        self.dialog_bound = dialog_bound
+        self.max_dialog_len = max_dialog_len
+        self.max_class_dist = max_class_dist
+        self.class_sizes = class_sizes
 
 
 def dialog_cover_experiment(samples: list[Name], points: list,

@@ -9,26 +9,24 @@ arithmetic; p-th-power integrals require integer p.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable
 
-from .strings import InvalidConfig, _frac, ceil_lb_ratio
+from .strings import InvalidConfig, _frac, _FrozenRecord, ceil_lb_ratio
 
 
-@dataclass(frozen=True)
-class StepFn:
+class StepFn(_FrozenRecord):
     """Right-open step function: value levels[i] on [cuts[i], cuts[i+1])."""
 
-    cuts: tuple[Fraction, ...]
-    levels: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.cuts) != len(self.levels) + 1:
+    def __init__(self, cuts: tuple[Fraction, ...],
+                 levels: tuple[Fraction, ...]):
+        if len(cuts) != len(levels) + 1:
             raise ValueError("need one more cut than levels")
-        if any(a >= b for a, b in zip(self.cuts, self.cuts[1:])):
+        if any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("cuts must be strictly increasing")
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "levels", levels)
 
     @staticmethod
     def build(cuts: Iterable, levels: Iterable) -> "StepFn":
@@ -63,19 +61,17 @@ def chi(a, b) -> StepFn:
     return StepFn.build([a, b], [1])
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(_FrozenRecord):
     """Continuous piecewise-linear function interpolating values at
     breakpoints, zero outside the span."""
 
-    xs: tuple[Fraction, ...]
-    ys: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys) or len(self.xs) < 2:
+    def __init__(self, xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]):
+        if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("need matching breakpoints and values (>= 2)")
-        if any(a >= b for a, b in zip(self.xs, self.xs[1:])):
+        if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     @staticmethod
     def build(xs: Iterable, ys: Iterable) -> "PiecewiseLinear":

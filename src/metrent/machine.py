@@ -13,13 +13,13 @@ caller-certified bound on the oracle's length function and a is the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .strings import (ContractError, InvalidConfig, MalformedName, all_strings,
-                      decode_int, encode_int, nat_str, parse_nat,
-                      round_ratio, tuple_list, tuple_list_len, tuple_strs)
+from .strings import (ContractError, InvalidConfig, MalformedName,
+                      _FrozenRecord, _Record, all_strings, decode_int,
+                      encode_int, nat_str, parse_nat, round_ratio, tuple_list,
+                      tuple_list_len, tuple_strs)
 
 
 class ContractViolation(ContractError):
@@ -35,20 +35,21 @@ class BudgetExceeded(ContractError, RuntimeError):
         self.report = report
 
 
-@dataclass
-class MeterReport:
-    steps_used: int
-    budget: int
-    queries: list[tuple[str, str]]
+class MeterReport(_Record):
+    def __init__(self, steps_used: int, budget: int,
+                 queries: list[tuple[str, str]]):
+        self.steps_used = steps_used
+        self.budget = budget
+        self.queries = queries
 
 
-@dataclass(frozen=True)
-class Dialog:
+class Dialog(_FrozenRecord):
     """Communication record of a run: query count plus the budget-truncated
     oracle answers, in query order."""
 
-    query_count: int
-    truncated_answers: tuple[str, ...]
+    def __init__(self, query_count: int, truncated_answers: tuple[str, ...]):
+        object.__setattr__(self, "query_count", query_count)
+        object.__setattr__(self, "truncated_answers", truncated_answers)
 
     def encode(self) -> str:
         return tuple_strs([nat_str(self.query_count),
@@ -149,8 +150,7 @@ def quarter_round(z: int) -> str:
     return encode_int(round_ratio(z, 4))
 
 
-@dataclass
-class RunningTime:
+class RunningTime(_Record):
     """A second-order step budget (length-function, input-size) -> steps.
 
     ``evaluator``, when present, is the library program computing the value
@@ -158,9 +158,11 @@ class RunningTime:
     what time-constructibility checks run.
     """
 
-    bound: Callable[[LengthFn, int], int]
-    label: str = ""
-    evaluator: Callable[[Ctx, int], int] | None = None
+    def __init__(self, bound: Callable[[LengthFn, int], int], label: str = "",
+                 evaluator: Callable[[Ctx, int], int] | None = None):
+        self.bound = bound
+        self.label = label
+        self.evaluator = evaluator
 
 
 def metered_run(program: Callable[[Ctx], None], phi: Name, a: str,

@@ -8,23 +8,21 @@ zero).  All "is a name" checks are finite-depth semi-decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
 from .baire import LengthFn, Name
 from .machine import Ctx, RunningTime, paired, precision_input, quarter_round
-from .strings import (MalformedName, _dyadic, _frac, decode_int, encode_int,
-                      nat_str, parse_nat, parse_nats, proj_value, round_ratio,
-                      tuple_strs)
+from .strings import (MalformedName, _dyadic, _frac, _Record, decode_int,
+                      encode_int, nat_str, parse_nat, parse_nats, proj_value,
+                      round_ratio, tuple_strs)
 
 
 # ---------------------------------------------------------------------------
 # metric space descriptions
 
-@dataclass
-class MetricSpaceSpec:
+class MetricSpaceSpec(_Record):
     """A separable metric space given by a dense sequence and a discrete
     metric evaluator.
 
@@ -37,11 +35,15 @@ class MetricSpaceSpec:
     Every space must supply both.
     """
 
-    label: str
-    point: Callable[[int], object]
-    dist: Callable[[int, int, int], Fraction]
-    exact_dist: Callable[[object, object], Fraction]
-    approx_index: Callable[[object, int], int]
+    def __init__(self, label: str, point: Callable[[int], object],
+                 dist: Callable[[int, int, int], Fraction],
+                 exact_dist: Callable[[object, object], Fraction],
+                 approx_index: Callable[[object, int], int]):
+        self.label = label
+        self.point = point
+        self.dist = dist
+        self.exact_dist = exact_dist
+        self.approx_index = approx_index
 
 
 def _line_dist(a, b) -> Fraction:

@@ -20,14 +20,14 @@ halves that inherit the parent value plus or minus the element's value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .compact import _q_node, q_seq
 from .entropy import ContractViolation
 from .funcs import PiecewiseLinear, StepFn, sup_dist_pl
-from .strings import _pow2, ceil_lb, round_half_away, round_ratio
+from .strings import (_FrozenRecord, _pow2, _Record, ceil_lb, round_half_away,
+                      round_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +140,12 @@ def fs_separation(count: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # symbolic values c * 2^e with rational e
 
-@dataclass(frozen=True)
-class ScaledVal:
+class ScaledVal(_FrozenRecord):
     """Exact value coef * 2**exp2 with a rational exponent."""
 
-    coef: Fraction
-    exp2: Fraction
+    def __init__(self, coef: Fraction, exp2: Fraction):
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "exp2", exp2)
 
     def is_zero(self) -> bool:
         return self.coef == 0
@@ -335,14 +335,14 @@ def haar_integral(k: int, p: Fraction, a, b) -> ScaledVal:
     return ScaledVal(pos - neg, haar_scale_exp(k, p))
 
 
-@dataclass
-class HaarExpansion:
+class HaarExpansion(_Record):
     """Coefficients in step form: c[k] = lam_k * 2^((g-1)/p), which is
     rational for rational step functions; lam(k) recovers the symbolic
     basis coefficient, zero past the list."""
 
-    c: list[Fraction]
-    p: Fraction
+    def __init__(self, c: list[Fraction], p: Fraction):
+        self.c = c
+        self.p = p
 
     def lam(self, k: int) -> ScaledVal:
         if k >= len(self.c):
@@ -454,8 +454,7 @@ def _midpoints(m: int):
 # ---------------------------------------------------------------------------
 # system descriptors
 
-@dataclass
-class FSSystem:
+class FSSystem(_Record):
     """Hat-function system under the supremum norm."""
 
     def norm_bounds(self, zs: list[Fraction],
@@ -482,11 +481,11 @@ class FSSystem:
         return self.tail_sup(lams, start) <= eps
 
 
-@dataclass
-class HaarSystem:
+class HaarSystem(_Record):
     """p-normalized Haar system under the L^p norm (p a positive rational)."""
 
-    p: Fraction
+    def __init__(self, p: Fraction):
+        self.p = p
 
     def combo_pieces(self, zs: list) -> list[tuple[Fraction, RootSum]]:
         """Constant pieces (width, value) of sum z_k f_{k,p}, left to right

@@ -1,7 +1,7 @@
 """Bit-exact binary strings: codecs, tupling, and the exact rational
 helpers the other modules share (``_pow2``, ``_frac``, ``_dyadic``, the
 rounding and base-2 logarithm functions), plus the root of the library's
-typed errors.
+typed errors and the base of its record classes (``_Record``).
 
 Strings over the alphabet {0,1} are plain Python ``str`` values restricted
 to the characters "0" and "1".  The empty string is written ``""`` in code
@@ -54,6 +54,48 @@ class MalformedName(ContractError, ValueError):
 
 class MalformedEncoding(MalformedName):
     """A string does not follow the claimed encoding convention."""
+
+
+class _Record:
+    """Base of the library's record classes.  The fields are the parameters
+    of the subclass's own ``__init__``, in order.  Records compare and print
+    field by field, and are unhashable because their fields may change.
+    Nothing is generated per class at import, which keeps the library's
+    import cheap."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are fixed: it hashes by value and refuses
+    assignment.  ``__init__`` sets the fields with ``object.__setattr__``;
+    going through ``self.__dict__`` instead would give every instance its
+    own dict and slow each attribute read."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 # strip("01") has the lower fixed cost and two count passes the lower cost

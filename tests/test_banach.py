@@ -243,6 +243,20 @@ def test_xi_to_dsq_values_and_query_growth():
         assert c <= 4 * (lfn(n + 4) + n) ** 2, (n, c)
 
 
+def test_building_a_translation_reads_nothing():
+    # the source is read at the first query, so an empty trace with no
+    # queries translates
+    p = Fraction(2)
+    params = BanachReprParams(S=exp_max_time())
+    for translate in (lambda src: xi_to_dsq(src, params),
+                      lambda src: dsq_to_xi(src, params),
+                      lambda src: xi_to_lp(src, params, p),
+                      lambda src: lp_to_xi(src, params, p)):
+        src, counter = counted(Name(lambda a: ""))
+        translate(src)
+        assert counter[0] == 0
+
+
 def test_dsq_xi_roundtrip():
     params, _ = fs_setup()
     rnd = random.Random(23)

@@ -194,6 +194,7 @@ def test_integer_dialog_check_matches_fraction_check(monkeypatch, tmp_path,
     ["eval", "--n-max", "-2"],
     ["bounds", "--n-max", "-1"],
     ["dialog-cover", "--samples", "-1"],
+    ["entropy", "--rep", "bogus"],
 ])
 def test_bad_input_is_config_error(tmp_path, args):
     rc, _, err = run_cli([a.format(tmp=tmp_path) for a in args])
@@ -320,6 +321,12 @@ def _run_main(argv, stdin_text):
         finally:
             sys.stdin = saved
     return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_translate_empty_trace_without_queries(kind):
+    # building a translation reads nothing from the source trace
+    assert _run_main(["translate", "--kind", kind], "") == (0, "")
 
 
 @settings(max_examples=60, deadline=None)

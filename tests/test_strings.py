@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -345,3 +347,49 @@ def test_ceil_lb_ratio_examples():
 def test_ceil_lb_ratio_matches_power_search(a, b, shift):
     r = Fraction(a, b) * Fraction(2) ** shift
     assert ceil_lb_ratio(r) == _ceil_lb_by_search(r)
+
+
+def test_importing_the_library_loads_no_code_generator():
+    # the record classes are plain classes: importing every module (the CLI
+    # imports them all) loads neither dataclasses nor inspect, whose import
+    # and per-class code generation cost about a third of a process's setup
+    probe = ("import sys, metrent.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_records_compare_by_value():
+    from metrent.entropy import ApproxSetSpec, PointCloud
+    from metrent.funcs import PiecewiseLinear, StepFn
+    from metrent.machine import Dialog, MeterReport
+    from metrent.schauder import HaarSystem, ScaledVal
+
+    frozen = [(lambda: StepFn.build([0, 1], [2]), "levels"),
+              (lambda: PiecewiseLinear.build([0, 1], [0, 1]), "ys"),
+              (lambda: ScaledVal(Fraction(3), Fraction(1, 2)), "exp2"),
+              (lambda: Dialog(1, ("10",)), "query_count")]
+    for make, field in frozen:
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert repr(a) == repr(b) and repr(a).startswith(type(a).__name__ + "(")
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        assert a == b
+
+    dist = lambda i, j: abs(i - j)
+    mutable = [(lambda: MeterReport(3, 5, [("1", "0")]), "budget"),
+               (lambda: HaarSystem(Fraction(2)), "p"),
+               (lambda: ApproxSetSpec([Fraction(1)]), "delta"),
+               (lambda: PointCloud([0, 1], dist), "points")]
+    for make, field in mutable:
+        a, b = make(), make()
+        assert a == b and repr(a) == repr(b)
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(b, field, None)
+        assert a != b
+    # a cloud's distance memo is not one of its fields
+    a, b = PointCloud([0, 1], dist), PointCloud([0, 1], dist)
+    assert a.d(0, 1) == 1 and a == b
