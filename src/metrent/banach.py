@@ -22,12 +22,12 @@ from .compact import ParameterViolation, _with_length_branch, name_length_fn
 from .funcs import PiecewiseLinear, StepFn
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
-from .schauder import (FSSystem, HaarExpansion, HaarSystem, RootSum,
-                       ScaledVal, _scale_of, _tight_bounds, fs_coeff,
-                       fs_coeffs, fs_eval, fs_nonzero_indices,
-                       fs_partial_sum_pl, haar_coeffs, haar_gen, haar_integral,
-                       haar_scale_exp, haar_stepform, sup_error)
-from .strings import (MalformedName, _Record, ceil_lb, decode_int,
+from .schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
+                       _tight_bounds, fs_coeff, fs_coeffs, fs_eval,
+                       fs_nonzero_indices, fs_partial_sum_pl, haar_coeffs,
+                       haar_gen, haar_integral, haar_scale_exp, haar_stepform,
+                       sup_error)
+from .strings import (MalformedName, _dyadic, _Record, ceil_lb, decode_int,
                       encode_int, nat_str, parse_nat, parse_nats, proj_value,
                       round_half_away, tuple_list, tuple_strs, untuple)
 
@@ -59,28 +59,38 @@ def banach_time(params: BanachReprParams) -> RunningTime:
 # ---------------------------------------------------------------------------
 # coefficient data for library vectors
 
+def _dyadic_scale(points) -> int:
+    """The largest scale s of the points x = k 2^-s; ParameterViolation when
+    a point is not dyadic."""
+    try:
+        return max((_dyadic(x)[1] for x in points), default=0)
+    except ValueError as e:
+        raise ParameterViolation(f"{e}: the coefficient list would be inexact") from None
+
+
 def fs_vector(f: PiecewiseLinear) -> list[Fraction]:
     """Exact finite hat-coefficient list of a piecewise-linear function with
     dyadic breakpoints."""
-    scale = max((_scale_of(x) for x in f.xs), default=0)
-    lams = fs_coeffs(f, (1 << scale) + 1)
+    lams = fs_coeffs(f, (1 << _dyadic_scale(f.xs)) + 1)
+    # exactness is structural at the breakpoints' scale; verify it
     if sup_error(f, lams) != 0:
-        raise ParameterViolation("breakpoints are not dyadic at the claimed scale")
+        raise ParameterViolation("the hat expansion does not reproduce the function")
     return lams
 
 
-def haar_vector(f: StepFn, p: Fraction) -> HaarExpansion:
-    """Exact finite Haar expansion of a step function with dyadic cuts."""
-    scale = max((_scale_of(x) for x in f.cuts), default=0)
-    return haar_coeffs(f, p, 1 << scale)
+def haar_vector(f: StepFn, p: Fraction) -> list[Fraction]:
+    """Exact finite step-form Haar coefficient list of a step function with
+    dyadic cuts.  Step form does not depend on p, which only HaarSystem
+    reads; p is unread here."""
+    return haar_coeffs(f, 1 << _dyadic_scale(f.cuts))
 
 
 # ---------------------------------------------------------------------------
 # name generation
 
 def banach_name(vec, params: BanachReprParams, system, ell: LengthFn) -> Name:
-    """Name of the vector with exact coefficients ``vec`` (a Fraction list
-    for the hat system, a HaarExpansion for the Haar system).
+    """Name of the vector with exact coefficients ``vec`` (hat coefficients
+    for the hat system, step-form coefficients for the Haar system).
 
     The coefficient branch answers round(lam_i * (m+1)) for every (i, n, m);
     whenever the span budget S(ell, |n|) cannot hold the vector's support
@@ -452,8 +462,7 @@ def dsq_to_xi(psi: Name, params: BanachReprParams) -> Name:
     fs_system = FSSystem()
 
     def fval(x: Fraction, n: int) -> Fraction:
-        m = _scale_of(x)
-        return dsq_value(psi, n, int(x * (1 << m)), m)
+        return dsq_value(psi, n, *_dyadic(x))
 
     def coeff(i: int, n: int, m: int) -> int:
         prec = n + len(nat_str(m + 1)) + ceil_lb(i + 2) + 4
@@ -474,21 +483,14 @@ def dsq_to_xi(psi: Name, params: BanachReprParams) -> Name:
 
 def _aligned_nonzero_indices(a: Fraction, b: Fraction, max_k: int) -> list[int]:
     """Basis indices k <= max_k whose integral over [a, b] can be nonzero:
-    per generation, the at most one element per endpoint whose support
-    strictly contains it, plus the constant element.  Supports wholly
-    inside or outside the interval integrate to zero.  Generation g's
-    supports are the cells (c, c+1) 2^-(g-1), c >= 0, so an endpoint p/q
-    lies strictly inside cell c = floor(p 2^(g-1) / q) when the division
-    leaves a remainder."""
+    the constant element and, per generation, the at most one element per
+    endpoint whose open support holds it.  Supports wholly inside or
+    outside the interval integrate to zero.  Element k >= 1 has the support
+    of hat k + 1, so these are the hats ``_cell_hats`` finds, shifted down
+    by one."""
     out = {0}
-    gens = ceil_lb(max_k + 1) + 1
-    ends = [(x.numerator, x.denominator) for x in (a, b)]
-    for g in range(1, gens + 1):
-        for p, q in ends:
-            c, r = divmod(p << (g - 1), q)
-            k = (1 << (g - 1)) + c                 # node (2c+1) 2^-g
-            if r and c >= 0 and k <= max_k:
-                out.add(k)
+    for x in (a, b):
+        out.update(i - 1 for i in _cell_hats(x, max_k + 2))
     return sorted(out)
 
 
@@ -507,10 +509,8 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
         total = RootSum()
         for k in _aligned_nonzero_indices(a, b, N):
             c = coeff(k)
-            if not c:
-                continue
-            term = haar_integral(k, p, a, b)
-            total = total.plus(RootSum.of(ScaledVal(term.coef * c, term.exp2)))
+            if c:
+                total.accumulate(RootSum({haar_scale_exp(k, p): haar_integral(k, a, b)}), c)
         return total.scaled(Fraction(sign))
 
     def mu_out(t: int) -> int:
@@ -542,7 +542,7 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction) -> Name:
     haar_sys = HaarSystem(Fraction(p))
 
     def int_val(a: Fraction, b: Fraction, n: int) -> Fraction:
-        m = max(_scale_of(a), _scale_of(b))
+        m = max(_dyadic(a)[1], _dyadic(b)[1])
         return lp_value(psi, int(a * (1 << m)), int(b * (1 << m)), m, n)
 
     def coeff(i: int, n: int, m: int) -> int:
@@ -551,8 +551,8 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction) -> Name:
         prec = (m.bit_length() + 18 if i == 0
                 else len(nat_str(m + 1)) + haar_gen(i) + 20)
         c = haar_stepform(lambda a, b: int_val(a, b, prec), i)
-        lo, hi = (c, c) if i == 0 else RootSum.of(
-            ScaledVal(c, -haar_scale_exp(i, haar_sys.p))).bounds(prec + 8)
+        lo, hi = (c, c) if i == 0 else RootSum(
+            {-haar_scale_exp(i, haar_sys.p): c}).bounds(prec + 8)
         return round_half_away((lo + hi) / 2 * (m + 1))
 
     def ell_out(k: int) -> int:

@@ -1,5 +1,6 @@
-"""Experiment harness: entropy and dialog-cover runs, name translation,
-basis evaluation, and bound tables, all emitted as deterministic CSV.
+"""Experiment harness: the entropy run (dialog classes against covering
+numbers), name translation, basis evaluation, and bound tables, all emitted
+as deterministic CSV.
 
 Exit codes: 0 on success, 2 on a ConfigError (a bad request, including a
 flag the subcommand does not read), 3 on a ContractError (a name broke its
@@ -24,11 +25,12 @@ from .entropy import (EXACT_COVER_CAP, ApproxSetSpec, PointCloud,
 from .funcs import modulus_fn
 from .machine import equality_from_metric, exp_max_time, RunningTime
 from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
-from .schauder import fs_coeffs, fs_partial_sum_pl, haar_integral, haar_support
+from .schauder import (fs_coeffs, fs_partial_sum_pl, haar_integral,
+                       haar_scale_exp, haar_support)
 from .strings import ConfigError, ContractError, is_binstr
 COLUMNS_DOC = """\
 CSV columns:
-  entropy / dialog-cover:
+  entropy:
     n               precision exponent (radius 2^-n)
     packing_exp     floor-lb size of the greedy maximal separated set
     cover_exact     exact minimal ball count (centers on sample points)
@@ -44,6 +46,7 @@ CSV columns:
     level, sup_error  partial-sum error of the hat expansion per level
   eval (haar):
     i, p, coef, exp2  exact integral coef * 2^exp2 over the left half-support
+                      (coef its step form, exp2 the element's scale exponent)
 """
 
 
@@ -90,8 +93,6 @@ def _write_csv(path, header, rows):
 
 
 def cmd_entropy(args) -> int:
-    if args.space != "unit-interval":
-        raise ConfigError(f"unknown space {args.space!r}")
     if args.rep not in ("cauchy",):
         raise ConfigError(f"unknown representation {args.rep!r}")
     l = _parse_l_table(args.l_table)
@@ -153,8 +154,8 @@ def cmd_eval(args) -> int:
         p = _parse_p(args.p)
         for i in range(1, args.n_max + 1):
             lo, q, _ = haar_support(i)
-            v = haar_integral(i, p, lo, q)
-            rows.append([i, str(p), str(v.coef), str(v.exp2)])
+            rows.append([i, str(p), str(haar_integral(i, lo, q)),
+                         str(haar_scale_exp(i, p))])
         _write_csv(args.out, ["i", "p", "coef", "exp2"], rows)
         return 0
     raise ConfigError(f"unknown basis {args.basis!r}")
@@ -226,15 +227,13 @@ def main(argv=None) -> int:
         p.add_argument("--n-max", dest="n_max", type=int, default=6)
         p.add_argument("--out", default="")
 
-    for name in ("entropy", "dialog-cover"):
-        p = sub.add_parser(name, help="dialog classes vs covering numbers")
-        table(p)
-        p.add_argument("--space", default="unit-interval")
-        p.add_argument("--rep", default="cauchy")
-        p.add_argument("--l-table", dest="l_table", default="n",
-                       help="length function: 'n', 'n+C', or a comma table")
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--seed", type=int, default=1)
+    p = sub.add_parser("entropy", help="dialog classes vs covering numbers")
+    table(p)
+    p.add_argument("--rep", default="cauchy")
+    p.add_argument("--l-table", dest="l_table", default="n",
+                   help="length function: 'n', 'n+C', or a comma table")
+    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--seed", type=int, default=1)
 
     p = sub.add_parser("bounds", help="dialog length bound table")
     table(p)
@@ -253,8 +252,7 @@ def main(argv=None) -> int:
                    help="'|'-separated queries the output trace must cover")
 
     args = parser.parse_args(argv)
-    handlers = {"entropy": cmd_entropy, "dialog-cover": cmd_entropy,
-                "bounds": cmd_bounds, "eval": cmd_eval,
+    handlers = {"entropy": cmd_entropy, "bounds": cmd_bounds, "eval": cmd_eval,
                 "translate": cmd_translate}
     try:
         for flag, dest in (("--n-max", "n_max"), ("--samples", "samples")):

@@ -1,12 +1,13 @@
 """Basis families on the unit interval: the hat-function system for
 continuous functions and the p-normalized Haar system for integrable ones.
 
-Haar scale factors 2^((g-1)/p) are kept symbolic: single values are a
-rational coefficient times a rational power of two, and sums live in the
-ring spanned by the distinct fractional exponents.  Coefficient extraction
-runs entirely in "step form" (coefficient times scale), which is rational
-for rational step functions; numeric enclosures appear only at
-representation boundaries.
+Haar data is kept in step form: a coefficient lam_k is stored as
+c_k = lam_k 2^((g-1)/p) and an element's integral as the integral of its
+sign pattern, both rational for rational step functions and both free of
+p.  The scale 2^((g-1)/p) belongs to the system (``HaarSystem.p``) and
+enters only inside ``RootSum``, the ring of rational combinations of
+rational powers of two; numeric enclosures appear only at representation
+boundaries.
 
 Synthesis is linear in the number of coefficients.  Hat partial sums
 follow the node recurrence V(q_j) = lam_j + (V(q_j - w_j) + V(q_j + w_j))/2
@@ -14,7 +15,8 @@ on integer numerators over one denominator (``_hat_nodes``), so the sup
 norm is one ``max`` over integers; Haar combinations are built coarse to
 fine as a pyramid, where each element splits its support cell into two
 halves that inherit the parent value plus or minus the element's value
-(``_haar_pyramid``).
+(``_haar_pyramid``).  One dyadic-cell rule (``_cell_hats``) finds the
+elements whose open support holds a point, for both systems.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .compact import _q_node, q_seq
-from .entropy import ContractViolation
-from .funcs import PiecewiseLinear, StepFn, sup_dist_pl
-from .strings import (_FrozenRecord, _pow2, _Record, ceil_lb, round_half_away,
+from .funcs import PiecewiseLinear, StepFn, chi, sup_dist_pl
+from .machine import ContractViolation
+from .strings import (_dyadic, _pow2, _Record, ceil_lb, round_half_away,
                       round_ratio)
 
 
@@ -106,21 +108,26 @@ def sup_error(f: PiecewiseLinear, lams: list[Fraction]) -> Fraction:
     return sup_dist_pl(f, fs_partial_sum_pl(lams))
 
 
-def fs_nonzero_indices(x, count: int) -> list[int]:
-    """Indices i < count with fs_eval(i, x) != 0; at most one per
-    generation plus the two boundary hats.  Generation g's hats have the
-    open supports (2k, 2k+2) 2^-g, k < 2^(g-1), so x = p/q meets the k-th
-    one when k = floor(p 2^(g-1) / q) and the division leaves a remainder."""
-    x = Fraction(x)
+def _cell_hats(x: Fraction, count: int):
+    """Per generation g, the hat i < count with i >= 2 whose open support
+    holds x = p/q, if any.  Generation g's hats have the open supports
+    (2k, 2k+2) 2^-g, k < 2^(g-1), so x meets the k-th one when
+    k = floor(p 2^(g-1) / q) and the division leaves a remainder."""
     p, q = x.numerator, x.denominator
+    half = 1                                # 2^(g-1)
+    while half + 1 < count:
+        k, r = divmod(p * half, q)
+        if r and 0 <= k < half and half + k + 1 < count:
+            yield half + k + 1
+        half <<= 1
+
+
+def fs_nonzero_indices(x, count: int) -> list[int]:
+    """Indices i < count with fs_eval(i, x) != 0: the boundary hats 0 and 1
+    where they do not vanish, then at most one per generation."""
+    x = Fraction(x)
     out = [i for i in (0, 1) if i < count and fs_eval(i, x) > 0]
-    g = 1
-    while (1 << (g - 1)) + 1 < count:
-        k, r = divmod(p << (g - 1), q)
-        i = (1 << (g - 1)) + k + 1
-        if r and 0 <= k < 1 << (g - 1) and i < count:
-            out.append(i)
-        g += 1
+    out.extend(_cell_hats(x, count))
     return out
 
 
@@ -138,18 +145,7 @@ def fs_separation(count: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# symbolic values c * 2^e with rational e
-
-class ScaledVal(_FrozenRecord):
-    """Exact value coef * 2**exp2 with a rational exponent."""
-
-    def __init__(self, coef: Fraction, exp2: Fraction):
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "exp2", exp2)
-
-    def is_zero(self) -> bool:
-        return self.coef == 0
-
+# the ring of rational combinations of rational powers of two
 
 def _normalize_term(coef: Fraction, exp2: Fraction) -> tuple[Fraction, Fraction]:
     shift = exp2.numerator // exp2.denominator
@@ -214,15 +210,6 @@ class RootSum:
         else:
             self.terms[frac] = cur
 
-    @staticmethod
-    def of(v: ScaledVal | Fraction) -> "RootSum":
-        s = RootSum()
-        if isinstance(v, ScaledVal):
-            s._add_term(v.coef, v.exp2)
-        else:
-            s._add_term(Fraction(v), Fraction(0))
-        return s
-
     def plus(self, other: "RootSum") -> "RootSum":
         out = RootSum(dict(self.terms))
         out.accumulate(other)
@@ -247,7 +234,7 @@ class RootSum:
         return out
 
     def power(self, p: int) -> "RootSum":
-        out = RootSum.of(Fraction(1))
+        out = RootSum({Fraction(0): Fraction(1)})
         for _ in range(p):
             out = out.times(self)
         return out
@@ -320,34 +307,18 @@ def haar_eval(k: int, p: Fraction, x) -> tuple[int, Fraction]:
     return 0, e
 
 
-def haar_integral(k: int, p: Fraction, a, b) -> ScaledVal:
-    """Exact integral of basis index k over [a, b] as coef * 2^exp."""
+def haar_integral(k: int, a, b) -> Fraction:
+    """Exact integral of basis index k's sign pattern over [a, b]: the step
+    form of its integral, which f_{k,p} scales by 2^haar_scale_exp(k, p)."""
     a, b = Fraction(a), Fraction(b)
     if b < a:
-        v = haar_integral(k, p, b, a)
-        return ScaledVal(-v.coef, v.exp2)
+        return -haar_integral(k, b, a)
     if k == 0:
-        lo, hi = max(a, Fraction(0)), min(b, Fraction(1))
-        return ScaledVal(max(hi - lo, Fraction(0)), Fraction(0))
+        return max(min(b, Fraction(1)) - max(a, Fraction(0)), Fraction(0))
     left, q, right = haar_support(k)
     pos = max(min(b, q) - max(a, left), Fraction(0))
     neg = max(min(b, right) - max(a, q), Fraction(0))
-    return ScaledVal(pos - neg, haar_scale_exp(k, p))
-
-
-class HaarExpansion(_Record):
-    """Coefficients in step form: c[k] = lam_k * 2^((g-1)/p), which is
-    rational for rational step functions; lam(k) recovers the symbolic
-    basis coefficient, zero past the list."""
-
-    def __init__(self, c: list[Fraction], p: Fraction):
-        self.c = c
-        self.p = p
-
-    def lam(self, k: int) -> ScaledVal:
-        if k >= len(self.c):
-            return ScaledVal(Fraction(0), Fraction(0))
-        return ScaledVal(self.c[k], -haar_scale_exp(k, self.p))
+    return pos - neg
 
 
 def haar_stepform(integral: Callable, k: int) -> Fraction:
@@ -361,20 +332,17 @@ def haar_stepform(integral: Callable, k: int) -> Fraction:
     return (integral(left, q) - integral(q, right)) * (1 << (haar_gen(k) - 1))
 
 
-def haar_coeffs(f: StepFn, p: Fraction, up_to: int) -> HaarExpansion:
+def haar_coeffs(f: StepFn, up_to: int) -> list[Fraction]:
     """Unique Haar coefficients c_0 .. c_{up_to-1} of a step function, in
     step form."""
-    return HaarExpansion([haar_stepform(f.integral, k) for k in range(up_to)],
-                         Fraction(p))
+    return [haar_stepform(f.integral, k) for k in range(up_to)]
 
 
-def _is_zero(z) -> bool:
-    return z.coef == 0 if isinstance(z, ScaledVal) else z == 0
-
-
-def _haar_pyramid(zs: list, p: Fraction, zero, shift) -> list[tuple[int, object]]:
+def _haar_pyramid(zs: list, p: Fraction, zero=Fraction(0),
+                  shift=lambda v, z, s, _: v + z * s) -> list[tuple[int, object]]:
     """Constant pieces (level, value) of sum z_k f_{k,p}, left to right; a
-    piece at level L has width 2^-L.
+    piece at level L has width 2^-L.  The default zero and shift sum step
+    forms, whose pieces are rational.
 
     Built coarse to fine: the support of element k >= 1 (level
     haar_gen(k) - 1) splits into the supports of elements 2k and 2k + 1,
@@ -386,10 +354,10 @@ def _haar_pyramid(zs: list, p: Fraction, zero, shift) -> list[tuple[int, object]
     n = len(zs)
     live = [False] * n              # live[k]: a nonzero z in k's subtree
     for k in range(n - 1, 0, -1):
-        live[k] = (not _is_zero(zs[k]) or (2 * k < n and live[2 * k])
+        live[k] = (zs[k] != 0 or (2 * k < n and live[2 * k])
                    or (2 * k + 1 < n and live[2 * k + 1]))
     root = zero
-    if n and not _is_zero(zs[0]):
+    if n and zs[0]:
         root = shift(zero, zs[0], *haar_eval(0, p, Fraction(1, 2)))
     out = []
     stack = [(1, root)]             # (element whose support is the cell, value)
@@ -401,50 +369,44 @@ def _haar_pyramid(zs: list, p: Fraction, zero, shift) -> list[tuple[int, object]
             continue
         c = k - (1 << level)
         halves = [v, v]
-        if not _is_zero(zs[k]):
+        if zs[k]:
             halves = [shift(v, zs[k], *haar_eval(k, p, Fraction(t, 1 << (level + 2))))
                       for t in (4 * c + 1, 4 * c + 3)]
         stack += [(2 * k + 1, halves[1]), (2 * k, halves[0])]
     return out
 
 
-def step_from_haar(exp: HaarExpansion) -> StepFn:
-    """Exact partial sum as a step function on the uniform grid of 2^G
-    cells, G the largest generation (values sum rationally because the
-    step-form coefficients cancel the symbolic scales)."""
-    max_gen = max((haar_gen(k) for k in range(1, len(exp.c))), default=0)
+def step_from_haar(c: list[Fraction], p: Fraction) -> StepFn:
+    """Exact partial sum of the step-form coefficients c as a step function
+    on the uniform grid of 2^G cells, G the largest generation."""
+    max_gen = max((haar_gen(k) for k in range(1, len(c))), default=0)
     m = 1 << max_gen
     cuts = [Fraction(t, m) for t in range(m + 1)]
     levels = []
-    for level, v in _haar_pyramid(exp.c, exp.p, Fraction(0),
-                                  lambda v, c, s, _: v + c * s):
+    for level, v in _haar_pyramid(c, p):
         levels.extend([v] * (1 << (max_gen - level)))
     return StepFn(tuple(cuts), tuple(levels))
 
 
-def chi_expand(i: int, j: int, p: Fraction) -> HaarExpansion:
-    """Haar expansion of the indicator of [q_i, q_j] (requires q_i <= q_j);
-    exact, with nonzero indices below max(i, j)."""
+def chi_expand(i: int, j: int, p: Fraction) -> list[Fraction]:
+    """Step-form Haar coefficients of the indicator of [q_i, q_j] (requires
+    q_i <= q_j); exact, with nonzero indices below max(i, j)."""
     a, b = q_seq(i), q_seq(j)
     if a > b:
         raise ValueError("need q_i <= q_j")
     if a == b:
-        return HaarExpansion([Fraction(0)], Fraction(p))
-    f = StepFn.build([a, b], [1])
-    max_gen = max(_scale_of(a), _scale_of(b), 1)
-    exp = haar_coeffs(f, Fraction(p), 1 << max_gen)
+        return [Fraction(0)]
+    f = chi(a, b)
+    max_gen = max(_dyadic(a)[1], _dyadic(b)[1], 1)
+    c = haar_coeffs(f, 1 << max_gen)
     # exactness and the index bound are structural; verify both
-    rec = step_from_haar(exp)
+    rec = step_from_haar(c, p)
     if any(rec(x) != f(x) for x in _midpoints(1 << max_gen)):
         raise ContractViolation(f"Haar expansion of chi[q_{i}, q_{j}] does not reproduce it")
-    if any(exp.c[k] != 0 for k in range(max(i, j), len(exp.c))):
+    if any(c[k] != 0 for k in range(max(i, j), len(c))):
         raise ContractViolation(
             f"Haar expansion of chi[q_{i}, q_{j}] has a nonzero index >= {max(i, j)}")
-    return exp
-
-
-def _scale_of(x: Fraction) -> int:
-    return (x.denominator).bit_length() - 1
+    return c
 
 
 def _midpoints(m: int):
@@ -482,46 +444,52 @@ class FSSystem(_Record):
 
 
 class HaarSystem(_Record):
-    """p-normalized Haar system under the L^p norm (p a positive rational)."""
+    """p-normalized Haar system under the L^p norm (p a positive rational):
+    the one place that holds p.  Vectors are step-form lists."""
 
     def __init__(self, p: Fraction):
         self.p = p
 
-    def combo_pieces(self, zs: list) -> list[tuple[Fraction, RootSum]]:
+    def combo_pieces(self, zs: list[Fraction]) -> list[tuple[Fraction, RootSum]]:
         """Constant pieces (width, value) of sum z_k f_{k,p}, left to right
-        across [0, 1]; z entries may be Fractions or symbolic ScaledVals.
+        across [0, 1], for rational z_k.
 
         Widths are dyadic and may be unequal: a cell whose finer elements
         all have zero coefficients stays one piece.  Integrals over the
         pieces weight each value by its width, so they do not depend on
         how constant stretches are cut."""
-        def shift(v: RootSum, z, s: int, e: Fraction) -> RootSum:
-            coef, exp2 = (z.coef, z.exp2 + e) if isinstance(z, ScaledVal) \
-                else (Fraction(z), e)
-            return v.plus(RootSum.of(ScaledVal(coef * s, exp2)))
+        def shift(v: RootSum, z: Fraction, s: int, e: Fraction) -> RootSum:
+            return v.plus(RootSum({e: z * s}))
 
         return [(Fraction(1, 1 << level), v)
                 for level, v in _haar_pyramid(zs, self.p, RootSum(), shift)]
 
-    def norm_power(self, zs: list) -> RootSum:
-        """Integral of |sum z_k f_{k,p}|^p for integer p, exact in the ring."""
+    def norm_power(self, pieces) -> RootSum:
+        """Integral of |v|^p over the constant pieces (width, v) of a
+        function, for integer p: its L^p norm to the p-th power, exact in
+        the ring."""
         if self.p.denominator != 1:
             raise ValueError("exact norm powers need integer p")
         p = int(self.p)
         total = RootSum()
-        for width, v in self.combo_pieces(zs):
+        for width, v in pieces:
             total.accumulate(v.abs().power(p), width)
         return total
 
     def norm_bounds(self, zs: list, prec: int = 24) -> tuple[Fraction, Fraction]:
         """Certified enclosure of the L^p norm of sum z_k f_{k,p}."""
+        return self._pieces_norm_bounds(self.combo_pieces(zs), prec)
+
+    def _pieces_norm_bounds(self, pieces, prec: int) -> tuple[Fraction, Fraction]:
+        """Certified enclosure of the L^p norm of the function with the
+        constant pieces (width, v)."""
         u, v = self.p.numerator, self.p.denominator
         if v == 1:
-            lo, hi = self.norm_power(zs).bounds(prec + 8)
+            lo, hi = self.norm_power(pieces).bounds(prec + 8)
         else:
             # rational p: bound the integrand numerically piece by piece
             lo = hi = Fraction(0)
-            for width, val in self.combo_pieces(zs):
+            for width, val in pieces:
                 blo, bhi = val.abs().bounds(prec + 8)
                 blo = max(blo, Fraction(0))
                 plo, phi_ = _frac_pow_bounds(blo, self.p, prec + 8), \
@@ -533,21 +501,25 @@ class HaarSystem(_Record):
         rh = _frac_pow_bounds(hi, Fraction(v, u), prec)
         return rl[0], rh[1]
 
-    def coeff_int(self, exp: HaarExpansion, i: int, scale: int) -> int:
+    def coeff_int(self, c: list[Fraction], i: int, scale: int) -> int:
         """round(lam_i * scale), ties away from zero, within 1/2 + 2^-16 of
-        the exact product."""
-        v = exp.lam(i)
-        s = RootSum.of(ScaledVal(v.coef * scale, v.exp2))
+        the exact product, with lam_i = c_i 2^-haar_scale_exp(i, p) formed
+        from the step form; lam_i = 0 past the list."""
+        if i >= len(c):
+            return 0
+        s = RootSum({-haar_scale_exp(i, self.p): c[i] * scale})
         lo, hi = _tight_bounds(s.bounds, Fraction(1, 1 << 16))
         return round_half_away((lo + hi) / 2)
 
-    def tail_within(self, exp: HaarExpansion, start: int, eps: Fraction) -> bool:
+    def tail_within(self, c: list[Fraction], start: int, eps: Fraction) -> bool:
         """Whether a certified upper bound on the L^p norm of the tail
-        sum_{k >= start} lam_k f_{k,p} is at most eps."""
-        if all(c == 0 for c in exp.c[start:]):
+        sum_{k >= start} lam_k f_{k,p} is at most eps.  The tail is summed
+        in step form, so each of its pieces is one rational term."""
+        if not any(c[start:]):
             return True
-        tail = [Fraction(0)] * start + [exp.lam(k) for k in range(start, len(exp.c))]
-        return self.norm_bounds(tail)[1] <= eps
+        pieces = [(Fraction(1, 1 << level), RootSum({Fraction(0): v}))
+                  for level, v in _haar_pyramid([0] * start + c[start:], self.p)]
+        return self._pieces_norm_bounds(pieces, 24)[1] <= eps
 
 
 def _tight_bounds(enclose: Callable[[int], tuple[Fraction, Fraction]],

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metrent.baire import Name, in_kl, is_length_monotone, pair_names
 from metrent.banach import (BanachReprParams, add_time, banach_add_program,
@@ -17,7 +17,8 @@ from metrent.compact import ParameterViolation, name_length_fn
 from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
-from metrent.schauder import FSSystem, HaarSystem, fs_elem, fs_partial_sum_pl
+from metrent.schauder import (FSSystem, HaarSystem, fs_elem, fs_partial_sum_pl,
+                              haar_support)
 from metrent.strings import (MalformedName, ceil_lb, decode_int, nat_str,
                              round_half_away, tuple_strs)
 
@@ -414,7 +415,7 @@ def test_short_name_sandwich():
 
 def _aligned_nonzero_indices_fraction(a, b, max_k):
     """Reference index search: the per-generation Fraction loop over
-    support widths."""
+    support widths; generation g has the 2^(g-1) cells of [0, 1]."""
     out = {0}
     gens = ceil_lb(max_k + 1) + 1
     for g in range(1, gens + 1):
@@ -422,7 +423,7 @@ def _aligned_nonzero_indices_fraction(a, b, max_k):
         for x in (a, b):
             c = int(x / width)
             lo = c * width
-            if lo < x < lo + width:
+            if lo < x < lo + width and c < 1 << (g - 1):
                 k = (1 << (g - 1)) + c
                 if 1 <= k <= max_k:
                     out.add(k)
@@ -442,6 +443,42 @@ endpoints = st.one_of(
 @given(endpoints, endpoints,
        st.one_of(st.integers(0, 70), st.integers(0, 1 << 40),
                  st.integers(0, 40).map(lambda e: 1 << e)))
+@example(Fraction(0), Fraction(3, 2), 15)   # cell 2 of generation 2 is not element 2's
 def test_aligned_nonzero_indices_matches_fraction_loop(a, b, max_k):
-    assert _aligned_nonzero_indices(a, b, max_k) == \
-        _aligned_nonzero_indices_fraction(a, b, max_k)
+    got = _aligned_nonzero_indices(a, b, max_k)
+    assert got == _aligned_nonzero_indices_fraction(a, b, max_k)
+    # an element whose open support holds neither endpoint integrates to 0
+    for k in got[1:]:
+        lo, _, hi = haar_support(k)
+        assert k <= max_k and (lo < a < hi or lo < b < hi), k
+
+
+def test_vector_builders_refuse_cuts_that_are_not_dyadic():
+    # chi[0, 1/3) has no finite Haar expansion; [1/3, 1/3] would be 2/3 on
+    # [0, 1/2), a different function
+    with pytest.raises(ParameterViolation, match="not dyadic"):
+        haar_vector(chi(0, Fraction(1, 3)), Fraction(2))
+    with pytest.raises(ParameterViolation, match="not dyadic"):
+        fs_vector(PiecewiseLinear.build([0, Fraction(1, 3), 1], [0, 1, 0]))
+    assert haar_vector(chi(0, Fraction(1, 4)), Fraction(2)) == \
+        [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(0)]
+
+
+def test_haar_vector_does_not_depend_on_p():
+    # a step-form list carries no p: HaarSystem(q) reads a vector built
+    # with any p exactly as one built with q
+    f = StepFn.build([0, Fraction(1, 4), Fraction(1, 2), 1], [1, -1, 2])
+    ps = (Fraction(1), Fraction(2), Fraction(3, 2))
+    for q in ps:
+        system, own = HaarSystem(q), haar_vector(f, q)
+        for p in ps:
+            other = haar_vector(f, p)
+            for i in range(6):
+                assert system.coeff_int(other, i, 1000) == system.coeff_int(own, i, 1000)
+            for start in range(5):
+                for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
+                    assert system.tail_within(other, start, eps) == \
+                        system.tail_within(own, start, eps)
+    # lam_2 = c_2 2^(-1/p) with c_2 = 1: 2^(-1/2) at p = 2
+    assert HaarSystem(Fraction(2)).coeff_int(haar_vector(f, Fraction(1)), 2, 1000) == 707
+    assert haar_vector(f, Fraction(1)) == haar_vector(f, Fraction(2))

@@ -61,12 +61,6 @@ def test_entropy_empty_sample(tmp_path):
         "bound_lorentz_lo,bound_lorentz_hi,classes_observed,l_ref"]
 
 
-def test_unknown_space_config_error():
-    rc, _, err = run_cli(["entropy", "--space", "moon"])
-    assert rc == 2
-    assert "config-error" in err
-
-
 def test_eval_tables(tmp_path):
     out = tmp_path / "fs.csv"
     assert main(["eval", "--basis", "fs", "--n-max", "6", "--out", str(out)]) == 0
@@ -193,7 +187,7 @@ def test_integer_dialog_check_matches_fraction_check(monkeypatch, tmp_path,
     ["entropy", "--n-max", "-1"],
     ["eval", "--n-max", "-2"],
     ["bounds", "--n-max", "-1"],
-    ["dialog-cover", "--samples", "-1"],
+    ["entropy", "--samples", "4", "--l-table", "n+x"],
     ["entropy", "--rep", "bogus"],
 ])
 def test_bad_input_is_config_error(tmp_path, args):
@@ -330,7 +324,7 @@ def test_translate_empty_trace_without_queries(kind):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["entropy", "dialog-cover", "bounds", "eval", "translate"]),
+@given(st.sampled_from(["entropy", "bounds", "eval", "translate"]),
        st.integers(-3, 4), st.integers(-3, 30),
        st.sampled_from(["n", "n+2", "1,2,3", "3,1", "n+-2", "n+x", "x", ""]),
        st.sampled_from(["2", "3/2", "0", "-1", "abc", "1/0"]),
@@ -343,7 +337,7 @@ def test_exit_code_contract_fuzz(cmd, n_max, samples, l_table, p, basis, kind,
         argv = [cmd, "--kind", kind, f"--queries={queries}"]
     else:
         argv = [cmd, f"--n-max={n_max}"]
-    if cmd in ("entropy", "dialog-cover"):
+    if cmd == "entropy":
         argv += [f"--samples={samples}", f"--l-table={l_table}"]
     if cmd == "eval":
         argv += ["--basis", basis, f"--p={p}"]
@@ -357,6 +351,7 @@ def test_exit_code_contract_fuzz(cmd, n_max, samples, l_table, p, basis, kind,
     ["bounds", "--samples", "3"],
     ["eval", "--l-table", "n"],
     ["entropy", "--S", "expmax"],
+    ["entropy", "--space", "unit-interval"],    # the only space there is
 ])
 def test_unread_flag_is_rejected(argv):
     rc, err = _run_main(argv, "")

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from metrent.compact import q_seq
 from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
-from metrent.schauder import (FSSystem, HaarExpansion, HaarSystem, RootSum,
-                              ScaledVal, _hat_nodes, chi_expand,
+from metrent.schauder import (FSSystem, HaarSystem, RootSum, _hat_nodes,
+                              chi_expand,
                               frac_root_bounds, fs_coeff, fs_coeffs, fs_elem,
                               fs_eval, fs_halfwidth, fs_nonzero_indices,
                               fs_partial_sum_pl,
@@ -166,65 +166,67 @@ def test_haar_eval_examples():
 
 
 def test_haar_integral_examples():
-    # integral over the left half-support of the element at node j
-    for p in (Fraction(1), Fraction(2), Fraction(3)):
-        for j in (2, 3, 5, 9):
-            k = j - 1
-            lo, q, hi = haar_support(k)
-            v = haar_integral(k, p, lo, q)
-            g = haar_gen(k)
-            assert v.coef == Fraction(1, 1 << g)
-            assert v.exp2 == Fraction(g - 1) / p
-            # the reversed interval integrates to the negated value
-            assert haar_integral(k, p, q, lo) == ScaledVal(-v.coef, v.exp2)
-            if p == 1:
-                # at p = 1 this is exactly 2^(-1/p)
-                assert v.coef * (1 << int(v.exp2)) == Fraction(1, 2)
+    # step-form integral over the left half-support of the element at node
+    # j; f_{k,p} scales it by 2^haar_scale_exp(k, p)
+    for j in (2, 3, 5, 9):
+        k = j - 1
+        lo, q, hi = haar_support(k)
+        v = haar_integral(k, lo, q)
+        g = haar_gen(k)
+        assert v == Fraction(1, 1 << g)
+        # the reversed interval integrates to the negated value
+        assert haar_integral(k, q, lo) == -v
+        for p in (Fraction(1), Fraction(2), Fraction(3)):
+            assert haar_scale_exp(k, p) == Fraction(g - 1) / p
+        # at p = 1 the integral is exactly 2^(-1/p)
+        assert v * (1 << int(haar_scale_exp(k, Fraction(1)))) == Fraction(1, 2)
     # whole-line integrals vanish for every index above zero
     for k in range(1, 20):
-        assert haar_integral(k, Fraction(2), 0, 1).coef == 0
-    # plain area for the first element
-    assert haar_integral(1, Fraction(7, 3), 0, Fraction(1, 2)) == \
-        ScaledVal(Fraction(1, 2), Fraction(0))
+        assert haar_integral(k, 0, 1) == 0
+    # plain area for the first element, whose scale is 2^0 for every p
+    assert haar_integral(1, 0, Fraction(1, 2)) == Fraction(1, 2)
+    assert haar_scale_exp(1, Fraction(7, 3)) == 0
 
 
 def test_haar_triangularity():
     # integral of element k over the left half-support at node j vanishes
     # whenever k > j - 1
-    for p in (Fraction(1), Fraction(2)):
-        for j in range(2, 33):
-            lo, q, _ = haar_support(j - 1)
-            for k in range(j, 33):
-                assert haar_integral(k, p, lo, q).coef == 0
+    for j in range(2, 33):
+        lo, q, _ = haar_support(j - 1)
+        for k in range(j, 33):
+            assert haar_integral(k, lo, q) == 0
 
 
 def test_haar_unit_norms():
     for p in (1, 2, 3):
         system = HaarSystem(Fraction(p))
         for k in range(65):
-            assert system.norm_power([0] * k + [1]).terms == {0: 1}, (k, p)
+            pieces = system.combo_pieces([0] * k + [1])
+            assert system.norm_power(pieces).terms == {0: 1}, (k, p)
 
 
 def test_haar_coeffs_examples():
-    p = Fraction(2)
     f0 = StepFn.build([0, 1], [1])
-    exp = haar_coeffs(f0, p, 8)
-    assert exp.c == [1] + [0] * 7
+    assert haar_coeffs(f0, 8) == [1] + [0] * 7
     f = chi(0, Fraction(1, 2))
-    exp = haar_coeffs(f, p, 8)
-    assert exp.c[:2] == [Fraction(1, 2), Fraction(1, 2)]
-    assert all(c == 0 for c in exp.c[2:])
-    # so f = (f_0 + f_1) / 2
-    assert exp.lam(1) == ScaledVal(Fraction(1, 2), Fraction(0))
+    c = haar_coeffs(f, 8)
+    assert c[:2] == [Fraction(1, 2), Fraction(1, 2)]
+    assert all(v == 0 for v in c[2:])
+    # so f = (f_0 + f_1) / 2 for every p: f_1 has scale 2^0
+    for p in (Fraction(1), Fraction(2), Fraction(3, 2)):
+        assert [HaarSystem(p).coeff_int(c, k, 2) for k in range(2)] == [1, 1]
 
 
-def test_haar_expansion_lam_is_zero_past_the_list():
+def test_haar_coeff_int_is_zero_past_the_list():
     p = Fraction(3, 2)
-    exp = haar_coeffs(chi(0, Fraction(1, 4)), p, 4)
+    c = haar_coeffs(chi(0, Fraction(1, 4)), 4)
+    system = HaarSystem(p)
     for k in range(4):
-        assert exp.lam(k) == ScaledVal(exp.c[k], -haar_scale_exp(k, p))
+        lam = RootSum({-haar_scale_exp(k, p): c[k] * 1000})
+        lo, hi = lam.bounds(40)
+        assert system.coeff_int(c, k, 1000) == round_half_away((lo + hi) / 2)
     for k in (4, 5, 100):
-        assert exp.lam(k).is_zero()
+        assert system.coeff_int(c, k, 1000) == 0
 
 
 def _fs_coeffs_loop(f, up_to):
@@ -261,20 +263,17 @@ def test_single_coefficients_match_the_list_builders(seed, scale, up_to):
     inner = sorted(rnd.sample(grid[1:-1], min(2, len(grid) - 2)))
     g = StepFn.build([Fraction(0), *inner, Fraction(1)],
                      [Fraction(rnd.randrange(-8, 9), 4) for _ in range(len(inner) + 1)])
-    exp = haar_coeffs(g, Fraction(2), up_to)
-    assert exp.c == [haar_stepform(g.integral, k) for k in range(up_to)] \
+    assert haar_coeffs(g, up_to) == [haar_stepform(g.integral, k) for k in range(up_to)] \
         == _haar_stepforms_loop(g, up_to)
 
 
 def test_haar_unit_vector_stepform():
     # the sign pattern of basis element k has step-form coefficients
     # equal to the unit vector at k
-    p = Fraction(2)
     for k in range(1, 16):
         lo, q, hi = haar_support(k)
         pattern = StepFn.build([lo, q, hi], [1, -1])
-        exp = haar_coeffs(pattern, p, 16)
-        assert exp.c == [Fraction(i == k) for i in range(16)]
+        assert haar_coeffs(pattern, 16) == [Fraction(i == k) for i in range(16)]
 
 
 def test_haar_reconstruction():
@@ -285,17 +284,16 @@ def test_haar_reconstruction():
             [Fraction(k, 16) for k in range(1, 16)], 3)) + [Fraction(1)]
         levels = [Fraction(rnd.randrange(-8, 9), 4) for _ in range(4)]
         f = StepFn.build(cuts, levels)
-        exp = haar_coeffs(f, p, 32)
-        rec = step_from_haar(exp)
+        rec = step_from_haar(haar_coeffs(f, 32), p)
         assert p_power_dist(rec, f, 1) == 0
 
 
 def test_chi_expand():
     p = Fraction(2)
     z = chi_expand(0, 0, p)
-    assert all(c == 0 for c in z.c)
+    assert all(c == 0 for c in z)
     e = chi_expand(0, 2, p)      # indicator of [0, 1/2]
-    assert e.c[:2] == [Fraction(1, 2), Fraction(1, 2)]
+    assert e[:2] == [Fraction(1, 2), Fraction(1, 2)]
     rnd = random.Random(41)
     for _ in range(25):
         i, j = rnd.randrange(13), rnd.randrange(13)
@@ -307,35 +305,25 @@ def test_chi_expand():
         for t in range(32):
             a, b = Fraction(t, 32), Fraction(t + 1, 32)
             total = Fraction(0)
-            for k, c in enumerate(exp.c):
-                if c == 0:
-                    continue
-                term = haar_integral(k, p, a, b)
-                # step form times the symbolic integral is rational
-                from metrent.schauder import haar_scale_exp
-                total += c * term.coef * _pow2_int(term.exp2 - haar_scale_exp(k, p))
+            # lam_k 2^(-e) times the integral's 2^e: step forms multiply
+            total = sum((c * haar_integral(k, a, b) for k, c in enumerate(exp) if c),
+                        Fraction(0))
             expect = ind.integral(a, b) if ind is not None else Fraction(0)
             assert total == expect
-        assert all(exp.c[k] == 0 for k in range(max(i, j), len(exp.c)))
-
-
-def _pow2_int(e: Fraction) -> Fraction:
-    assert e.denominator == 1
-    e = int(e)
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+        assert all(exp[k] == 0 for k in range(max(i, j), len(exp)))
 
 
 def test_rootsum_ring():
     p = Fraction(2)
-    a = RootSum.of(ScaledVal(Fraction(1), Fraction(1, 2)))      # sqrt(2)
-    b = RootSum.of(ScaledVal(Fraction(-1), Fraction(1, 2)))
+    a = RootSum({Fraction(1, 2): Fraction(1)})      # sqrt(2)
+    b = RootSum({Fraction(1, 2): Fraction(-1)})
     assert a.plus(b).is_zero()
     sq = a.times(a)
     assert sq.terms == {Fraction(0): Fraction(2)}
     assert a.sign() == 1 and b.sign() == -1
     # sqrt(2) - 1.414213 is about 5.6e-7: the first enclosure, at precision
     # 8, straddles 0, and sign refines it
-    near = a.plus(RootSum.of(Fraction(-1414213, 10 ** 6)))
+    near = a.plus(RootSum({Fraction(0): Fraction(-1414213, 10 ** 6)}))
     lo, hi = near.bounds(8)
     assert lo < 0 < hi
     assert near.sign() == 1 and near.scaled(Fraction(-1)).sign() == -1
@@ -358,7 +346,7 @@ def test_haar_system_norms():
     lo, hi = sys2.norm_bounds([Fraction(0), Fraction(1)])
     assert lo <= 1 <= hi and hi - lo < Fraction(1, 1 << 16)
     # || (f_0 + f_1)/2 ||_2: value levels are 1 and 0 on the two halves
-    val = sys2.norm_power([Fraction(1, 2), Fraction(1, 2)])
+    val = sys2.norm_power(sys2.combo_pieces([Fraction(1, 2), Fraction(1, 2)]))
     assert val.terms == {Fraction(0): Fraction(1, 2)}
 
 
@@ -366,10 +354,10 @@ def test_haar_tail_within_a_nonzero_tail():
     # from index 2 on, chi[0, 1/4] has the one term (1/2) 2^(-1/2) f_2, of
     # L^2 norm 2^(-3/2) = 0.3535...
     p = Fraction(2)
-    exp = haar_coeffs(chi(0, Fraction(1, 4)), p, 4)
-    assert exp.c[2:] == [Fraction(1, 2), 0]
-    assert HaarSystem(p).tail_within(exp, 2, Fraction(36, 100))
-    assert not HaarSystem(p).tail_within(exp, 2, Fraction(35, 100))
+    c = haar_coeffs(chi(0, Fraction(1, 4)), 4)
+    assert c[2:] == [Fraction(1, 2), 0]
+    assert HaarSystem(p).tail_within(c, 2, Fraction(36, 100))
+    assert not HaarSystem(p).tail_within(c, 2, Fraction(35, 100))
 
 
 def test_fs_system_norms():
@@ -508,9 +496,7 @@ def _haar_midpoint_sums(zs, p):
             s, e = haar_eval(k, p, x)
             if s == 0:
                 continue
-            coef, exp2 = (z.coef, z.exp2 + e) if isinstance(z, ScaledVal) \
-                else (Fraction(z), e)
-            total = total.plus(RootSum.of(ScaledVal(coef * s, exp2)))
+            total = total.plus(RootSum({e: Fraction(z) * s}))
         out.append(total)
     return out
 
@@ -523,15 +509,9 @@ def _expand(pieces, m):
     return out
 
 
-haar_entry = st.one_of(
-    dyadic,
-    st.builds(ScaledVal, dyadic,
-              st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))))
-
-
 @st.composite
 def haar_combos(draw, max_size=40):
-    zs = draw(st.lists(st.one_of(st.just(Fraction(0)), haar_entry),
+    zs = draw(st.lists(st.one_of(st.just(Fraction(0)), dyadic),
                        max_size=max_size))
     # clear whole subtrees (elements 2k and 2k+1 refine element k)
     for root in draw(st.lists(st.integers(1, max_size), max_size=3)):
@@ -557,7 +537,8 @@ def test_combo_pieces_match_midpoint_sums(zs, p):
     uniform = HaarSystem(p)
     uniform.combo_pieces = lambda zs: [(Fraction(1, len(ref)), v) for v in ref]
     if p.denominator == 1:
-        assert sysp.norm_power(zs).terms == uniform.norm_power(zs).terms
+        assert sysp.norm_power(pieces).terms == \
+            sysp.norm_power(uniform.combo_pieces(zs)).terms
     assert sysp.norm_bounds(zs) == uniform.norm_bounds(zs)
 
 
@@ -565,8 +546,7 @@ def test_combo_pieces_match_midpoint_sums(zs, p):
 @given(st.lists(dyadic, max_size=70),
        st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]))
 def test_step_from_haar_matches_midpoint_sums(c, p):
-    exp = HaarExpansion(c, p)
-    rec = step_from_haar(exp)
+    rec = step_from_haar(c, p)
     max_gen = max((haar_gen(k) for k in range(1, len(c))), default=0)
     m = 1 << max_gen
     assert rec.cuts == tuple(Fraction(t, m) for t in range(m + 1))
@@ -600,10 +580,10 @@ def test_chi_expand_corrupted_expansion_raises(monkeypatch):
     import metrent.schauder as schauder
     real = schauder.haar_coeffs
 
-    def flip_last(f, p, up_to):
-        exp = real(f, p, up_to)
-        exp.c[-1] += 1
-        return exp
+    def flip_last(f, up_to):
+        c = real(f, up_to)
+        c[-1] += 1
+        return c
 
     monkeypatch.setattr(schauder, "haar_coeffs", flip_last)
     with pytest.raises(ContractViolation):

@@ -364,11 +364,10 @@ def test_records_compare_by_value():
     from metrent.entropy import ApproxSetSpec, PointCloud
     from metrent.funcs import PiecewiseLinear, StepFn
     from metrent.machine import Dialog, MeterReport
-    from metrent.schauder import HaarSystem, ScaledVal
+    from metrent.schauder import HaarSystem
 
     frozen = [(lambda: StepFn.build([0, 1], [2]), "levels"),
               (lambda: PiecewiseLinear.build([0, 1], [0, 1]), "ys"),
-              (lambda: ScaledVal(Fraction(3), Fraction(1, 2)), "exp2"),
               (lambda: Dialog(1, ("10",)), "query_count")]
     for make, field in frozen:
         a, b = make(), make()
