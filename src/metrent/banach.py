@@ -9,6 +9,9 @@ Name layout: the all-zeros query answers the name's own length in unary; a
 i-th basis coefficient (valid whenever m exceeds the threshold tied to n);
 a "1"-tagged quadruple <<z_0..z_N>, N, n, m> answers the norm of the given
 rational combination to precision 1/(n+1).
+
+The translations compute on integers; they build Fractions only for the
+public answers (``dsq_value``, ``lp_value``) and the exponents (g-1)/p.
 """
 
 from __future__ import annotations
@@ -18,18 +21,20 @@ from functools import cache
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .compact import ParameterViolation, _with_length_branch, name_length_fn
+from .compact import (ParameterViolation, _q_node, _with_length_branch,
+                      name_length_fn)
 from .funcs import PiecewiseLinear, StepFn
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
-from .schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
-                       _tight_bounds, fs_coeff, fs_coeffs, fs_eval,
-                       fs_nonzero_indices, fs_partial_sum_pl, haar_coeffs,
-                       haar_gen, haar_integral, haar_scale_exp, haar_stepform,
-                       sup_error)
+from .schauder import (FSSystem, HaarSystem, _cell_hats, _haar_sign_integral,
+                       _hat_num, _midpoint_num, _round_midpoint, _split_exp,
+                       _tight_bounds, fs_coeffs, fs_nonzero_indices,
+                       fs_partial_sum_pl, haar_coeffs, haar_gen,
+                       haar_scale_exp, sup_error)
 from .strings import (MalformedName, _dyadic, _Record, ceil_lb, decode_int,
                       encode_int, nat_str, parse_nat, parse_nats, proj_value,
-                      round_half_away, tuple_list, tuple_strs, untuple)
+                      round_half_away, round_ratio, tuple_list, tuple_strs,
+                      untuple)
 
 
 class BanachReprParams(_Record):
@@ -70,7 +75,10 @@ def _dyadic_scale(points) -> int:
 
 def fs_vector(f: PiecewiseLinear) -> list[Fraction]:
     """Exact finite hat-coefficient list of a piecewise-linear function with
-    dyadic breakpoints."""
+    dyadic breakpoints and no jump (a nonzero span end inside (0, 1))."""
+    for x, y in ((f.xs[0], f.ys[0]), (f.xs[-1], f.ys[-1])):
+        if y != 0 and 0 < x < 1:
+            raise ParameterViolation(f"the function jumps to zero at its span end {x}")
     lams = fs_coeffs(f, (1 << _dyadic_scale(f.xs)) + 1)
     # exactness is structural at the breakpoints' scale; verify it
     if sup_error(f, lams) != 0:
@@ -80,8 +88,11 @@ def fs_vector(f: PiecewiseLinear) -> list[Fraction]:
 
 def haar_vector(f: StepFn, p: Fraction) -> list[Fraction]:
     """Exact finite step-form Haar coefficient list of a step function with
-    dyadic cuts.  Step form does not depend on p, which only HaarSystem
-    reads; p is unread here."""
+    dyadic cuts, zero outside [0, 1].  Step form does not depend on p,
+    which only HaarSystem reads; p is unread here."""
+    for a, b, level in zip(f.cuts, f.cuts[1:], f.levels):
+        if level != 0 and (a < 0 or b > 1):
+            raise ParameterViolation(f"level {level} on [{a}, {b}) outside [0, 1]")
     return haar_coeffs(f, 1 << _dyadic_scale(f.cuts))
 
 
@@ -178,23 +189,23 @@ def _coeff_plan(S_at: Callable[[int], int], digits: int,
 
 
 def _xi_reader(phi: Name, level: int, params: BanachReprParams
-               ) -> tuple[int, Callable[[int], Fraction]]:
-    """The span N of a coefficient name at precision ``level`` and the
-    accessor i -> z_i/(m+1) asking <i, level, m>, (N, m) from _coeff_plan."""
+               ) -> tuple[int, int, Callable[[int], int]]:
+    """(N, m, z): a coefficient name's span and denominator parameter at
+    ``level`` (_coeff_plan); z(i) asks <i, level, m>, z(i)/(m+1) ~ lam_i."""
     l = name_length_fn(phi)
     N, m = _coeff_plan(lambda k: params.S.bound(l, k), len(nat_str(level)),
                        level)
 
-    def coeff(i: int) -> Fraction:
-        return Fraction(decode_int(phi(coeff_query(i, level, m))), m + 1)
-    return N, coeff
+    def coeff(i: int) -> int:
+        return decode_int(phi(coeff_query(i, level, m)))
+    return N, m, coeff
 
 
 def xi_decode_pl(phi: Name, n: int, params: BanachReprParams) -> PiecewiseLinear:
     """Decoded hat combination at precision level n (within 2/(n+1) of the
     represented function in supremum norm)."""
-    N, coeff = _xi_reader(phi, n, params)
-    return fs_partial_sum_pl([coeff(i) for i in range(N + 1)])
+    N, m, coeff = _xi_reader(phi, n, params)
+    return fs_partial_sum_pl([Fraction(coeff(i), m + 1) for i in range(N + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +319,19 @@ def _block(s: str, mark: str) -> int | None:
     return len(body) if s.startswith(mark) and body == "0" * len(body) else None
 
 
-def _read_value(raw: str, mark: str) -> Fraction:
-    """q 2^-k from a value answer <q, mark 0^k>; MalformedName when raw is
-    not one."""
+def _read_pair(raw: str, mark: str) -> tuple[int, int]:
+    """(q, k) from a value answer <q, mark 0^k>, whose value is q 2^-k;
+    MalformedName when raw is not one."""
     pair = untuple(2, raw)
     k = None if pair is None else _block(pair[1], mark)
     if k is None:
         raise MalformedName(f"bad value answer {raw!r}")
-    return Fraction(decode_int(pair[0]), 1 << k)
+    return decode_int(pair[0]), k
+
+
+def _read_value(raw: str, mark: str) -> Fraction:
+    q, k = _read_pair(raw, mark)
+    return Fraction(q, 1 << k)
 
 
 def delta_square_name(f: PiecewiseLinear, mu: Callable[[int], int]) -> Name:
@@ -423,30 +439,33 @@ def counted(phi: Name) -> tuple[Name, list]:
 def xi_to_dsq(phi: Name, params: BanachReprParams) -> Name:
     """Point-value name computed from a hat-coefficient name.
 
-    A value at (n, r, m) reads the coefficient branch at level 2^(n+3) - 1
-    for the at most two nonzero hats per generation at the point; the
-    output lengths are driven by the modulus bound assembled from the
-    queried length data."""
+    A value at (n, r, m) sums z_i times hat i's value, over (M+1) 2^m, for
+    the at most two nonzero hats per generation at the point, read at level
+    2^(n+3) - 1; the output lengths are driven by the modulus bound
+    assembled from the queried length data."""
     lfn = name_length_fn(phi)
 
-    def value_at(x: Fraction, n: int) -> Fraction:
-        N, coeff = _xi_reader(phi, (1 << (n + 3)) - 1, params)
-        total = Fraction(0)
-        for i in fs_nonzero_indices(x, N + 1):
-            total += coeff(i) * fs_eval(i, x)
-        return total
+    def value_at(r: int, m: int, n: int) -> tuple[int, int]:
+        N, M, coeff = _xi_reader(phi, (1 << (n + 3)) - 1, params)
+        num = sum(coeff(i) * _hat_num(i, r, 1 << m)
+                  for i in fs_nonzero_indices(Fraction(r, 1 << m), N + 1))
+        return num, (M + 1) << m
+
+    def size_base() -> int:
+        num, den = value_at(1, 1, 0)        # int(value at 1/2 + 2)
+        return (abs(num + 2 * den) // den).bit_length() + 3
 
     def mu_out(t: int) -> int:
         a = max(lfn(t + 3), t + 3)
         b = lfn(lfn(t + 4) + (t + 4))
         return (t + 1) + 3 * a + b + 1
 
-    size = _level_sizer(
-        lambda: int(value_at(Fraction(1, 2), 0) + 2).bit_length() + 3, mu_out)
+    size = _level_sizer(size_base, mu_out)
 
     def value(n: int, r: int, m: int) -> tuple[int, int]:
         k0 = n + 2
-        return round_half_away(value_at(Fraction(r, 1 << m), n) * (1 << k0)), k0
+        num, den = value_at(r, m, n)
+        return round_ratio(num << k0, den), k0
 
     def fn(a: str) -> str:
         return _value_answer(a, size, _parse_dsq_query, value, "1")
@@ -456,18 +475,27 @@ def xi_to_dsq(phi: Name, params: BanachReprParams) -> Name:
 
 def dsq_to_xi(psi: Name, params: BanachReprParams) -> Name:
     """Hat-coefficient name computed from a point-value name via the local
-    midpoint-deviation formula; norm queries are answered by exact library
-    evaluation of the queried combination."""
+    midpoint-deviation formula (fs_coeff's, on the answers' integer pairs);
+    norm queries are answered by exact library evaluation of the queried
+    combination."""
     mu_in = dsq_modulus(psi)
     fs_system = FSSystem()
 
-    def fval(x: Fraction, n: int) -> Fraction:
-        return dsq_value(psi, n, *_dyadic(x))
-
     def coeff(i: int, n: int, m: int) -> int:
         prec = n + len(nat_str(m + 1)) + ceil_lb(i + 2) + 4
-        lam = fs_coeff(lambda x: fval(x, prec), i)
-        return round_half_away(lam * (m + 1))
+
+        def fval(r: int, s: int) -> tuple[int, int]:     # at r/2^s, in lowest terms
+            t = min((r & -r).bit_length() - 1, s) if r else s
+            return _read_pair(psi(dsq_query(prec, r >> t, s - t)), "1")
+
+        c, s = _q_node(i)
+        q0, k0 = fval(c, s)
+        if i < 2:
+            return round_ratio(q0 * (m + 1), 1 << k0)
+        (q1, k1), (q2, k2) = fval(c - 1, s), fval(c + 1, s)
+        K = max(k0, k1, k2) + 1        # lam_i = f(q) - (f(q-w) + f(q+w))/2
+        lam = (q0 << (K - k0)) - (q1 << (K - 1 - k1)) - (q2 << (K - 1 - k2))
+        return round_ratio(lam * (m + 1), 1 << K)
 
     def ell_out(k: int) -> int:
         return max(mu_in(k + 3) + 2, k + 2)
@@ -496,22 +524,10 @@ def _aligned_nonzero_indices(a: Fraction, b: Fraction, max_k: int) -> list[int]:
 
 def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
     """Integral name computed from a Haar-coefficient name: the integral of
-    the level-(2^(n+3)-1) combination over the requested dyadic interval is
-    evaluated symbolically from the at most two contributing elements per
-    generation."""
+    the level-(2^(n+3)-1) combination over the requested dyadic interval,
+    from the at most two contributing elements per generation, is a sum of
+    C_f 2^f, f the fractional parts of (g-1)/p, rounded via its enclosure."""
     lfn = name_length_fn(phi)
-
-    def integral_val(a: Fraction, b: Fraction, n: int) -> RootSum:
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -1
-        N, coeff = _xi_reader(phi, (1 << (n + 3)) - 1, params)
-        total = RootSum()
-        for k in _aligned_nonzero_indices(a, b, N):
-            c = coeff(k)
-            if c:
-                total.accumulate(RootSum({haar_scale_exp(k, p): haar_integral(k, a, b)}), c)
-        return total.scaled(Fraction(sign))
 
     def mu_out(t: int) -> int:
         # linear modulus bound from the queried length data; the worst-case
@@ -524,9 +540,16 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
 
     def value(k: int, l: int, m: int, n: int) -> tuple[int, int]:
         j0 = n + 2
-        val = integral_val(Fraction(k, 1 << m), Fraction(l, 1 << m), n)
-        lo, hi = _tight_bounds(val.scaled(Fraction(1 << j0)).bounds, Fraction(1, 16))
-        return round_half_away((lo + hi) / 2), j0
+        N, M, coeff = _xi_reader(phi, (1 << (n + 3)) - 1, params)
+        d = 1 << m
+        terms: dict[Fraction, int] = {}     # 2^j0 times the integral, over (M+1) 4^m
+        for i in _aligned_nonzero_indices(Fraction(k, d), Fraction(l, d), N):
+            z = coeff(i)
+            if z:       # an endpoint inside element i's support puts g <= m
+                shift, f = _split_exp(haar_scale_exp(i, p))
+                z *= _haar_sign_integral(i, k, l, d)
+                terms[f] = terms.get(f, 0) + (z << (shift + j0 + m - haar_gen(i)))
+        return _round_midpoint(terms, (M + 1) << (2 * m), 4), j0
 
     def fn(a: str) -> str:
         return _value_answer(a, size, _parse_lp_query, value, "")
@@ -536,24 +559,28 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
 
 def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction) -> Name:
     """Haar-coefficient name computed from an integral name via the local
-    half-support integral differences; norm queries are answered by exact
-    library evaluation."""
+    half-support integral differences (haar_stepform's, on integer pairs);
+    norm queries are answered by exact library evaluation."""
     mu_in = dsq_modulus(psi)
     haar_sys = HaarSystem(Fraction(p))
 
-    def int_val(a: Fraction, b: Fraction, n: int) -> Fraction:
-        m = max(_dyadic(a)[1], _dyadic(b)[1])
-        return lp_value(psi, int(a * (1 << m)), int(b * (1 << m)), m, n)
-
     def coeff(i: int, n: int, m: int) -> int:
-        # c_0 is exact; c_i (i >= 1) is lam_i in step form, whose symbolic
-        # scale is enclosed
+        # c_0 is exact; c_i (i >= 1) is lam_i in step form, whose scale
+        # 2^-(g-1)/p is enclosed at precision prec + 8
         prec = (m.bit_length() + 18 if i == 0
                 else len(nat_str(m + 1)) + haar_gen(i) + 20)
-        c = haar_stepform(lambda a, b: int_val(a, b, prec), i)
-        lo, hi = (c, c) if i == 0 else RootSum(
-            {-haar_scale_exp(i, haar_sys.p): c}).bounds(prec + 8)
-        return round_half_away((lo + hi) / 2 * (m + 1))
+
+        if i == 0:
+            q, k = _read_pair(psi(lp_query(0, 1, 0, prec)), "")
+            return round_ratio(q * (m + 1), 1 << k)
+        c, g = _q_node(i + 1)           # the halves [c-1, c] and [c, c+1] / 2^g
+        (q1, k1), (q2, k2) = [_read_pair(psi(lp_query(a, a + 1, g, prec)), "")
+                              for a in (c - 1, c)]
+        K = max(k1, k2)                 # c_i = L 2^(g-1) / 2^K
+        L = (q1 << (K - k1)) - (q2 << (K - k2))
+        shift, f = _split_exp(-haar_scale_exp(i, haar_sys.p))
+        return round_ratio(_midpoint_num({f: L * (m + 1) << (g - 1)}, prec + 8),
+                           1 << (K - shift + prec + 9))
 
     def ell_out(k: int) -> int:
         return max(mu_in(k + 3) + 3, k + 2)

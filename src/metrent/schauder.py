@@ -17,6 +17,8 @@ fine as a pyramid, where each element splits its support cell into two
 halves that inherit the parent value plus or minus the element's value
 (``_haar_pyramid``).  One dyadic-cell rule (``_cell_hats``) finds the
 elements whose open support holds a point, for both systems.
+Integer cores (``_hat_num``, ``_haar_sign_integral``, ``_pow2_floor``)
+serve the Banach translations, and the public Fraction functions wrap them.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from typing import Callable
 from .compact import _q_node, q_seq
 from .funcs import PiecewiseLinear, StepFn, chi, sup_dist_pl
 from .machine import ContractViolation
-from .strings import (_dyadic, _pow2, _Record, ceil_lb, round_half_away,
-                      round_ratio)
+from .strings import _dyadic, _frac, _pow2, _Record, ceil_lb, round_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +40,17 @@ def fs_halfwidth(i: int) -> Fraction:
     return Fraction(1, 1 << ceil_lb(i))
 
 
+def _hat_num(i: int, a: int, d: int) -> int:
+    """d times hat i's value at x = a/d, for any d > 0: with q_i = c/2^g and
+    halfwidth 2^-g, 2^g |x - q_i| = |a 2^g - c d| / d."""
+    c, g = _q_node(i)
+    return max(d - abs((a << g) - c * d), 0)
+
+
 def fs_eval(i: int, x) -> Fraction:
     """max(1 - 2^ceil_lb(i) |x - q_i|, 0), with ceil_lb(0) = 0."""
     x = Fraction(x)
-    v = 1 - abs(x - q_seq(i)) / fs_halfwidth(i)
-    return v if v > 0 else Fraction(0)
+    return Fraction(_hat_num(i, x.numerator, x.denominator), x.denominator)
 
 
 def fs_elem(i: int) -> PiecewiseLinear:
@@ -112,12 +119,15 @@ def _cell_hats(x: Fraction, count: int):
     """Per generation g, the hat i < count with i >= 2 whose open support
     holds x = p/q, if any.  Generation g's hats have the open supports
     (2k, 2k+2) 2^-g, k < 2^(g-1), so x meets the k-th one when
-    k = floor(p 2^(g-1) / q) and the division leaves a remainder."""
+    k = floor(p 2^(g-1) / q) and the division leaves a remainder; once it
+    leaves none, q divides 2^(g-1) and every later 2^(g-1) too."""
     p, q = x.numerator, x.denominator
     half = 1                                # 2^(g-1)
     while half + 1 < count:
         k, r = divmod(p * half, q)
-        if r and 0 <= k < half and half + k + 1 < count:
+        if not r:
+            return
+        if 0 <= k < half and half + k + 1 < count:
             yield half + k + 1
         half <<= 1
 
@@ -125,8 +135,9 @@ def _cell_hats(x: Fraction, count: int):
 def fs_nonzero_indices(x, count: int) -> list[int]:
     """Indices i < count with fs_eval(i, x) != 0: the boundary hats 0 and 1
     where they do not vanish, then at most one per generation."""
-    x = Fraction(x)
-    out = [i for i in (0, 1) if i < count and fs_eval(i, x) > 0]
+    x = _frac(x)
+    out = [i for i in (0, 1)
+           if i < count and _hat_num(i, x.numerator, x.denominator) > 0]
     out.extend(_cell_hats(x, count))
     return out
 
@@ -147,9 +158,10 @@ def fs_separation(count: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # the ring of rational combinations of rational powers of two
 
-def _normalize_term(coef: Fraction, exp2: Fraction) -> tuple[Fraction, Fraction]:
-    shift = exp2.numerator // exp2.denominator
-    return coef * _pow2(shift), exp2 - shift
+def _split_exp(e: Fraction) -> tuple[int, Fraction]:
+    """(floor(e), e - floor(e)): 2^e = 2^shift 2^f with 0 <= f < 1."""
+    shift = e.numerator // e.denominator
+    return shift, e - shift
 
 
 def _iroot(n: int, k: int) -> int:
@@ -166,16 +178,35 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+def _pow2_floor(f: Fraction, prec: int) -> int:
+    """t = floor(2^(f + prec)) for 0 <= f < 1: 2^f lies in
+    [t, t + 1] / 2^prec, the enclosure pow2_bounds gives."""
+    return _iroot(1 << (f.numerator + f.denominator * prec), f.denominator)
+
+
 def pow2_bounds(e: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Enclosure of 2**e of width at most 2**(1-prec) * 2**floor(e)."""
-    shift = e.numerator // e.denominator
-    r = e - shift
-    a, b = r.numerator, r.denominator
-    t = _iroot(1 << (a + b * prec), b)
-    lo = Fraction(t, 1 << prec)
-    hi = Fraction(t + 1, 1 << prec)
-    base = _pow2(shift)
-    return lo * base, hi * base
+    shift, r = _split_exp(e)
+    t, base = _pow2_floor(r, prec), _pow2(shift)
+    return Fraction(t, 1 << prec) * base, Fraction(t + 1, 1 << prec) * base
+
+
+def _midpoint_num(terms: dict[Fraction, int], prec: int) -> int:
+    """2^(prec+1) times the midpoint of RootSum.bounds(prec) of sum C 2^f,
+    integer C keyed by 0 <= f < 1: C 2^f lies between C t/2^prec and
+    C (t+1)/2^prec, so its midpoint is C (2t+1)/2^(prec+1) for either sign."""
+    return sum(c * (2 * _pow2_floor(f, prec) + 1) for f, c in terms.items() if c)
+
+
+def _round_midpoint(terms: dict[Fraction, int], den: int, w: int) -> int:
+    """round_half_away of the midpoint of sum (C/den) 2^f's enclosure that
+    _tight_bounds picks for the width 2^-w: the first at precision 24, 48,
+    96, ... whose width sum |C| / (den 2^prec) is at most 2^-w."""
+    spread = sum(abs(c) for c in terms.values()) << w
+    prec = 24
+    while spread > den << prec:
+        prec *= 2
+    return round_ratio(_midpoint_num(terms, prec), den << (prec + 1))
 
 
 def frac_root_bounds(x: Fraction, k: int, prec: int) -> tuple[Fraction, Fraction]:
@@ -203,8 +234,8 @@ class RootSum:
     def _add_term(self, coef: Fraction, exp2: Fraction) -> None:
         if coef == 0:
             return
-        c, frac = _normalize_term(coef, exp2)
-        cur = self.terms.get(frac, Fraction(0)) + c
+        shift, frac = _split_exp(exp2)
+        cur = self.terms.get(frac, Fraction(0)) + coef * _pow2(shift)
         if cur == 0:
             self.terms.pop(frac, None)
         else:
@@ -229,8 +260,7 @@ class RootSum:
 
     def scaled(self, c: Fraction) -> "RootSum":
         out = RootSum()
-        for e, c0 in self.terms.items():
-            out._add_term(c0 * c, e)
+        out.accumulate(self, c)
         return out
 
     def power(self, p: int) -> "RootSum":
@@ -246,12 +276,10 @@ class RootSum:
         lo = hi = Fraction(0)
         for e, c in self.terms.items():
             blo, bhi = pow2_bounds(e, prec)
-            if c >= 0:
-                lo += c * blo
-                hi += c * bhi
-            else:
-                lo += c * bhi
-                hi += c * blo
+            if c < 0:
+                blo, bhi = bhi, blo
+            lo += c * blo
+            hi += c * bhi
         return lo, hi
 
     def sign(self) -> int:
@@ -286,10 +314,8 @@ def haar_scale_exp(k: int, p: Fraction) -> Fraction:
 
 def haar_support(k: int) -> tuple[Fraction, Fraction, Fraction]:
     """(left end, node, right end) of basis index k >= 1."""
-    j = k + 1
-    q = q_seq(j)
-    w = Fraction(1, 1 << ceil_lb(j))
-    return q - w, q, q + w
+    c, g = _q_node(k + 1)
+    return tuple(Fraction(c + t, 1 << g) for t in (-1, 0, 1))
 
 
 def haar_eval(k: int, p: Fraction, x) -> tuple[int, Fraction]:
@@ -307,18 +333,26 @@ def haar_eval(k: int, p: Fraction, x) -> tuple[int, Fraction]:
     return 0, e
 
 
+def _haar_sign_integral(k: int, a: int, b: int, d: int) -> int:
+    """d 2^haar_gen(k) times the integral over [a/d, b/d] (d > 0) of index
+    k's sign pattern: 1 on [0, 1] for k = 0, else, with node k + 1 at c/2^g,
+    1 on (c-1, c)/2^g and -1 on (c, c+1)/2^g."""
+    if b < a:
+        return -_haar_sign_integral(k, b, a, d)
+    c, g = _q_node(k + 1) if k else (1, 0)
+    a, b = a << g, b << g
+    overlap = lambda lo, hi: max(min(b, hi * d) - max(a, lo * d), 0)
+    return overlap(c - 1, c) - (overlap(c, c + 1) if k else 0)
+
+
 def haar_integral(k: int, a, b) -> Fraction:
     """Exact integral of basis index k's sign pattern over [a, b]: the step
     form of its integral, which f_{k,p} scales by 2^haar_scale_exp(k, p)."""
     a, b = Fraction(a), Fraction(b)
-    if b < a:
-        return -haar_integral(k, b, a)
-    if k == 0:
-        return max(min(b, Fraction(1)) - max(a, Fraction(0)), Fraction(0))
-    left, q, right = haar_support(k)
-    pos = max(min(b, q) - max(a, left), Fraction(0))
-    neg = max(min(b, right) - max(a, q), Fraction(0))
-    return pos - neg
+    d = a.denominator * b.denominator
+    return Fraction(_haar_sign_integral(k, a.numerator * b.denominator,
+                                        b.numerator * a.denominator, d),
+                    d << haar_gen(k))
 
 
 def haar_stepform(integral: Callable, k: int) -> Fraction:
@@ -507,9 +541,9 @@ class HaarSystem(_Record):
         from the step form; lam_i = 0 past the list."""
         if i >= len(c):
             return 0
-        s = RootSum({-haar_scale_exp(i, self.p): c[i] * scale})
-        lo, hi = _tight_bounds(s.bounds, Fraction(1, 1 << 16))
-        return round_half_away((lo + hi) / 2)
+        shift, f = _split_exp(-haar_scale_exp(i, self.p))      # shift <= 0
+        return _round_midpoint({f: c[i].numerator * scale},
+                               c[i].denominator << -shift, 16)
 
     def tail_within(self, c: list[Fraction], start: int, eps: Fraction) -> bool:
         """Whether a certified upper bound on the L^p norm of the tail

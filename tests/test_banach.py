@@ -6,21 +6,26 @@ from hypothesis import example, given, settings, strategies as st
 
 from metrent.baire import Name, in_kl, is_length_monotone, pair_names
 from metrent.banach import (BanachReprParams, add_time, banach_add_program,
-                            _aligned_nonzero_indices, _xi_reader, banach_name,
+                            _aligned_nonzero_indices, _level_sizer,
+                            _parse_dsq_query, _parse_lp_query, _value_answer,
+                            _xi_answer, _xi_reader, banach_name,
                             banach_norm_program, banach_time,
                             check_growth, coeff_query, combo_query, counted,
                             delta_square_name, dsq_modulus, dsq_to_xi,
-                            dsq_value, fs_vector, haar_vector, lp_name,
-                            lp_to_xi, lp_value,
+                            dsq_query, dsq_value, fs_vector, haar_vector,
+                            lp_name, lp_query, lp_to_xi, lp_value,
                             xi_decode_pl, xi_to_dsq, xi_to_lp)
-from metrent.compact import ParameterViolation, name_length_fn
+from metrent.compact import (ParameterViolation, _with_length_branch,
+                             name_length_fn)
 from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
-from metrent.schauder import (FSSystem, HaarSystem, fs_elem, fs_partial_sum_pl,
-                              haar_support)
-from metrent.strings import (MalformedName, ceil_lb, decode_int, nat_str,
-                             round_half_away, tuple_strs)
+from metrent.schauder import (FSSystem, HaarSystem, RootSum, _tight_bounds,
+                              fs_coeff, fs_elem, fs_eval, fs_nonzero_indices,
+                              fs_partial_sum_pl, haar_gen, haar_integral,
+                              haar_scale_exp, haar_stepform, haar_support)
+from metrent.strings import (MalformedName, _dyadic, ceil_lb, decode_int,
+                             nat_str, round_half_away, tuple_strs)
 
 
 ELL = lambda n: n + 4
@@ -333,8 +338,8 @@ def test_lp_to_xi_unit_vector():
     f = StepFn.build([0, 1], [1])                  # the constant element
     mu = modulus_fn(lp_modulus(f, 2, 14))
     xi2 = lp_to_xi(lp_name(f, p, mu), params, p)
-    _, coeff = _xi_reader(xi2, 4, params)
-    assert [coeff(i) for i in range(4)] == [1, 0, 0, 0]
+    _, m, coeff = _xi_reader(xi2, 4, params)
+    assert [Fraction(coeff(i), m + 1) for i in range(4)] == [1, 0, 0, 0]
 
 
 def test_value_answers_need_unary_blocks():
@@ -482,3 +487,200 @@ def test_haar_vector_does_not_depend_on_p():
     # lam_2 = c_2 2^(-1/p) with c_2 = 1: 2^(-1/2) at p = 2
     assert HaarSystem(Fraction(2)).coeff_int(haar_vector(f, Fraction(1)), 2, 1000) == 707
     assert haar_vector(f, Fraction(1)) == haar_vector(f, Fraction(2))
+
+
+def test_fs_vector_refuses_a_jump_at_a_span_end():
+    # zero outside [1/4, 1/2], so this carrier jumps to 1 at 1/4 and back
+    # at 1/2; the ramp [0, 0, 1, 1/2, -1/2] is a different function
+    with pytest.raises(ParameterViolation, match="span end 1/4"):
+        fs_vector(PiecewiseLinear.build([Fraction(1, 4), Fraction(1, 2)], [1, 1]))
+    with pytest.raises(ParameterViolation, match="span end 1/2"):
+        fs_vector(PiecewiseLinear.build([0, Fraction(1, 2)], [1, 1]))
+    # zero at both inner span ends: continuous, and reproduced exactly
+    f = PiecewiseLinear.build([Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)], [0, 1, 0])
+    assert sup_dist_pl(fs_partial_sum_pl(fs_vector(f)), f) == 0
+
+
+def test_haar_vector_refuses_mass_outside_the_unit_interval():
+    # level 1 on [-1/2, 1/2) and 2 on [1/2, 3/2): half of each lies outside
+    # [0, 1], which no Haar coefficient sees
+    p = Fraction(2)
+    with pytest.raises(ParameterViolation, match="outside"):
+        haar_vector(StepFn.build([Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)], [1, 2]), p)
+    with pytest.raises(ParameterViolation, match="outside"):
+        haar_vector(StepFn.build([0, 1, 2], [1, Fraction(-1, 4)]), p)
+    # zero levels outside [0, 1] carry no mass
+    assert haar_vector(StepFn.build([-1, 0, 1, 2], [0, 3, 0]), p) == [3]
+
+
+# ---------------------------------------------------------------------------
+# the four translations in Fraction arithmetic, as the library computed them
+# before its integer cores: the reference for the answer strings
+
+def _ref_xi_reader(phi, level, params):
+    N, m, coeff = _xi_reader(phi, level, params)
+    return N, lambda i: Fraction(coeff(i), m + 1)
+
+
+def ref_xi_to_dsq(phi, params):
+    lfn = name_length_fn(phi)
+
+    def value_at(x, n):
+        N, coeff = _ref_xi_reader(phi, (1 << (n + 3)) - 1, params)
+        total = Fraction(0)
+        for i in fs_nonzero_indices(x, N + 1):
+            total += coeff(i) * fs_eval(i, x)
+        return total
+
+    def mu_out(t):
+        a = max(lfn(t + 3), t + 3)
+        b = lfn(lfn(t + 4) + (t + 4))
+        return (t + 1) + 3 * a + b + 1
+
+    size = _level_sizer(
+        lambda: int(value_at(Fraction(1, 2), 0) + 2).bit_length() + 3, mu_out)
+
+    def value(n, r, m):
+        k0 = n + 2
+        return round_half_away(value_at(Fraction(r, 1 << m), n) * (1 << k0)), k0
+
+    def fn(a):
+        return _value_answer(a, size, _parse_dsq_query, value, "1")
+
+    return Name(fn, label=f"dsq({phi.label})")
+
+
+def ref_dsq_to_xi(psi, params):
+    mu_in = dsq_modulus(psi)
+
+    def fval(x, n):
+        return dsq_value(psi, n, *_dyadic(x))
+
+    def coeff(i, n, m):
+        prec = n + len(nat_str(m + 1)) + ceil_lb(i + 2) + 4
+        lam = fs_coeff(lambda x: fval(x, prec), i)
+        return round_half_away(lam * (m + 1))
+
+    def branch(a):
+        return _xi_answer(a, coeff, FSSystem())
+
+    return _with_length_branch(branch, lambda k: max(mu_in(k + 3) + 2, k + 2),
+                               f"xi({psi.label})")
+
+
+def ref_xi_to_lp(phi, params, p):
+    lfn = name_length_fn(phi)
+
+    def integral_val(a, b, n):
+        sign = 1
+        if a > b:
+            a, b, sign = b, a, -1
+        N, coeff = _ref_xi_reader(phi, (1 << (n + 3)) - 1, params)
+        total = RootSum()
+        for k in _aligned_nonzero_indices(a, b, N):
+            c = coeff(k)
+            if c:
+                total.accumulate(RootSum({haar_scale_exp(k, p): haar_integral(k, a, b)}), c)
+        return total.scaled(Fraction(sign))
+
+    def mu_out(t):
+        ceil_p = -(-p.numerator // p.denominator)
+        return ceil_p * (t + 2) + lfn(t + 3) + t + 7
+
+    size = _level_sizer(lambda: int(lfn(4)) + 4, mu_out)
+
+    def value(k, l, m, n):
+        j0 = n + 2
+        val = integral_val(Fraction(k, 1 << m), Fraction(l, 1 << m), n)
+        lo, hi = _tight_bounds(val.scaled(Fraction(1 << j0)).bounds, Fraction(1, 16))
+        return round_half_away((lo + hi) / 2), j0
+
+    def fn(a):
+        return _value_answer(a, size, _parse_lp_query, value, "")
+
+    return Name(fn, label=f"lp({phi.label})")
+
+
+def ref_lp_to_xi(psi, params, p):
+    mu_in = dsq_modulus(psi)
+    haar_sys = HaarSystem(Fraction(p))
+
+    def int_val(a, b, n):
+        m = max(_dyadic(a)[1], _dyadic(b)[1])
+        return lp_value(psi, int(a * (1 << m)), int(b * (1 << m)), m, n)
+
+    def coeff(i, n, m):
+        prec = (m.bit_length() + 18 if i == 0
+                else len(nat_str(m + 1)) + haar_gen(i) + 20)
+        c = haar_stepform(lambda a, b: int_val(a, b, prec), i)
+        lo, hi = (c, c) if i == 0 else RootSum(
+            {-haar_scale_exp(i, haar_sys.p): c}).bounds(prec + 8)
+        return round_half_away((lo + hi) / 2 * (m + 1))
+
+    def branch(a):
+        return _xi_answer(a, coeff, haar_sys)
+
+    return _with_length_branch(branch, lambda k: max(mu_in(k + 3) + 3, k + 2),
+                               f"xi({psi.label})")
+
+
+def _same_answers(got, want, queries):
+    for a in queries:
+        assert got(a) == want(a), a
+
+
+# coefficient queries (i, n, m), length queries, and, for the value names,
+# runs of ones: malformed queries, answered at the size thunk's length
+COEFF_QUERIES = ([coeff_query(i, n, m) for i in range(9) for n in (0, 2)
+                  for m in (0, 5, 99)] + ["0" * t for t in range(1, 6)])
+POINT_QUERIES = ([dsq_query(n, r, m) for n in (0, 2) for m in range(4)
+                  for r in range((1 << m) + 1)] + ["1" * t for t in range(1, 12)])
+INTEGRAL_QUERIES = ([lp_query(k, l, m, n) for n in (0, 2) for m in range(3)
+                     for k in range((1 << m) + 1) for l in range((1 << m) + 1)]
+                    + ["1" * t for t in range(1, 12)])
+
+
+@st.composite
+def dyadic_pl(draw):
+    """A piecewise-linear function on [0, 1] with breakpoints at scale <= 3."""
+    scale = draw(st.integers(0, 3))
+    inner = draw(st.sets(st.integers(1, (1 << scale) - 1), max_size=4)) if scale else set()
+    xs = [Fraction(t, 1 << scale) for t in sorted({0, 1 << scale} | inner)]
+    ys = draw(st.lists(st.integers(-8, 8), min_size=len(xs), max_size=len(xs)))
+    return PiecewiseLinear.build(xs, [Fraction(y, 8) for y in ys])
+
+
+@st.composite
+def dyadic_step(draw):
+    """A step function on [0, 1] with cuts at scale <= 3."""
+    scale = draw(st.integers(0, 3))
+    inner = draw(st.sets(st.integers(1, (1 << scale) - 1), max_size=3)) if scale else set()
+    cuts = [Fraction(t, 1 << scale) for t in sorted({0, 1 << scale} | inner)]
+    levels = draw(st.lists(st.integers(-8, 8), min_size=len(cuts) - 1,
+                           max_size=len(cuts) - 1))
+    return StepFn.build(cuts, [Fraction(v, 4) for v in levels])
+
+
+@settings(max_examples=15, deadline=None)
+@given(dyadic_pl())
+def test_hat_translations_match_the_fraction_reference(f):
+    params = BanachReprParams(S=exp_max_time())
+    psi = delta_square_name(f, modulus_fn(continuity_modulus(f, 12)))
+    xi, xi_ref = dsq_to_xi(psi, params), ref_dsq_to_xi(psi, params)
+    _same_answers(xi, xi_ref, COEFF_QUERIES)
+    phi = banach_name(fs_vector(f), params, FSSystem(), ELL)
+    _same_answers(xi_to_dsq(phi, params), ref_xi_to_dsq(phi, params), POINT_QUERIES)
+    # the round trip reads the translated coefficient name
+    _same_answers(xi_to_dsq(xi, params), ref_xi_to_dsq(xi_ref, params), POINT_QUERIES)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dyadic_step(), st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]))
+def test_haar_translations_match_the_fraction_reference(f, p):
+    params = BanachReprParams(S=exp_max_time())
+    psi = lp_name(f, p, modulus_fn(lp_modulus(f, 2, 12)))
+    xi, xi_ref = lp_to_xi(psi, params, p), ref_lp_to_xi(psi, params, p)
+    _same_answers(xi, xi_ref, COEFF_QUERIES)
+    phi = banach_name(haar_vector(f, p), params, HaarSystem(p), ELL)
+    _same_answers(xi_to_lp(phi, params, p), ref_xi_to_lp(phi, params, p), INTEGRAL_QUERIES)
+    _same_answers(xi_to_lp(xi, params, p), ref_xi_to_lp(xi_ref, params, p), INTEGRAL_QUERIES)

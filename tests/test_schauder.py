@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from metrent.compact import q_seq
 from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
-from metrent.schauder import (FSSystem, HaarSystem, RootSum, _hat_nodes,
-                              chi_expand,
+from metrent.schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
+                              _hat_nodes, _hat_num, _midpoint_num, _round_midpoint,
+                              _split_exp, _tight_bounds, chi_expand,
                               frac_root_bounds, fs_coeff, fs_coeffs, fs_elem,
                               fs_eval, fs_halfwidth, fs_nonzero_indices,
                               fs_partial_sum_pl,
@@ -135,16 +137,51 @@ def test_fs_nonzero_indices_matches_fraction_loop(x, count):
 def test_fs_nonzero_indices_evaluates_only_boundary_hats(monkeypatch):
     import metrent.schauder as schauder
     calls = []
+    hat_num = schauder._hat_num
 
-    def counting(i, x):
+    def counting(i, a, d):
         calls.append(i)
-        return fs_eval(i, x)
+        return hat_num(i, a, d)
 
-    monkeypatch.setattr(schauder, "fs_eval", counting)
+    monkeypatch.setattr(schauder, "_hat_num", counting)
     for x in (Fraction(1, 3), Fraction(5, 8), Fraction(-1, 7), Fraction(9, 4)):
         calls.clear()
         schauder.fs_nonzero_indices(x, 1 << 40)
         assert len(calls) <= 2 and set(calls) <= {0, 1}
+
+
+def _cell_hats_unbounded(x, count):
+    """Reference generation loop without the early stop: every generation
+    below count is divided out."""
+    p, q = x.numerator, x.denominator
+    half = 1
+    while half + 1 < count:
+        k, r = divmod(p * half, q)
+        if r and 0 <= k < half and half + k + 1 < count:
+            yield half + k + 1
+        half <<= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_points,
+       st.one_of(st.integers(0, 70), st.integers(0, 1 << 64),
+                 st.integers(0, 64).map(lambda e: 1 << e),
+                 st.integers(0, 64).map(lambda e: (1 << e) + 1)))
+@example(Fraction(3, 8), 1 << 64)       # stops after generation 3
+@example(Fraction(-5, 3), 1 << 64)      # never stops early
+def test_cell_hats_early_stop_matches_the_unbounded_loop(x, count):
+    assert list(_cell_hats(x, count)) == list(_cell_hats_unbounded(x, count))
+
+
+def test_hat_value_core_matches_the_fraction_formula():
+    # the points a/96 and a/7, unreduced, against
+    # max(1 - |x - q_i| / halfwidth, 0) in Fractions
+    for i in range(40):
+        for d in (96, 7):
+            for a in range(-d, 2 * d + 1):
+                x = Fraction(a, d)
+                want = max(1 - abs(x - q_seq(i)) / fs_halfwidth(i), Fraction(0))
+                assert Fraction(_hat_num(i, a, d), d) == want == fs_eval(i, x)
 
 
 def test_fs_separation_value():
@@ -311,6 +348,68 @@ def test_chi_expand():
             expect = ind.integral(a, b) if ind is not None else Fraction(0)
             assert total == expect
         assert all(exp[k] == 0 for k in range(max(i, j), len(exp)))
+
+
+def _haar_integral_fraction(k, a, b):
+    """Reference: the sign-pattern integral from the Fraction support."""
+    if b < a:
+        return -_haar_integral_fraction(k, b, a)
+    if k == 0:
+        return max(min(b, Fraction(1)) - max(a, Fraction(0)), Fraction(0))
+    left, q, right = haar_support(k)
+    pos = max(min(b, q) - max(a, left), Fraction(0))
+    neg = max(min(b, right) - max(a, q), Fraction(0))
+    return pos - neg
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300), search_points, search_points)
+def test_haar_integral_matches_the_fraction_formula(k, a, b):
+    assert haar_integral(k, a, b) == _haar_integral_fraction(k, a, b)
+
+
+@st.composite
+def root_terms(draw):
+    """{exponent: coefficient} with exponents +-(g-1)/p, 0 among them, for
+    integer and non-integer p, signed coefficients, and optionally a pair
+    c 2^(e+1), -2c 2^e that cancels once normalized."""
+    p = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3)]))
+    exps = st.builds(lambda g, s: s * Fraction(g) / p, st.integers(0, 12),
+                     st.sampled_from([1, -1]))
+    coefs = st.builds(Fraction, st.integers(-(1 << 40), 1 << 40), st.integers(1, 10 ** 4))
+    terms = draw(st.dictionaries(exps, coefs, max_size=5))
+    if draw(st.booleans()):
+        e, c = draw(exps), draw(coefs)
+        terms.pop(e, None)
+        terms.pop(e + 1, None)
+        terms.update({e + 1: c, e: -2 * c})
+    return terms
+
+
+def _integer_terms(terms):
+    """(C, den): sum of c 2^e = sum (C_f / den) 2^f over fractional parts f."""
+    split = {e: _split_exp(e) for e in terms}
+    den = math.lcm(*(c.denominator for c in terms.values())) << max(
+        [0, *(-shift for shift, _ in split.values())])
+    out = {}
+    for e, c in terms.items():
+        shift, f = split[e]
+        out[f] = out.get(f, 0) + int(c * den * Fraction(2) ** shift)
+    return out, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_terms(), st.sampled_from([4, 16]))
+@example({Fraction(0): Fraction(3, 7)}, 4)        # 2^0 is not enclosed exactly
+@example({Fraction(1, 2): Fraction(1), Fraction(3, 2): Fraction(-1, 2)}, 4)
+def test_round_midpoint_matches_the_rootsum_enclosure(terms, w):
+    C, den = _integer_terms(terms)
+    ring = RootSum(terms)
+    want = round_half_away(sum(_tight_bounds(ring.bounds, Fraction(1, 1 << w))) / 2)
+    assert _round_midpoint(C, den, w) == want
+    for prec in (8, 30):
+        lo, hi = ring.bounds(prec)
+        assert Fraction(_midpoint_num(C, prec), den << (prec + 1)) == (lo + hi) / 2
 
 
 def test_rootsum_ring():
