@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .strings import (ConfigError, ContractError, MalformedName, is_binstr,
-                      proj_value, strings_of_length, tuple_strs)
+from .strings import (ConfigError, MalformedName, is_binstr, strings_of_length,
+                      tuple_strs)
 
 LengthFn = Callable[[int], int]
 
@@ -24,32 +24,18 @@ class ScanCutoffExceeded(ConfigError, ValueError):
     """A length scan was requested beyond the configured cutoff."""
 
 
-class BoundViolation(ContractError, ValueError):
-    """A name answered longer than its declared length bound."""
-
-
-class NotAPair(ContractError, ValueError):
-    """A value queried from a split name is not in the pairing image."""
-
-
 class TraceMiss(ConfigError, KeyError):
     """A traced name was queried outside its table."""
 
 
 class Name:
-    """A memoized total string function, optionally with a declared bound.
+    """A memoized total string function."""
 
-    The declared bound, when present, promises |eval(a)| <= bound(|a|) for
-    every query; it is checked lazily and a violation raises.
-    """
+    __slots__ = ("_fn", "_cache", "label")
 
-    __slots__ = ("_fn", "_cache", "declared_bound", "label")
-
-    def __init__(self, fn: Callable[[str], str], declared_bound: LengthFn | None = None,
-                 label: str = ""):
+    def __init__(self, fn: Callable[[str], str], label: str = ""):
         self._fn = fn
         self._cache: dict[str, str] = {}
-        self.declared_bound = declared_bound
         self.label = label
 
     def __call__(self, a: str) -> str:
@@ -59,9 +45,6 @@ class Name:
         v = self._fn(a)
         if not isinstance(v, str) or not is_binstr(v):
             raise MalformedName(f"name {self.label!r} answered a non-binary value at {a!r}")
-        if self.declared_bound is not None and len(v) > self.declared_bound(len(a)):
-            raise BoundViolation(
-                f"name {self.label!r}: |answer|={len(v)} exceeds bound at |a|={len(a)}")
         self._cache[a] = v
         return v
 
@@ -166,19 +149,6 @@ def pair_names(phi: Name, psi: Name) -> Name:
     """<phi, psi>(a) = <phi(a), psi(a)>; queries each component once per a."""
     return Name(lambda a: tuple_strs([phi(a), psi(a)]),
                 label=f"<{phi.label},{psi.label}>")
-
-
-def split_pair(chi: Name) -> tuple[Name, Name]:
-    """Observational inverse of pair_names; raises NotAPair lazily when a
-    queried value is not in the pairing image."""
-    def comp(i: int) -> Name:
-        def fn(a: str) -> str:
-            v = proj_value(i, 2, chi(a))
-            if v is None:
-                raise NotAPair(f"value of {chi.label!r} at {a!r} is not a pair")
-            return v
-        return Name(fn, label=f"proj{i}({chi.label})")
-    return comp(1), comp(2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ a "1"-tagged quadruple <<z_0..z_N>, N, n, m> answers the norm of the given
 rational combination to precision 1/(n+1).
 
 The translations compute on integers; they build Fractions only for the
-public answers (``dsq_value``, ``lp_value``) and the exponents (g-1)/p.
+public answers (``dsq_value``, ``lp_value``) and, once per generation g in
+``HaarSystem``, the exponents (g-1)/p.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from .funcs import PiecewiseLinear, StepFn
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
 from .schauder import (FSSystem, HaarSystem, _cell_hats, _haar_sign_integral,
-                       _hat_num, _midpoint_num, _round_midpoint, _split_exp,
-                       _tight_bounds, fs_coeffs, fs_nonzero_indices,
-                       fs_partial_sum_pl, haar_coeffs, haar_gen,
-                       haar_scale_exp, sup_error)
+                       _hat_num, _midpoint_num, _round_midpoint, _tight_bounds,
+                       fs_coeffs, fs_nonzero_indices, fs_partial_sum_pl,
+                       haar_coeffs, haar_gen, sup_error)
 from .strings import (MalformedName, _dyadic, _Record, ceil_lb, decode_int,
                       encode_int, nat_str, parse_nat, parse_nats, proj_value,
                       round_half_away, round_ratio, tuple_list, tuple_strs,
@@ -528,12 +528,13 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
     from the at most two contributing elements per generation, is a sum of
     C_f 2^f, f the fractional parts of (g-1)/p, rounded via its enclosure."""
     lfn = name_length_fn(phi)
+    haar_sys = HaarSystem(Fraction(p))
+    ceil_p = -(-haar_sys.p.numerator // haar_sys.p.denominator)
 
     def mu_out(t: int) -> int:
         # linear modulus bound from the queried length data; the worst-case
         # closed form is exponential in t and is never attained by the
         # library's carriers (tests compare against the exact modulus)
-        ceil_p = -(-p.numerator // p.denominator)
         return ceil_p * (t + 2) + lfn(t + 3) + t + 7
 
     size = _level_sizer(lambda: int(lfn(4)) + 4, mu_out)
@@ -546,7 +547,7 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
         for i in _aligned_nonzero_indices(Fraction(k, d), Fraction(l, d), N):
             z = coeff(i)
             if z:       # an endpoint inside element i's support puts g <= m
-                shift, f = _split_exp(haar_scale_exp(i, p))
+                shift, f = haar_sys._scale_split(i, 1)
                 z *= _haar_sign_integral(i, k, l, d)
                 terms[f] = terms.get(f, 0) + (z << (shift + j0 + m - haar_gen(i)))
         return _round_midpoint(terms, (M + 1) << (2 * m), 4), j0
@@ -578,7 +579,7 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction) -> Name:
                               for a in (c - 1, c)]
         K = max(k1, k2)                 # c_i = L 2^(g-1) / 2^K
         L = (q1 << (K - k1)) - (q2 << (K - k2))
-        shift, f = _split_exp(-haar_scale_exp(i, haar_sys.p))
+        shift, f = haar_sys._scale_split(i, -1)
         return round_ratio(_midpoint_num({f: L * (m + 1) << (g - 1)}, prec + 8),
                            1 << (K - shift + prec + 9))
 

@@ -150,15 +150,13 @@ def cmd_eval(args) -> int:
             rows.append([level, str(worst)])
         _write_csv(args.out, ["level", "sup_error"], rows)
         return 0
-    if args.basis == "haar":
-        p = _parse_p(args.p)
-        for i in range(1, args.n_max + 1):
-            lo, q, _ = haar_support(i)
-            rows.append([i, str(p), str(haar_integral(i, lo, q)),
-                         str(haar_scale_exp(i, p))])
-        _write_csv(args.out, ["i", "p", "coef", "exp2"], rows)
-        return 0
-    raise ConfigError(f"unknown basis {args.basis!r}")
+    p = _parse_p(args.p)                # haar, the other --basis choice
+    for i in range(1, args.n_max + 1):
+        lo, q, _ = haar_support(i)
+        rows.append([i, str(p), str(haar_integral(i, lo, q)),
+                     str(haar_scale_exp(i, p))])
+    _write_csv(args.out, ["i", "p", "coef", "exp2"], rows)
+    return 0
 
 
 def _parse_p(spec: str) -> Fraction:
@@ -171,21 +169,16 @@ def _parse_p(spec: str) -> Fraction:
     return p
 
 
-def _translation(kind: str):
-    params = BanachReprParams(S=exp_max_time())
-    if kind == "xi-to-dsq":
-        return lambda name: xi_to_dsq(name, params)
-    if kind == "dsq-to-xi":
-        return lambda name: dsq_to_xi(name, params)
-    if kind == "xi-to-lp":
-        return lambda name: xi_to_lp(name, params, Fraction(2))
-    if kind == "lp-to-xi":
-        return lambda name: lp_to_xi(name, params, Fraction(2))
-    raise ConfigError(f"unknown translation {kind!r}")
+# the translations `--kind` chooses from, each as (name, params) -> name
+_TRANSLATIONS = {
+    "xi-to-dsq": xi_to_dsq,
+    "dsq-to-xi": dsq_to_xi,
+    "xi-to-lp": lambda name, params: xi_to_lp(name, params, Fraction(2)),
+    "lp-to-xi": lambda name, params: lp_to_xi(name, params, Fraction(2)),
+}
 
 
 def cmd_translate(args) -> int:
-    translate = _translation(args.kind)
     # read bytes and decode strictly: standard input's own decoder would
     # turn undecodable bytes into surrogates instead of failing
     try:
@@ -205,7 +198,8 @@ def cmd_translate(args) -> int:
                               "must be binary strings")
     src = name_from_trace(text)
     queries = args.queries.split("|") if args.queries else []
-    trace = trace_of(translate(src), queries)
+    params = BanachReprParams(S=exp_max_time())
+    trace = trace_of(_TRANSLATIONS[args.kind](src, params), queries)
     if args.out:
         with _open_out(args.out) as fh:
             fh.write(trace + "\n")
@@ -245,8 +239,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("translate", help="translate a traced name")
     p.add_argument("--out", default="")
-    p.add_argument("--kind", required=True,
-                   choices=("xi-to-dsq", "dsq-to-xi", "xi-to-lp", "lp-to-xi"))
+    p.add_argument("--kind", required=True, choices=_TRANSLATIONS)
     p.add_argument("--trace", default="")
     p.add_argument("--queries", default="",
                    help="'|'-separated queries the output trace must cover")

@@ -23,9 +23,8 @@ from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
 from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, cauchy_index,
                     metric_answer, metric_query)
-from .strings import (ContractError, _dyadic, _frac, _Record, ceil_lb,
-                      decode_int, nat_str, parse_nats, proj_value, tuple_strs,
-                      untuple)
+from .strings import (ContractError, _frac, _Record, ceil_lb, decode_int,
+                      nat_str, parse_nats, proj_value, tuple_strs, untuple)
 
 
 class ParameterViolation(ContractError, ValueError):
@@ -62,21 +61,9 @@ def _q_dist(i: int, j: int, precision: int) -> Fraction:
     return Fraction(abs((ci << (s - si)) - (cj << (s - sj))), 1 << s)
 
 
-def q_index(x) -> int:
-    """Inverse of q_seq on [0, 1] dyadics."""
-    x = Fraction(x)
-    if x == 0:
-        return 0
-    if x == 1:
-        return 1
-    num, scale = _dyadic(x)
-    if not 0 < x < 1:
-        raise ValueError(f"{x} outside [0, 1]")
-    return _grid_index(num, scale)
-
-
 def _grid_index(c: int, s: int) -> int:
-    """q_index(c / 2^s) for 0 <= c <= 2^s, without building the fraction."""
+    """The index i with q_i = c / 2^s, for 0 <= c <= 2^s: the inverse of
+    _q_node on [0, 1]."""
     if c == 0:
         return 0
     if c == 1 << s:

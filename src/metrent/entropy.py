@@ -53,15 +53,11 @@ class PointCloud(_Record):
         return v
 
 
-def cloud_from_vectors(vectors, metric: str = "sup") -> PointCloud:
+def cloud_from_vectors(vectors) -> PointCloud:
+    """The vectors as a cloud under the sup metric."""
     vecs = [tuple(Fraction(c) for c in v) for v in vectors]
-    if metric == "sup":
-        d = lambda i, j: max(abs(a - b) for a, b in zip(vecs[i], vecs[j]))
-    elif metric == "l1":
-        d = lambda i, j: sum(abs(a - b) for a, b in zip(vecs[i], vecs[j]))
-    else:
-        raise InvalidConfig(f"unknown metric {metric!r}")
-    return PointCloud(vecs, d)
+    return PointCloud(vecs, lambda i, j: max(abs(a - b)
+                                             for a, b in zip(vecs[i], vecs[j])))
 
 
 class CoverResult(NamedTuple):

@@ -94,10 +94,6 @@ class PiecewiseLinear(_FrozenRecord):
         c = _frac(c)
         return PiecewiseLinear(self.xs, tuple(c * y for y in self.ys))
 
-    def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        xs = sorted(set(self.xs) | set(other.xs))
-        return PiecewiseLinear.build(xs, [self(x) + other(x) for x in xs])
-
 
 def sup_dist_pl(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
     """Exact supremum distance; attained on the union of breakpoint grids."""

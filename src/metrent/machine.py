@@ -240,23 +240,22 @@ def constructibility_program(S: RunningTime) -> Callable[[Ctx], None]:
     return prog
 
 
-def is_time_constructible(S: RunningTime, probe_names, depth: int) -> bool:
+def is_time_constructible(S: RunningTime, probes, depth: int) -> bool:
     """Run the library evaluator for S with budget 8*S + 8 on every probe
     and input of length <= depth; True iff no run exhausts its budget.
 
-    Each probe must carry a certified length bound (``declared_bound``).
+    A probe is a pair (phi, l) with l a caller-certified bound on |phi|, as
+    ``metered_run``'s l is.
     """
     prog = constructibility_program(S)
     budget = RunningTime(lambda l, n: 8 * S.bound(l, n) + 8, label="8*S+8")
-    for phi in probe_names:
-        if phi.declared_bound is None:
-            raise ValueError("probe names must carry a certified length bound")
+    for phi, l in probes:
         for a in all_strings(depth):
             try:
-                out, _, _ = metered_run(prog, phi, a, budget, phi.declared_bound)
+                out, _, _ = metered_run(prog, phi, a, budget, l)
             except BudgetExceeded:
                 return False
-            expect = S.bound(phi.declared_bound, len(a))
+            expect = S.bound(l, len(a))
             if out != "1" * expect:
                 raise ContractViolation(
                     f"evaluator for {S.label!r} computed {len(out)} != {expect}")

@@ -4,9 +4,12 @@ continuous functions and the p-normalized Haar system for integrable ones.
 Haar data is kept in step form: a coefficient lam_k is stored as
 c_k = lam_k 2^((g-1)/p) and an element's integral as the integral of its
 sign pattern, both rational for rational step functions and both free of
-p.  The scale 2^((g-1)/p) belongs to the system (``HaarSystem.p``) and
-enters only inside ``RootSum``, the ring of rational combinations of
-rational powers of two; numeric enclosures appear only at representation
+p.  The scale 2^((g-1)/p) belongs to the system: ``HaarSystem`` holds p
+and splits each generation's exponent once.  It enters in two ways: inside
+``RootSum``, the ring of rational combinations of rational powers of two,
+for combinations and norms; and as the integer midpoint of a ``RootSum``
+enclosure (``_midpoint_num``, ``_round_midpoint``) for ``coeff_int`` and
+the Haar translations.  Numeric enclosures appear only at representation
 boundaries.
 
 Synthesis is linear in the number of coefficients.  Hat partial sums
@@ -483,6 +486,17 @@ class HaarSystem(_Record):
 
     def __init__(self, p: Fraction):
         self.p = p
+        self._splits: dict[int, tuple[int, Fraction]] = {}
+
+    def _scale_split(self, i: int, sign: int) -> tuple[int, Fraction]:
+        """_split_exp(sign * haar_scale_exp(i, p)), computed once per
+        generation g and sign; the key sign * g is exact because the
+        exponent is 0 for g <= 1."""
+        key = sign * haar_gen(i)
+        hit = self._splits.get(key)
+        if hit is None:
+            hit = self._splits[key] = _split_exp(sign * haar_scale_exp(i, self.p))
+        return hit
 
     def combo_pieces(self, zs: list[Fraction]) -> list[tuple[Fraction, RootSum]]:
         """Constant pieces (width, value) of sum z_k f_{k,p}, left to right
@@ -541,7 +555,7 @@ class HaarSystem(_Record):
         from the step form; lam_i = 0 past the list."""
         if i >= len(c):
             return 0
-        shift, f = _split_exp(-haar_scale_exp(i, self.p))      # shift <= 0
+        shift, f = self._scale_split(i, -1)                   # shift <= 0
         return _round_midpoint({f: c[i].numerator * scale},
                                c[i].denominator << -shift, 16)
 

@@ -39,8 +39,7 @@ class ConfigError(MetrentError):
 
 class InvalidConfig(ConfigError, ValueError):
     """A configuration value the library does not accept: an unknown
-    identifier (space, running time, distance formula, metric, covering
-    mode) or a malformed table."""
+    covering mode, a running time with no evaluator, or a malformed table."""
 
 
 class ContractError(MetrentError):
@@ -188,24 +187,9 @@ def tuple_strs(parts) -> str:
     return out.decode("ascii")
 
 
-def proj(i: int, k: int, b: str) -> str:
-    """Projection onto component i (1-based) of a k-tuple.
-
-    Returns "0" + a_i when b is in the image of the k-ary tupling and
-    epsilon otherwise; the leading "0" marks success so that the component
-    epsilon stays distinguishable from failure.  Runs in time linear in |b|.
-    """
-    if not 1 <= i <= k:
-        raise ValueError("component index out of range")
-    comps = untuple(k, b)
-    if comps is None:
-        return ""
-    return "0" + comps[i - 1]
-
-
 def proj_value(i: int, k: int, b: str) -> str | None:
-    """Component i of a k-tuple without the success marker; None if b is
-    not in the image."""
+    """Component i (1-based) of a k-tuple; None if b is not in the image of
+    the k-ary tupling."""
     comps = untuple(k, b)
     return None if comps is None else comps[i - 1]
 

@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metrent.baire import (SCAN_CUTOFF, BoundViolation, MalformedPadding,
-                           Name, NotAPair, ScanCutoffExceeded, TraceMiss,
-                           in_kl, is_length_monotone,
-                           length_of, name_from_trace, pad, pair_names,
-                           split_pair, trace_of, unpad, unpad_value)
-from metrent.strings import MalformedName, all_strings, tuple_strs
+from metrent.baire import (SCAN_CUTOFF, MalformedPadding, Name,
+                           ScanCutoffExceeded, TraceMiss, in_kl,
+                           is_length_monotone, length_of, name_from_trace, pad,
+                           pair_names, trace_of, unpad, unpad_value)
+from metrent.strings import MalformedName, all_strings, tuple_strs, untuple
 
 
 def identity_name():
@@ -37,14 +36,6 @@ def test_non_binary_answer_is_malformed_name():
         Name(lambda a: "x")("")
 
 
-def test_declared_bound_checked():
-    phi = Name(lambda a: a + a, declared_bound=lambda n: n + 1)
-    assert phi("") == ""
-    assert phi("0") == "00"
-    with pytest.raises(BoundViolation):
-        phi("01")
-
-
 def test_in_kl_examples():
     assert in_kl(Name(lambda a: ""), lambda n: n, 5)
     clipped = lambda n: max(n - 1, 0)
@@ -57,6 +48,9 @@ def test_is_length_monotone_examples():
     assert is_length_monotone(Name(lambda a: a[::-1]), 4)
     bad = Name(lambda a: "11" if a == "" else "")
     assert not is_length_monotone(bad, 2)
+    # two queries of one length, answers of two lengths
+    uneven = Name(lambda a: "1" if a == "1" else "")
+    assert not is_length_monotone(uneven, 1)
 
 
 @pytest.mark.parametrize("scan", [
@@ -120,22 +114,14 @@ def test_pair_and_split():
     phi, psi = identity_name(), Name(lambda a: "1" + a)
     chi = pair_names(phi, psi)
     assert chi("") == tuple_strs(["", "1"])
-    p1, p2 = split_pair(chi)
     for a in all_strings(4):
-        assert p1(a) == phi(a)
-        assert p2(a) == psi(a)
+        assert untuple(2, chi(a)) == [phi(a), psi(a)]
 
 
 def test_pair_constant_eps():
     chi = pair_names(Name(lambda a: ""), Name(lambda a: ""))
     for a in ("", "0", "11"):
         assert chi(a) == "11"
-
-
-def test_split_not_a_pair():
-    p1, _ = split_pair(Name(lambda a: ""))
-    with pytest.raises(NotAPair):
-        p1("0")
 
 
 def test_trace_roundtrip():

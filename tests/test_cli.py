@@ -269,7 +269,7 @@ def _recorded_trace(kind):
     from metrent.banach import (BanachReprParams, banach_name, coeff_query,
                                 delta_square_name, dsq_query, fs_vector,
                                 haar_vector, lp_name, lp_query)
-    from metrent.cli import _translation
+    from metrent.cli import _TRANSLATIONS
     from metrent.funcs import (PiecewiseLinear, chi, continuity_modulus,
                                lp_modulus, modulus_fn)
     from metrent.machine import exp_max_time
@@ -288,11 +288,11 @@ def _recorded_trace(kind):
         "lp-to-xi": (lp_name(g, p, modulus_fn(lp_modulus(g, 2, 8))), coeff_query(1, 1, 3)),
     }[kind]
     seen = Name(src)
-    _translation(kind)(seen)(query)
+    _TRANSLATIONS[kind](seen, params)(query)
     return [f"{a}\t{b}" for a, b in seen._cache.items()], query
 
 
-KINDS = ["xi-to-dsq", "dsq-to-xi", "xi-to-lp", "lp-to-xi"]
+KINDS = list(cli._TRANSLATIONS)
 
 # trace lines "query<TAB>answer" over short queries, with answers that are
 # sometimes not binary, plus lines without a tab
@@ -357,6 +357,17 @@ def test_unread_flag_is_rejected(argv):
     rc, err = _run_main(argv, "")
     assert rc == 2
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--kind", "bogus"],
+    ["eval", "--basis", "bogus"],
+])
+def test_unknown_choice_is_a_usage_error(argv):
+    # argparse's choices are the one check on --kind and --basis
+    rc, err = _run_main(argv, "")
+    assert rc == 2
+    assert "invalid choice: 'bogus'" in err and "config-error" not in err
 
 
 # one answer of a recorded trace altered: kept, cut, extended, replaced

@@ -10,14 +10,15 @@ from metrent.banach import (BanachReprParams, banach_name, delta_square_name,
                             dsq_to_xi, fs_vector, haar_vector, lp_name,
                             lp_to_xi)
 from metrent.compact import (CompactReprParams, ParameterViolation,
-                             _max_separated, _q_node, _with_length_branch, check_uniformly_dense,
+                             _grid_index, _max_separated, _q_node,
+                             _with_length_branch, check_uniformly_dense,
                              chunk_query, compact_decode_index,
                              compact_metric_program, compact_metric_time,
                              compact_name,
                              compact_to_relativized,
                              greedy_uniform_seq, lipschitz_cloud,
                              measured_size_unit_interval, name_length_fn,
-                             q_index, q_seq, relativized_to_compact,
+                             q_seq, relativized_to_compact,
                              unit_interval_approx, unit_interval_ell,
                              unit_interval_short_approx, unit_interval_space)
 from metrent.entropy import (PointCloud, SizeExceeded, cloud_from_vectors,
@@ -27,7 +28,8 @@ from metrent.funcs import (PiecewiseLinear, StepFn, continuity_modulus,
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem
 from metrent.reprs import cauchy_validate
-from metrent.strings import ceil_lb, decode_int, floor_lb, nat_str, tuple_strs
+from metrent.strings import (_dyadic, ceil_lb, decode_int, floor_lb, nat_str,
+                             tuple_strs)
 
 
 def params_unit(S=None):
@@ -65,10 +67,12 @@ def test_unit_interval_dist_matches_node_difference():
 
 
 def test_q_index_inverse():
+    # _grid_index inverts the node enumeration, on any dyadic scale
     for i in range(300):
-        assert q_index(q_seq(i)) == i
+        c, s = _q_node(i)
+        assert _grid_index(c, s) == _grid_index(c << 3, s + 3) == i
     with pytest.raises(ValueError, match="not dyadic"):
-        q_index(Fraction(1, 3))
+        _grid_index(*_dyadic(Fraction(1, 3)))
 
 
 def test_measured_size():
@@ -115,8 +119,8 @@ def _greedy_order_by_rescan(K):
 @given(st.one_of(
     st.lists(st.integers(-4, 12).map(lambda k: Fraction(k, 8)), min_size=1,
              max_size=26).map(lambda v: PointCloud(v, lambda i, j: abs(v[i] - v[j]))),
-    st.tuples(st.lists(st.tuples(*[st.integers(0, 3)] * 2), min_size=1, max_size=26),
-              st.sampled_from(["sup", "l1"])).map(lambda vm: cloud_from_vectors(*vm))),
+    st.lists(st.tuples(*[st.integers(0, 3)] * 2), min_size=1,
+             max_size=26).map(cloud_from_vectors)),
     st.integers(0, 5))
 def test_greedy_uniform_seq_matches_rescan(K, horizon):
     spec = greedy_uniform_seq(K, horizon)
@@ -243,10 +247,11 @@ def _short_approx_by_fractions(x):
         s = k - 1
         lo = int(x * (1 << s))
         cands = {Fraction(min(max(c, 0), 1 << s), 1 << s) for c in (lo, lo + 1)}
-        best = min(cands, key=lambda v: (abs(v - x), q_index(v)))
+        index = lambda v: _grid_index(*_dyadic(v))
+        best = min(cands, key=lambda v: (abs(v - x), index(v)))
         if abs(best - x) > Fraction(1, n + 1):
             raise ParameterViolation(f"no admissible short index at precision {n}")
-        return q_index(best)
+        return index(best)
 
     return approx
 

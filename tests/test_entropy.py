@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metrent.baire import Name
-from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
+from metrent.entropy import (ApproxSetSpec, ContractViolation,
+                             InsufficientTabulation, PointCloud,
                              SizeExceeded, build_large_compact,
                              check_spanning_le_covering, cloud_from_vectors,
                              covering_number, dialog_cover_experiment,
                              farthest_first, interval_cover_count,
                              lorentz_bounds, packing_exponent, packing_witness)
 from metrent.machine import RunningTime, const_time
+from metrent.strings import InvalidConfig
 
 
 def line_cloud(values):
@@ -70,8 +72,7 @@ vectors = st.lists(st.tuples(*[st.integers(0, 4).map(lambda k: Fraction(k, 4))] 
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(line_values.map(line_cloud),
-                 st.tuples(vectors, st.sampled_from(["sup", "l1"])).map(
-                     lambda vm: cloud_from_vectors(*vm))))
+                 vectors.map(cloud_from_vectors)))
 def test_greedy_cover_matches_per_radius_loop(K):
     for n in range(-2, 11):
         assert covering_number(K, n, "greedy").count == \
@@ -132,10 +133,9 @@ def test_greedy_at_least_exact_and_packing_below():
             assert len(packing_witness(K, n)) <= exact.count
             assert check_spanning_le_covering(K, n)
     # no points need no balls
-    for metric in ("sup", "l1"):
-        empty = cloud_from_vectors([], metric)
-        for mode in ("exact", "greedy"):
-            assert covering_number(empty, 0, mode).count == 0
+    empty = cloud_from_vectors([])
+    for mode in ("exact", "greedy"):
+        assert covering_number(empty, 0, mode).count == 0
 
 
 def test_build_large_compact_unit_peaks():
@@ -177,6 +177,16 @@ def test_lorentz_dyadic_reference():
         lo, hi = lorentz_bounds(spec, n)
         assert lo == math.log(2) * sum(range(1, n))
         assert lo <= hi
+
+
+def test_lorentz_refuses_bad_tables():
+    for deltas, why in (([], "empty"), ([Fraction(1), Fraction(0)], "positive")):
+        with pytest.raises(InvalidConfig, match=why):
+            ApproxSetSpec(deltas)
+    # 2^-16 is below every tabulated tolerance
+    spec = ApproxSetSpec([Fraction(1, 1 << k) for k in range(16)])
+    with pytest.raises(InsufficientTabulation, match="2\\^-16"):
+        lorentz_bounds(spec, 14)
 
 
 def test_lorentz_first_drop():

@@ -72,8 +72,6 @@ ERROR_CLASSES = {
     "MalformedName": (ContractError, ValueError),
     "MalformedEncoding": (ContractError, ValueError),
     "MalformedPadding": (ContractError, ValueError),
-    "BoundViolation": (ContractError, ValueError),
-    "NotAPair": (ContractError, ValueError),
     "ParameterViolation": (ContractError, ValueError),
     "BudgetExceeded": (ContractError, RuntimeError),
     "ContractViolation": (ContractError, None),
@@ -126,10 +124,8 @@ def _public_defs():
 # every defaulted parameter of the public API, as (module, callable,
 # parameter); a new knob needs a visible edit here
 DEFAULTED_PARAMETERS = {
-    ("baire", "Name.__init__", "declared_bound"),
     ("baire", "Name.__init__", "label"),
     ("cli", "main", "argv"),
-    ("entropy", "cloud_from_vectors", "metric"),
     ("entropy", "covering_number", "mode"),
     ("machine", "Ctx.tick", "k"),
     ("machine", "RunningTime.__init__", "evaluator"),
@@ -205,55 +201,82 @@ def test_every_unread_parameter_is_listed():
 
 
 # the public top-level definitions of src/metrent, and the public methods of
-# its public classes, that no code in src/, scripts/ or benchmarks/ reads:
-# the paper's checks, their fixtures, and names that benchmarks/ keys on only
-# in strings (tracer groups) or through the signatures it calls.  A new
-# public definition needs a reader or a visible edit here.  A bare name
-# reads a definition only in a file that defines or imports that name, so a
-# local variable does not count; an attribute counts by its name alone, as
-# the census does not infer types.  So a method is read whenever any
-# attribute of its name is: PiecewiseLinear.add and .scaled look read only
-# through set.add and RootSum.scaled
+# its public classes, that no code in src/, scripts/ or benchmarks/ reads,
+# each with the reason it stays: a paper check (its consumer is the
+# acceptance suite), the reference a test compares against, or the ROADMAP
+# item that will give it a library caller.  A new public definition needs a
+# reader or a visible edit here.  A bare name reads a definition only in a
+# file that defines or imports that name, so a local variable does not count;
+# an attribute counts by its name alone, as the census does not infer types.
+# So a method is read whenever any attribute of its name is:
+# PiecewiseLinear.scaled looks read only through RootSum.scaled
 TEST_ONLY_PUBLIC = {
-    ("baire", "in_kl"),
-    ("baire", "is_length_monotone"),
-    ("baire", "length_of"),
-    ("baire", "pad"),
-    ("baire", "split_pair"),
-    ("baire", "unpad"),
-    ("banach", "add_time"),
-    ("banach", "banach_add_program"),
-    ("banach", "check_growth"),
-    ("banach", "counted"),
-    ("banach", "xi_decode_pl"),
-    ("compact", "check_uniformly_dense"),
-    ("compact", "compact_to_relativized"),
-    ("compact", "greedy_uniform_seq"),
-    ("compact", "lipschitz_cloud"),
-    ("compact", "q_index"),
-    ("compact", "relativized_to_compact"),
-    ("entropy", "build_large_compact"),
-    ("entropy", "check_spanning_le_covering"),
-    ("entropy", "cloud_from_vectors"),
-    ("entropy", "interval_cover_count"),
-    ("funcs", "approx_check"),
-    ("funcs", "lp_modulus_shift_check"),
-    ("machine", "check_monotone_sampled"),
-    ("machine", "is_time_constructible"),
-    ("machine", "length_time_by_convention"),
-    ("machine", "length_time_by_scan"),
-    ("reprs", "cauchy_validate"),
-    ("reprs", "co_re_reject"),
-    ("reprs", "dyadic_line_space"),
-    ("reprs", "real_name"),
-    ("reprs", "real_validate"),
-    ("reprs", "relativized_cauchy_name"),
-    ("reprs", "relativized_metric_program"),
-    ("reprs", "relativized_metric_time"),
-    ("schauder", "chi_expand"),
-    ("schauder", "fs_separation"),
-    ("strings", "proj"),
+    ("baire", "in_kl"): "paper check: finite-depth membership in K_l",
+    ("baire", "is_length_monotone"):
+        "ROADMAP item 13: Kawamura-Cook's length-monotone names",
+    ("baire", "length_of"):
+        "reference: the exhaustive |phi|(n) that the 0^k length convention "
+        "is tested against",
+    ("baire", "pad"): "ROADMAP item 13: the padded twin of a name",
+    ("baire", "unpad"): "ROADMAP item 13: the reader of a padded twin",
+    ("banach", "add_time"): "paper check: the budget of the metered addition",
+    ("banach", "banach_add_program"):
+        "paper check: metered addition on Banach names",
+    ("banach", "check_growth"):
+        "paper check: samples the growth hypothesis BanachReprParams states, "
+        "as check_monotone_sampled does for monotonicity",
+    ("banach", "counted"): "paper check: C10's query counter",
+    ("banach", "xi_decode_pl"):
+        "reference: a hat-coefficient name read back as the function it names",
+    ("compact", "check_uniformly_dense"):
+        "ROADMAP item 12: the check on the sequences compact names are built over",
+    ("compact", "compact_to_relativized"):
+        "ROADMAP item 10: the admissibility translation, to be metered",
+    ("compact", "greedy_uniform_seq"):
+        "ROADMAP item 12: the uniformly dense sequence of a cloud",
+    ("compact", "lipschitz_cloud"):
+        "ROADMAP item 8: the Lipschitz ball, whose entropy forces the trade-off",
+    ("compact", "relativized_to_compact"):
+        "ROADMAP item 10: the admissibility translation, to be metered",
+    ("entropy", "build_large_compact"):
+        "paper check: C05's compact of prescribed size",
+    ("entropy", "check_spanning_le_covering"):
+        "paper check: C05's spanning-versus-covering clause",
+    ("entropy", "cloud_from_vectors"): "paper check: C05's sup-metric clouds",
+    ("entropy", "interval_cover_count"):
+        "reference: the exact line cover that measured_size_unit_interval's "
+        "closed form is tested against",
+    ("funcs", "approx_check"): "paper check: C09's smoothing approximation",
+    ("funcs", "lp_modulus_shift_check"): "paper check: C09's shift lemma",
+    ("machine", "check_monotone_sampled"):
+        "paper check: sampled monotonicity of second-order running times",
+    ("machine", "is_time_constructible"):
+        "paper check: time-constructibility under the meter",
+    ("machine", "length_time_by_convention"):
+        "ROADMAP item 5: the fast length, read at 0^k",
+    ("machine", "length_time_by_scan"):
+        "ROADMAP item 5: the slow length, by exhaustive scan",
+    ("reprs", "cauchy_validate"):
+        "paper check: rejects non-names of the Cauchy representation",
+    ("reprs", "co_re_reject"):
+        "paper check: the co-r.e. rejection of non-names",
+    ("reprs", "dyadic_line_space"):
+        "ROADMAP item 5: the real line, the non-compact space the Cauchy "
+        "validators run on",
+    ("reprs", "real_name"): "ROADMAP item 5: the standard names of reals",
+    ("reprs", "real_validate"):
+        "paper check: rejects non-names of the standard real representation",
+    ("reprs", "relativized_cauchy_name"):
+        "ROADMAP item 10: the relativized side of the admissibility translation",
+    ("reprs", "relativized_metric_program"):
+        "ROADMAP item 10: the metered metric on relativized names",
+    ("reprs", "relativized_metric_time"):
+        "ROADMAP item 10: the budget of the relativized metric",
+    ("schauder", "chi_expand"): "paper check: C08's indicator expansions",
+    ("schauder", "fs_separation"):
+        "paper check: C11's separation of the hat functions",
 }
+REASONS = ("paper check: ", "reference: ", "ROADMAP item ")
 
 
 def _reads(tree):
@@ -288,14 +311,16 @@ def test_every_test_only_public_definition_is_listed():
         if all(path == own and node.lineno <= line <= node.end_lineno
                for path, line in reads.get(node.name, ())):
             found.add((mod, qual))
-    assert found == TEST_ONLY_PUBLIC
+    assert found == set(TEST_ONLY_PUBLIC)
+    for key, reason in TEST_ONLY_PUBLIC.items():
+        assert reason.startswith(REASONS), key
+        assert reason.partition(": ")[2].strip(), key
 
 
 # one bad configuration per library entry point that reads one
 INVALID_CONFIGS = {
     "ApproxSetSpec": lambda: ApproxSetSpec([Fraction(1, 2), Fraction(1)]),
     "modulus_fn": lambda: modulus_fn([2, 1]),
-    "cloud_from_vectors": lambda: cloud_from_vectors([(0,), (1,)], "taxicab"),
     "covering_number": lambda: covering_number(
         cloud_from_vectors([(0,), (1,)]), 0, "bogus"),
 }

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from metrent.baire import Name, pair_names
 from metrent.machine import (BudgetExceeded, ContractViolation, Dialog,
-                             RunningTime,
-                             check_monotone_sampled, const_time,
+                             RunningTime, check_monotone_sampled,
+                             const_time, constructibility_program,
                              dialog_length_bound, equality_from_metric,
                              exp_max_time, first_order, is_time_constructible,
                              length_time_by_convention, length_time_by_scan,
@@ -16,7 +16,8 @@ from metrent.machine import (BudgetExceeded, ContractViolation, Dialog,
 from metrent.reprs import cauchy_metric_program, cauchy_metric_time
 from metrent.compact import unit_interval_short_approx, unit_interval_space
 from metrent.reprs import cauchy_name
-from metrent.strings import encode_int, round_half_away
+from metrent.strings import (InvalidConfig, MalformedName, encode_int,
+                             round_half_away)
 
 
 def copy_program(ctx):
@@ -131,7 +132,8 @@ def test_dialog_determinism_replay():
 
 
 def bounded_probe(l):
-    return Name(lambda a: "1" * l(len(a)), declared_bound=l)
+    """A name answering 1^l(|a|), with l its certified length bound."""
+    return Name(lambda a: "1" * l(len(a))), l
 
 
 def test_time_constructible_examples():
@@ -162,6 +164,21 @@ def test_monotone_sampled_library_times():
     assert check_monotone_sampled(T_compact, pairs, depth=5)
     assert check_monotone_sampled(cauchy_metric_time(), pairs, depth=5)
     assert check_monotone_sampled(S, pairs, depth=5)
+    shrinking = RunningTime(lambda l, n: max(10 - l(n) - n, 0))
+    assert not check_monotone_sampled(shrinking, pairs, depth=5)
+    with pytest.raises(ValueError, match="premise"):
+        check_monotone_sampled(S, [(lambda n: n + 1, lambda n: n)], depth=2)
+
+
+def test_metered_programs_refuse_bad_input_and_missing_evaluators():
+    # the shared input step reads a numeral; a program that evaluates its
+    # running time refuses, when built, one without an evaluator
+    prog = cauchy_metric_program(unit_interval_space())
+    with pytest.raises(MalformedName, match="not a precision index"):
+        metered_run(prog, Name(lambda a: ""), "01", const_time(100),
+                    lambda n: 0)
+    with pytest.raises(InvalidConfig, match="no evaluator"):
+        constructibility_program(RunningTime(lambda l, n: n, "bare"))
 
 
 def eq_setup():

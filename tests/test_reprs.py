@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from metrent.baire import Name, pair_names, split_pair
+from metrent.baire import Name, pair_names
 from metrent.compact import q_seq, unit_interval_approx, unit_interval_space
 from metrent.machine import RunningTime, metered_run
 from metrent.reprs import (MalformedName, MetricSpaceSpec,
@@ -12,7 +12,7 @@ from metrent.reprs import (MalformedName, MetricSpaceSpec,
                            dyadic_line_space, metric_answer, real_decode,
                            real_name, real_validate, relativized_cauchy_name)
 from metrent.strings import (all_strings, decode_int, encode_int,
-                             nat_str, round_ratio, tuple_strs)
+                             nat_str, round_ratio, tuple_strs, untuple)
 
 
 def test_real_name_examples():
@@ -144,17 +144,19 @@ def test_product_roundtrip_and_errors():
     phi = real_name(Fraction(1, 4))
     psi = real_name(Fraction(3, 4))
     chi = pair_names(phi, psi)
-    a, b = split_pair(chi)
+    a, b = (Name(lambda q, i=i: untuple(2, chi(q))[i]) for i in (0, 1))
     for q in all_strings(5):
         assert a(q) == phi(q) and b(q) == psi(q)
     va, _ = real_decode(a, 9)
     vb, _ = real_decode(b, 9)
     assert abs(va - Fraction(1, 4)) <= Fraction(1, 10)
     assert abs(vb - Fraction(3, 4)) <= Fraction(1, 10)
-    from metrent.baire import NotAPair
-    bad, _ = split_pair(Name(lambda a: ""))
-    with pytest.raises(NotAPair):
-        bad("1")
+    # the metric program reads its oracle as a pair and refuses one answer
+    # that is not
+    prog = cauchy_metric_program(unit_interval_space())
+    budget = RunningTime(lambda l, n: 1000)
+    with pytest.raises(MalformedName, match="not a pair"):
+        metered_run(prog, Name(lambda q: "1"), nat_str(1), budget, lambda n: 1)
 
 
 def test_co_re_reject_sound_and_complete():

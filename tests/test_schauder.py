@@ -331,6 +331,8 @@ def test_chi_expand():
     assert all(c == 0 for c in z)
     e = chi_expand(0, 2, p)      # indicator of [0, 1/2]
     assert e[:2] == [Fraction(1, 2), Fraction(1, 2)]
+    with pytest.raises(ValueError, match="q_i <= q_j"):
+        chi_expand(1, 2, p)      # q_1 = 1 > q_2 = 1/2
     rnd = random.Random(41)
     for _ in range(25):
         i, j = rnd.randrange(13), rnd.randrange(13)
@@ -447,6 +449,8 @@ def test_haar_system_norms():
     # || (f_0 + f_1)/2 ||_2: value levels are 1 and 0 on the two halves
     val = sys2.norm_power(sys2.combo_pieces([Fraction(1, 2), Fraction(1, 2)]))
     assert val.terms == {Fraction(0): Fraction(1, 2)}
+    with pytest.raises(ValueError, match="integer p"):
+        HaarSystem(Fraction(3, 2)).norm_power([])
 
 
 def test_haar_tail_within_a_nonzero_tail():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from metrent.strings import (MalformedEncoding, all_strings, ceil_lb,
                              ceil_lb_ratio, decode_int, encode_int, floor_lb,
-                             is_binstr, nat_str, parse_nat, parse_nats, proj,
+                             is_binstr, nat_str, parse_nat, parse_nats,
                              proj_value, round_half_away, round_ratio,
                              tuple_list, tuple_strs, untuple)
 
@@ -71,6 +71,11 @@ def test_tuple_strs_rejects_non_ascii():
         tuple_strs(["0", "\u00e9"])
 
 
+def test_tuple_strs_needs_two_parts():
+    with pytest.raises(ValueError, match="at least two parts"):
+        tuple_strs(["1"])
+
+
 # one character that int(a, 2) accepts or rejects, at any position of a
 # binary string of up to 200 characters, on both sides of the length where
 # is_binstr switches from strip to counting
@@ -106,16 +111,16 @@ def test_is_binstr_matches_per_character_check(a):
 
 
 def test_proj_examples():
-    assert proj(1, 2, "0111") == "00"
-    assert proj(2, 2, "0111") == "01"
-    assert proj(1, 2, "0") == ""
+    assert proj_value(1, 2, "0111") == "0"
+    assert proj_value(2, 2, "0111") == "1"
+    assert proj_value(2, 2, "1110") == ""
+    assert proj_value(1, 2, "0") is None
 
 
 def test_proj_not_in_image():
-    assert proj(1, 2, "") == ""
-    assert proj(1, 2, "00") == ""       # no terminator markers
-    assert proj(1, 2, "10") == ""       # padding not minimal
-    assert proj_value(1, 2, "10") is None
+    assert proj_value(1, 2, "") is None
+    assert proj_value(1, 2, "00") is None       # no terminator markers
+    assert proj_value(1, 2, "10") is None       # padding not minimal
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -125,7 +130,7 @@ def test_tuple_proj_roundtrip_small(k):
     for parts in itertools.product(pool, repeat=k):
         b = tuple_strs(list(parts))
         for i in range(1, k + 1):
-            assert proj(i, k, b) == "0" + parts[i - 1]
+            assert proj_value(i, k, b) == parts[i - 1]
 
 
 @given(st.lists(binstr, min_size=2, max_size=4))
@@ -179,7 +184,7 @@ def test_int_codec_examples():
 
 
 def test_int_codec_malformed():
-    for bad in ("0", "00", "001", "0011"[:3]):
+    for bad in ("0", "00", "001", "0011"[:3], "2"):
         with pytest.raises(MalformedEncoding):
             decode_int(bad)
 
@@ -314,6 +319,8 @@ def test_round_ratio_sends_half_ties_away_from_zero(m, k):
 def test_lb_helpers():
     assert [ceil_lb(i) for i in (0, 1, 2, 3, 4, 5)] == [0, 0, 1, 2, 2, 3]
     assert [floor_lb(i) for i in (1, 2, 3, 4)] == [0, 1, 1, 2]
+    with pytest.raises(ValueError, match="n >= 1"):
+        floor_lb(0)
 
 
 def _ceil_lb_by_search(r: Fraction) -> int:
