@@ -10,22 +10,14 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .strings import (ConfigError, MalformedName, is_binstr, strings_of_length,
-                      tuple_strs)
+from .strings import (InvalidConfig, MalformedName, is_binstr,
+                      strings_of_length, tuple_strs)
 
 LengthFn = Callable[[int], int]
 
 #: cutoff for exhaustive scans over queries; the scan cost is exponential
 #: in the depth (2^(n+1) - 1 queries), so keep this small.
 SCAN_CUTOFF = 20
-
-
-class ScanCutoffExceeded(ConfigError, ValueError):
-    """A length scan was requested beyond the configured cutoff."""
-
-
-class TraceMiss(ConfigError, KeyError):
-    """A traced name was queried outside its table."""
 
 
 class Name:
@@ -55,7 +47,7 @@ class Name:
 def _check_scan_depth(depth: int) -> None:
     """Refuse, before any query, a scan deeper than SCAN_CUTOFF."""
     if depth > SCAN_CUTOFF:
-        raise ScanCutoffExceeded(f"scan depth {depth} exceeds cutoff {SCAN_CUTOFF}")
+        raise InvalidConfig(f"scan depth {depth} exceeds cutoff {SCAN_CUTOFF}")
 
 
 def _level_lengths(phi: Name, k: int) -> list[int]:
@@ -120,20 +112,16 @@ def pad(phi: Name, m: LengthFn) -> Name:
     return Name(fn, label=f"pad({phi.label})")
 
 
-class MalformedPadding(MalformedName):
-    pass
-
-
 def unpad_value(v: str) -> str:
     if len(v) % 2 != 0:
-        raise MalformedPadding(f"odd length: {v!r}")
+        raise MalformedName(f"odd length: {v!r}")
     pairs = [v[i:i + 2] for i in range(0, len(v), 2)]
     while pairs and pairs[-1] == "00":
         pairs.pop()
     out = []
     for p in pairs:
         if p[1] != "1":
-            raise MalformedPadding(f"bad digit pair {p!r} in {v!r}")
+            raise MalformedName(f"bad digit pair {p!r} in {v!r}")
         out.append(p[0])
     return "".join(out)
 
@@ -155,15 +143,21 @@ def pair_names(phi: Name, psi: Name) -> Name:
 # trace fixtures: text lines "query<TAB>answer"
 
 def name_from_trace(text: str) -> Name:
+    """The name that answers each traced query as its line does; lines
+    without a tab are skipped, and a tab line whose query or answer is not
+    a binary string raises InvalidConfig."""
     table: dict[str, str] = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if "\t" not in line:
             continue
         q, _, ans = line.partition("\t")
+        if not (is_binstr(q) and is_binstr(ans)):
+            raise InvalidConfig(f"trace line {lineno}: query and answer "
+                                "must be binary strings")
         table[q] = ans
     def fn(a: str) -> str:
         if a not in table:
-            raise TraceMiss(f"trace has no entry for {a!r}")
+            raise InvalidConfig(f"trace has no entry for {a!r}")
         return table[a]
     return Name(fn, label="traced")
 

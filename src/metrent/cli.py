@@ -27,7 +27,8 @@ from .machine import equality_from_metric, exp_max_time, RunningTime
 from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
 from .schauder import (fs_coeffs, fs_partial_sum_pl, haar_integral,
                        haar_scale_exp, haar_support)
-from .strings import ConfigError, ContractError, is_binstr
+from .strings import ConfigError, ContractError, InvalidConfig
+
 COLUMNS_DOC = """\
 CSV columns:
   entropy:
@@ -57,7 +58,7 @@ def _parse_l_table(spec: str):
         if spec.startswith("n+"):
             c = int(spec[2:])
             if c < 0:
-                raise ValueError(f"negative offset {c}")
+                raise InvalidConfig(f"negative offset {c}")
             return lambda n: n + c
         return modulus_fn([int(v) for v in spec.split(",")])
     except ValueError as e:
@@ -192,10 +193,6 @@ def cmd_translate(args) -> int:
         raise ConfigError(f"cannot read trace {args.trace!r}: {e.strerror}") from e
     except UnicodeDecodeError as e:
         raise ConfigError(f"trace is not UTF-8 text: {e.reason} at byte {e.start}") from e
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if "\t" in line and not is_binstr(line.replace("\t", "", 1)):
-            raise ConfigError(f"trace line {lineno}: query and answer "
-                              "must be binary strings")
     src = name_from_trace(text)
     queries = args.queries.split("|") if args.queries else []
     params = BanachReprParams(S=exp_max_time())

@@ -23,8 +23,9 @@ from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
 from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, cauchy_index,
                     metric_answer, metric_query)
-from .strings import (ContractError, _frac, _Record, ceil_lb, decode_int,
-                      nat_str, parse_nats, proj_value, tuple_strs, untuple)
+from .strings import (ContractError, InvalidConfig, _frac, _Record, ceil_lb,
+                      decode_int, nat_str, parse_nats, proj_value, tuple_strs,
+                      untuple)
 
 
 class ParameterViolation(ContractError, ValueError):
@@ -40,7 +41,7 @@ def _q_node(i: int) -> tuple[int, int]:
     c = 2i - 2^s - 1 at the level s given by the bit length of i - 1."""
     if i < 2:
         if i < 0:
-            raise ValueError("index must be non-negative")
+            raise InvalidConfig("index must be non-negative")
         return i, 0
     s = (i - 1).bit_length()
     return 2 * i - (1 << s) - 1, s
@@ -79,7 +80,7 @@ def unit_interval_approx(x, n: int) -> int:
     increasing order, so the least index is 0, 1, or the least odd c within
     tolerance at the first level that has one.  By level ceil_lb(n+1) every
     point of [0, 1] has a node within 1/(n+1); a point farther than that
-    from [0, 1] has none and raises ValueError.
+    from [0, 1] has none and raises InvalidConfig.
 
     All tests run in integers on x = p/q and t = n+1: the candidate at
     level s is the least odd c >= (x - 1/t) 2^s, and it is within
@@ -96,7 +97,7 @@ def unit_interval_approx(x, n: int) -> int:
         c = max(-((-pt << s) // qt), 1) | 1
         if c < 1 << s and (c * q - (p << s)) * t <= q << s:
             return (1 << (s - 1)) + (c + 1) // 2
-    raise ValueError(f"{x} is farther than 1/{t} from [0, 1]")
+    raise InvalidConfig(f"{x} is farther than 1/{t} from [0, 1]")
 
 
 def unit_interval_short_approx(x) -> Callable[[int], int]:
@@ -147,7 +148,7 @@ def measured_size_unit_interval(n: int) -> int:
     which lies in (2^(n-2), 2^(n-1)] for n >= 1 and is 1 for n = 0: the
     exponent is max(n - 1, 0) for every n."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise InvalidConfig("n must be non-negative")
     return max(n - 1, 0)
 
 

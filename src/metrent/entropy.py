@@ -223,10 +223,6 @@ class ApproxSetSpec(_Record):
         self.delta = delta
 
 
-class InsufficientTabulation(ConfigError, ValueError):
-    pass
-
-
 def _n_index(spec: ApproxSetSpec, i: int) -> int:
     if i == 0:
         return 0
@@ -234,7 +230,7 @@ def _n_index(spec: ApproxSetSpec, i: int) -> int:
     for k, d in enumerate(spec.delta):
         if d <= bound:
             return k
-    raise InsufficientTabulation(f"no tabulated delta_k <= 2^-{i}")
+    raise InvalidConfig(f"no tabulated delta_k <= 2^-{i}")
 
 
 def lorentz_bounds(spec: ApproxSetSpec, n: int) -> tuple[float, float]:

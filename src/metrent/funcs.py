@@ -22,9 +22,9 @@ class StepFn(_FrozenRecord):
     def __init__(self, cuts: tuple[Fraction, ...],
                  levels: tuple[Fraction, ...]):
         if len(cuts) != len(levels) + 1:
-            raise ValueError("need one more cut than levels")
+            raise InvalidConfig("need one more cut than levels")
         if any(a >= b for a, b in zip(cuts, cuts[1:])):
-            raise ValueError("cuts must be strictly increasing")
+            raise InvalidConfig("cuts must be strictly increasing")
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "levels", levels)
 
@@ -67,9 +67,9 @@ class PiecewiseLinear(_FrozenRecord):
 
     def __init__(self, xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]):
         if len(xs) != len(ys) or len(xs) < 2:
-            raise ValueError("need matching breakpoints and values (>= 2)")
+            raise InvalidConfig("need matching breakpoints and values (>= 2)")
         if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise InvalidConfig("breakpoints must be strictly increasing")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

@@ -268,7 +268,7 @@ def check_monotone_sampled(T: RunningTime, l_pairs, depth: int) -> bool:
     for l, lp in l_pairs:
         ok_pair = all(l(n) <= lp(m) for m in range(depth + 1) for n in range(m + 1))
         if not ok_pair:
-            raise ValueError("sample pair violates the l <= l' premise")
+            raise InvalidConfig("sample pair violates the l <= l' premise")
         for m in range(depth + 1):
             for n in range(m + 1):
                 if T.bound(l, n) > T.bound(lp, m):

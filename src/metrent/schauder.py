@@ -20,8 +20,10 @@ fine as a pyramid, where each element splits its support cell into two
 halves that inherit the parent value plus or minus the element's value
 (``_haar_pyramid``).  One dyadic-cell rule (``_cell_hats``) finds the
 elements whose open support holds a point, for both systems.
-Integer cores (``_hat_num``, ``_haar_sign_integral``, ``_pow2_floor``)
-serve the Banach translations, and the public Fraction functions wrap them.
+Integer cores (``_hat_num``, ``_haar_sign_integral``, and
+``_enclosure_nums``, the one enclosure of a sum of powers of two) serve the
+Banach translations, and the public Fraction functions and
+``RootSum.bounds`` wrap them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from typing import Callable
 from .compact import _q_node, q_seq
 from .funcs import PiecewiseLinear, StepFn, chi, sup_dist_pl
 from .machine import ContractViolation
-from .strings import _dyadic, _frac, _pow2, _Record, ceil_lb, round_ratio
+from .strings import (InvalidConfig, _dyadic, _frac, _pow2, _Record, ceil_lb,
+                      round_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,7 @@ def _split_exp(e: Fraction) -> tuple[int, Fraction]:
 def _iroot(n: int, k: int) -> int:
     """Floor integer k-th root."""
     if n < 0:
-        raise ValueError("negative radicand")
+        raise InvalidConfig("negative radicand")
     if n == 0:
         return 0
     x = 1 << (n.bit_length() // k + 1)
@@ -183,22 +186,29 @@ def _iroot(n: int, k: int) -> int:
 
 def _pow2_floor(f: Fraction, prec: int) -> int:
     """t = floor(2^(f + prec)) for 0 <= f < 1: 2^f lies in
-    [t, t + 1] / 2^prec, the enclosure pow2_bounds gives."""
+    [t, t + 1] / 2^prec."""
     return _iroot(1 << (f.numerator + f.denominator * prec), f.denominator)
 
 
-def pow2_bounds(e: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of 2**e of width at most 2**(1-prec) * 2**floor(e)."""
-    shift, r = _split_exp(e)
-    t, base = _pow2_floor(r, prec), _pow2(shift)
-    return Fraction(t, 1 << prec) * base, Fraction(t + 1, 1 << prec) * base
+def _enclosure_nums(terms: dict[Fraction, int], prec: int) -> tuple[int, int]:
+    """(lo, hi) with sum C 2^f in [lo, hi] / 2^prec, for integer C keyed by
+    0 <= f < 1: C 2^f lies between C t and C (t + 1) over 2^prec, the lower
+    end by the sign of C, for t = _pow2_floor(f, prec)."""
+    base = neg = pos = 0
+    for f, c in terms.items():
+        if c:
+            base += c * _pow2_floor(f, prec)
+            if c < 0:
+                neg += c
+            else:
+                pos += c
+    return base + neg, base + pos
 
 
 def _midpoint_num(terms: dict[Fraction, int], prec: int) -> int:
-    """2^(prec+1) times the midpoint of RootSum.bounds(prec) of sum C 2^f,
-    integer C keyed by 0 <= f < 1: C 2^f lies between C t/2^prec and
-    C (t+1)/2^prec, so its midpoint is C (2t+1)/2^(prec+1) for either sign."""
-    return sum(c * (2 * _pow2_floor(f, prec) + 1) for f, c in terms.items() if c)
+    """2^(prec+1) times the midpoint of the enclosure _enclosure_nums gives
+    for sum C 2^f at prec, which RootSum.bounds gives too."""
+    return sum(_enclosure_nums(terms, prec))
 
 
 def _round_midpoint(terms: dict[Fraction, int], den: int, w: int) -> int:
@@ -215,7 +225,7 @@ def _round_midpoint(terms: dict[Fraction, int], den: int, w: int) -> int:
 def frac_root_bounds(x: Fraction, k: int, prec: int) -> tuple[Fraction, Fraction]:
     """Enclosure of x**(1/k) for x >= 0."""
     if x < 0:
-        raise ValueError("negative radicand")
+        raise InvalidConfig("negative radicand")
     t = (x.numerator << (k * prec)) // x.denominator
     r = _iroot(t, k)
     return Fraction(r, 1 << prec), Fraction(r + 2, 1 << prec)
@@ -276,14 +286,12 @@ class RootSum:
         return not self.terms
 
     def bounds(self, prec: int) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(0)
-        for e, c in self.terms.items():
-            blo, bhi = pow2_bounds(e, prec)
-            if c < 0:
-                blo, bhi = bhi, blo
-            lo += c * blo
-            hi += c * bhi
-        return lo, hi
+        """Enclosure of the sum, sum |c| / 2^prec wide: the integer one of
+        _enclosure_nums on the coefficients over their common denominator."""
+        den = math.lcm(*[c.denominator for c in self.terms.values()])
+        lo, hi = _enclosure_nums({f: c.numerator * (den // c.denominator)
+                                  for f, c in self.terms.items()}, prec)
+        return Fraction(lo, den << prec), Fraction(hi, den << prec)
 
     def sign(self) -> int:
         if self.is_zero():
@@ -430,7 +438,7 @@ def chi_expand(i: int, j: int, p: Fraction) -> list[Fraction]:
     q_i <= q_j); exact, with nonzero indices below max(i, j)."""
     a, b = q_seq(i), q_seq(j)
     if a > b:
-        raise ValueError("need q_i <= q_j")
+        raise InvalidConfig("need q_i <= q_j")
     if a == b:
         return [Fraction(0)]
     f = chi(a, b)
@@ -517,7 +525,7 @@ class HaarSystem(_Record):
         function, for integer p: its L^p norm to the p-th power, exact in
         the ring."""
         if self.p.denominator != 1:
-            raise ValueError("exact norm powers need integer p")
+            raise InvalidConfig("exact norm powers need integer p")
         p = int(self.p)
         total = RootSum()
         for width, v in pieces:

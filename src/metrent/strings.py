@@ -1,7 +1,11 @@
 """Bit-exact binary strings: codecs, tupling, and the exact rational
 helpers the other modules share (``_pow2``, ``_frac``, ``_dyadic``, the
-rounding and base-2 logarithm functions), plus the root of the library's
-typed errors and the base of its record classes (``_Record``).
+rounding and base-2 logarithm functions), plus the base of the library's
+record classes (``_Record``) and the one root of every error it raises on
+purpose (``MetrentError``).  The root has two branches: ``ConfigError`` for
+a bad request, which includes an argument outside a function's documented
+domain (``InvalidConfig``, raised by the helpers here too), and
+``ContractError`` for a name or a computation that breaks its contract.
 
 Strings over the alphabet {0,1} are plain Python ``str`` values restricted
 to the characters "0" and "1".  The empty string is written ``""`` in code
@@ -33,13 +37,14 @@ class MetrentError(Exception):
 
 
 class ConfigError(MetrentError):
-    """The request was bad: an option, a table, a size or a scan depth
-    (exit code 2)."""
+    """The request was bad: an option, a table, a size, a scan depth, or an
+    argument outside the documented domain (exit code 2)."""
 
 
 class InvalidConfig(ConfigError, ValueError):
-    """A configuration value the library does not accept: an unknown
-    covering mode, a running time with no evaluator, or a malformed table."""
+    """A value the library does not accept: an argument outside the
+    documented domain of the function it is passed to, an unknown covering
+    mode, a running time with no evaluator, or a malformed table."""
 
 
 class ContractError(MetrentError):
@@ -48,11 +53,8 @@ class ContractError(MetrentError):
 
 
 class MalformedName(ContractError, ValueError):
-    """A queried value violates the representation's layout."""
-
-
-class MalformedEncoding(MalformedName):
-    """A string does not follow the claimed encoding convention."""
+    """A queried value violates the representation's layout or its claimed
+    encoding convention."""
 
 
 class _Record:
@@ -130,7 +132,7 @@ _MEMO_SIZE = 512
 def nat_str(n: int) -> str:
     """Binary numeral of a non-negative integer; 0 encodes as epsilon."""
     if n < 0:
-        raise ValueError("nat_str needs n >= 0")
+        raise InvalidConfig("nat_str needs n >= 0")
     return "" if n == 0 else format(n, "b")
 
 
@@ -157,12 +159,12 @@ def decode_int(a: str) -> int:
     if a == "":
         return 0
     if not is_binstr(a):
-        raise MalformedEncoding(f"not a binary string: {a!r}")
+        raise MalformedName(f"not a binary string: {a!r}")
     if a[0] == "1":
         return int(a, 2)
     body = a[1:]
     if body == "" or body[0] != "1":
-        raise MalformedEncoding(f"not an integer encoding: {a!r}")
+        raise MalformedName(f"not an integer encoding: {a!r}")
     return -int(body, 2)
 
 
@@ -174,12 +176,13 @@ def tuple_strs(parts) -> str:
     then "0"s), then interleave the padded strings column by column.
 
     |result| = k * (max |a_i| + 1) and the map is injective for fixed k.
-    Parts must be ASCII (binary strings are); others raise ValueError.
+    Parts must be ASCII (binary strings are); others fail to encode with
+    UnicodeEncodeError.
     """
     parts = list(parts)
     k = len(parts)
     if k < 2:
-        raise ValueError("tuple_strs needs at least two parts")
+        raise InvalidConfig("tuple_strs needs at least two parts")
     m = max(len(p) for p in parts)
     out = bytearray(k * (m + 1))
     for i, p in enumerate(parts):
@@ -260,11 +263,11 @@ def _pow2(e: int) -> int | Fraction:
 
 def _dyadic(x: Fraction) -> tuple[int, int]:
     """(num, scale) with x = num / 2^scale in lowest terms: num is odd or
-    scale is 0.  Raises ValueError when x is not dyadic."""
+    scale is 0.  Raises InvalidConfig when x is not dyadic."""
     d = x.denominator
     s = d.bit_length() - 1
     if d != 1 << s:
-        raise ValueError(f"{x} is not dyadic")
+        raise InvalidConfig(f"{x} is not dyadic")
     return x.numerator, s
 
 
@@ -293,7 +296,7 @@ def ceil_lb_ratio(r) -> int:
     least integer k with r <= 2^k (negative when r < 1/2)."""
     r = Fraction(r)
     if r <= 0:
-        raise ValueError(f"ceil_lb_ratio needs r > 0, got {r}")
+        raise InvalidConfig(f"ceil_lb_ratio needs r > 0, got {r}")
     a, b = r.numerator, r.denominator
     # 2^(k-1) < a/b < 2^(k+1), so the answer is k or k + 1
     k = a.bit_length() - b.bit_length()
@@ -302,5 +305,5 @@ def ceil_lb_ratio(r) -> int:
 
 def floor_lb(n: int) -> int:
     if n < 1:
-        raise ValueError("floor_lb needs n >= 1")
+        raise InvalidConfig("floor_lb needs n >= 1")
     return n.bit_length() - 1

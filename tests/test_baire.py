@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metrent.baire import (SCAN_CUTOFF, MalformedPadding, Name,
-                           ScanCutoffExceeded, TraceMiss, in_kl,
-                           is_length_monotone, length_of, name_from_trace, pad,
-                           pair_names, trace_of, unpad, unpad_value)
-from metrent.strings import MalformedName, all_strings, tuple_strs, untuple
+from metrent.baire import (SCAN_CUTOFF, Name, in_kl, is_length_monotone,
+                           length_of, name_from_trace, pad, pair_names,
+                           trace_of, unpad, unpad_value)
+from metrent.strings import (InvalidConfig, MalformedName, all_strings,
+                             tuple_strs, untuple)
 
 
 def identity_name():
@@ -61,7 +61,7 @@ def test_is_length_monotone_examples():
 def test_scan_past_the_cutoff_raises_before_any_query(scan):
     asked = []
     phi = Name(lambda a: (asked.append(a), "")[1])
-    with pytest.raises(ScanCutoffExceeded):
+    with pytest.raises(InvalidConfig, match="exceeds cutoff"):
         scan(phi, SCAN_CUTOFF + 1)
     assert asked == []
     scan(phi, 2)                  # within the cutoff every query is seen
@@ -91,9 +91,9 @@ def test_unpad_examples():
     assert unpad_value("0100") == "0"
     assert unpad_value("") == ""
     assert unpad_value("110000") == "1"
-    with pytest.raises(MalformedPadding):
+    with pytest.raises(MalformedName, match="odd length"):
         unpad_value("100")
-    with pytest.raises(MalformedPadding):
+    with pytest.raises(MalformedName, match="bad digit pair"):
         unpad_value("1000")
 
 
@@ -130,10 +130,10 @@ def test_trace_roundtrip():
     replay = name_from_trace(text)
     for a in all_strings(3):
         assert replay(a) == phi(a)
-    with pytest.raises(TraceMiss):
+    with pytest.raises(InvalidConfig, match="no entry"):
         replay("0000")
     # a line without a tab is no entry, so its text is not a query
     skipped = name_from_trace("0\t1\n101\n")
     assert skipped("0") == "1"
-    with pytest.raises(TraceMiss):
+    with pytest.raises(InvalidConfig, match="no entry"):
         skipped("101")

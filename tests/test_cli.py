@@ -251,6 +251,14 @@ def test_translate_missing_queries(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config-error:")
 
 
+def test_non_binary_trace_line_is_config_error():
+    # the trace reader rejects the line before any query is asked
+    rc, err = _run_main(["translate", "--kind", "xi-to-dsq"], "0\t1x\n")
+    assert rc == 2
+    assert err == ("config-error: trace line 1: query and answer "
+                   "must be binary strings\n")
+
+
 def test_help_documents_columns():
     rc, out, _ = run_cli(["--help"])
     assert rc == 0

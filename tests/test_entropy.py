@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metrent.baire import Name
-from metrent.entropy import (ApproxSetSpec, ContractViolation,
-                             InsufficientTabulation, PointCloud,
+from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              SizeExceeded, build_large_compact,
                              check_spanning_le_covering, cloud_from_vectors,
                              covering_number, dialog_cover_experiment,
@@ -185,7 +184,7 @@ def test_lorentz_refuses_bad_tables():
             ApproxSetSpec(deltas)
     # 2^-16 is below every tabulated tolerance
     spec = ApproxSetSpec([Fraction(1, 1 << k) for k in range(16)])
-    with pytest.raises(InsufficientTabulation, match="2\\^-16"):
+    with pytest.raises(InvalidConfig, match="2\\^-16"):
         lorentz_bounds(spec, 14)
 
 

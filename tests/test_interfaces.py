@@ -1,9 +1,11 @@
 """Interface coverage: short-name-set membership, dialog classes against
 the Cauchy covering column, the harness exit code for contract violations,
-and censuses of the public API (error classes, defaulted and unread
-parameters, definitions that only tests read, bad configurations)."""
+and censuses of the public API (error classes and the raises that use
+them, defaulted and unread parameters, definitions that only tests read, bad
+configurations)."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 import random
@@ -11,17 +13,23 @@ from fractions import Fraction
 
 import pytest
 
-from metrent.compact import (CompactReprParams, compact_name, q_seq,
-                             unit_interval_ell, unit_interval_space)
+from metrent.baire import name_from_trace
+from metrent.compact import (CompactReprParams, compact_name,
+                             measured_size_unit_interval, q_seq,
+                             unit_interval_approx, unit_interval_ell,
+                             unit_interval_space)
 from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              cloud_from_vectors, covering_number,
                              dialog_cover_experiment)
-from metrent.funcs import modulus_fn
-from metrent.machine import (RunningTime, const_time, equality_from_metric)
+from metrent.funcs import PiecewiseLinear, StepFn, modulus_fn
+from metrent.machine import (RunningTime, check_monotone_sampled, const_time,
+                             equality_from_metric)
 from metrent.reprs import (cauchy_metric_program, cauchy_metric_time,
-                           cauchy_name)
+                           cauchy_name, dyadic_line_index)
+from metrent.schauder import HaarSystem, chi_expand, frac_root_bounds
 from metrent.strings import (ConfigError, ContractError, InvalidConfig,
-                             MetrentError)
+                             MetrentError, ceil_lb_ratio, floor_lb, nat_str,
+                             tuple_strs)
 
 
 def test_short_name_set_membership():
@@ -64,14 +72,9 @@ def test_dialog_classes_vs_cauchy_covering():
 # the stdlib base it keeps beside it so that callers catching that base still
 # work (ContractViolation has none: a contract check is not an assert)
 ERROR_CLASSES = {
-    "ScanCutoffExceeded": (ConfigError, ValueError),
-    "TraceMiss": (ConfigError, KeyError),
     "SizeExceeded": (ConfigError, ValueError),
-    "InsufficientTabulation": (ConfigError, ValueError),
     "InvalidConfig": (ConfigError, ValueError),
     "MalformedName": (ContractError, ValueError),
-    "MalformedEncoding": (ContractError, ValueError),
-    "MalformedPadding": (ContractError, ValueError),
     "ParameterViolation": (ContractError, ValueError),
     "BudgetExceeded": (ContractError, RuntimeError),
     "ContractViolation": (ContractError, None),
@@ -79,7 +82,6 @@ ERROR_CLASSES = {
 
 
 def test_every_error_takes_one_branch_of_the_root():
-    import importlib
     import pkgutil
 
     import metrent
@@ -102,6 +104,38 @@ def test_every_error_takes_one_branch_of_the_root():
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# the raises in src/metrent that name no class of the error root, as
+# (module, enclosing definition, class): a record refuses assignment with
+# the AttributeError of Python's read-only attribute protocol
+NON_ROOT_RAISES = {
+    ("strings", "_FrozenRecord.__setattr__", "AttributeError"),
+}
+
+
+def _raises(node, qual=""):
+    """(enclosing qualified name, raised class name) for each raise under
+    node; the name is None for a bare re-raise."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _raises(child, f"{qual}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield qual, getattr(exc, "id", getattr(exc, "attr", None))
+        yield from _raises(child, qual)
+
+
+def test_every_raise_names_a_class_of_the_error_root():
+    found = set()
+    for path in sorted((ROOT / "src" / "metrent").glob("*.py")):
+        name = "metrent" if path.stem == "__init__" else f"metrent.{path.stem}"
+        mod = importlib.import_module(name)
+        for qual, raised in _raises(ast.parse(path.read_text())):
+            cls = getattr(mod, raised, None) if raised else None
+            if not (isinstance(cls, type) and issubclass(cls, MetrentError)):
+                found.add((path.stem, qual, raised))
+    assert found == NON_ROOT_RAISES
 
 
 def _public_defs():
@@ -156,7 +190,6 @@ def _public_callables(mod):
 
 
 def test_every_defaulted_parameter_is_listed():
-    import importlib
     import pkgutil
 
     import metrent
@@ -317,12 +350,32 @@ def test_every_test_only_public_definition_is_listed():
         assert reason.partition(": ")[2].strip(), key
 
 
-# one bad configuration per library entry point that reads one
+# one bad configuration per library entry point that reads one, and one
+# argument outside the documented domain per check that a public callable
+# reaches
 INVALID_CONFIGS = {
     "ApproxSetSpec": lambda: ApproxSetSpec([Fraction(1, 2), Fraction(1)]),
     "modulus_fn": lambda: modulus_fn([2, 1]),
     "covering_number": lambda: covering_number(
         cloud_from_vectors([(0,), (1,)]), 0, "bogus"),
+    "nat_str": lambda: nat_str(-1),
+    "tuple_strs": lambda: tuple_strs(["0"]),
+    "ceil_lb_ratio": lambda: ceil_lb_ratio(0),
+    "floor_lb": lambda: floor_lb(0),
+    "dyadic_line_index": lambda: dyadic_line_index(Fraction(1, 3)),
+    "q_seq": lambda: q_seq(-1),
+    "unit_interval_approx": lambda: unit_interval_approx(3, 0),
+    "measured_size_unit_interval": lambda: measured_size_unit_interval(-1),
+    "StepFn.levels": lambda: StepFn.build([0, 1], [1, 2]),
+    "StepFn.cuts": lambda: StepFn.build([1, 0], [1]),
+    "PiecewiseLinear.values": lambda: PiecewiseLinear.build([0, 1], [0]),
+    "PiecewiseLinear.breakpoints": lambda: PiecewiseLinear.build([1, 0], [0, 1]),
+    "check_monotone_sampled": lambda: check_monotone_sampled(
+        const_time(1), [(lambda n: 1, lambda n: 0)], 0),
+    "frac_root_bounds": lambda: frac_root_bounds(Fraction(-1), 2, 8),
+    "chi_expand": lambda: chi_expand(1, 2, 2),
+    "HaarSystem.norm_power": lambda: HaarSystem(Fraction(3, 2)).norm_power([]),
+    "name_from_trace": lambda: name_from_trace("0\t1x"),
 }
 
 

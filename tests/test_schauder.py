@@ -9,15 +9,14 @@ from metrent.compact import q_seq
 from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
 from metrent.schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
-                              _hat_nodes, _hat_num, _midpoint_num, _round_midpoint,
-                              _split_exp, _tight_bounds, chi_expand,
-                              frac_root_bounds, fs_coeff, fs_coeffs, fs_elem,
-                              fs_eval, fs_halfwidth, fs_nonzero_indices,
-                              fs_partial_sum_pl,
-                              fs_separation, haar_coeffs, haar_eval, haar_gen,
-                              haar_integral, haar_scale_exp, haar_stepform,
-                              haar_support, pow2_bounds,
-                              step_from_haar, sup_error)
+                              _hat_nodes, _hat_num, _midpoint_num, _pow2_floor,
+                              _round_midpoint, _split_exp, _tight_bounds,
+                              chi_expand, frac_root_bounds, fs_coeff, fs_coeffs,
+                              fs_elem, fs_eval, fs_halfwidth, fs_nonzero_indices,
+                              fs_partial_sum_pl, fs_separation, haar_coeffs,
+                              haar_eval, haar_gen, haar_integral, haar_scale_exp,
+                              haar_stepform, haar_support, step_from_haar,
+                              sup_error)
 from metrent.strings import round_half_away
 
 
@@ -388,6 +387,26 @@ def root_terms(draw):
     return terms
 
 
+def _pow2_bounds(e, prec):
+    """Reference enclosure of 2^e in Fractions, 2^(floor(e) - prec) wide."""
+    shift, f = _split_exp(e)
+    t, scale = _pow2_floor(f, prec), Fraction(2) ** shift
+    return Fraction(t, 1 << prec) * scale, Fraction(t + 1, 1 << prec) * scale
+
+
+def _reference_bounds(ring, prec):
+    """Reference for RootSum.bounds: each term's enclosure in Fractions,
+    its ends swapped for a negative coefficient, summed."""
+    lo = hi = Fraction(0)
+    for e, c in ring.terms.items():
+        blo, bhi = _pow2_bounds(e, prec)
+        if c < 0:
+            blo, bhi = bhi, blo
+        lo += c * blo
+        hi += c * bhi
+    return lo, hi
+
+
 def _integer_terms(terms):
     """(C, den): sum of c 2^e = sum (C_f / den) 2^f over fractional parts f."""
     split = {e: _split_exp(e) for e in terms}
@@ -409,8 +428,9 @@ def test_round_midpoint_matches_the_rootsum_enclosure(terms, w):
     ring = RootSum(terms)
     want = round_half_away(sum(_tight_bounds(ring.bounds, Fraction(1, 1 << w))) / 2)
     assert _round_midpoint(C, den, w) == want
-    for prec in (8, 30):
+    for prec in (8, 24, 30, 48):
         lo, hi = ring.bounds(prec)
+        assert (lo, hi) == _reference_bounds(ring, prec)
         assert Fraction(_midpoint_num(C, prec), den << (prec + 1)) == (lo + hi) / 2
 
 
@@ -434,8 +454,9 @@ def test_rootsum_ring():
 
 
 def test_pow2_and_root_bounds():
-    lo, hi = pow2_bounds(Fraction(3, 2), 20)
+    lo, hi = _pow2_bounds(Fraction(3, 2), 20)
     assert lo <= Fraction(2828427124, 10 ** 9) <= hi
+    assert RootSum({Fraction(3, 2): Fraction(1)}).bounds(20) == (lo, hi)
     lo, hi = frac_root_bounds(Fraction(2), 2, 30)
     assert lo * lo <= 2 <= hi * hi
 

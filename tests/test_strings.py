@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metrent.strings import (MalformedEncoding, all_strings, ceil_lb,
+from metrent.strings import (MalformedName, all_strings, ceil_lb,
                              ceil_lb_ratio, decode_int, encode_int, floor_lb,
                              is_binstr, nat_str, parse_nat, parse_nats,
                              proj_value, round_half_away, round_ratio,
@@ -185,7 +185,7 @@ def test_int_codec_examples():
 
 def test_int_codec_malformed():
     for bad in ("0", "00", "001", "0011"[:3], "2"):
-        with pytest.raises(MalformedEncoding):
+        with pytest.raises(MalformedName):
             decode_int(bad)
 
 
