@@ -16,8 +16,8 @@ from itertools import product
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .entropy import (PointCloud, SizeExceeded, covering_number,
-                      farthest_first)
+from .entropy import (EXACT_COVER_CAP, PointCloud, _first_fit,
+                      covering_number, farthest_first)
 from .funcs import PiecewiseLinear, sup_dist_pl
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
@@ -53,7 +53,7 @@ def q_seq(i: int) -> Fraction:
     return Fraction(c, 1 << s)
 
 
-def _q_dist(i: int, j: int, precision: int) -> Fraction:
+def _q_dist(i: int, j: int) -> Fraction:
     """|q_i - q_j| exactly, with both nodes put on the finer of their two
     grids."""
     ci, si = _q_node(i)
@@ -178,17 +178,13 @@ def greedy_uniform_seq(K: PointCloud, horizon: int) -> UniformSeqSpec:
     levels of the separated-set construction appear nested inside one
     another instead of being re-listed per level; the literal per-level
     concatenation misses the covering budget at small n.  Cloud size
-    exponents are measured on the way (exact below the brute-force cap,
+    exponents are measured on the way (exact up to the brute-force cap,
     greedy above)."""
     m = len(K)
     start = min(range(m), key=lambda p: (max(K.d(p, q) for q in range(m)), p))
     order, _ = farthest_first(K, start)
-    sizes: list[int] = []
-    for n in range(horizon + 1):
-        try:
-            sizes.append(covering_number(K, n, "exact").exponent)
-        except SizeExceeded:
-            sizes.append(covering_number(K, n, "greedy").exponent)
+    mode = "exact" if m <= EXACT_COVER_CAP else "greedy"
+    sizes = [covering_number(K, n, mode).exponent for n in range(horizon + 1)]
 
     pts = K.points
     index: dict = {}
@@ -221,11 +217,7 @@ def _max_separated(points: list, dist, thr: Fraction) -> int:
                    for ai, a in enumerate(sel) for b in sel[ai + 1:]):
                 best = len(sel)
         return best
-    chosen: list = []
-    for p in points:
-        if all(dist(p, c) > thr for c in chosen):
-            chosen.append(p)
-    return len(chosen)
+    return len(_first_fit(points, dist, thr))
 
 
 def check_uniformly_dense(spec: UniformSeqSpec, grid: list):

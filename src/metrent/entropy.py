@@ -6,8 +6,7 @@ thresholds 2^-n are ints when they are whole numbers and Fractions below 1,
 so a cloud of integer distances compares ints with ints at whole-number
 radii (int-Fraction comparison is exact).  Ball centers are restricted to
 cloud points in both covering modes; this can overestimate the true covering
-number by at most a radius-doubling factor, and reports record the mode
-used.
+number by at most a radius-doubling factor.
 """
 
 from __future__ import annotations
@@ -19,14 +18,9 @@ from typing import Callable, NamedTuple
 from .baire import LengthFn, Name, pair_names
 from .machine import (ContractViolation, Ctx, RunningTime,
                       dialog_length_bound, metered_run)
-from .strings import (ConfigError, InvalidConfig, _pow2, _Record, ceil_lb,
-                      floor_lb)
+from .strings import InvalidConfig, _pow2, _Record, ceil_lb, floor_lb
 
 EXACT_COVER_CAP = 20
-
-
-class SizeExceeded(ConfigError, ValueError):
-    """Exact set-cover requested on a cloud above the brute-force cap."""
 
 
 class PointCloud(_Record):
@@ -63,7 +57,6 @@ def cloud_from_vectors(vectors) -> PointCloud:
 class CoverResult(NamedTuple):
     count: int
     exponent: int          # ceil(lb count)
-    mode: str
 
 
 def covering_number(K: PointCloud, n: int, mode: str = "exact") -> CoverResult:
@@ -76,7 +69,7 @@ def covering_number(K: PointCloud, n: int, mode: str = "exact") -> CoverResult:
         count = _greedy_cover(K, r)
     else:
         raise InvalidConfig(f"unknown mode {mode!r}")
-    return CoverResult(count, ceil_lb(count), mode)
+    return CoverResult(count, ceil_lb(count))
 
 
 def _ball_masks(K: PointCloud, r: int | Fraction) -> list[int]:
@@ -96,7 +89,7 @@ def _exact_cover(K: PointCloud, r: int | Fraction) -> int:
     if m == 0:
         return 0
     if m > EXACT_COVER_CAP:
-        raise SizeExceeded(f"{m} points exceed the exact-cover cap {EXACT_COVER_CAP}")
+        raise InvalidConfig(f"{m} points exceed the exact-cover cap {EXACT_COVER_CAP}")
     masks = _ball_masks(K, r)
     full = (1 << m) - 1
     best = {0: 0}
@@ -160,10 +153,15 @@ def _greedy_cover(K: PointCloud, r: int | Fraction) -> int:
 def packing_witness(K: PointCloud, n: int) -> list[int]:
     """Greedy maximal set of cloud indices with pairwise distance strictly
     above 2^-(n-1); its floor-lb size is a spanning-bound value at n."""
-    thr = _pow2(1 - n)
-    chosen: list[int] = []
-    for p in range(len(K)):
-        if all(K.d(p, c) > thr for c in chosen):
+    return _first_fit(range(len(K)), K.d, _pow2(1 - n))
+
+
+def _first_fit(points, dist, thr) -> list:
+    """The points, in order, that lie strictly farther than thr from every
+    point kept before them: a maximal thr-separated subset."""
+    chosen: list = []
+    for p in points:
+        if all(dist(p, c) > thr for c in chosen):
             chosen.append(p)
     return chosen
 

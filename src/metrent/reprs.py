@@ -26,8 +26,7 @@ class MetricSpaceSpec(_Record):
     """A separable metric space given by a dense sequence and a discrete
     metric evaluator.
 
-    ``dist(i, j, precision)`` returns a rational within 1/(precision+1) of
-    d(r_i, r_j); for the library's dyadic spaces it is exact.  Metric
+    ``dist(i, j)`` returns d(r_i, r_j) exactly, as a rational.  Metric
     queries and ``cauchy_metric_program`` are answered from it.
     ``exact_dist`` compares arbitrary points exactly: the validators, the
     co-r.e. rejection and the dialog check use it.  ``approx_index(x, n)``
@@ -36,7 +35,7 @@ class MetricSpaceSpec(_Record):
     """
 
     def __init__(self, label: str, point: Callable[[int], object],
-                 dist: Callable[[int, int, int], Fraction],
+                 dist: Callable[[int, int], Fraction],
                  exact_dist: Callable[[object, object], Fraction],
                  approx_index: Callable[[object, int], int]):
         self.label = label
@@ -75,7 +74,7 @@ def dyadic_line_index(x: Fraction) -> int:
 
 def dyadic_line_space() -> MetricSpaceSpec:
     """The real line with the diagonal enumeration of all dyadics."""
-    def dist(i: int, j: int, precision: int) -> Fraction:
+    def dist(i: int, j: int) -> Fraction:
         return abs(dyadic_line_point(i) - dyadic_line_point(j))
 
     def approx(x, n: int) -> int:
@@ -186,16 +185,14 @@ def cauchy_validate(phi: Name, depth: int, M: MetricSpaceSpec):
 
 def cauchy_metric_program(M: MetricSpaceSpec) -> Callable[[Ctx], None]:
     """Integer encoding z with |d(x,y) - z/(n+1)| <= 1/(n+1) from a paired
-    oracle <phi, psi>: the index pair is read at 4n+3 and the discrete
-    metric evaluated at precision 2n+1.  The contract holds when the
-    discrete metric is exact (all library spaces); an approximate one adds
-    its approximation error."""
+    oracle <phi, psi>: the index pair is read at 4n+3 and the exact discrete
+    metric put on the grid of precision n."""
     def prog(ctx: Ctx) -> None:
         n = precision_input(ctx)
         ans = ctx.ask(nat_str(4 * n + 3))
         i, j = paired(parse_nats(2, ans))
         ctx.tick(len(ans) + len(ctx.input) + 4)
-        ctx.emit(_grid_answer(M.dist(i, j, 2 * n + 1), n))
+        ctx.emit(_grid_answer(M.dist(i, j), n))
     return prog
 
 
@@ -230,13 +227,13 @@ def metric_query(i: int, j: int, n: int) -> str:
 
 def metric_answer(M: MetricSpaceSpec, rest: str) -> str:
     """Answer to the metric query "1" + rest for rest = <i, j, n>: the
-    discrete metric dist(i, j, 2n+1) put on the grid of precision n, within
+    exact discrete metric dist(i, j) put on the grid of precision n, within
     1/(n+1) of d(r_i, r_j); epsilon when rest is not a triple of numerals."""
     idx = parse_nats(3, rest)
     if idx is None:
         return ""
     i, j, n = idx
-    return _grid_answer(M.dist(i, j, 2 * n + 1), n)
+    return _grid_answer(M.dist(i, j), n)
 
 
 def relativized_metric_program() -> Callable[[Ctx], None]:

@@ -171,9 +171,7 @@ def _split_exp(e: Fraction) -> tuple[int, Fraction]:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor integer k-th root."""
-    if n < 0:
-        raise InvalidConfig("negative radicand")
+    """Floor integer k-th root of n >= 0."""
     if n == 0:
         return 0
     x = 1 << (n.bit_length() // k + 1)

@@ -21,15 +21,15 @@ from metrent.compact import (CompactReprParams, ParameterViolation,
                              q_seq, relativized_to_compact,
                              unit_interval_approx, unit_interval_ell,
                              unit_interval_short_approx, unit_interval_space)
-from metrent.entropy import (PointCloud, SizeExceeded, cloud_from_vectors,
-                             covering_number, interval_cover_count)
+from metrent.entropy import (PointCloud, cloud_from_vectors, covering_number,
+                             interval_cover_count)
 from metrent.funcs import (PiecewiseLinear, StepFn, continuity_modulus,
                            lp_modulus, modulus_fn)
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
 from metrent.schauder import FSSystem, HaarSystem
 from metrent.reprs import cauchy_validate
-from metrent.strings import (_dyadic, ceil_lb, decode_int, floor_lb, nat_str,
-                             tuple_strs)
+from metrent.strings import (InvalidConfig, _dyadic, ceil_lb, decode_int,
+                             floor_lb, nat_str, tuple_strs)
 
 
 def params_unit(S=None):
@@ -63,7 +63,7 @@ def test_unit_interval_dist_matches_node_difference():
     M = unit_interval_space()
     for i in range(200):
         for j in range(200):
-            assert M.dist(i, j, 0) == abs(q_seq(i) - q_seq(j)), (i, j)
+            assert M.dist(i, j) == abs(q_seq(i) - q_seq(j)), (i, j)
 
 
 def test_q_index_inverse():
@@ -130,7 +130,7 @@ def test_greedy_uniform_seq_matches_rescan(K, horizon):
     for n in range(horizon + 1):
         try:
             cover = covering_number(K, n, "exact")
-        except SizeExceeded:
+        except InvalidConfig:
             cover = covering_number(K, n, "greedy")
         assert spec.size_bound(n) == cover.exponent, n
 

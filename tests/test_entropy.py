@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from metrent.baire import Name
 from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
-                             SizeExceeded, build_large_compact,
+                             build_large_compact,
                              check_spanning_le_covering, cloud_from_vectors,
                              covering_number, dialog_cover_experiment,
                              farthest_first, interval_cover_count,
@@ -31,7 +31,7 @@ def test_covering_examples():
 
 def test_covering_exact_cap():
     big = line_cloud(list(range(25)))
-    with pytest.raises(SizeExceeded):
+    with pytest.raises(InvalidConfig, match="exact-cover cap"):
         covering_number(big, 1, "exact")
     assert covering_number(big, 1, "greedy").count >= 1
 

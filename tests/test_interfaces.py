@@ -70,9 +70,9 @@ def test_dialog_classes_vs_cauchy_covering():
 
 # every error class the library defines: its branch of the error root, and
 # the stdlib base it keeps beside it so that callers catching that base still
-# work (ContractViolation has none: a contract check is not an assert)
+# work (ContractViolation has none: a contract check is not an assert).  A
+# class stays only while some handler tells it apart from its parent
 ERROR_CLASSES = {
-    "SizeExceeded": (ConfigError, ValueError),
     "InvalidConfig": (ConfigError, ValueError),
     "MalformedName": (ContractError, ValueError),
     "ParameterViolation": (ContractError, ValueError),

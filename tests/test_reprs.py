@@ -196,7 +196,7 @@ def test_space_without_exact_dist_is_refused():
     """Validators and the dialog check call exact_dist unguarded (metric
     queries read dist), and compact names call approx_index unguarded, so a
     spec that lacks either fails where it is built, not at its first use."""
-    dist = lambda i, j, precision: abs(q_seq(i) - q_seq(j))
+    dist = lambda i, j: abs(q_seq(i) - q_seq(j))
     with pytest.raises(TypeError):
         MetricSpaceSpec("bare", q_seq, dist, approx_index=unit_interval_approx)
     with pytest.raises(TypeError):
@@ -204,12 +204,14 @@ def test_space_without_exact_dist_is_refused():
 
 
 def test_metric_answer_reads_the_index_metric():
-    """metric_answer's integer from dist(i, j, 2n+1) equals the rounding of
-    the exact distance of the two points on every library space."""
+    """On every library space the index metric dist(i, j) is the exact
+    distance of the two points, and metric_answer's integer is its
+    rounding."""
     for M in (unit_interval_space(), dyadic_line_space()):
         for i in range(40):
             for j in range(40):
                 d = M.exact_dist(M.point(i), M.point(j))
+                assert M.dist(i, j) == d, (M.label, i, j)
                 for n in range(20):
                     old = encode_int(round_ratio(d.numerator * (n + 1),
                                                  d.denominator))
