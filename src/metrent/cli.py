@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -99,8 +100,10 @@ def cmd_entropy(args) -> int:
     l = _parse_l_table(args.l_table)
     M = unit_interval_space()
     ks = _sample_numerators(args.samples, args.seed)
-    names = [cauchy_name(M, unit_interval_short_approx(Fraction(k, 1 << _SAMPLE_SCALE)))
-             for k in ks]
+    # one name per distinct numerator: the dialog experiment meters it once
+    by_k = {k: cauchy_name(M, unit_interval_short_approx(
+        Fraction(k, 1 << _SAMPLE_SCALE))) for k in set(ks)}
+    names = [by_k[k] for k in ks]
     metric = cauchy_metric_program(M)
     eq_prog, T_eq = equality_from_metric(metric, cauchy_metric_time())
     budget = RunningTime(lambda lf, n: 8 * T_eq.bound(lf, n) + 8,
@@ -205,7 +208,10 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built once per process: it reads only constants,
+    and each parse_args call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="metrent",
         description="entropy experiments, name translation, and bound tables",
@@ -240,8 +246,11 @@ def main(argv=None) -> int:
     p.add_argument("--trace", default="")
     p.add_argument("--queries", default="",
                    help="'|'-separated queries the output trace must cover")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {"entropy": cmd_entropy, "bounds": cmd_bounds, "eval": cmd_eval,
                 "translate": cmd_translate}
     try:

@@ -179,8 +179,10 @@ def greedy_uniform_seq(K: PointCloud, horizon: int) -> UniformSeqSpec:
     another instead of being re-listed per level; the literal per-level
     concatenation misses the covering budget at small n.  Cloud size
     exponents are measured on the way (exact up to the brute-force cap,
-    greedy above)."""
+    greedy above).  An empty cloud has no center and is refused."""
     m = len(K)
+    if m == 0:
+        raise InvalidConfig("an empty cloud has no uniformly dense sequence")
     start = min(range(m), key=lambda p: (max(K.d(p, q) for q in range(m)), p))
     order, _ = farthest_first(K, start)
     mode = "exact" if m <= EXACT_COVER_CAP else "greedy"

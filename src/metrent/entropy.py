@@ -158,10 +158,14 @@ def packing_witness(K: PointCloud, n: int) -> list[int]:
 
 def _first_fit(points, dist, thr) -> list:
     """The points, in order, that lie strictly farther than thr from every
-    point kept before them: a maximal thr-separated subset."""
+    point kept before them: a maximal thr-separated subset.  A candidate is
+    dropped at the first kept point within thr."""
     chosen: list = []
     for p in points:
-        if all(dist(p, c) > thr for c in chosen):
+        for c in chosen:
+            if dist(p, c) <= thr:
+                break
+        else:
             chosen.append(p)
     return chosen
 
@@ -282,19 +286,26 @@ def dialog_cover_experiment(samples: list[Name], points: list,
     2^(dialog bound) and that every sample sits within closed 2^-n of its
     class representative.  ``dist`` measures points in units of 2^-u (ints
     for an integer cloud); the reported ``max_class_dist`` is the exact
-    distance.  Raises ContractViolation on a failed cover."""
+    distance.  Raises ContractViolation on a failed cover.
+
+    Names and the program are deterministic, so each distinct Name object
+    among the samples is metered once per call; the memo keys on the object,
+    as two names of one point may have different dialogs."""
     l_pair: LengthFn = lambda k: 2 * (l(k) + 1)
     budget = T.bound(l_pair, n + 1)
     bound = dialog_length_bound(budget)
+    runs: dict = {}                 # Name -> (dialog, encoded length)
     classes: dict = {}
     reps: dict = {}
     max_len = 0
     max_dist = 0
     radius = _pow2(u - n)
     for idx, psi in enumerate(samples):
-        chi = pair_names(psi, psi)
-        _, _, dialog = metered_run(eq_program, chi, "1" * (n + 1), T, l_pair)
-        enc_len = dialog.encoded_length()
+        if psi not in runs:
+            _, _, dialog = metered_run(eq_program, pair_names(psi, psi),
+                                       "1" * (n + 1), T, l_pair)
+            runs[psi] = dialog, dialog.encoded_length()
+        dialog, enc_len = runs[psi]
         if enc_len > bound:
             raise ContractViolation(
                 f"dialog length {enc_len} exceeds bound {bound} at sample {idx}")

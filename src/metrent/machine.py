@@ -81,7 +81,9 @@ class Ctx:
 
     # -- accounting ---------------------------------------------------
     def _report(self) -> MeterReport:
-        return MeterReport(self.steps, self.budget, list(self._queries))
+        """The meter's reading.  It shares the run's query log uncopied:
+        the log cannot grow once the run has ended or overrun its budget."""
+        return MeterReport(self.steps, self.budget, self._queries)
 
     def tick(self, k: int = 1) -> None:
         """Charge k steps; BudgetExceeded once the budget is overrun."""
@@ -122,7 +124,7 @@ class Ctx:
     def dialog(self) -> Dialog:
         """The dialog of a completed run: every answer was charged in full
         within the budget, so the logged answers are the truncated ones."""
-        return Dialog(len(self._queries), tuple(a for _, a in self._queries))
+        return Dialog(len(self._queries), tuple([a for _, a in self._queries]))
 
 
 # ---------------------------------------------------------------------------

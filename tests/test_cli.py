@@ -53,6 +53,31 @@ def test_entropy_deterministic(tmp_path):
         assert int(cells[8]) == int(cells[0]) + 2
 
 
+def _main_stdout(argv):
+    """(exit code, standard output) of cli.main on argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def test_reused_parser_keeps_no_state():
+    # main parses with one parser per process; each call in a sequence on
+    # that parser prints what the same call printed on a new parser
+    entropy = ["entropy", "--samples", "3", "--n-max", "1"]
+    calls = [entropy, ["bounds"], ["bounds", "--n-max", "-1"], entropy]
+    first = {}
+    for argv in calls:
+        cli._parser.cache_clear()
+        first[tuple(argv)] = _main_stdout(argv)
+    assert first[("bounds", "--n-max", "-1")] == (2, "")
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    for argv in calls:
+        assert _main_stdout(argv) == first[tuple(argv)]
+    assert cli._parser() is parser
+
+
 def test_entropy_empty_sample(tmp_path):
     out = tmp_path / "e.csv"
     assert main(["entropy", "--samples", "0", "--out", str(out)]) == 0

@@ -5,14 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metrent import entropy
 from metrent.baire import Name
+from metrent.compact import unit_interval_short_approx, unit_interval_space
 from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              build_large_compact,
                              check_spanning_le_covering, cloud_from_vectors,
                              covering_number, dialog_cover_experiment,
                              farthest_first, interval_cover_count,
                              lorentz_bounds, packing_exponent, packing_witness)
-from metrent.machine import RunningTime, const_time
+from metrent.machine import RunningTime, const_time, equality_from_metric
+from metrent.reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
 from metrent.strings import InvalidConfig
 
 
@@ -264,3 +267,37 @@ def test_dialog_check_rejects_a_dialog_over_its_bound():
                        match="dialog length 166 exceeds bound 6 at sample 0"):
         dialog_cover_experiment([Name(lambda a: "1" * 40)], [0], ask_once, T,
                                 lambda k: k, 0, lambda a, b: abs(a - b), 0)
+
+
+def test_dialog_check_meters_each_name_object_once(monkeypatch):
+    # a list that repeats a name object and a list of fresh names of the
+    # same points give the same report; the first meters each object once
+    M = unit_interval_space()
+    eq_prog, T_eq = equality_from_metric(cauchy_metric_program(M),
+                                         cauchy_metric_time())
+    budget = RunningTime(lambda lf, n: 8 * T_eq.bound(lf, n) + 8)
+    ks = [3, 200, 3, 3, 77, 200, 256, 0]
+    name = lambda k: cauchy_name(M, unit_interval_short_approx(Fraction(k, 256)))
+    shared = {k: name(k) for k in set(ks)}
+    repeated = [shared[k] for k in ks]
+    fresh = [name(k) for k in ks]
+    runs = []
+    real = entropy.metered_run
+
+    def spy(*args):
+        runs.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(entropy, "metered_run", spy)
+    sizes = set()
+    for n in range(9):
+        run = lambda names: dialog_cover_experiment(
+            names, ks, eq_prog, budget, lambda k: k, n, lambda a, b: abs(a - b), 8)
+        runs.clear()
+        report = run(repeated)
+        assert len(runs) == len(shared)
+        runs.clear()
+        assert run(fresh) == report
+        assert len(runs) == len(ks)
+        sizes.add(report.classes_observed)
+    assert len(sizes) > 1               # the classes split as n grows

@@ -15,8 +15,8 @@ import pytest
 
 from metrent.baire import name_from_trace
 from metrent.compact import (CompactReprParams, compact_name,
-                             measured_size_unit_interval, q_seq,
-                             unit_interval_approx, unit_interval_ell,
+                             greedy_uniform_seq, measured_size_unit_interval,
+                             q_seq, unit_interval_approx, unit_interval_ell,
                              unit_interval_space)
 from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              cloud_from_vectors, covering_number,
@@ -376,6 +376,8 @@ INVALID_CONFIGS = {
     "chi_expand": lambda: chi_expand(1, 2, 2),
     "HaarSystem.norm_power": lambda: HaarSystem(Fraction(3, 2)).norm_power([]),
     "name_from_trace": lambda: name_from_trace("0\t1x"),
+    "greedy_uniform_seq": lambda: greedy_uniform_seq(
+        PointCloud([], lambda i, j: 0), 2),
 }
 
 

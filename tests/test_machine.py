@@ -52,6 +52,26 @@ def test_budget_zero_always_exhausts():
     assert e.value.report.budget == 0
 
 
+def test_budget_report_lists_the_queries_up_to_the_overrun():
+    # budget 12: "0" costs 2 + 5 (steps 8), "1" costs 2 and logs the 2
+    # answer symbols the budget leaves before reading 5 (steps 15); the
+    # program swallows the overrun, and its next ask raises before logging
+    caught = []
+
+    def stubborn(ctx):
+        for q in ("0", "1", "00"):
+            try:
+                ctx.ask(q)
+            except BudgetExceeded as e:
+                caught.append(e.report)
+
+    metered_run(stubborn, Name(lambda a: "11111"), "", const_time(12),
+                lambda n: 5)
+    assert [r.steps_used for r in caught] == [15, 18]
+    for r in caught:
+        assert r.queries == [("0", "11111"), ("1", "11")]
+
+
 @pytest.mark.parametrize("c", [0, 1, 4])
 def test_const_time_label_names_its_bound(c):
     T = const_time(c)
