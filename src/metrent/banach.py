@@ -58,7 +58,7 @@ def banach_time(params: BanachReprParams) -> RunningTime:
     def bound(l: LengthFn, n: int) -> int:
         s = params.S.bound(l, n + 1)
         return l(n + ceil_lb(s + 1) + 1) * s
-    return RunningTime(bound, label="l(n+lb(S+1)+1)S(l,n+1)")
+    return RunningTime(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +270,7 @@ def banach_add_program() -> Callable[[Ctx], None]:
 
 
 def add_time() -> RunningTime:
-    return RunningTime(lambda l, n: 8 * (l(n + 1) + n + 1) + 8,
-                       label="l(n+1)+n+1")
+    return RunningTime(lambda l, n: 8 * (l(n + 1) + n + 1) + 8)
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,6 @@ def _write_csv(path, header, rows):
 
 
 def cmd_entropy(args) -> int:
-    if args.rep not in ("cauchy",):
-        raise ConfigError(f"unknown representation {args.rep!r}")
     l = _parse_l_table(args.l_table)
     M = unit_interval_space()
     ks = _sample_numerators(args.samples, args.seed)
@@ -106,8 +104,7 @@ def cmd_entropy(args) -> int:
     names = [by_k[k] for k in ks]
     metric = cauchy_metric_program(M)
     eq_prog, T_eq = equality_from_metric(metric, cauchy_metric_time())
-    budget = RunningTime(lambda lf, n: 8 * T_eq.bound(lf, n) + 8,
-                         label="8*T+8")
+    budget = RunningTime(lambda lf, n: 8 * T_eq.bound(lf, n) + 8)
     # in 2^-_SAMPLE_SCALE units: scaling distances and radii keeps each test
     cloud = PointCloud(ks, lambda i, j: abs(ks[i] - ks[j])) if ks else None
     k_dist = lambda a, b: abs(a - b)
@@ -226,7 +223,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="dialog classes vs covering numbers")
     table(p)
-    p.add_argument("--rep", default="cauchy")
+    p.add_argument("--rep", default="cauchy", choices=("cauchy",))
     p.add_argument("--l-table", dest="l_table", default="n",
                    help="length function: 'n', 'n+C', or a comma table")
     p.add_argument("--samples", type=int, default=50)

@@ -21,8 +21,8 @@ from .entropy import (EXACT_COVER_CAP, PointCloud, _first_fit,
 from .funcs import PiecewiseLinear, sup_dist_pl
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
-from .reprs import (MetricSpaceSpec, _index_answer, _line_dist, cauchy_index,
-                    metric_answer, metric_query)
+from .reprs import (MetricSpaceSpec, _line_dist, _relativized_layout,
+                    cauchy_index, metric_answer, metric_query)
 from .strings import (ContractError, InvalidConfig, _frac, _Record, ceil_lb,
                       decode_int, nat_str, parse_nats, proj_value, tuple_strs,
                       untuple)
@@ -263,33 +263,31 @@ class CompactReprParams(_Record):
         self.S = S
 
 
-def _chunk_capacity(params: CompactReprParams, n: int) -> tuple[int, int]:
-    """(chunk count, bits per chunk) at precision n: S(ell, |n|) + 1 chunks
-    of at most ell(|n|) bits each."""
-    m = len(nat_str(n))
-    return params.S.bound(params.ell, m) + 1, params.ell(m)
-
-
 def chunk_query(j: int, n: int) -> str:
     """The chunk-branch query "0" + <j, n>."""
     return "0" + tuple_strs([nat_str(j), nat_str(n)])
 
 
-def _chunk_branch(params: CompactReprParams,
-                  approx: Callable[[int], int]) -> Callable[[str], str]:
-    """Answerer of the chunk query "0" + rest for rest = <j, n>: the j-th
-    ell(|n|)-bit chunk of the binary index approx(n), memoized per n;
-    epsilon when rest is not a pair of numerals.  Chunks are raw index bits
-    in query order (no boundary markers are needed: the assembled string is
-    read as one binary integer)."""
+def _compact_layout(params: CompactReprParams, approx: Callable[[int], int],
+                    metric: Callable[[str], str], label: str) -> Name:
+    """The compact layout: 0^k answers the declared floor ell(k), the chunk
+    query "0" + <j, n> the j-th ell(|n|)-bit chunk of the binary index
+    approx(n) (memoized per n; S(ell, |n|) + 1 chunks hold it, else
+    ParameterViolation), a malformed chunk query epsilon, and every other
+    query goes to ``metric``.  Chunks are raw index bits in query order (no
+    boundary markers are needed: the assembled string is read as one binary
+    integer)."""
     memo: dict[int, str] = {}
 
-    def chunk(rest: str) -> str:
-        jn = parse_nats(2, rest)
+    def branch(a: str) -> str:
+        if a[0] != "0":
+            return metric(a)
+        jn = parse_nats(2, a[1:])
         if jn is None:
             return ""
         j, n = jn
-        nchunks, cap = _chunk_capacity(params, n)
+        m = len(nat_str(n))
+        nchunks, cap = params.S.bound(params.ell, m) + 1, params.ell(m)
         if n not in memo:
             bits = nat_str(approx(n))
             if len(bits) > nchunks * cap:
@@ -298,21 +296,16 @@ def _chunk_branch(params: CompactReprParams,
             memo[n] = bits
         return memo[n][j * cap:(j + 1) * cap]
 
-    return chunk
+    return _with_length_branch(branch, params.ell, label)
 
 
 def compact_name(space: MetricSpaceSpec, params: CompactReprParams, x) -> Name:
     """Name of x in the compact-space representation: chunk queries read
     the index space.approx_index(x, n) of a 1/(n+1)-approximation, metric
     queries the discrete metric, and 0^k the declared floor ell(k)."""
-    chunk = _chunk_branch(params, lambda n: space.approx_index(x, n))
-
-    def branch(a: str) -> str:
-        if a[0] == "0":
-            return chunk(a[1:])
-        return metric_answer(space, a[1:])
-
-    return _with_length_branch(branch, params.ell, f"compact({x})")
+    return _compact_layout(params, lambda n: space.approx_index(x, n),
+                           lambda a: metric_answer(space, a[1:]),
+                           f"compact({x})")
 
 
 def _with_length_branch(branch: Callable[[str], str], floor: LengthFn,
@@ -384,22 +377,17 @@ def compact_metric_time(params: CompactReprParams) -> RunningTime:
     below a constant multiple of it (the constant is recorded by tests)."""
     def bound(l: LengthFn, n: int) -> int:
         return l(n + 2) * params.S.bound(l, n + 2)
-    return RunningTime(bound, label="l(n+2)S(l,n+2)")
+    return RunningTime(bound)
 
 
 # ---------------------------------------------------------------------------
 # translations witnessing admissibility
 
 def compact_to_relativized(phi: Name, params: CompactReprParams) -> Name:
-    """Relativized-Cauchy name computed from a compact-representation name."""
-    def fn(a: str) -> str:
-        if a == "":
-            return ""
-        if a[0] == "0":
-            return _index_answer(lambda n: compact_decode_index(phi, n, params),
-                                 a[1:])
-        return phi(a)
-    return Name(fn, label=f"rel({phi.label})")
+    """Relativized-Cauchy name computed from a compact-representation name:
+    indices are assembled from its chunks, metric queries passed to it."""
+    return _relativized_layout(lambda n: compact_decode_index(phi, n, params),
+                               phi, f"rel({phi.label})")
 
 
 def relativized_to_compact(rel: Name, params: CompactReprParams) -> Name:
@@ -407,14 +395,8 @@ def relativized_to_compact(rel: Name, params: CompactReprParams) -> Name:
     its "0"-tagged index branch, viewed as a Cauchy name, is read by
     cauchy_index."""
     indices = Name(lambda a: rel("0" + a), label=f"index({rel.label})")
-    chunk = _chunk_branch(params, lambda n: cauchy_index(indices, n))
-
-    def branch(a: str) -> str:
-        if a[0] == "0":
-            return chunk(a[1:])
-        return rel(a)
-
-    return _with_length_branch(branch, params.ell, f"compact({rel.label})")
+    return _compact_layout(params, lambda n: cauchy_index(indices, n), rel,
+                           f"compact({rel.label})")
 
 
 # ---------------------------------------------------------------------------

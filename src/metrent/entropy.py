@@ -263,11 +263,9 @@ def lorentz_bounds(spec: ApproxSetSpec, n: int) -> tuple[float, float]:
 # dialog classes versus covering
 
 class DialogCoverReport(_Record):
-    def __init__(self, n: int, sample_size: int, classes_observed: int,
-                 budget: int, dialog_bound: int, max_dialog_len: int,
-                 max_class_dist: Fraction, class_sizes: list[int]):
-        self.n = n
-        self.sample_size = sample_size
+    def __init__(self, classes_observed: int, budget: int, dialog_bound: int,
+                 max_dialog_len: int, max_class_dist: Fraction,
+                 class_sizes: list[int]):
         self.classes_observed = classes_observed
         self.budget = budget
         self.dialog_bound = dialog_bound
@@ -295,8 +293,7 @@ def dialog_cover_experiment(samples: list[Name], points: list,
     budget = T.bound(l_pair, n + 1)
     bound = dialog_length_bound(budget)
     runs: dict = {}                 # Name -> (dialog, encoded length)
-    classes: dict = {}
-    reps: dict = {}
+    classes: dict = {}              # dialog -> sample indices, first = rep
     max_len = 0
     max_dist = 0
     radius = _pow2(u - n)
@@ -311,20 +308,17 @@ def dialog_cover_experiment(samples: list[Name], points: list,
                 f"dialog length {enc_len} exceeds bound {bound} at sample {idx}")
         max_len = max(max_len, enc_len)
         key = (dialog.query_count, dialog.truncated_answers)
-        if key not in classes:
-            classes[key] = []
-            reps[key] = idx
-        classes[key].append(idx)
-        d = dist(points[idx], points[reps[key]])
+        members = classes.setdefault(key, [])
+        members.append(idx)
+        d = dist(points[idx], points[members[0]])
         if d > radius:
             raise ContractViolation(
                 f"sample {idx} at distance {Fraction(d) / _pow2(u)} > 2^-{n} "
-                f"from representative {reps[key]}")
+                f"from representative {members[0]}")
         max_dist = max(max_dist, d)
     return DialogCoverReport(
-        n=n, sample_size=len(samples), classes_observed=len(classes),
-        budget=budget, dialog_bound=bound, max_dialog_len=max_len,
-        max_class_dist=Fraction(max_dist) / _pow2(u),
+        classes_observed=len(classes), budget=budget, dialog_bound=bound,
+        max_dialog_len=max_len, max_class_dist=Fraction(max_dist) / _pow2(u),
         class_sizes=sorted(map(len, classes.values())),
     )
 

@@ -106,9 +106,8 @@ def sup_dist_pl(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
 
 def _abs_linear_pow_integral(v0: Fraction, v1: Fraction, width: Fraction,
                              p: int) -> Fraction:
-    """Integral of |v0 + (v1 - v0) t / width|^p over t in [0, width]."""
-    if width == 0:
-        return Fraction(0)
+    """Integral of |v0 + (v1 - v0) t / width|^p over t in [0, width], for
+    width > 0."""
     if v0 == v1:
         return abs(v0) ** p * width
     if v0 * v1 < 0:

@@ -160,10 +160,9 @@ class RunningTime(_Record):
     what time-constructibility checks run.
     """
 
-    def __init__(self, bound: Callable[[LengthFn, int], int], label: str = "",
+    def __init__(self, bound: Callable[[LengthFn, int], int],
                  evaluator: Callable[[Ctx, int], int] | None = None):
         self.bound = bound
-        self.label = label
         self.evaluator = evaluator
 
 
@@ -196,15 +195,15 @@ def oracle_length_scan(ctx: Ctx, k: int) -> int:
     return best
 
 
-def first_order(f: Callable[[int], int], label: str = "") -> RunningTime:
+def first_order(f: Callable[[int], int]) -> RunningTime:
     def ev(ctx: Ctx, n: int) -> int:
         ctx.tick(1)
         return f(n)
-    return RunningTime(lambda l, n: f(n), label or "first-order", evaluator=ev)
+    return RunningTime(lambda l, n: f(n), evaluator=ev)
 
 
 def const_time(c: int) -> RunningTime:
-    return first_order(lambda n: c, f"S={c}")
+    return first_order(lambda n: c)
 
 
 def exp_max_time() -> RunningTime:
@@ -214,22 +213,23 @@ def exp_max_time() -> RunningTime:
         k = oracle_length(ctx, n)
         ctx.tick(max(n, 1))
         return 2 ** max(k, n)
-    return RunningTime(lambda l, n: 2 ** max(l(n), n), "S=2^max{l(n),n}", evaluator=ev)
+    return RunningTime(lambda l, n: 2 ** max(l(n), n), evaluator=ev)
 
 
 def length_time_by_convention() -> RunningTime:
-    return RunningTime(lambda l, n: l(n), "L=l(n), via 0^n", evaluator=oracle_length)
+    return RunningTime(lambda l, n: l(n), evaluator=oracle_length)
 
 
 def length_time_by_scan() -> RunningTime:
-    return RunningTime(lambda l, n: l(n), "L=l(n), by scan", evaluator=oracle_length_scan)
+    return RunningTime(lambda l, n: l(n), evaluator=oracle_length_scan)
 
 
 def need_evaluator(S: RunningTime) -> None:
     """Reject, when a program is built, a running time that the program
     must evaluate under the meter but that has no evaluator."""
     if S.evaluator is None:
-        raise InvalidConfig(f"running time {S.label!r} has no evaluator")
+        raise InvalidConfig("running time has no evaluator, and the program "
+                            "must evaluate it under the meter")
 
 
 def constructibility_program(S: RunningTime) -> Callable[[Ctx], None]:
@@ -250,7 +250,7 @@ def is_time_constructible(S: RunningTime, probes, depth: int) -> bool:
     ``metered_run``'s l is.
     """
     prog = constructibility_program(S)
-    budget = RunningTime(lambda l, n: 8 * S.bound(l, n) + 8, label="8*S+8")
+    budget = RunningTime(lambda l, n: 8 * S.bound(l, n) + 8)
     for phi, l in probes:
         for a in all_strings(depth):
             try:
@@ -260,7 +260,8 @@ def is_time_constructible(S: RunningTime, probes, depth: int) -> bool:
             expect = S.bound(l, len(a))
             if out != "1" * expect:
                 raise ContractViolation(
-                    f"evaluator for {S.label!r} computed {len(out)} != {expect}")
+                    f"evaluator computed {len(out)} != {expect} = S(l, {len(a)}) "
+                    f"on input {a!r}")
     return True
 
 
@@ -303,6 +304,4 @@ def equality_from_metric(metric_program: Callable[[Ctx], None],
         ctx.tick(len(raw) + 1)
         ctx.emit("0" if z > 3 else "1")
 
-    shifted = RunningTime(lambda l, n: T.bound(l, n + 2),
-                          label=f"{T.label or 'T'}(l,n+2)")
-    return prog, shifted
+    return prog, RunningTime(lambda l, n: T.bound(l, n + 2))

@@ -201,23 +201,32 @@ def cauchy_metric_time() -> RunningTime:
     6(a+b) + 6."""
     def bound(l: LengthFn, n: int) -> int:
         return 6 * (l(n + 3) + n + 1) + 6
-    return RunningTime(bound, label="t(l(n+3),n+1)")
+    return RunningTime(bound)
 
 
 # ---------------------------------------------------------------------------
 # relativized Cauchy representation
+
+def _relativized_layout(approx: Callable[[int], int],
+                        metric: Callable[[str], str], label: str) -> Name:
+    """The relativized layout: phi("0" + n) is the index approx(n) of a
+    1/(n+1)-approximation, the empty query answers epsilon, and every other
+    query goes to ``metric``."""
+    def fn(a: str) -> str:
+        if a[:1] == "0":
+            return _index_answer(approx, a[1:])
+        return metric(a) if a else ""
+
+    return Name(fn, label=label)
+
 
 def relativized_cauchy_name(M: MetricSpaceSpec,
                             approx: Callable[[int], int]) -> Name:
     """Layout: phi("0" + n) is an approximation index; phi("1" + <k,m,n>) is
     an integer z with |d(r_k, r_m) - z/(n+1)| <= 1/(n+1); other queries
     answer epsilon."""
-    def fn(a: str) -> str:
-        if a[:1] == "0":
-            return _index_answer(approx, a[1:])
-        return metric_answer(M, a[1:])
-
-    return Name(fn, label=f"rel-cauchy[{M.label}]")
+    return _relativized_layout(approx, lambda a: metric_answer(M, a[1:]),
+                               f"rel-cauchy[{M.label}]")
 
 
 def metric_query(i: int, j: int, n: int) -> str:
@@ -257,7 +266,7 @@ def relativized_metric_time() -> RunningTime:
     """Budget of shape max(l(n+4), n) up to the recorded constant 10."""
     def bound(l: LengthFn, n: int) -> int:
         return 10 * (max(l(n + 4), n) + 1) + 10
-    return RunningTime(bound, label="max{l(n+4),n}")
+    return RunningTime(bound)
 
 
 # ---------------------------------------------------------------------------

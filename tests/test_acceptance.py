@@ -105,7 +105,7 @@ def test_c02_real_representation_contract():
     metric = cauchy_metric_program(M)
     # the long approx_index names outgrow the library budget (C03 checks
     # budgets on short names), so this one does not bind
-    unbounded = RunningTime(lambda l, n: 1 << 40, label="unbounded")
+    unbounded = RunningTime(lambda l, n: 1 << 40)
     for _ in range(1000):
         x = Fraction(rnd.randrange(0, 257), 256)
         y = Fraction(rnd.randrange(0, 257), 256)

@@ -31,6 +31,11 @@ def test_name_determinism_and_cache():
     assert calls == ["01"]
 
 
+def test_name_repr_shows_its_label():
+    assert repr(identity_name()) == "Name(id)"
+    assert repr(Name(lambda a: a)) == "Name(?)"
+
+
 def test_non_binary_answer_is_malformed_name():
     with pytest.raises(MalformedName):
         Name(lambda a: "x")("")

@@ -213,7 +213,6 @@ def test_integer_dialog_check_matches_fraction_check(monkeypatch, tmp_path,
     ["eval", "--n-max", "-2"],
     ["bounds", "--n-max", "-1"],
     ["entropy", "--samples", "4", "--l-table", "n+x"],
-    ["entropy", "--rep", "bogus"],
 ])
 def test_bad_input_is_config_error(tmp_path, args):
     rc, _, err = run_cli([a.format(tmp=tmp_path) for a in args])
@@ -395,9 +394,10 @@ def test_unread_flag_is_rejected(argv):
 @pytest.mark.parametrize("argv", [
     ["translate", "--kind", "bogus"],
     ["eval", "--basis", "bogus"],
+    ["entropy", "--rep", "bogus"],
 ])
 def test_unknown_choice_is_a_usage_error(argv):
-    # argparse's choices are the one check on --kind and --basis
+    # argparse's choices are the one check on --kind, --basis and --rep
     rc, err = _run_main(argv, "")
     assert rc == 2
     assert "invalid choice: 'bogus'" in err and "config-error" not in err

@@ -363,7 +363,7 @@ def test_compact_metric_contract():
     params = params_unit()
     T = compact_metric_time(params)
     prog = compact_metric_program(params)
-    budget = RunningTime(lambda l, m: 64 * T.bound(l, m) + 64, label="64T+64")
+    budget = RunningTime(lambda l, m: 64 * T.bound(l, m) + 64)
     rnd = random.Random(13)
     for _ in range(30):
         x = Fraction(rnd.randrange(0, 65), 64)
@@ -390,7 +390,7 @@ def test_compact_metric_metered():
     for n in range(9):
         out, report, _ = metered_run(
             prog, chi, nat_str(n),
-            type(T)(lambda l, m: 64 * T.bound(l, m) + 64, label="64T+64"), l2)
+            type(T)(lambda l, m: 64 * T.bound(l, m) + 64), l2)
         z = decode_int(out)
         assert abs(abs(x - y) - Fraction(z, n + 1)) <= Fraction(1, n + 1)
         ratios.append(report.steps_used / max(T.bound(l2, len(nat_str(n))), 1))

@@ -163,8 +163,6 @@ DEFAULTED_PARAMETERS = {
     ("entropy", "covering_number", "mode"),
     ("machine", "Ctx.tick", "k"),
     ("machine", "RunningTime.__init__", "evaluator"),
-    ("machine", "RunningTime.__init__", "label"),
-    ("machine", "first_order", "label"),
     ("schauder", "FSSystem.norm_bounds", "prec"),
     ("schauder", "HaarSystem.norm_bounds", "prec"),
     ("schauder", "RootSum.__init__", "terms"),

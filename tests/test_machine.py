@@ -73,9 +73,8 @@ def test_budget_report_lists_the_queries_up_to_the_overrun():
 
 
 @pytest.mark.parametrize("c", [0, 1, 4])
-def test_const_time_label_names_its_bound(c):
+def test_const_time_bound_is_its_constant(c):
     T = const_time(c)
-    assert T.label == f"S={c}"
     assert T.bound(lambda n: n, 3) == c
 
 
@@ -168,8 +167,7 @@ def test_wrong_evaluator_is_contract_violation():
     def ev(ctx, n):
         ctx.tick(1)
         return n
-    off_by_one = RunningTime(lambda l, n: n + 1, "n+1, evaluated as n",
-                             evaluator=ev)
+    off_by_one = RunningTime(lambda l, n: n + 1, evaluator=ev)
     with pytest.raises(ContractViolation, match="computed 0 != 1"):
         is_time_constructible(off_by_one, [bounded_probe(lambda n: n)], depth=2)
 
@@ -198,7 +196,7 @@ def test_metered_programs_refuse_bad_input_and_missing_evaluators():
         metered_run(prog, Name(lambda a: ""), "01", const_time(100),
                     lambda n: 0)
     with pytest.raises(InvalidConfig, match="no evaluator"):
-        constructibility_program(RunningTime(lambda l, n: n, "bare"))
+        constructibility_program(RunningTime(lambda l, n: n))
 
 
 def eq_setup():

@@ -85,7 +85,7 @@ def test_cauchy_metric_contract_random():
     # checks on short names; here the budget does not bind
     M = unit_interval_space()
     prog = cauchy_metric_program(M)
-    unbounded = RunningTime(lambda l, n: 1 << 40, label="unbounded")
+    unbounded = RunningTime(lambda l, n: 1 << 40)
     rnd = random.Random(7)
     for _ in range(200):
         x = Fraction(rnd.randrange(0, 257), 256)

@@ -459,6 +459,8 @@ def test_pow2_and_root_bounds():
     assert RootSum({Fraction(3, 2): Fraction(1)}).bounds(20) == (lo, hi)
     lo, hi = frac_root_bounds(Fraction(2), 2, 30)
     assert lo * lo <= 2 <= hi * hi
+    # a radicand below the precision floors to the root 0
+    assert frac_root_bounds(Fraction(1, 2 ** 100), 2, 8) == (0, Fraction(2, 256))
 
 
 def test_haar_system_norms():

@@ -399,3 +399,7 @@ def test_records_compare_by_value():
     # a cloud's distance memo is not one of its fields
     a, b = PointCloud([0, 1], dist), PointCloud([0, 1], dist)
     assert a.d(0, 1) == 1 and a == b
+    # a record never equals an object of another class, even one with the
+    # same fields
+    assert a != a._values() and a != ApproxSetSpec([Fraction(1)])
+    assert Dialog(1, ("10",)) != (1, ("10",))
