@@ -280,12 +280,11 @@ def _uniform_value(q0: int, k0: int, target: int, mark: str) -> str:
     """Scale (q0, k0) to (q0*2^j, k0+j) so the padded pair <q, mark 0^k>
     has the exact target component size; the scale block's mark is "1"
     for point values and empty for integral values."""
-    base = max(len(encode_int(q0)), k0 + len(mark))
-    j = target - base
+    q_enc = encode_int(q0)
+    j = target - max(len(q_enc), k0 + len(mark))
     if j < 0:
         raise ParameterViolation("length target below the content size")
-    q_enc = encode_int(q0) + "0" * j if q0 != 0 else ""
-    return tuple_strs([q_enc, mark + "0" * (k0 + j)])
+    return tuple_strs([q_enc + "0" * j if q0 != 0 else "", mark + "0" * (k0 + j)])
 
 
 def _level_sizer(B: Callable[[], int],

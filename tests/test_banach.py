@@ -25,7 +25,8 @@ from metrent.schauder import (FSSystem, HaarSystem, RootSum, _tight_bounds,
                               fs_partial_sum_pl, haar_gen, haar_integral,
                               haar_scale_exp, haar_stepform, haar_support)
 from metrent.strings import (MalformedName, _dyadic, ceil_lb, decode_int,
-                             nat_str, round_half_away, tuple_strs)
+                             encode_int, nat_str, parse_nats, round_half_away,
+                             tuple_strs)
 
 
 ELL = lambda n: n + 4
@@ -248,6 +249,27 @@ def test_xi_to_dsq_values_and_query_growth():
     # distinct queries fit below C * (|phi|(n+c) + n)^2 with C = 4, c = 4
     for n, c in enumerate(counts):
         assert c <= 4 * (lfn(n + 4) + n) ** 2, (n, c)
+
+
+def test_value_longer_than_its_level_target_is_refused():
+    # a source whose hat-3 coefficient is 2^300 leaves the translation's
+    # length data, and its value at 1/2, as they were, so the value at 1/4
+    # needs more symbols than its level's target
+    params, system = fs_setup()
+    f = PiecewiseLinear.build([0, 1], [0, 1])
+    base = banach_name(fs_vector(f), params, system, ELL)
+
+    def fn(a):
+        if a[:1] == "0" and a != "0" * len(a):
+            vals = parse_nats(3, a[1:])
+            if vals is not None and vals[0] == 3:
+                return encode_int(1 << 300)
+        return base(a)
+
+    psi = xi_to_dsq(Name(fn), params)
+    assert dsq_value(psi, 0, 1, 1) == Fraction(1, 2)
+    with pytest.raises(ParameterViolation, match="below the content size"):
+        dsq_value(psi, 0, 1, 2)
 
 
 def test_building_a_translation_reads_nothing():

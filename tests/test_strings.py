@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metrent.strings import (MalformedName, all_strings, ceil_lb,
-                             ceil_lb_ratio, decode_int, encode_int, floor_lb,
-                             is_binstr, nat_str, parse_nat, parse_nats,
-                             proj_value, round_half_away, round_ratio,
-                             tuple_list, tuple_strs, untuple)
+from metrent.banach import _read_pair, delta_square_name, dsq_query
+from metrent.funcs import PiecewiseLinear, continuity_modulus, modulus_fn
+from metrent.strings import (_BINARY_PASS_LEN, _HEAD_PASS_LEN,
+                             _TAIL_PASS_LEN, MalformedName, all_strings,
+                             ceil_lb, ceil_lb_ratio, decode_int, encode_int,
+                             floor_lb, is_binstr, nat_str, parse_nat,
+                             parse_nats, proj_value, round_half_away,
+                             round_ratio, tuple_list, tuple_strs, untuple)
 
 binstr = st.text(alphabet="01", max_size=7)
 
@@ -33,6 +36,8 @@ def test_tuple_golden():
     # frozen via the independent transcription of the definition
     assert oracle_tuple(["1", ""]) == "1110"
     assert tuple_strs(["1", ""]) == "1110"
+    # a tuple is read as it is; any other iterable is listed first
+    assert tuple_strs(("0", "1")) == tuple_strs(iter(["0", "1"])) == "0111"
 
 
 def test_tuple_golden_file():
@@ -274,6 +279,152 @@ def test_memo_is_bounded():
     for f in (nat_str, parse_nat, parse_nats):
         size = f.cache_info().maxsize
         assert size is not None and 0 < size <= 4096
+
+
+# The codec's C passes against the per-symbol code they replaced: the
+# references below are the earlier bodies of is_binstr, untuple and
+# decode_int, and the new ones must agree with them on every str.
+
+def ref_is_binstr(a):
+    if len(a) < 32:
+        return not a.strip("01")
+    return a.count("0") + a.count("1") == len(a)
+
+
+def ref_untuple(k, b):
+    if k < 2 or len(b) == 0 or len(b) % k != 0:
+        return None
+    out = []
+    full = False
+    for i in range(k):
+        col = b[i::k]
+        if col[-1] == "1":
+            full = True
+        stripped = col.rstrip("0")
+        if not stripped:           # no terminator marker
+            return None
+        out.append(stripped[:-1])
+    return out if full else None
+
+
+def ref_decode_int(a):
+    if a == "":
+        return 0
+    if not ref_is_binstr(a):
+        raise MalformedName(f"not a binary string: {a!r}")
+    if a[0] == "1":
+        return int(a, 2)
+    body = a[1:]
+    if body == "" or body[0] != "1":
+        raise MalformedName(f"not an integer encoding: {a!r}")
+    return -int(body, 2)
+
+
+def _zero_tail(alphabet):
+    """A head of up to 40 characters over the alphabet, then up to 3 000
+    zeros."""
+    return st.tuples(st.text(alphabet=alphabet, max_size=40),
+                     st.integers(0, 3000)).map(lambda t: t[0] + "0" * t[1])
+
+
+def _sized(alphabet, length):
+    """Text over the alphabet within 3 characters of length."""
+    return st.integers(length - 3, length + 3).flatmap(
+        lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n))
+
+
+def _padded(alphabet, length):
+    """A head of up to 40 characters over the alphabet, padded with zeros to
+    within 3 characters of length."""
+    return st.tuples(st.text(alphabet=alphabet, max_size=40),
+                     st.integers(length - 3, length + 3)).map(
+        lambda t: t[0] + "0" * (t[1] - len(t[0])))
+
+
+# binary, non-binary ASCII and non-ASCII text, long zero tails, and lengths
+# on both sides of is_binstr's and decode_int's crossovers
+codec_text = st.one_of(
+    st.text(alphabet="01", max_size=80), long_binstr,
+    st.text(alphabet="0012a", max_size=80),
+    st.text(alphabet="01\u00e9\u0660", max_size=80), any_text,
+    _zero_tail("01"), _zero_tail("0012a"), _zero_tail("01\u00e9"),
+    *[f(alphabet, length) for alphabet in ("01", "0012a\u00e9")
+      for f, length in ((_sized, _BINARY_PASS_LEN), (_sized, _HEAD_PASS_LEN),
+                        (_padded, _HEAD_PASS_LEN))])
+
+
+def _spoil(b, pos, c):
+    pos %= len(b)
+    return b[:pos] + c + b[pos + 1:]
+
+
+def _tuples(k):
+    """k-tuples of zero-tailed parts, some with columns on both sides of
+    untuple's crossover."""
+    part = st.one_of(_zero_tail("01"), _padded("01", _TAIL_PASS_LEN - 1))
+    return st.lists(part, min_size=k, max_size=k).map(tuple_strs)
+
+
+# k-tuples, whole or with one character replaced by a non-binary one, and
+# any codec text
+tuple_text = st.integers(2, 5).flatmap(lambda k: st.tuples(st.just(k), st.one_of(
+    codec_text, _tuples(k),
+    st.tuples(_tuples(k), st.integers(0, 1 << 20),
+              st.sampled_from("2a \u00e9")).map(lambda t: _spoil(*t)))))
+
+CODEC_CORNERS = ["0" * 40, "1" + "0" * 40, "01" + "0" * 40, "0" * 40 + "1",
+                 "a" + "0" * 40, "1a" + "0" * 40, "1" + "0" * 39 + "a",
+                 "\u00e9" * 40, "1" * 31, "1" * 32, "01" * 16, "0" * 31 + "\u0660",
+                 "1" * 19 + "2", "0" * 19 + "\u0660", "1" + "0" * 255,
+                 "01" + "0" * 300, "011" + "0" * 300, "1" + "0" * 254 + "a",
+                 "0" * 30 + "\ud800"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(codec_text)
+def test_is_binstr_matches_its_reference(a):
+    assert is_binstr(a) == ref_is_binstr(a)
+
+
+@pytest.mark.parametrize("a", CODEC_CORNERS)
+def test_codec_corners_match_their_references(a):
+    assert is_binstr(a) == ref_is_binstr(a)
+    assert _outcome(decode_int, a) == _outcome(ref_decode_int, a)
+    for k in (2, 3, 4):
+        assert untuple(k, a) == ref_untuple(k, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codec_text)
+def test_decode_int_matches_its_reference(a):
+    # the value, or the class of the exception raised
+    assert _outcome(decode_int, a) == _outcome(ref_decode_int, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuple_text)
+def test_untuple_matches_its_reference(kb):
+    k, b = kb
+    assert untuple(k, b) == ref_untuple(k, b)
+
+
+def test_long_point_value_round_trip():
+    # a point query at precision 8 191 is about 24 600 symbols and its answer
+    # about as long: the pair read back is the rounded value, and it agrees
+    # with the references
+    f = PiecewiseLinear.build([0, Fraction(1, 2), 1], [0, 1, Fraction(1, 4)])
+    psi = delta_square_name(f, modulus_fn(continuity_modulus(f, 8)))
+    n = 8191
+    for r, m in ((1, 1), (1, 2), (3, 2), (0, 0)):
+        query = dsq_query(n, r, m)
+        assert len(query) > 24_000
+        raw = psi(query)
+        q, k = _read_pair(raw, "1")
+        x = Fraction(r, 1 << m)
+        assert Fraction(q, 1 << k) == Fraction(round_half_away(f(x) * (1 << (n + 1))),
+                                              1 << (n + 1))
+        zs, mark = ref_untuple(2, raw)
+        assert (q, k) == (ref_decode_int(zs), len(mark) - 1)
 
 
 def test_tuple_list():
