@@ -21,8 +21,9 @@ from .entropy import (EXACT_COVER_CAP, PointCloud, _first_fit,
 from .funcs import PiecewiseLinear, sup_dist_pl
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
-from .reprs import (MetricSpaceSpec, _line_dist, _relativized_layout,
-                    cauchy_index, metric_answer, metric_query)
+from .reprs import (MetricSpaceSpec, _dyadic_gap, _line_dist,
+                    _relativized_layout, cauchy_index, metric_answer,
+                    metric_query)
 from .strings import (ContractError, InvalidConfig, _frac, _Record, ceil_lb,
                       decode_int, nat_str, parse_nats, proj_value, tuple_strs,
                       untuple)
@@ -53,13 +54,10 @@ def q_seq(i: int) -> Fraction:
     return Fraction(c, 1 << s)
 
 
-def _q_dist(i: int, j: int) -> Fraction:
-    """|q_i - q_j| exactly, with both nodes put on the finer of their two
-    grids."""
-    ci, si = _q_node(i)
-    cj, sj = _q_node(j)
-    s = max(si, sj)
-    return Fraction(abs((ci << (s - si)) - (cj << (s - sj))), 1 << s)
+def _q_dist(i: int, j: int) -> tuple[int, int]:
+    """|q_i - q_j| exactly, as (p, 2^s) with both nodes put on the finer of
+    their two grids s."""
+    return _dyadic_gap(*_q_node(i), *_q_node(j))
 
 
 def _grid_index(c: int, s: int) -> int:

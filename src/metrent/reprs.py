@@ -26,8 +26,10 @@ class MetricSpaceSpec(_Record):
     """A separable metric space given by a dense sequence and a discrete
     metric evaluator.
 
-    ``dist(i, j)`` returns d(r_i, r_j) exactly, as a rational.  Metric
-    queries and ``cauchy_metric_program`` are answered from it.
+    ``dist(i, j)`` returns d(r_i, r_j) exactly, as a pair of integers
+    (p, q) with q > 0 and d(r_i, r_j) = p/q, not necessarily in lowest
+    terms.  Metric queries and ``cauchy_metric_program`` put p/q on their
+    output grid without building a Fraction.
     ``exact_dist`` compares arbitrary points exactly: the validators, the
     co-r.e. rejection and the dialog check use it.  ``approx_index(x, n)``
     is the index of a 1/(n+1)-approximation of x: compact names read it.
@@ -35,7 +37,7 @@ class MetricSpaceSpec(_Record):
     """
 
     def __init__(self, label: str, point: Callable[[int], object],
-                 dist: Callable[[int, int], Fraction],
+                 dist: Callable[[int, int], tuple[int, int]],
                  exact_dist: Callable[[object, object], Fraction],
                  approx_index: Callable[[object, int], int]):
         self.label = label
@@ -58,13 +60,25 @@ def _cantor(a: int, b: int) -> int:
     return (a + b) * (a + b + 1) // 2 + b
 
 
-def dyadic_line_point(i: int) -> Fraction:
+def _dyadic_line_node(i: int) -> tuple[int, int]:
+    """(num, scale) with point i = num / 2^scale."""
     w = (isqrt(8 * i + 1) - 1) // 2
     t = w * (w + 1) // 2
     scale = i - t
     a = w - scale
     num = a // 2 if a % 2 == 0 else -(a + 1) // 2
+    return num, scale
+
+
+def dyadic_line_point(i: int) -> Fraction:
+    num, scale = _dyadic_line_node(i)
     return Fraction(num, 1 << scale)
+
+
+def _dyadic_gap(a: int, s: int, b: int, t: int) -> tuple[int, int]:
+    """|a/2^s - b/2^t| as (p, 2^u) on the finer grid u = max(s, t)."""
+    u = max(s, t)
+    return abs((a << (u - s)) - (b << (u - t))), 1 << u
 
 
 def dyadic_line_index(x: Fraction) -> int:
@@ -74,8 +88,8 @@ def dyadic_line_index(x: Fraction) -> int:
 
 def dyadic_line_space() -> MetricSpaceSpec:
     """The real line with the diagonal enumeration of all dyadics."""
-    def dist(i: int, j: int) -> Fraction:
-        return abs(dyadic_line_point(i) - dyadic_line_point(j))
+    def dist(i: int, j: int) -> tuple[int, int]:
+        return _dyadic_gap(*_dyadic_line_node(i), *_dyadic_line_node(j))
 
     def approx(x, n: int) -> int:
         x = _frac(x)
@@ -102,20 +116,21 @@ def real_name(x: Fraction) -> Name:
     """Name with phi(n) an integer encoding and |x - phi(n)/(n+1)| <= 1/(n+1);
     the generator picks round(x*(n+1)) with ties away from zero."""
     xf = _frac(x)
+    p, q = xf.numerator, xf.denominator
 
     def fn(a: str) -> str:
         n = parse_nat(a)
         if n is None:
             return ""
-        return _grid_answer(xf, n)
+        return _grid_answer(p, q, n)
 
     return Name(fn, label=f"real({xf})")
 
 
-def _grid_answer(v: Fraction, n: int) -> str:
-    """The encoded integer round(v * (n+1)), ties away from zero: v put on
-    the output grid of precision n."""
-    return encode_int(round_ratio(v.numerator * (n + 1), v.denominator))
+def _grid_answer(p: int, q: int, n: int) -> str:
+    """The encoded integer round(p/q * (n+1)), ties away from zero, for
+    q > 0: p/q put on the output grid of precision n."""
+    return encode_int(round_ratio(p * (n + 1), q))
 
 
 def real_decode(phi: Name, n: int) -> tuple[Fraction, Fraction]:
@@ -192,7 +207,7 @@ def cauchy_metric_program(M: MetricSpaceSpec) -> Callable[[Ctx], None]:
         ans = ctx.ask(nat_str(4 * n + 3))
         i, j = paired(parse_nats(2, ans))
         ctx.tick(len(ans) + len(ctx.input) + 4)
-        ctx.emit(_grid_answer(M.dist(i, j), n))
+        ctx.emit(_grid_answer(*M.dist(i, j), n))
     return prog
 
 
@@ -242,7 +257,7 @@ def metric_answer(M: MetricSpaceSpec, rest: str) -> str:
     if idx is None:
         return ""
     i, j, n = idx
-    return _grid_answer(M.dist(i, j), n)
+    return _grid_answer(*M.dist(i, j), n)
 
 
 def relativized_metric_program() -> Callable[[Ctx], None]:

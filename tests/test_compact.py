@@ -63,7 +63,7 @@ def test_unit_interval_dist_matches_node_difference():
     M = unit_interval_space()
     for i in range(200):
         for j in range(200):
-            assert M.dist(i, j) == abs(q_seq(i) - q_seq(j)), (i, j)
+            assert Fraction(*M.dist(i, j)) == abs(q_seq(i) - q_seq(j)), (i, j)
 
 
 def test_q_index_inverse():

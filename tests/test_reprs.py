@@ -211,12 +211,23 @@ def test_metric_answer_reads_the_index_metric():
         for i in range(40):
             for j in range(40):
                 d = M.exact_dist(M.point(i), M.point(j))
-                assert M.dist(i, j) == d, (M.label, i, j)
+                assert Fraction(*M.dist(i, j)) == d, (M.label, i, j)
                 for n in range(20):
                     old = encode_int(round_ratio(d.numerator * (n + 1),
                                                  d.denominator))
                     assert metric_answer(M, tuple_strs(
                         [nat_str(i), nat_str(j), nat_str(n)])) == old
+
+
+def test_index_metric_denominator_is_positive():
+    """dist(i, j) is an integer pair (p, q) with q > 0, so that p/q is the
+    distance and rounding it never divides by zero or flips a sign."""
+    for M in (unit_interval_space(), dyadic_line_space()):
+        for i in range(200):
+            for j in range(200):
+                p, q = M.dist(i, j)
+                assert type(p) is int and type(q) is int and q > 0 and p >= 0, \
+                    (M.label, i, j)
 
 
 def test_line_spaces_share_one_exact_distance():

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from metrent.banach import _read_pair, delta_square_name, dsq_query
 from metrent.funcs import PiecewiseLinear, continuity_modulus, modulus_fn
 from metrent.strings import (_BINARY_PASS_LEN, _HEAD_PASS_LEN,
-                             _TAIL_PASS_LEN, MalformedName, all_strings,
+                             _SHORT_PART_LEN, _TAIL_PASS_LEN, InvalidConfig,
+                             MalformedName, _short_tuple, all_strings,
                              ceil_lb, ceil_lb_ratio, decode_int, encode_int,
                              floor_lb, is_binstr, nat_str, parse_nat,
                              parse_nats, proj_value, round_half_away,
@@ -276,7 +277,7 @@ def test_parse_nats_returns_a_tuple():
 
 
 def test_memo_is_bounded():
-    for f in (nat_str, parse_nat, parse_nats):
+    for f in (nat_str, parse_nat, parse_nats, _short_tuple):
         size = f.cache_info().maxsize
         assert size is not None and 0 < size <= 4096
 
@@ -406,6 +407,64 @@ def test_decode_int_matches_its_reference(a):
 def test_untuple_matches_its_reference(kb):
     k, b = kb
     assert untuple(k, b) == ref_untuple(k, b)
+
+
+# The un-memoized body of tuple_strs, kept as the reference for the memo of
+# short tuples.
+def ref_tuple_strs(parts):
+    if not isinstance(parts, (list, tuple)):
+        parts = list(parts)
+    k = len(parts)
+    if k < 2:
+        raise InvalidConfig("tuple_strs needs at least two parts")
+    m = max(map(len, parts)) + 1
+    out = bytearray(k * m)
+    i = 0
+    for p in parts:
+        out[i::k] = (p + "1").ljust(m, "0").encode("ascii")
+        i += 1
+    return out.decode("ascii")
+
+
+def _part(alphabet):
+    """A part of up to 40 symbols, or one whose length lies within 3 of the
+    memo's limit on the longest part."""
+    return st.one_of(st.text(alphabet=alphabet, max_size=40),
+                     _sized(alphabet, _SHORT_PART_LEN))
+
+
+# k = 2..4 parts, binary or not, with the longest part on both sides of the
+# memo's limit
+memo_parts = st.integers(2, 4).flatmap(lambda k: st.lists(
+    st.one_of(_part("01"), _part("01a2 ")), min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(memo_parts, st.booleans())
+@example(["", ""], False)
+@example(["1" * (_SHORT_PART_LEN - 1), ""], True)
+@example(["1" * _SHORT_PART_LEN, ""], False)
+def test_memoized_tuple_strs_matches_original(parts, as_tuple):
+    # each input tupled twice, so that the second call may hit the memo
+    arg = tuple(parts) if as_tuple else parts
+    for _ in range(2):
+        assert _outcome(tuple_strs, arg) == _outcome(ref_tuple_strs, arg)
+
+
+def test_memoized_tuple_strs_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(UnicodeEncodeError):
+            tuple_strs(["0", "\u00e9"])
+        with pytest.raises(InvalidConfig):
+            tuple_strs(["1"])
+
+
+def test_long_tuples_are_not_memoized():
+    tuple_strs(["1", "0"])
+    before = _short_tuple.cache_info().currsize
+    long_part = "10" * 12_500
+    assert tuple_strs([long_part, "1"]) == ref_tuple_strs([long_part, "1"])
+    assert _short_tuple.cache_info().currsize == before
 
 
 def test_long_point_value_round_trip():
