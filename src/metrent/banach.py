@@ -22,16 +22,17 @@ from functools import cache
 from typing import Callable
 
 from .baire import LengthFn, Name
-from .compact import (ParameterViolation, _q_node, _with_length_branch,
+from .compact import (ParameterViolation, _with_length_branch,
                       name_length_fn)
-from .funcs import PiecewiseLinear, StepFn
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
-from .schauder import (FSSystem, HaarSystem, _cell_hats, _haar_sign_integral,
-                       _hat_num, _midpoint_num, _round_midpoint, _tight_bounds,
-                       fs_coeffs, fs_nonzero_indices, fs_partial_sum_pl,
-                       haar_coeffs, haar_gen, sup_error)
-from .strings import (MalformedName, _dyadic, _Record, ceil_lb, decode_int,
+from .funcs import PiecewiseLinear, StepFn, sup_dist_pl
+from .schauder import (FSSystem, HaarSystem, _cell_hats, _grid_hats,
+                       _haar_sign_integral, _haar_stencil, _hat_num,
+                       _hat_stencil, _midpoint_num, _round_midpoint,
+                       _tight_bounds, fs_nonzero_indices, fs_partial_sum_pl,
+                       haar_coeffs, haar_gen)
+from .strings import (MalformedName, _Record, ceil_lb, decode_int,
                       encode_int, nat_str, parse_nat, parse_nats, proj_value,
                       round_half_away, round_ratio, tuple_list, tuple_strs,
                       untuple)
@@ -64,36 +65,45 @@ def banach_time(params: BanachReprParams) -> RunningTime:
 # ---------------------------------------------------------------------------
 # coefficient data for library vectors
 
-def _dyadic_scale(points) -> int:
-    """The largest scale s of the points x = k 2^-s; ParameterViolation when
-    a point is not dyadic."""
-    try:
-        return max((_dyadic(x)[1] for x in points), default=0)
-    except ValueError as e:
-        raise ParameterViolation(f"{e}: the coefficient list would be inexact") from None
+def _dyadic_scale(f) -> int:
+    """s with the carrier's breakpoint denominator 2^s; ParameterViolation
+    when a breakpoint is not dyadic."""
+    s = f._d.bit_length() - 1
+    if f._d != 1 << s:
+        raise ParameterViolation(f"breakpoints over {f._d} are not dyadic: "
+                                 "the coefficient list would be inexact")
+    return s
 
 
 def fs_vector(f: PiecewiseLinear) -> list[Fraction]:
     """Exact finite hat-coefficient list of a piecewise-linear function with
-    dyadic breakpoints and no jump (a nonzero span end inside (0, 1))."""
-    for x, y in ((f.xs[0], f.ys[0]), (f.xs[-1], f.ys[-1])):
-        if y != 0 and 0 < x < 1:
-            raise ParameterViolation(f"the function jumps to zero at its span end {x}")
-    lams = fs_coeffs(f, (1 << _dyadic_scale(f.xs)) + 1)
+    dyadic breakpoints and no jump (a nonzero span end inside (0, 1)): the
+    hat stencil on f's values at the grid of its breakpoints' scale."""
+    x, d = f._x, f._d
+    for t, y in ((x[0], f._y[0]), (x[-1], f._y[-1])):
+        if y != 0 and 0 < t < d:
+            raise ParameterViolation(
+                f"the function jumps to zero at its span end {Fraction(t, d)}")
+    s = _dyadic_scale(f)
+    vals, den = f._at(1, range(d + 1))
+    lams = _grid_hats(vals, s, d + 1)                       # over 2 den
     # exactness is structural at the breakpoints' scale; verify it
-    if sup_error(f, lams) != 0:
+    if sup_dist_pl(f, fs_partial_sum_pl(lams).scaled(Fraction(1, 2 * den))):
         raise ParameterViolation("the hat expansion does not reproduce the function")
-    return lams
+    return [Fraction(a, 2 * den) for a in lams]
 
 
 def haar_vector(f: StepFn, p: Fraction) -> list[Fraction]:
     """Exact finite step-form Haar coefficient list of a step function with
     dyadic cuts, zero outside [0, 1].  Step form does not depend on p,
     which only HaarSystem reads; p is unread here."""
-    for a, b, level in zip(f.cuts, f.cuts[1:], f.levels):
-        if level != 0 and (a < 0 or b > 1):
-            raise ParameterViolation(f"level {level} on [{a}, {b}) outside [0, 1]")
-    return haar_coeffs(f, 1 << _dyadic_scale(f.cuts))
+    c, d = f._x, f._d
+    for a, b, level in zip(c, c[1:], f._y):
+        if level != 0 and (a < 0 or b > d):
+            raise ParameterViolation(
+                f"level {Fraction(level, f._yd)} on [{Fraction(a, d)}, "
+                f"{Fraction(b, d)}) outside [0, 1]")
+    return haar_coeffs(f, 1 << _dyadic_scale(f))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +409,7 @@ def lp_name(f: StepFn, p: Fraction, mu: Callable[[int], int]) -> Name:
     the integral of f from k 2^-m to l 2^-m strictly within 2^-n of
     q 2^-j; lengths are uniform per level and dominate the L^p modulus mu."""
     size = _level_sizer(
-        lambda: max(int(sum(abs(l) for l in f.levels)), 1).bit_length() + 2, mu)
+        lambda: max(sum(map(abs, f._y)) // f._yd, 1).bit_length() + 2, mu)
 
     def value(k: int, l: int, m: int, n: int) -> tuple[int, int]:
         j0 = n + 2
@@ -473,7 +483,8 @@ def xi_to_dsq(phi: Name, params: BanachReprParams) -> Name:
 
 def dsq_to_xi(psi: Name, params: BanachReprParams) -> Name:
     """Hat-coefficient name computed from a point-value name via the local
-    midpoint-deviation formula (fs_coeff's, on the answers' integer pairs);
+    midpoint-deviation formula (``_hat_stencil``, on the answers' integer
+    pairs);
     norm queries are answered by exact library evaluation of the queried
     combination."""
     mu_in = dsq_modulus(psi)
@@ -486,13 +497,7 @@ def dsq_to_xi(psi: Name, params: BanachReprParams) -> Name:
             t = min((r & -r).bit_length() - 1, s) if r else s
             return _read_pair(psi(dsq_query(prec, r >> t, s - t)), "1")
 
-        c, s = _q_node(i)
-        q0, k0 = fval(c, s)
-        if i < 2:
-            return round_ratio(q0 * (m + 1), 1 << k0)
-        (q1, k1), (q2, k2) = fval(c - 1, s), fval(c + 1, s)
-        K = max(k0, k1, k2) + 1        # lam_i = f(q) - (f(q-w) + f(q+w))/2
-        lam = (q0 << (K - k0)) - (q1 << (K - 1 - k1)) - (q2 << (K - 1 - k2))
+        lam, K = _hat_stencil(i, fval)
         return round_ratio(lam * (m + 1), 1 << K)
 
     def ell_out(k: int) -> int:
@@ -558,7 +563,8 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
 
 def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction) -> Name:
     """Haar-coefficient name computed from an integral name via the local
-    half-support integral differences (haar_stepform's, on integer pairs);
+    half-support integral differences (``_haar_stencil``, on the answers'
+    integer pairs);
     norm queries are answered by exact library evaluation."""
     mu_in = dsq_modulus(psi)
     haar_sys = HaarSystem(Fraction(p))
@@ -569,16 +575,12 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction) -> Name:
         prec = (m.bit_length() + 18 if i == 0
                 else len(nat_str(m + 1)) + haar_gen(i) + 20)
 
+        c, K = _haar_stencil(
+            i, lambda a, g: _read_pair(psi(lp_query(a, a + 1, g, prec)), ""))
         if i == 0:
-            q, k = _read_pair(psi(lp_query(0, 1, 0, prec)), "")
-            return round_ratio(q * (m + 1), 1 << k)
-        c, g = _q_node(i + 1)           # the halves [c-1, c] and [c, c+1] / 2^g
-        (q1, k1), (q2, k2) = [_read_pair(psi(lp_query(a, a + 1, g, prec)), "")
-                              for a in (c - 1, c)]
-        K = max(k1, k2)                 # c_i = L 2^(g-1) / 2^K
-        L = (q1 << (K - k1)) - (q2 << (K - k2))
+            return round_ratio(c * (m + 1), 1 << K)
         shift, f = haar_sys._scale_split(i, -1)
-        return round_ratio(_midpoint_num({f: L * (m + 1) << (g - 1)}, prec + 8),
+        return round_ratio(_midpoint_num({f: c * (m + 1)}, prec + 8),
                            1 << (K - shift + prec + 9))
 
     def ell_out(k: int) -> int:

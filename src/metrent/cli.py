@@ -23,10 +23,10 @@ from .compact import unit_interval_short_approx, unit_interval_space
 from .entropy import (EXACT_COVER_CAP, ApproxSetSpec, PointCloud,
                       covering_number, dialog_cover_experiment,
                       dialog_length_bound, lorentz_bounds, packing_exponent)
-from .funcs import modulus_fn
+from .funcs import PiecewiseLinear, modulus_fn, sup_dist_pl
 from .machine import equality_from_metric, exp_max_time, RunningTime
 from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
-from .schauder import (fs_coeffs, fs_partial_sum_pl, haar_integral,
+from .schauder import (_grid_hats, fs_partial_sum_pl, haar_integral,
                        haar_scale_exp, haar_support)
 from .strings import ConfigError, ContractError, InvalidConfig
 
@@ -139,16 +139,16 @@ def cmd_bounds(args) -> int:
 def cmd_eval(args) -> int:
     rows = []
     if args.basis == "fs":
-        # the parabola x(1-x) sampled as its interpolant target
-        target = lambda x: Fraction(x) * (1 - Fraction(x))
+        # the parabola x(1-x) sampled on the grid of step 2^-(level+1), so
+        # that the sup distance to the level's partial sum, which is reached
+        # at the midpoints of the level's cells, is read on that grid
         for level in range(args.n_max + 1):
-            lams = fs_coeffs(target, (1 << level) + 1)
-            pl = fs_partial_sum_pl(lams)
-            worst = Fraction(0)
-            for t in range(1 << level):
-                mid = Fraction(2 * t + 1, 1 << (level + 1))
-                worst = max(worst, abs(target(mid) - pl(mid)))
-            rows.append([level, str(worst)])
+            m = 2 << level
+            vals = [t * (m - t) for t in range(m + 1)]          # over m^2
+            target = PiecewiseLinear._of(range(m + 1), m, vals, m * m)
+            lams = _grid_hats(vals, level + 1, (1 << level) + 1)  # over 2 m^2
+            pl = fs_partial_sum_pl(lams).scaled(Fraction(1, 2 * m * m))
+            rows.append([level, str(sup_dist_pl(target, pl))])
         _write_csv(args.out, ["level", "sup_error"], rows)
         return 0
     p = _parse_p(args.p)                # haar, the other --basis choice

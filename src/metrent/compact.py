@@ -12,7 +12,7 @@ metric to precision 1/(n+1).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable
 
 from .baire import LengthFn, Name
@@ -403,15 +403,9 @@ def relativized_to_compact(rel: Name, params: CompactReprParams) -> Name:
 def lipschitz_family(level: int):
     """All piecewise-linear functions on the 2^-level grid with f(0) = 0 and
     increments in {-h, 0, h}; 3^(2^level) functions of Lipschitz constant 1."""
-    h = Fraction(1, 1 << level)
-    grid = [k * h for k in range((1 << level) + 1)]
-    fns = []
-    for incs in product((-h, Fraction(0), h), repeat=1 << level):
-        ys = [Fraction(0)]
-        for d in incs:
-            ys.append(ys[-1] + d)
-        fns.append(PiecewiseLinear(tuple(grid), tuple(ys)))
-    return fns
+    d = 1 << level
+    return [PiecewiseLinear._of(range(d + 1), d, (0, *accumulate(incs)), d)
+            for incs in product((-1, 0, 1), repeat=d)]
 
 
 def lipschitz_cloud(level: int) -> PointCloud:

@@ -12,6 +12,7 @@ number by at most a radius-doubling factor.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -32,6 +33,7 @@ class PointCloud(_Record):
         self.dist = dist
         self._cache: dict = {}
         self._traversals: dict = {}
+        self._rows: list | None = None
 
     def __len__(self):
         return len(self.points)
@@ -73,15 +75,19 @@ def covering_number(K: PointCloud, n: int, mode: str = "exact") -> CoverResult:
 
 
 def _ball_masks(K: PointCloud, r: int | Fraction) -> list[int]:
-    m = len(K)
-    masks = []
-    for c in range(m):
-        mask = 0
-        for p in range(m):
-            if K.d(c, p) <= r:
-                mask |= 1 << p
-        masks.append(mask)
-    return masks
+    """Per center c, the bit mask of the points within r of c: one bisect
+    in c's distance row, sorted once per cloud, whose cumulative masks
+    list the points nearer than each cut."""
+    if K._rows is None:
+        rows = []
+        for c in range(len(K)):
+            row = sorted((K.d(c, p), p) for p in range(len(K)))
+            masks = [0]
+            for _, p in row:
+                masks.append(masks[-1] | 1 << p)
+            rows.append(([d for d, _ in row], masks))
+        K._rows = rows
+    return [masks[bisect_right(ds, r)] for ds, masks in K._rows]
 
 
 def _exact_cover(K: PointCloud, r: int | Fraction) -> int:

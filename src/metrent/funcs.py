@@ -2,58 +2,139 @@
 with dyadic breakpoints, their norms, integrals, smoothing, and moduli.
 
 Functions are treated as zero outside their breakpoint span, so norms and
-distances are taken over the whole line.  Everything is exact rational
-arithmetic; p-th-power integrals require integer p.
+distances are taken over the whole line.  A carrier holds integers: its
+breakpoints are numerators over one least common denominator (2^s for a
+dyadic carrier), and its values numerators over another, so equal functions
+hold equal integers and compare and hash equal.  Evaluation, integrals,
+distances, smoothing and the moduli work on these integers, and sweep two
+carriers over the merged integer grid of their breakpoints.  Fractions
+remain at the boundary: the ``xs``/``ys`` and ``cuts``/``levels`` fields,
+each result, and the pieces of a p-th-power distance on which the
+difference changes sign.  p-th-power integrals require integer p.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Callable, Iterable
 
 from .strings import InvalidConfig, _frac, _FrozenRecord, ceil_lb_ratio
 
 
-class StepFn(_FrozenRecord):
-    """Right-open step function: value levels[i] on [cuts[i], cuts[i+1])."""
+def _over(vals) -> tuple[tuple[int, ...], int]:
+    """(numerators, d): the rationals vals over their least common
+    denominator d."""
+    d = math.lcm(*(v.denominator for v in vals))
+    return tuple(v.numerator * (d // v.denominator) for v in vals), d
 
-    def __init__(self, cuts: tuple[Fraction, ...],
-                 levels: tuple[Fraction, ...]):
+
+def _least(nums, d: int) -> tuple[tuple[int, ...], int]:
+    """nums / d over the least denominator."""
+    g = math.gcd(d, *nums)
+    return tuple(a // g for a in nums) if g > 1 else tuple(nums), d // g
+
+
+def _fracs(nums, d: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(a, d) for a in nums)
+
+
+class _Carrier(_FrozenRecord):
+    """Breakpoints _x[i] / _d and values _y[i] / _yd, each over its least
+    denominator; records compare and hash by these integers."""
+
+    def _values(self) -> tuple:
+        return self._x, self._d, self._y, self._yd
+
+    def _fill(self, x, d: int, y, yd: int) -> None:
+        for name, v in (("_x", x), ("_d", d), ("_y", y), ("_yd", yd)):
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def _of(cls, x, d: int, y, yd: int):
+        """The carrier with breakpoints x / d and values y / yd, for integer
+        tables the caller has checked."""
+        f = object.__new__(cls)
+        f._fill(*_least(x, d), *_least(y, yd))
+        return f
+
+
+class StepFn(_Carrier):
+    """Right-open step function: value levels[i] on [cuts[i], cuts[i+1]).
+    Cuts and levels are rationals, each read exactly as a Fraction (so a
+    float or Decimal is taken at its exact value)."""
+
+    def __init__(self, cuts: tuple, levels: tuple):
         if len(cuts) != len(levels) + 1:
             raise InvalidConfig("need one more cut than levels")
-        if any(a >= b for a, b in zip(cuts, cuts[1:])):
+        c, d = _over(tuple(map(_frac, cuts)))
+        if any(a >= b for a, b in zip(c, c[1:])):
             raise InvalidConfig("cuts must be strictly increasing")
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "levels", levels)
+        self._fill(c, d, *_over(tuple(map(_frac, levels))))
+
+    cuts = property(lambda self: _fracs(self._x, self._d))
+    levels = property(lambda self: _fracs(self._y, self._yd))
 
     @staticmethod
     def build(cuts: Iterable, levels: Iterable) -> "StepFn":
-        return StepFn(tuple(map(_frac, cuts)), tuple(map(_frac, levels)))
+        return StepFn(tuple(cuts), tuple(levels))
 
     def __call__(self, x) -> Fraction:
         x = _frac(x)
-        if x < self.cuts[0] or x >= self.cuts[-1]:
+        t = x.numerator * self._d // x.denominator      # floor(x d)
+        c = self._x
+        if t < c[0] or t >= c[-1]:
             return Fraction(0)
-        return self.levels[bisect_right(self.cuts, x) - 1]
+        return Fraction(self._y[bisect_right(c, t) - 1], self._yd)
+
+    def _at(self, k: int, pts) -> tuple[list[int], int]:
+        """(V, den): the value at each of the sorted points t / (k d) is
+        V[i] / den."""
+        c = self._x if k == 1 else [a * k for a in self._x]
+        lev, n = self._y, len(self._y)
+        out, i = [], 0
+        for t in pts:
+            while i < n and c[i + 1] <= t:
+                i += 1
+            out.append(lev[i] if i < n and c[i] <= t else 0)
+        return out, self._yd
+
+    def _sides(self, k: int, pts):
+        """(V, L, R, den): V and den as _at gives them, and the limits from
+        inside each piece [pts[i], pts[i+1]] at its left end, L[i], and at
+        its right end, R[i], over den too."""
+        V, den = self._at(k, pts)
+        return V, V[:-1], V[:-1], den
+
+    def _prims(self, k: int, pts) -> list[int]:
+        """The integral up to each of the sorted points t / (k d), as
+        numerators over k d _yd."""
+        c = self._x if k == 1 else [a * k for a in self._x]
+        lev, n = self._y, len(self._y)
+        out, i, acc = [], 0, 0
+        for t in pts:
+            while i < n and c[i + 1] <= t:
+                acc += lev[i] * (c[i + 1] - c[i])
+                i += 1
+            out.append(acc + lev[i] * (t - c[i]) if i < n and c[i] < t else acc)
+        return out
 
     def integral(self, a, b) -> Fraction:
         """Exact integral over [a, b]."""
         a, b = _frac(a), _frac(b)
         if b < a:
             return -self.integral(b, a)
-        total = Fraction(0)
-        for i, lev in enumerate(self.levels):
-            lo = max(a, self.cuts[i])
-            hi = min(b, self.cuts[i + 1])
-            if hi > lo:
-                total += lev * (hi - lo)
-        return total
+        k, d = a.denominator * b.denominator, self._d
+        lo, hi = self._prims(k, (a.numerator * b.denominator * d,
+                                 b.numerator * a.denominator * d))
+        return Fraction(hi - lo, k * d * self._yd)
 
     def jump_sizes(self) -> list[Fraction]:
-        vals = [Fraction(0), *self.levels, Fraction(0)]
-        return [abs(b - a) for a, b in zip(vals, vals[1:])]
+        vals = (0, *self._y, 0)
+        return [Fraction(abs(b - a), self._yd) for a, b in zip(vals, vals[1:])]
 
 
 def chi(a, b) -> StepFn:
@@ -61,95 +142,135 @@ def chi(a, b) -> StepFn:
     return StepFn.build([a, b], [1])
 
 
-class PiecewiseLinear(_FrozenRecord):
-    """Continuous piecewise-linear function interpolating values at
-    breakpoints, zero outside the span."""
+class PiecewiseLinear(_Carrier):
+    """Piecewise-linear function interpolating values at breakpoints, zero
+    outside the span: continuous on the span, and jumping to zero at a
+    span end where its value is not zero.  Breakpoints and values are read
+    exactly as Fractions, as for StepFn."""
 
-    def __init__(self, xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]):
+    def __init__(self, xs: tuple, ys: tuple):
         if len(xs) != len(ys) or len(xs) < 2:
             raise InvalidConfig("need matching breakpoints and values (>= 2)")
-        if any(a >= b for a, b in zip(xs, xs[1:])):
+        x, d = _over(tuple(map(_frac, xs)))
+        if any(a >= b for a, b in zip(x, x[1:])):
             raise InvalidConfig("breakpoints must be strictly increasing")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        self._fill(x, d, *_over(tuple(map(_frac, ys))))
+
+    xs = property(lambda self: _fracs(self._x, self._d))
+    ys = property(lambda self: _fracs(self._y, self._yd))
 
     @staticmethod
     def build(xs: Iterable, ys: Iterable) -> "PiecewiseLinear":
-        return PiecewiseLinear(tuple(map(_frac, xs)), tuple(map(_frac, ys)))
+        return PiecewiseLinear(tuple(xs), tuple(ys))
 
     def __call__(self, x) -> Fraction:
         x = _frac(x)
-        if x < self.xs[0] or x > self.xs[-1]:
+        q = x.denominator
+        t = x.numerator * self._d                       # x d = t / q
+        xs, ys = self._x, self._y
+        if t < xs[0] * q or t > xs[-1] * q:
             return Fraction(0)
         # the first segment whose right end is >= x
-        i = max(bisect_left(self.xs, x) - 1, 0)
-        x0, x1 = self.xs[i], self.xs[i + 1]
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        i = max(bisect_left(xs, -(-t // q)) - 1, 0)
+        x0, x1 = xs[i], xs[i + 1]
+        return Fraction(ys[i] * (x1 * q - t) + ys[i + 1] * (t - x0 * q),
+                        (x1 - x0) * q * self._yd)
+
+    def _at(self, k: int, pts) -> tuple[list[int], int]:
+        """(V, den): the value at each of the sorted points t / (k d) is
+        V[i] / den, where den is _yd times the lcm of the segment widths, so
+        that an interpolated value has an integer numerator too."""
+        x = self._x if k == 1 else [a * k for a in self._x]
+        y = self._y
+        widths = [b - a for a, b in zip(x, x[1:])]
+        lcm = math.lcm(*widths)
+        mult = [lcm // w for w in widths]
+        out, j, lo, hi = [], 1, x[0], x[-1]
+        for t in pts:
+            if t < lo or t > hi:
+                out.append(0)
+                continue
+            while x[j] < t:
+                j += 1
+            out.append((y[j - 1] * (x[j] - t) + y[j] * (t - x[j - 1])) * mult[j - 1])
+        return out, self._yd * lcm
+
+    def _sides(self, k: int, pts):
+        """As StepFn._sides, for a pts that holds every breakpoint: a piece
+        that ends at the span's start or starts at its end lies outside the
+        span, where the carrier is zero."""
+        V, den = self._at(k, pts)
+        lo, hi = self._x[0] * k, self._x[-1] * k
+        L = [v if t != hi else 0 for t, v in zip(pts[:-1], V)]
+        R = [v if t != lo else 0 for t, v in zip(pts[1:], V[1:])]
+        return V, L, R, den
 
     def sup_norm(self) -> Fraction:
-        return max(abs(y) for y in self.ys)
+        return Fraction(max(map(abs, self._y)), self._yd)
 
     def scaled(self, c) -> "PiecewiseLinear":
         c = _frac(c)
-        return PiecewiseLinear(self.xs, tuple(c * y for y in self.ys))
+        return PiecewiseLinear._of(self._x, self._d,
+                                   tuple(c.numerator * y for y in self._y),
+                                   c.denominator * self._yd)
+
+
+def _merged(f, g):
+    """(X, pts, sides of f, sides of g): the sorted union pts of both
+    breakpoint grids as integers over their common denominator X, and f and
+    g there as their _sides give them."""
+    X = math.lcm(f._d, g._d)
+    kf, kg = X // f._d, X // g._d
+    pts = sorted({a * kf for a in f._x}.union([b * kg for b in g._x]))
+    return X, pts, f._sides(kf, pts), g._sides(kg, pts)
 
 
 def sup_dist_pl(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
-    """Exact supremum distance; attained on the union of breakpoint grids."""
-    xs = sorted(set(f.xs) | set(g.xs))
-    return max(abs(f(x) - g(x)) for x in xs)
+    """Exact supremum distance over the line.  f - g is linear on each
+    piece of the merged breakpoint grid, so the supremum is the largest
+    |f - g| at a grid point or as a limit there from inside a piece; the
+    limits count where a carrier jumps to zero at a span end."""
+    _, _, (F, FL, FR, df), (G, GL, GR, dg) = _merged(f, g)
+    pairs = chain(zip(F, G), zip(FL, GL), zip(FR, GR))
+    return Fraction(max(abs(a * dg - b * df) for a, b in pairs), df * dg)
 
 
 # ---------------------------------------------------------------------------
 # exact |linear|^p integration and mixed distances
 
-def _abs_linear_pow_integral(v0: Fraction, v1: Fraction, width: Fraction,
-                             p: int) -> Fraction:
-    """Integral of |v0 + (v1 - v0) t / width|^p over t in [0, width], for
-    width > 0."""
-    if v0 == v1:
-        return abs(v0) ** p * width
-    if v0 * v1 < 0:
-        root = width * v0 / (v0 - v1)
-        return (_abs_linear_pow_integral(v0, Fraction(0), root, p)
-                + _abs_linear_pow_integral(Fraction(0), v1, width - root, p))
-    # single sign: antiderivative of |linear|^p
-    hi, lo = abs(v1), abs(v0)
-    slope = (v1 - v0) / width
-    return abs((hi ** (p + 1) - lo ** (p + 1)) / (slope * (p + 1)))
-
-
-def _pieces(f) -> list[Fraction]:
-    if isinstance(f, StepFn):
-        return list(f.cuts)
-    return list(f.xs)
-
-
-def _eval_left(f, x: Fraction, lo: Fraction) -> Fraction:
-    """Limit from the left at x within the piece starting at lo."""
-    if isinstance(f, StepFn):
-        mid = (lo + x) / 2
-        return f(mid)
-    return f(x)
-
-
 def p_power_dist(f, g, p: int) -> Fraction:
     """Integral of |f - g|^p over the line, exact, for f, g each a StepFn or
-    PiecewiseLinear (integer p)."""
-    cuts = sorted(set(_pieces(f)) | set(_pieces(g)))
-    total = Fraction(0)
-    for a, b in zip(cuts, cuts[1:]):
-        # f(a) is the value just right of a: step functions are right-open
-        v0 = f(a) - g(a)
-        v1 = _eval_left(f, b, a) - _eval_left(g, b, a)
-        total += _abs_linear_pow_integral(v0, v1, b - a, p)
-    return total
+    PiecewiseLinear (integer p).
+
+    On each piece [a, b] of the merged grid f - g runs linearly from u, its
+    limit at a from inside the piece, to v, its limit at b (a step
+    function's level on the piece; zero for a piecewise-linear carrier on a
+    piece outside its span).  With U = |u| and V = |v| the integral of
+    |linear|^p over the piece is (b - a) / (p + 1) times
+    (U^(p+1) - V^(p+1)) / (U - V), an integer polynomial, when u and v do
+    not differ in sign, and (U^(p+1) + V^(p+1)) / (U + V) when the
+    difference changes sign at the root inside the piece."""
+    X, pts, (_, FL, FR, df), (_, GL, GR, dg) = _merged(f, g)
+    left = [a * dg - b * df for a, b in zip(FL, GL)]
+    right = [a * dg - b * df for a, b in zip(FR, GR)]
+    whole, part = 0, Fraction(0)
+    for a, b, u, v in zip(pts, pts[1:], left, right):
+        U, V = abs(u), abs(v)
+        if u == v:
+            whole += (b - a) * (p + 1) * U ** p
+        elif u * v >= 0:
+            whole += (b - a) * ((U ** (p + 1) - V ** (p + 1)) // (U - V))
+        else:
+            part += Fraction((b - a) * (U ** (p + 1) + V ** (p + 1)), U + V)
+    return (part + whole) / (X * (p + 1) * (df * dg) ** p)
 
 
 def shifted_p_power_dist(f: StepFn, h: Fraction, p: int) -> Fraction:
     """Integral of |f(x + h) - f(x)|^p, exact."""
-    shifted = StepFn(tuple(c - h for c in f.cuts), f.levels)
+    h = _frac(h)
+    X = math.lcm(f._d, h.denominator)
+    k, t = X // f._d, h.numerator * (X // h.denominator)
+    shifted = StepFn._of(tuple(c * k - t for c in f._x), X, f._y, f._yd)
     return p_power_dist(shifted, f, p)
 
 
@@ -189,7 +310,8 @@ def lp_modulus(f: StepFn, p: int, up_to: int) -> list[int]:
     Below the smallest gap g the shifts slide each jump over its own
     interval, so the p-th power distance is exactly t * sum |jump|^p and
     the search is needed only for the first rows (see _least_moduli)."""
-    gaps = sorted({abs(a - b) for a in f.cuts for b in f.cuts if a != b})
+    c = f._x
+    gaps = [Fraction(g, f._d) for g in sorted({b - a for a in c for b in c if a < b})]
 
     @cache
     def shift_dist(t: Fraction) -> Fraction:
@@ -210,25 +332,26 @@ def continuity_modulus(f: PiecewiseLinear, up_to: int) -> list[int]:
     end value is a jump that this modulus does not count.  Within the
     narrowest segment width the oscillation is h times the largest |slope|,
     so the search is needed only for the first rows (see _least_moduli)."""
-    def osc(h: Fraction) -> Fraction:
-        cands = set(f.xs)
-        for x in f.xs:
-            cands.add(x + h)
-            cands.add(x - h)
-        pts = sorted(c for c in cands if f.xs[0] <= c <= f.xs[-1])
-        vals = [f(u) for u in pts]
-        best = Fraction(0)
-        for i, u in enumerate(pts):
-            fu = vals[i]
-            for j in range(i, len(pts)):
-                if pts[j] - u > h:
-                    break
-                best = max(best, abs(fu - vals[j]))
-        return best
+    x, d, y = f._x, f._d, f._y
 
-    widths = [x1 - x0 for x0, x1 in zip(f.xs, f.xs[1:])]
-    slope = max(abs(y1 - y0) / w for y0, y1, w in zip(f.ys, f.ys[1:], widths))
-    return _least_moduli(up_to, 1, slope, min(widths), osc)
+    def osc(h: Fraction) -> Fraction:
+        X = math.lcm(d, h.denominator)
+        k, H = X // d, h.numerator * (X // h.denominator)
+        lo, hi = x[0] * k, x[-1] * k
+        pts = sorted({t for a in x for t in (a * k - H, a * k, a * k + H)
+                      if lo <= t <= hi})
+        vals, den = f._at(k, pts)
+        # the points within h of pts[i] are pairwise within h
+        best = 0
+        for i, u in enumerate(pts):
+            near = vals[i:bisect_right(pts, u + H, i)]
+            best = max(best, max(near) - min(near))
+        return Fraction(best, den)
+
+    widths = [b - a for a, b in zip(x, x[1:])]
+    slope = max(Fraction(abs(y1 - y0) * d, w * f._yd)
+                for y0, y1, w in zip(y, y[1:], widths))
+    return _least_moduli(up_to, 1, slope, Fraction(min(widths), d), osc)
 
 
 def modulus_fn(table: list[int]) -> Callable[[int], int]:
@@ -258,10 +381,13 @@ def smooth(f: StepFn, m: int) -> PiecewiseLinear:
     """Sliding average A_m(f)(x) = 2^m * integral of f over
     [x - 2^-(m+1), x + 2^-(m+1)]; piecewise linear with breakpoints at the
     cuts of f shifted by the half-window."""
-    w = Fraction(1, 1 << (m + 1))
-    xs = sorted({c + s for c in f.cuts for s in (w, -w)})
-    ys = [(1 << m) * f.integral(x - w, x + w) for x in xs]
-    return PiecewiseLinear(tuple(xs), tuple(ys))
+    X = math.lcm(f._d, 1 << (m + 1))
+    k, w = X // f._d, X >> (m + 1)
+    xs = sorted({c * k + s for c in f._x for s in (w, -w)})
+    lo, hi = f._prims(k, [x - w for x in xs]), f._prims(k, [x + w for x in xs])
+    # 2^m times the window integral (hi - lo) / (X _yd)
+    return PiecewiseLinear._of(tuple(xs), X, tuple(b - a for a, b in zip(lo, hi)),
+                               (X >> m) * f._yd)
 
 
 def approx_check(f: StepFn, mu, n: int, p: int) -> tuple[bool, Fraction, Fraction]:

@@ -20,6 +20,14 @@ fine as a pyramid, where each element splits its support cell into two
 halves that inherit the parent value plus or minus the element's value
 (``_haar_pyramid``).  One dyadic-cell rule (``_cell_hats``) finds the
 elements whose open support holds a point, for both systems.
+
+Each basis has one coefficient stencil on integers: ``_hat_stencil`` takes
+a hat coefficient from three point values and ``_haar_stencil`` a step-form
+coefficient from two half-support integrals, each value an integer pair
+(v, k) for v / 2^k.  The Banach translations feed them the pairs their
+names answer; ``fs_vector``, ``haar_coeffs`` and ``metrent eval`` feed them
+a carrier's integer values on a dyadic grid (``_grid_hats``) or its
+integrals there, so a coefficient list costs one Fraction per coefficient.
 Integer cores (``_hat_num``, ``_haar_sign_integral``, and
 ``_enclosure_nums``, the one enclosure of a sum of powers of two) serve the
 Banach translations, and the public Fraction functions and
@@ -33,7 +41,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .compact import _q_node, q_seq
-from .funcs import PiecewiseLinear, StepFn, chi, sup_dist_pl
+from .funcs import PiecewiseLinear, StepFn, _over, chi, sup_dist_pl
 from .machine import ContractViolation
 from .strings import (InvalidConfig, _dyadic, _frac, _pow2, _Record, ceil_lb,
                       round_ratio)
@@ -42,10 +50,6 @@ from .strings import (InvalidConfig, _dyadic, _frac, _pow2, _Record, ceil_lb,
 # ---------------------------------------------------------------------------
 # hat functions (peaks at the node enumeration)
 
-def fs_halfwidth(i: int) -> Fraction:
-    return Fraction(1, 1 << ceil_lb(i))
-
-
 def _hat_num(i: int, a: int, d: int) -> int:
     """d times hat i's value at x = a/d, for any d > 0: with q_i = c/2^g and
     halfwidth 2^-g, 2^g |x - q_i| = |a 2^g - c d| / d."""
@@ -53,33 +57,33 @@ def _hat_num(i: int, a: int, d: int) -> int:
     return max(d - abs((a << g) - c * d), 0)
 
 
-def fs_eval(i: int, x) -> Fraction:
-    """max(1 - 2^ceil_lb(i) |x - q_i|, 0), with ceil_lb(0) = 0."""
-    x = Fraction(x)
-    return Fraction(_hat_num(i, x.numerator, x.denominator), x.denominator)
-
-
 def fs_elem(i: int) -> PiecewiseLinear:
-    q, w = q_seq(i), fs_halfwidth(i)
-    xs = sorted({Fraction(0), Fraction(1), max(q - w, 0), q, min(q + w, 1)})
-    return PiecewiseLinear(tuple(xs), tuple(fs_eval(i, x) for x in xs))
+    c, g = _q_node(i)                    # q_i = c/2^g, halfwidth 2^-g
+    d = 1 << g
+    xs = sorted({0, d, max(c - 1, 0), c, min(c + 1, d)})
+    return PiecewiseLinear._of(xs, d, [_hat_num(i, x, d) for x in xs], d)
 
 
-def fs_coeff(f: Callable, j: int) -> Fraction:
-    """The j-th hat-expansion coefficient from exact dyadic point values:
-    lam_0 = f(0), lam_1 = f(1), and for j >= 2
-    lam_j = f(q_j) - (f(q_j - w) + f(q_j + w)) / 2 with w the halfwidth."""
-    if j == 0:
-        return Fraction(f(Fraction(0)))
-    if j == 1:
-        return Fraction(f(Fraction(1)))
-    q, w = q_seq(j), fs_halfwidth(j)
-    return Fraction(f(q)) - (Fraction(f(q - w)) + Fraction(f(q + w))) / 2
+def _hat_stencil(i: int, value: Callable[[int, int], tuple[int, int]]
+                 ) -> tuple[int, int]:
+    """(a, K) with the i-th hat-expansion coefficient lam_i = a / 2^K, from
+    the point values value(c, s) = (v, k), v / 2^k the function at c/2^s:
+    lam_0 = f(0), lam_1 = f(1), and for i >= 2, with q_i = c/2^s and
+    halfwidth 2^-s, lam_i = f(q_i) - (f(q_i - 2^-s) + f(q_i + 2^-s)) / 2."""
+    c, s = _q_node(i)
+    v0, k0 = value(c, s)
+    if i < 2:
+        return v0, k0
+    (v1, k1), (v2, k2) = value(c - 1, s), value(c + 1, s)
+    K = max(k0, k1, k2) + 1
+    return (v0 << (K - k0)) - (v1 << (K - 1 - k1)) - (v2 << (K - 1 - k2)), K
 
 
-def fs_coeffs(f: Callable, up_to: int) -> list[Fraction]:
-    """Unique hat-expansion coefficients lam_0 .. lam_{up_to-1} of f."""
-    return [fs_coeff(f, j) for j in range(up_to)]
+def _grid_hats(vals: list[int], s: int, count: int) -> list[int]:
+    """2 lam_i for i < count (count <= 2^s + 1), over the denominator of
+    vals, the numerators of a function at t/2^s, t = 0 .. 2^s."""
+    value = lambda c, t: (vals[c << (s - t)], 0)
+    return [a << (1 - K) for a, K in (_hat_stencil(i, value) for i in range(count))]
 
 
 def _hat_nodes(lams) -> tuple[list, int]:
@@ -104,21 +108,13 @@ def _hat_nodes(lams) -> tuple[list, int]:
     return A, scale
 
 
-def fs_partial_sum_pl(lams: list[Fraction]) -> PiecewiseLinear:
+def fs_partial_sum_pl(lams: list) -> PiecewiseLinear:
     """The partial sum of the hat expansion as its interpolant on the nodes
-    q_0 .. q_{N-1} (and 0, 1), read off the integer node values of
+    q_0 .. q_{N-1} (and 0, 1), built from the integer node values of
     ``_hat_nodes``."""
     A, scale = _hat_nodes(lams)
-    top = len(A) - 1
     nodes = [t for t, a in enumerate(A) if a is not None]
-    return PiecewiseLinear(tuple(Fraction(t, top) for t in nodes),
-                           tuple(Fraction(A[t], scale) for t in nodes))
-
-
-def sup_error(f: PiecewiseLinear, lams: list[Fraction]) -> Fraction:
-    """Exact supremum distance between f and the partial sum, evaluated on
-    the union of both breakpoint grids."""
-    return sup_dist_pl(f, fs_partial_sum_pl(lams))
+    return PiecewiseLinear._of(nodes, len(A) - 1, [A[t] for t in nodes], scale)
 
 
 def _cell_hats(x: Fraction, count: int):
@@ -139,7 +135,7 @@ def _cell_hats(x: Fraction, count: int):
 
 
 def fs_nonzero_indices(x, count: int) -> list[int]:
-    """Indices i < count with fs_eval(i, x) != 0: the boundary hats 0 and 1
+    """Indices i < count whose hat is nonzero at x: the boundary hats 0 and 1
     where they do not vanish, then at most one per generation."""
     x = _frac(x)
     out = [i for i in (0, 1)
@@ -364,21 +360,31 @@ def haar_integral(k: int, a, b) -> Fraction:
                     d << haar_gen(k))
 
 
-def haar_stepform(integral: Callable, k: int) -> Fraction:
-    """Step-form coefficient c_k of the function whose integrals over
-    [a, b] are integral(a, b), via the local integral differences:
-    c_0 = int over [0, 1] and, for k >= 1,
-    c_k = (int over left half - int over right half) * 2^(g-1)."""
+def _haar_stencil(k: int, integral: Callable[[int, int], tuple[int, int]]
+                  ) -> tuple[int, int]:
+    """(a, K) with the step-form coefficient c_k = a / 2^K, from the
+    integrals integral(a, g) = (v, j), v / 2^j the integral over
+    [a, a + 1] / 2^g: c_0 is the integral over [0, 1] and, for k >= 1 with
+    node k + 1 at c/2^g, c_k = (left half - right half) 2^(g-1), the halves
+    being [c - 1, c] / 2^g and [c, c + 1] / 2^g."""
     if k == 0:
-        return integral(0, 1)
-    left, q, right = haar_support(k)
-    return (integral(left, q) - integral(q, right)) * (1 << (haar_gen(k) - 1))
+        return integral(0, 0)
+    c, g = _q_node(k + 1)
+    (v1, j1), (v2, j2) = integral(c - 1, g), integral(c, g)
+    K = max(j1, j2)
+    return ((v1 << (K - j1)) - (v2 << (K - j2))) << (g - 1), K
 
 
 def haar_coeffs(f: StepFn, up_to: int) -> list[Fraction]:
     """Unique Haar coefficients c_0 .. c_{up_to-1} of a step function, in
-    step form."""
-    return [haar_stepform(f.integral, k) for k in range(up_to)]
+    step form, from its integrals up to the points of the grid of step 2^-G,
+    G the largest generation."""
+    G = ceil_lb(up_to)
+    X = math.lcm(f._d, 1 << G)
+    prims = f._prims(X // f._d, range(0, X + 1, X >> G))     # over X _yd
+    integral = lambda a, g: (prims[(a + 1) << (G - g)] - prims[a << (G - g)], 0)
+    den = X * f._yd
+    return [Fraction(_haar_stencil(k, integral)[0], den) for k in range(up_to)]
 
 
 def _haar_pyramid(zs: list, p: Fraction, zero=Fraction(0),
@@ -423,12 +429,11 @@ def step_from_haar(c: list[Fraction], p: Fraction) -> StepFn:
     """Exact partial sum of the step-form coefficients c as a step function
     on the uniform grid of 2^G cells, G the largest generation."""
     max_gen = max((haar_gen(k) for k in range(1, len(c))), default=0)
-    m = 1 << max_gen
-    cuts = [Fraction(t, m) for t in range(m + 1)]
     levels = []
     for level, v in _haar_pyramid(c, p):
         levels.extend([v] * (1 << (max_gen - level)))
-    return StepFn(tuple(cuts), tuple(levels))
+    m = 1 << max_gen
+    return StepFn._of(range(m + 1), m, *_over(levels))
 
 
 def chi_expand(i: int, j: int, p: Fraction) -> list[Fraction]:

@@ -1,0 +1,216 @@
+"""The library's Fraction bodies from before its integer carriers, kept as
+the references the integer code is tested against: the carriers
+``RefStep`` and ``RefPL`` with their evaluation and integral, the sup and
+p-th-power distances, smoothing and the two moduli, the hat values, and
+the hat and Haar coefficient formulas on point values and integrals.
+Every operation here is Fraction arithmetic on the carriers' Fraction
+fields.  The two distances differ from the old bodies in one place: on
+each piece of the merged grid they take a piecewise-linear function's
+limits from inside the piece (``_inside``), so a nonzero value at a span
+end counts as the jump to zero that it is."""
+
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+from functools import cache
+
+from metrent.compact import q_seq
+from metrent.funcs import PiecewiseLinear, _least_moduli
+from metrent.schauder import fs_partial_sum_pl, haar_gen, haar_support
+from metrent.strings import _frac, ceil_lb
+
+
+class RefStep:
+    """Right-open step function: value levels[i] on [cuts[i], cuts[i+1])."""
+
+    def __init__(self, cuts, levels):
+        self.cuts = tuple(map(_frac, cuts))
+        self.levels = tuple(map(_frac, levels))
+
+    def __call__(self, x) -> Fraction:
+        x = _frac(x)
+        if x < self.cuts[0] or x >= self.cuts[-1]:
+            return Fraction(0)
+        return self.levels[bisect_right(self.cuts, x) - 1]
+
+    def integral(self, a, b) -> Fraction:
+        a, b = _frac(a), _frac(b)
+        if b < a:
+            return -self.integral(b, a)
+        total = Fraction(0)
+        for i, lev in enumerate(self.levels):
+            lo = max(a, self.cuts[i])
+            hi = min(b, self.cuts[i + 1])
+            if hi > lo:
+                total += lev * (hi - lo)
+        return total
+
+    def jump_sizes(self) -> list:
+        vals = [Fraction(0), *self.levels, Fraction(0)]
+        return [abs(b - a) for a, b in zip(vals, vals[1:])]
+
+
+class RefPL:
+    """Piecewise-linear function interpolating values at breakpoints, zero
+    outside the span."""
+
+    def __init__(self, xs, ys):
+        self.xs = tuple(map(_frac, xs))
+        self.ys = tuple(map(_frac, ys))
+
+    def __call__(self, x) -> Fraction:
+        x = _frac(x)
+        if x < self.xs[0] or x > self.xs[-1]:
+            return Fraction(0)
+        i = max(bisect_left(self.xs, x) - 1, 0)
+        x0, x1 = self.xs[i], self.xs[i + 1]
+        y0, y1 = self.ys[i], self.ys[i + 1]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    def sup_norm(self) -> Fraction:
+        return max(abs(y) for y in self.ys)
+
+
+def ref(f):
+    """The Fraction twin of a library carrier."""
+    if isinstance(f, PiecewiseLinear):
+        return RefPL(f.xs, f.ys)
+    return RefStep(f.cuts, f.levels)
+
+
+def _pieces(f) -> list:
+    return list(f.cuts) if isinstance(f, RefStep) else list(f.xs)
+
+
+def _inside(f, a, b, x):
+    """f's limit at x, an end of the piece [a, b] of a grid that holds f's
+    breakpoints, from inside the piece: a step function's level there, and
+    zero for a piecewise-linear function on a piece outside its span."""
+    if isinstance(f, RefStep):
+        return f(a)
+    if b <= f.xs[0] or a >= f.xs[-1]:
+        return Fraction(0)
+    return f(x)
+
+
+def sup_dist_pl(f, g) -> Fraction:
+    xs = sorted(set(f.xs) | set(g.xs))
+    at_points = [abs(f(x) - g(x)) for x in xs]
+    limits = [abs(_inside(f, a, b, x) - _inside(g, a, b, x))
+              for a, b in zip(xs, xs[1:]) for x in (a, b)]
+    return max(at_points + limits)
+
+
+def _abs_linear_pow_integral(v0, v1, width, p: int) -> Fraction:
+    """Integral of |v0 + (v1 - v0) t / width|^p over t in [0, width]."""
+    if v0 == v1:
+        return abs(v0) ** p * width
+    if v0 * v1 < 0:
+        root = width * v0 / (v0 - v1)
+        return (_abs_linear_pow_integral(v0, Fraction(0), root, p)
+                + _abs_linear_pow_integral(Fraction(0), v1, width - root, p))
+    hi, lo = abs(v1), abs(v0)
+    slope = (v1 - v0) / width
+    return abs((hi ** (p + 1) - lo ** (p + 1)) / (slope * (p + 1)))
+
+
+def p_power_dist(f, g, p: int) -> Fraction:
+    cuts = sorted(set(_pieces(f)) | set(_pieces(g)))
+    total = Fraction(0)
+    for a, b in zip(cuts, cuts[1:]):
+        v0 = _inside(f, a, b, a) - _inside(g, a, b, a)
+        v1 = _inside(f, a, b, b) - _inside(g, a, b, b)
+        total += _abs_linear_pow_integral(v0, v1, b - a, p)
+    return total
+
+
+def shifted_p_power_dist(f: RefStep, h, p: int) -> Fraction:
+    return p_power_dist(RefStep([c - h for c in f.cuts], f.levels), f, p)
+
+
+def smooth(f: RefStep, m: int) -> RefPL:
+    w = Fraction(1, 1 << (m + 1))
+    xs = sorted({c + s for c in f.cuts for s in (w, -w)})
+    return RefPL(xs, [(1 << m) * f.integral(x - w, x + w) for x in xs])
+
+
+def lp_modulus(f: RefStep, p: int, up_to: int) -> list[int]:
+    gaps = sorted({abs(a - b) for a in f.cuts for b in f.cuts if a != b})
+
+    @cache
+    def shift_dist(t):
+        return shifted_p_power_dist(f, t, p)
+
+    def worst(h):
+        return max(shift_dist(t) for t in [g for g in gaps if g <= h] + [h])
+
+    jumps = sum(j ** p for j in f.jump_sizes())
+    return _least_moduli(up_to, p, jumps, min(gaps, default=Fraction(1)), worst)
+
+
+def continuity_modulus(f: RefPL, up_to: int) -> list[int]:
+    def osc(h):
+        cands = set(f.xs)
+        for x in f.xs:
+            cands.add(x + h)
+            cands.add(x - h)
+        pts = sorted(c for c in cands if f.xs[0] <= c <= f.xs[-1])
+        vals = [f(u) for u in pts]
+        best = Fraction(0)
+        for i, u in enumerate(pts):
+            for j in range(i, len(pts)):
+                if pts[j] - u > h:
+                    break
+                best = max(best, abs(vals[i] - vals[j]))
+        return best
+
+    widths = [x1 - x0 for x0, x1 in zip(f.xs, f.xs[1:])]
+    slope = max(abs(y1 - y0) / w for y0, y1, w in zip(f.ys, f.ys[1:], widths))
+    return _least_moduli(up_to, 1, slope, min(widths), osc)
+
+
+# ---------------------------------------------------------------------------
+# hat and Haar coefficients from point values and integrals
+
+def fs_halfwidth(i: int) -> Fraction:
+    return Fraction(1, 1 << ceil_lb(i))
+
+
+def fs_eval(i: int, x) -> Fraction:
+    """Hat i at x: max(1 - |x - q_i| / halfwidth, 0)."""
+    return max(1 - abs(_frac(x) - q_seq(i)) / fs_halfwidth(i), Fraction(0))
+
+
+def fs_coeff(f, j: int) -> Fraction:
+    """The j-th hat-expansion coefficient from exact dyadic point values:
+    lam_0 = f(0), lam_1 = f(1), and for j >= 2
+    lam_j = f(q_j) - (f(q_j - w) + f(q_j + w)) / 2 with w the halfwidth."""
+    if j == 0:
+        return Fraction(f(Fraction(0)))
+    if j == 1:
+        return Fraction(f(Fraction(1)))
+    q, w = q_seq(j), fs_halfwidth(j)
+    return Fraction(f(q)) - (Fraction(f(q - w)) + Fraction(f(q + w))) / 2
+
+
+def fs_coeffs(f, up_to: int) -> list[Fraction]:
+    return [fs_coeff(f, j) for j in range(up_to)]
+
+
+def sup_error(f, lams) -> Fraction:
+    """Exact supremum distance between f and the hat partial sum of lams,
+    evaluated on the union of both breakpoint grids."""
+    return sup_dist_pl(ref(f), ref(fs_partial_sum_pl(lams)))
+
+
+def haar_stepform(integral, k: int) -> Fraction:
+    """Step-form coefficient c_k of the function whose integrals over
+    [a, b] are integral(a, b): c_0 = int over [0, 1] and, for k >= 1,
+    c_k = (int over left half - int over right half) * 2^(g-1)."""
+    if k == 0:
+        return integral(0, 1)
+    left, q, right = haar_support(k)
+    return (integral(left, q) - integral(q, right)) * (1 << (haar_gen(k) - 1))
+
+
+def haar_coeffs(f, up_to: int) -> list[Fraction]:
+    return [haar_stepform(ref(f).integral, k) for k in range(up_to)]

@@ -31,10 +31,12 @@ from metrent.machine import (RunningTime, const_time, equality_from_metric,
                              exp_max_time, metered_run)
 from metrent.reprs import (cauchy_metric_program, cauchy_metric_time,
                            cauchy_name)
-from metrent.schauder import (FSSystem, HaarSystem, chi_expand, fs_coeffs,
-                              fs_elem, haar_integral, haar_support, sup_error)
+from metrent.schauder import (FSSystem, HaarSystem, chi_expand, fs_elem,
+                              haar_integral, haar_support)
 from metrent.strings import (all_strings, decode_int, encode_int, nat_str,
                              proj_value, round_half_away, tuple_strs)
+
+from fraction_reference import fs_coeffs, sup_error
 
 
 def report(criterion: int, ok: bool, detail: str = ""):

@@ -123,6 +123,19 @@ def test_pair_and_split():
         assert untuple(2, chi(a)) == [phi(a), psi(a)]
 
 
+def test_pair_with_a_non_binary_component_is_malformed():
+    # the component's own check refuses a non-binary answer before the pair
+    # tuples it
+    bad = Name(lambda a: "0" if a else "2", label="bad")
+    chi = pair_names(identity_name(), bad)
+    assert untuple(2, chi("1")) == ["1", "0"]
+    with pytest.raises(MalformedName, match="name 'bad'"):
+        chi("")
+    with pytest.raises(MalformedName, match="name 'bad'"):
+        pair_names(bad, bad)("")
+    assert "" not in chi._cache
+
+
 def test_pair_constant_eps():
     chi = pair_names(Name(lambda a: ""), Name(lambda a: ""))
     for a in ("", "0", "11"):

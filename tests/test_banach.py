@@ -21,12 +21,14 @@ from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
 from metrent.schauder import (FSSystem, HaarSystem, RootSum, _tight_bounds,
-                              fs_coeff, fs_elem, fs_eval, fs_nonzero_indices,
+                              fs_elem, fs_nonzero_indices,
                               fs_partial_sum_pl, haar_gen, haar_integral,
-                              haar_scale_exp, haar_stepform, haar_support)
+                              haar_scale_exp, haar_support)
 from metrent.strings import (MalformedName, _dyadic, ceil_lb, decode_int,
                              encode_int, nat_str, parse_nats, round_half_away,
                              tuple_strs)
+
+from fraction_reference import fs_coeff, fs_eval, haar_stepform
 
 
 ELL = lambda n: n + 4
@@ -522,6 +524,9 @@ def test_fs_vector_refuses_a_jump_at_a_span_end():
     # zero at both inner span ends: continuous, and reproduced exactly
     f = PiecewiseLinear.build([Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)], [0, 1, 0])
     assert sup_dist_pl(fs_partial_sum_pl(fs_vector(f)), f) == 0
+    # no jump, but mass left of 0 that no hat coefficient sees
+    with pytest.raises(ParameterViolation, match="does not reproduce"):
+        fs_vector(PiecewiseLinear.build([-1, 0, 1], [1, 0, 0]))
 
 
 def test_haar_vector_refuses_mass_outside_the_unit_interval():

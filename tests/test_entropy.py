@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -79,6 +80,47 @@ def test_greedy_cover_matches_per_radius_loop(K):
     for n in range(-2, 11):
         assert covering_number(K, n, "greedy").count == \
             _greedy_cover_per_radius(K, n), n
+
+
+def _ball_masks_per_radius(K, r):
+    """Reference ball masks: every pair's distance compared with r, rebuilt
+    for each radius."""
+    masks = []
+    for c in range(len(K)):
+        mask = 0
+        for p in range(len(K)):
+            if K.d(c, p) <= r:
+                mask |= 1 << p
+        masks.append(mask)
+    return masks
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(line_values.map(line_cloud),
+                 vectors.map(cloud_from_vectors)))
+def test_ball_masks_match_per_radius_loop(K):
+    rows = None
+    for n in range(-2, 11):
+        r = Fraction(1, 1 << n) if n >= 0 else 1 << -n
+        assert entropy._ball_masks(K, r) == _ball_masks_per_radius(K, r), n
+        # the rows are sorted once per cloud
+        assert rows is None or K._rows is rows
+        rows = K._rows
+        if len(K) <= entropy.EXACT_COVER_CAP:
+            masks = _ball_masks_per_radius(K, r)
+            full = (1 << len(K)) - 1
+            # the exact count is the fewest masks whose union is full
+            want = next((k for k in range(len(K) + 1)
+                         if any(_union(c) == full for c in
+                                itertools.combinations(masks, k))), None)
+            assert covering_number(K, n, "exact").count == want, n
+
+
+def _union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,15 +1,18 @@
 import pathlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fraction_reference as fr
 from metrent import funcs
 from metrent.funcs import (PiecewiseLinear, StepFn, approx_check, chi,
                            continuity_modulus, lp_modulus,
                            lp_modulus_shift_check, modulus_fn, p_power_dist,
                            shifted_p_power_dist, smooth, sup_dist_pl)
+from metrent.strings import InvalidConfig
 
 
 def rand_step(rnd, max_cuts=5, scale=4):
@@ -345,3 +348,181 @@ def _moduli_golden_text(up_to=24):
 
 def test_moduli_match_golden_bytes():
     assert _moduli_golden_text().encode() == MODULI_GOLDEN.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the integer carriers against the Fraction bodies they replaced
+# (tests/fraction_reference.py), on dyadic and non-dyadic grids, negative
+# values, spans that need not meet, and pairs over different denominators
+
+def pl_from(xs, ys):
+    return PiecewiseLinear.build(xs, ys[:len(xs)])
+
+
+def step_from(cuts, levels):
+    return StepFn.build(cuts, levels[:len(cuts) - 1])
+
+
+pls = st.builds(pl_from, breakpoints, st.lists(rationals, min_size=8, max_size=8))
+steps = st.builds(step_from, breakpoints, st.lists(rationals, min_size=7, max_size=7))
+probes = st.lists(st.builds(Fraction, st.integers(-80, 80), st.sampled_from([1, 3, 16, 48])),
+                  max_size=12)
+
+THIRDS = pl_from([Fraction(1, 3), Fraction(5, 3)], [Fraction(-2, 5), Fraction(7, 3)])
+FIFTHS = pl_from([Fraction(3, 8), Fraction(1, 2), Fraction(7, 8), Fraction(9, 4)],
+                 [Fraction(1, 3), Fraction(-1, 5), 0, Fraction(5, 4)])
+THIRD_STEP = step_from([Fraction(-1, 3), Fraction(2, 3)], [Fraction(7, 5)])
+# a ramp through zero inside its one segment, against zero
+RAMP = pl_from([0, 1], [-1, 1])
+ZERO = StepFn.build([0, 1], [0])
+# spans that do not meet
+LEFT = pl_from([-2, -1], [1, Fraction(-1, 5)])
+RIGHT_STEP = step_from([Fraction(5, 4), Fraction(3, 2)], [-3])
+# a single cut: no levels, so a sweep of it against itself has no piece
+POINT = StepFn.build([Fraction(1, 3)], [])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(pls, steps), probes)
+@example(THIRDS, [Fraction(1, 3), Fraction(1, 2), 1])
+@example(FIFTHS, [Fraction(-1, 5), Fraction(2, 3)])
+@example(THIRD_STEP, [Fraction(-1, 3), 0, Fraction(2, 3)])
+def test_call_and_integral_match_the_fraction_bodies(f, xs):
+    g = fr.ref(f)
+    for x in xs:
+        assert f(x) == g(x), x
+    if isinstance(f, StepFn):
+        for a in xs:
+            for b in xs[:4]:
+                assert f.integral(a, b) == g.integral(a, b), (a, b)
+        assert f.jump_sizes() == g.jump_sizes()
+    else:
+        assert f.sup_norm() == g.sup_norm()
+
+
+@settings(max_examples=80, deadline=None)
+@given(pls, pls)
+@example(THIRDS, FIFTHS)
+@example(LEFT, THIRDS)
+@example(RAMP, RAMP.scaled(Fraction(-1, 3)))
+def test_sup_dist_pl_matches_the_fraction_body(f, g):
+    assert sup_dist_pl(f, g) == fr.sup_dist_pl(fr.ref(f), fr.ref(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(pls, steps), st.one_of(pls, steps), st.sampled_from([1, 2, 3]))
+@example(RAMP, ZERO, 1)
+@example(RAMP, ZERO, 2)
+@example(RAMP, ZERO, 3)
+@example(THIRDS, FIFTHS, 3)
+@example(LEFT, RIGHT_STEP, 2)
+@example(THIRD_STEP, FIFTHS, 1)
+@example(POINT, POINT, 2)
+def test_p_power_dist_matches_the_fraction_body(f, g, p):
+    assert p_power_dist(f, g, p) == fr.p_power_dist(fr.ref(f), fr.ref(g), p)
+
+
+def test_p_power_dist_corners():
+    # |2x - 1| on [0, 1]: two triangles, sign change at 1/2
+    assert [p_power_dist(RAMP, ZERO, p) for p in (1, 2, 3)] == \
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+    # the distances of a continuous carrier and a step function whose spans
+    # do not meet add up, and an empty sweep is zero
+    tent = pl_from([-2, Fraction(-3, 2), -1], [0, Fraction(-1, 5), 0])
+    for p in (1, 2):
+        assert p_power_dist(tent, RIGHT_STEP, p) == \
+            p_power_dist(tent, ZERO, p) + p_power_dist(RIGHT_STEP, ZERO, p)
+    assert p_power_dist(POINT, POINT, 2) == 0
+    assert sup_dist_pl(LEFT, THIRDS) == Fraction(7, 3)
+
+
+def test_distances_count_the_jump_at_a_span_end():
+    # 1 on [0, 1], zero elsewhere: it jumps at 0 and at 1
+    box = pl_from([0, 1], [1, 1])
+    # 1 on [-1, 0), where box is zero, and box itself on [0, 1]
+    wide = pl_from([-1, 0, 1], [1, 1, 1])
+    # x + 1 on [-1, 0], rising to box's value at 0
+    ramp = pl_from([-1, 0, 1], [0, 1, 1])
+    # 1 on [1, 2]: box and it differ by 1 on [0, 2] except at 1
+    after = pl_from([1, 2], [1, 1])
+    for p in (1, 2, 3):
+        assert p_power_dist(StepFn.build([-1, 1], [0]), box, p) == 1
+        assert p_power_dist(wide, box, p) == 1
+        assert p_power_dist(box, after, p) == 2
+        # the integral of (x + 1)^p over [-1, 0]
+        assert p_power_dist(ramp, box, p) == Fraction(1, p + 1)
+    # |ramp - box| tends to 1 as x rises to 0, and is 0 at 0 itself
+    assert sup_dist_pl(ramp, box) == sup_dist_pl(box, ramp) == 1
+    assert sup_dist_pl(box, after) == 1
+
+
+def test_constructors_read_floats_and_decimals_exactly():
+    f = StepFn((0.0, 0.5, Decimal("0.75")), (1.5, -2))
+    assert f == StepFn.build([0, Fraction(1, 2), Fraction(3, 4)], [Fraction(3, 2), -2])
+    assert f.cuts == (0, Fraction(1, 2), Fraction(3, 4))
+    g = PiecewiseLinear((Decimal("-0.25"), 1), (0.125, Fraction(1, 3)))
+    assert (g.xs, g.ys) == ((Fraction(-1, 4), 1), (Fraction(1, 8), Fraction(1, 3)))
+    assert g(0.375) == Fraction(1, 8) + Fraction(5, 24) * Fraction(1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps, st.integers(0, 6))
+@example(THIRD_STEP, 0)
+@example(POINT, 2)
+@example(step_from([Fraction(-1, 5), Fraction(1, 3), Fraction(9, 8)],
+                   [Fraction(-2, 3), Fraction(5, 4)]), 3)
+def test_smooth_matches_the_fraction_body(f, m):
+    g, h = smooth(f, m), fr.smooth(fr.ref(f), m)
+    assert (g.xs, g.ys) == (h.xs, h.ys)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pls, st.integers(0, 16))
+@example(THIRDS, 16)
+@example(FIFTHS, 16)
+def test_continuity_modulus_matches_the_fraction_body(f, up_to):
+    assert continuity_modulus(f, up_to) == fr.continuity_modulus(fr.ref(f), up_to)
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps, st.sampled_from([1, 2, 3]), st.integers(0, 16))
+@example(THIRD_STEP, 2, 16)
+@example(POINT, 1, 4)
+def test_lp_modulus_matches_the_fraction_body(f, p, up_to):
+    assert lp_modulus(f, p, up_to) == fr.lp_modulus(fr.ref(f), p, up_to)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(pls, steps), st.integers(1, 6), st.integers(1, 5))
+def test_equal_carriers_at_any_scale_compare_and_hash_equal(f, shift, factor):
+    # the same function written over a larger denominator, in integers
+    k = factor << shift
+    twin = type(f)._of([a * k for a in f._x], f._d * k, [v * 3 for v in f._y], f._yd * 3)
+    assert twin == f and hash(twin) == hash(f)
+    assert (twin._x, twin._d, twin._y, twin._yd) == (f._x, f._d, f._y, f._yd)
+    fields = (f.xs, f.ys) if isinstance(f, PiecewiseLinear) else (f.cuts, f.levels)
+    assert len({f, twin, type(f)(*fields)}) == 1
+    if any(f._y):
+        other = type(f)._of(f._x, f._d, [v * 2 for v in f._y], f._yd)
+        assert other != f
+
+
+def test_carrier_denominators_are_least():
+    f = PiecewiseLinear.build([0, Fraction(1, 2), 1], [Fraction(2, 4), 1, 0])
+    assert (f._x, f._d, f._y, f._yd) == ((0, 1, 2), 2, (1, 2, 0), 2)
+    assert (THIRDS._x, THIRDS._d) == ((1, 5), 3)
+    assert (THIRDS._y, THIRDS._yd) == ((-6, 35), 15)
+    assert f.xs == (0, Fraction(1, 2), 1) and type(f.ys[0]) is Fraction
+
+
+@pytest.mark.parametrize("build, xs, ys", [
+    (StepFn.build, [0, 1], [1, 2]),
+    (StepFn.build, [0, Fraction(1, 3), Fraction(1, 3)], [1, 2]),
+    (StepFn.build, [Fraction(1, 5), Fraction(-1, 5)], [1]),
+    (PiecewiseLinear.build, [0, 1], [0]),
+    (PiecewiseLinear.build, [Fraction(2, 3), Fraction(1, 3)], [0, 1]),
+    (PiecewiseLinear.build, [0, Fraction(1, 2), Fraction(2, 4)], [0, 1, 2]),
+])
+def test_malformed_tables_are_invalid_config(build, xs, ys):
+    with pytest.raises(InvalidConfig):
+        build(xs, ys)

@@ -8,16 +8,20 @@ from hypothesis import example, given, settings, strategies as st
 from metrent.compact import q_seq
 from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
+from metrent.banach import fs_vector
 from metrent.schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
-                              _hat_nodes, _hat_num, _midpoint_num, _pow2_floor,
+                              _grid_hats, _hat_nodes, _hat_num, _midpoint_num, _pow2_floor,
                               _round_midpoint, _split_exp, _tight_bounds,
-                              chi_expand, frac_root_bounds, fs_coeff, fs_coeffs,
-                              fs_elem, fs_eval, fs_halfwidth, fs_nonzero_indices,
-                              fs_partial_sum_pl, fs_separation, haar_coeffs,
-                              haar_eval, haar_gen, haar_integral, haar_scale_exp,
-                              haar_stepform, haar_support, step_from_haar,
-                              sup_error)
+                              chi_expand, frac_root_bounds, fs_elem,
+                              fs_nonzero_indices, fs_partial_sum_pl,
+                              fs_separation, haar_coeffs, haar_eval, haar_gen,
+                              haar_integral, haar_scale_exp, haar_support,
+                              step_from_haar)
 from metrent.strings import round_half_away
+
+import fraction_reference as fr
+from fraction_reference import (fs_coeff, fs_coeffs, fs_eval, fs_halfwidth,
+                                haar_stepform, sup_error)
 
 
 def test_fs_eval_examples():
@@ -301,6 +305,36 @@ def test_single_coefficients_match_the_list_builders(seed, scale, up_to):
                      [Fraction(rnd.randrange(-8, 9), 4) for _ in range(len(inner) + 1)])
     assert haar_coeffs(g, up_to) == [haar_stepform(g.integral, k) for k in range(up_to)] \
         == _haar_stepforms_loop(g, up_to)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.integers(1, 70))
+@example(0, 0, 1)
+def test_integer_stencils_match_the_fraction_formulas(seed, scale, up_to):
+    # _grid_hats on a carrier's grid values against fs_coeff on its Fraction
+    # twin, and haar_coeffs on integrals against haar_stepform, with
+    # non-dyadic and negative values and cuts off the unit interval
+    rnd = random.Random(seed)
+    d = 1 << scale
+    ys = [Fraction(rnd.randrange(-9, 10), rnd.choice([1, 3, 5, 8])) for _ in range(d + 1)]
+    f = PiecewiseLinear.build([Fraction(t, d) for t in range(d + 1)], ys)
+    vals, den = f._at(1, range(d + 1))
+    assert [Fraction(a, 2 * den) for a in _grid_hats(vals, scale, d + 1)] == \
+        fs_coeffs(fr.ref(f), d + 1)
+    assert fs_vector(f) == fs_coeffs(fr.ref(f), d + 1)
+    cuts = sorted({Fraction(rnd.randrange(-4, 3 * d), 2 * d) for _ in range(4)}
+                  | {Fraction(1, 3)})
+    g = StepFn.build(cuts, [Fraction(rnd.randrange(-9, 10), rnd.choice([1, 3, 4]))
+                            for _ in cuts[1:]])
+    assert haar_coeffs(g, up_to) == fr.haar_coeffs(g, up_to)
+
+
+def test_fs_elem_nodes_are_the_hat_values():
+    for i in range(40):
+        e = fs_elem(i)
+        assert e.ys == tuple(fs_eval(i, x) for x in e.xs)
+        for t in range(33):
+            assert e(Fraction(t, 32)) == fs_eval(i, Fraction(t, 32)), (i, t)
 
 
 def test_haar_unit_vector_stepform():
