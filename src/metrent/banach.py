@@ -7,8 +7,9 @@ translations between them and the coefficient-based names.
 Name layout: the all-zeros query answers the name's own length in unary; a
 "0"-tagged triple <i, n, m> answers an integer z with z/(m+1) close to the
 i-th basis coefficient (valid whenever m exceeds the threshold tied to n);
-a "1"-tagged quadruple <<z_0..z_N>, N, n, m> answers the norm of the given
-rational combination to precision 1/(n+1).
+a "1"-tagged quadruple <<z_0..z_N>, N, n, m> answers round((n+1) times the
+norm of sum z_k/(m+1) e_k), ties away from zero, which the system rounds
+from the integers z_k (``norm_int``), within 1/(n+1) of the norm.
 
 The translations compute on integers; they build Fractions only for the
 public answers (``dsq_value``, ``lp_value``) and, once per generation g in
@@ -30,8 +31,8 @@ from .funcs import PiecewiseLinear, StepFn, sup_dist_pl
 from .schauder import (FSSystem, HaarSystem, _cell_hats, _grid_hats,
                        _haar_sign_integral, _haar_stencil, _hat_num,
                        _hat_stencil, _midpoint_num, _round_midpoint,
-                       _tight_bounds, fs_nonzero_indices, fs_partial_sum_pl,
-                       haar_coeffs, haar_gen)
+                       fs_nonzero_indices, fs_partial_sum_pl, haar_coeffs,
+                       haar_gen)
 from .strings import (MalformedName, _Record, ceil_lb, decode_int,
                       encode_int, nat_str, parse_nat, parse_nats, proj_value,
                       round_half_away, round_ratio, tuple_list, tuple_strs,
@@ -147,17 +148,13 @@ def _xi_answer(a: str, coeff: Callable[[int, int, int], int], system) -> str:
 
 def _norm_answer(system, rest: str) -> str:
     """Answer to the norm query "1" + rest: round(norm * (n+1)) of the
-    queried combination, from a certified enclosure tight enough that the
-    answer stays within 1/(n+1) of the norm; epsilon when rest does not
-    parse."""
+    queried combination, which ``system.norm_int`` keeps within 1/(n+1) of
+    the norm; epsilon when rest does not parse."""
     parsed = _parse_norm_query(rest)
     if parsed is None:
         return ""
     zs, n, m = parsed
-    coeffs = [Fraction(z, m + 1) for z in zs]
-    lo, hi = _tight_bounds(lambda prec: system.norm_bounds(coeffs, prec),
-                           Fraction(1, 4 * (n + 1)))
-    return encode_int(round_half_away((lo + hi) / 2 * (n + 1)))
+    return encode_int(system.norm_int(zs, m + 1, n + 1))
 
 
 def combo_query(zs: list[int], n: int, m: int) -> str:

@@ -12,6 +12,11 @@ enclosure (``_midpoint_num``, ``_round_midpoint``) for ``coeff_int`` and
 the Haar translations.  Numeric enclosures appear only at representation
 boundaries.
 
+A system answers a name with three methods: ``coeff_int`` rounds a
+coefficient, ``norm_int`` the norm of sum (z_k/den) e_k from the integers
+z_k (exact for hats, from ``_hat_nodes``; for Haar, the midpoint of the
+first narrow enough enclosure), and ``tail_within`` tests a tail's norm.
+
 Synthesis is linear in the number of coefficients.  Hat partial sums
 follow the node recurrence V(q_j) = lam_j + (V(q_j - w_j) + V(q_j + w_j))/2
 on integer numerators over one denominator (``_hat_nodes``), so the sup
@@ -44,7 +49,7 @@ from .compact import _q_node, q_seq
 from .funcs import PiecewiseLinear, StepFn, _over, chi, sup_dist_pl
 from .machine import ContractViolation
 from .strings import (InvalidConfig, _dyadic, _frac, _pow2, _Record, ceil_lb,
-                      round_ratio)
+                      round_half_away, round_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +211,9 @@ def _midpoint_num(terms: dict[Fraction, int], prec: int) -> int:
 
 
 def _round_midpoint(terms: dict[Fraction, int], den: int, w: int) -> int:
-    """round_half_away of the midpoint of sum (C/den) 2^f's enclosure that
-    _tight_bounds picks for the width 2^-w: the first at precision 24, 48,
-    96, ... whose width sum |C| / (den 2^prec) is at most 2^-w."""
+    """round_half_away of the midpoint of sum (C/den) 2^f's first enclosure,
+    at precision 24, 48, 96, ..., whose width sum |C| / (den 2^prec) is at
+    most 2^-w."""
     spread = sum(abs(c) for c in terms.values()) << w
     prec = 24
     while spread > den << prec:
@@ -467,18 +472,11 @@ def _midpoints(m: int):
 class FSSystem(_Record):
     """Hat-function system under the supremum norm."""
 
-    def norm_bounds(self, zs: list[Fraction],
-                    prec: int = 24) -> tuple[Fraction, Fraction]:
-        """Exact supremum norm of sum z_k e_k as a zero-width enclosure;
-        prec is ignored, so callers treat both systems alike."""
-        A, scale = _hat_nodes(zs)
-        v = Fraction(max(abs(a) for a in A if a is not None), scale)
-        return v, v
-
-    def tail_sup(self, lams: list[Fraction], start: int) -> Fraction:
-        if not any(lams[start:]):
-            return Fraction(0)
-        return self.norm_bounds([0] * start + lams[start:])[0]
+    def norm_int(self, zs: list[int], den: int, scale: int) -> int:
+        """round(scale * ||sum (z_k/den) e_k||), ties away from zero: the
+        norm is exact, max |A| / (S den) over the integer node values."""
+        A, S = _hat_nodes(zs)
+        return round_ratio(max(abs(a) for a in A if a is not None) * scale, S * den)
 
     def coeff_int(self, lams: list[Fraction], i: int, scale: int) -> int:
         """round(lam_i * scale), ties away from zero; lam_i = 0 past the list."""
@@ -488,7 +486,11 @@ class FSSystem(_Record):
 
     def tail_within(self, lams: list[Fraction], start: int, eps: Fraction) -> bool:
         """Whether sum_{k >= start} lam_k e_k has supremum norm at most eps."""
-        return self.tail_sup(lams, start) <= eps
+        if not any(lams[start:]):
+            return eps >= 0
+        A, S = _hat_nodes([0] * start + lams[start:])
+        return max(abs(a) for a in A if a is not None) * eps.denominator \
+            <= eps.numerator * S
 
 
 class HaarSystem(_Record):
@@ -535,10 +537,6 @@ class HaarSystem(_Record):
             total.accumulate(v.abs().power(p), width)
         return total
 
-    def norm_bounds(self, zs: list, prec: int = 24) -> tuple[Fraction, Fraction]:
-        """Certified enclosure of the L^p norm of sum z_k f_{k,p}."""
-        return self._pieces_norm_bounds(self.combo_pieces(zs), prec)
-
     def _pieces_norm_bounds(self, pieces, prec: int) -> tuple[Fraction, Fraction]:
         """Certified enclosure of the L^p norm of the function with the
         constant pieces (width, v)."""
@@ -560,6 +558,18 @@ class HaarSystem(_Record):
         rh = _frac_pow_bounds(hi, Fraction(v, u), prec)
         return rl[0], rh[1]
 
+    def norm_int(self, zs: list[int], den: int, scale: int) -> int:
+        """round(scale * ||sum (z_k/den) f_{k,p}||_p), ties away from zero,
+        within 1/2 + 1/8 of the exact product: the midpoint of the first
+        enclosure, at precision 24, 48, 96, ..., at most 1/(4 scale) wide."""
+        pieces = self.combo_pieces([Fraction(z, den) for z in zs])
+        prec = 24
+        while True:
+            lo, hi = self._pieces_norm_bounds(pieces, prec)
+            if (hi - lo) * 4 * scale <= 1:
+                return round_half_away((lo + hi) * scale / 2)
+            prec *= 2
+
     def coeff_int(self, c: list[Fraction], i: int, scale: int) -> int:
         """round(lam_i * scale), ties away from zero, within 1/2 + 2^-16 of
         the exact product, with lam_i = c_i 2^-haar_scale_exp(i, p) formed
@@ -579,18 +589,6 @@ class HaarSystem(_Record):
         pieces = [(Fraction(1, 1 << level), RootSum({Fraction(0): v}))
                   for level, v in _haar_pyramid([0] * start + c[start:], self.p)]
         return self._pieces_norm_bounds(pieces, 24)[1] <= eps
-
-
-def _tight_bounds(enclose: Callable[[int], tuple[Fraction, Fraction]],
-                  width: Fraction) -> tuple[Fraction, Fraction]:
-    """The first enclosure enclose(prec), for prec = 24, 48, 96, ..., that
-    is at most ``width`` wide."""
-    prec = 24
-    while True:
-        lo, hi = enclose(prec)
-        if hi - lo <= width:
-            return lo, hi
-        prec *= 2
 
 
 def _frac_pow_bounds(x: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]:

@@ -2,9 +2,11 @@
 the references the integer code is tested against: the carriers
 ``RefStep`` and ``RefPL`` with their evaluation and integral, the sup and
 p-th-power distances, smoothing and the two moduli, the hat values, and
-the hat and Haar coefficient formulas on point values and integrals.
+the hat and Haar coefficient formulas on point values and integrals, and
+the norm answer of a Banach name from a Fraction coefficient list.
 Every operation here is Fraction arithmetic on the carriers' Fraction
-fields.  The two distances differ from the old bodies in one place: on
+fields, except that a Haar norm's enclosure comes from the library's
+``HaarSystem`` pieces.  The two distances differ from the old bodies in one place: on
 each piece of the merged grid they take a piecewise-linear function's
 limits from inside the piece (``_inside``), so a nonzero value at a span
 end counts as the jump to zero that it is."""
@@ -15,8 +17,8 @@ from functools import cache
 
 from metrent.compact import q_seq
 from metrent.funcs import PiecewiseLinear, _least_moduli
-from metrent.schauder import fs_partial_sum_pl, haar_gen, haar_support
-from metrent.strings import _frac, ceil_lb
+from metrent.schauder import FSSystem, fs_partial_sum_pl, haar_gen, haar_support
+from metrent.strings import _frac, ceil_lb, round_half_away
 
 
 class RefStep:
@@ -214,3 +216,49 @@ def haar_stepform(integral, k: int) -> Fraction:
 
 def haar_coeffs(f, up_to: int) -> list[Fraction]:
     return [haar_stepform(ref(f).integral, k) for k in range(up_to)]
+
+
+# ---------------------------------------------------------------------------
+# norm answers
+
+def fs_partial_sum(lams) -> RefPL:
+    """The hat partial sum by the node recurrence V(q_j) = lam_j +
+    (V(q_j - w_j) + V(q_j + w_j)) / 2 on a dict keyed by Fraction nodes."""
+    lam = lambda j: Fraction(lams[j]) if j < len(lams) else Fraction(0)
+    vals = {Fraction(0): lam(0), Fraction(1): lam(1)}
+    for j in range(2, len(lams)):
+        q, w = q_seq(j), fs_halfwidth(j)
+        vals[q] = lam(j) + (vals[q - w] + vals[q + w]) / 2
+    nodes = sorted(vals)
+    return RefPL(nodes, [vals[x] for x in nodes])
+
+
+def _tight_bounds(enclose, width: Fraction) -> tuple[Fraction, Fraction]:
+    """The first enclosure enclose(prec), for prec = 24, 48, 96, ..., that
+    is at most ``width`` wide."""
+    prec = 24
+    while True:
+        lo, hi = enclose(prec)
+        if hi - lo <= width:
+            return lo, hi
+        prec *= 2
+
+
+def norm_bounds(system, lams: list, prec: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of the norm of sum lam_k e_k: the exact supremum norm,
+    whatever prec, for the hat system; for the Haar system the certified
+    enclosure of its constant pieces at prec."""
+    if isinstance(system, FSSystem):
+        v = fs_partial_sum(lams).sup_norm()
+        return v, v
+    return system._pieces_norm_bounds(system.combo_pieces(lams), prec)
+
+
+def norm_answer(system, zs: list[int], den: int, scale: int) -> int:
+    """round(scale * norm of sum (z_k/den) e_k), ties away from zero: the
+    midpoint of the first enclosure at most 1/(4 scale) wide, on the
+    Fraction coefficients z_k/den."""
+    lams = [Fraction(z, den) for z in zs]
+    lo, hi = _tight_bounds(lambda prec: norm_bounds(system, lams, prec),
+                           Fraction(1, 4 * scale))
+    return round_half_away((lo + hi) / 2 * scale)

@@ -20,15 +20,14 @@ from metrent.compact import (ParameterViolation, _with_length_branch,
 from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
-from metrent.schauder import (FSSystem, HaarSystem, RootSum, _tight_bounds,
-                              fs_elem, fs_nonzero_indices,
-                              fs_partial_sum_pl, haar_gen, haar_integral,
-                              haar_scale_exp, haar_support)
+from metrent.schauder import (FSSystem, HaarSystem, RootSum, fs_elem,
+                              fs_nonzero_indices, fs_partial_sum_pl, haar_gen,
+                              haar_integral, haar_scale_exp, haar_support)
 from metrent.strings import (MalformedName, _dyadic, ceil_lb, decode_int,
                              encode_int, nat_str, parse_nats, round_half_away,
                              tuple_strs)
 
-from fraction_reference import fs_coeff, fs_eval, haar_stepform
+from fraction_reference import _tight_bounds, fs_coeff, fs_eval, haar_stepform
 
 
 ELL = lambda n: n + 4

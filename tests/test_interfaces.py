@@ -163,8 +163,6 @@ DEFAULTED_PARAMETERS = {
     ("entropy", "covering_number", "mode"),
     ("machine", "Ctx.tick", "k"),
     ("machine", "RunningTime.__init__", "evaluator"),
-    ("schauder", "FSSystem.norm_bounds", "prec"),
-    ("schauder", "HaarSystem.norm_bounds", "prec"),
     ("schauder", "RootSum.__init__", "terms"),
     ("schauder", "RootSum.accumulate", "c"),
 }
@@ -205,15 +203,13 @@ def test_every_defaulted_parameter_is_listed():
 
 
 # every parameter of a public function or method that its body never reads:
-# FSSystem's precision keeps one interface for both systems, and benchmarks/
-# calls the other four with these signatures (a step-form Haar vector does
-# not depend on p, which only HaarSystem reads)
+# benchmarks/ calls these four with these signatures (a step-form Haar vector
+# does not depend on p, which only HaarSystem reads)
 UNREAD_PARAMETERS = {
     ("banach", "dsq_to_xi", "params"),
     ("banach", "haar_vector", "p"),
     ("banach", "lp_name", "p"),
     ("banach", "lp_to_xi", "params"),
-    ("schauder", "FSSystem.norm_bounds", "prec"),
 }
 
 

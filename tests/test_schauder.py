@@ -8,20 +8,22 @@ from hypothesis import example, given, settings, strategies as st
 from metrent.compact import q_seq
 from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
-from metrent.banach import fs_vector
+from metrent.banach import BanachReprParams, banach_name, combo_query, fs_vector
+from metrent.machine import exp_max_time
 from metrent.schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
                               _grid_hats, _hat_nodes, _hat_num, _midpoint_num, _pow2_floor,
-                              _round_midpoint, _split_exp, _tight_bounds,
+                              _round_midpoint, _split_exp,
                               chi_expand, frac_root_bounds, fs_elem,
                               fs_nonzero_indices, fs_partial_sum_pl,
                               fs_separation, haar_coeffs, haar_eval, haar_gen,
                               haar_integral, haar_scale_exp, haar_support,
                               step_from_haar)
-from metrent.strings import round_half_away
+from metrent.strings import decode_int, round_half_away
 
 import fraction_reference as fr
-from fraction_reference import (fs_coeff, fs_coeffs, fs_eval, fs_halfwidth,
-                                haar_stepform, sup_error)
+from fraction_reference import (_tight_bounds, fs_coeff, fs_coeffs, fs_eval,
+                                fs_halfwidth, haar_stepform, norm_answer,
+                                sup_error)
 
 
 def test_fs_eval_examples():
@@ -501,8 +503,10 @@ def test_haar_system_norms():
     p = Fraction(2)
     sys2 = HaarSystem(p)
     # || f_1 ||_2 = 1
-    lo, hi = sys2.norm_bounds([Fraction(0), Fraction(1)])
+    lo, hi = sys2._pieces_norm_bounds(sys2.combo_pieces([Fraction(0), Fraction(1)]), 24)
     assert lo <= 1 <= hi and hi - lo < Fraction(1, 1 << 16)
+    for scale in (1, 3, 1 << 16, 1 << 60):
+        assert sys2.norm_int([0, 7], 7, scale) == scale
     # || (f_0 + f_1)/2 ||_2: value levels are 1 and 0 on the two halves
     val = sys2.norm_power(sys2.combo_pieces([Fraction(1, 2), Fraction(1, 2)]))
     assert val.terms == {Fraction(0): Fraction(1, 2)}
@@ -522,11 +526,33 @@ def test_haar_tail_within_a_nonzero_tail():
 
 def test_fs_system_norms():
     sysf = FSSystem()
-    lo, hi = sysf.norm_bounds([Fraction(1, 2), Fraction(1, 2)])
-    assert lo == hi
-    # e_0 + e_1 is identically one
-    assert lo == Fraction(1, 2)
-    assert sysf.tail_sup([Fraction(1), Fraction(1)], 1) == 1
+    # e_0 + e_1 is identically one, so (e_0 + e_1)/2 has norm exactly 1/2:
+    # scale 1 is a tie, rounded away from zero
+    assert [sysf.norm_int([1, 1], 2, scale) for scale in (1, 2, 3, 4)] == [1, 1, 2, 2]
+    assert [sysf.norm_int([-1, -1], 2, scale) for scale in (1, 2, 3)] == [1, 1, 2]
+    assert sysf.tail_within([Fraction(1), Fraction(1)], 1, Fraction(1))
+    assert not sysf.tail_within([Fraction(1), Fraction(1)], 1,
+                                1 - Fraction(1, 1 << 80))
+
+
+norm_combos = st.one_of(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=70),
+                        st.integers(1, 70).map(lambda k: [0] * k))
+SYSTEMS = [None, Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(norm_combos, st.integers(0, 10 ** 4),
+       st.one_of(st.integers(0, 60), st.integers(0, 60).map(lambda k: (1 << k) - 1)),
+       st.sampled_from(SYSTEMS))
+@example([7], 0, 0, None)                                   # N = 0
+@example([-7], 3, 0, Fraction(3, 2))
+@example([0] * 5, 10 ** 4, 60, Fraction(3))
+@example([-1, 2, -3, 4], 10 ** 4, (1 << 60) - 1, Fraction(3, 2))
+@example([1, 1], 1, 0, None)                                 # a tie: norm 1/2 at scale 1
+@example([(-1) ** k * (k % 5) for k in range(513)], 9999, 60, None)
+def test_norm_int_matches_the_fraction_reference(zs, m, n, p):
+    system = FSSystem() if p is None else HaarSystem(p)
+    assert system.norm_int(zs, m + 1, n + 1) == norm_answer(system, zs, m + 1, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -557,18 +583,6 @@ def test_fs_partial_sum_pl_every_length():
             [Fraction(rnd.randrange(-9, 10), 1 << rnd.randrange(4)) for _ in range(size)])
 
 
-def _fs_partial_sum_ref(lams):
-    """Reference: the node recurrence V(q_j) = lam_j + (V(q_j - w_j) +
-    V(q_j + w_j)) / 2 on a dict keyed by Fraction nodes."""
-    lam = lambda j: Fraction(lams[j]) if j < len(lams) else Fraction(0)
-    vals = {Fraction(0): lam(0), Fraction(1): lam(1)}
-    for j in range(2, len(lams)):
-        q, w = q_seq(j), fs_halfwidth(j)
-        vals[q] = lam(j) + (vals[q - w] + vals[q + w]) / 2
-    nodes = sorted(vals)
-    return PiecewiseLinear(tuple(nodes), tuple(vals[x] for x in nodes))
-
-
 EDGE_SIZES = sorted({0, 1, 2, 3} | {1 << k for k in range(1, 10)}
                     | {(1 << k) + 1 for k in range(1, 10)})
 
@@ -594,22 +608,33 @@ def hat_lists(draw, max_size=600):
 @example([Fraction(0)] * 513)
 @example([Fraction(z, 24602) for z in range(-256, 257)])
 def test_fs_partial_sum_pl_matches_fraction_recurrence(lams):
-    ref = _fs_partial_sum_ref(lams)
+    ref = fr.fs_partial_sum(lams)
     pl = fs_partial_sum_pl(lams)
     assert (pl.xs, pl.ys) == (ref.xs, ref.ys)
-    assert FSSystem().norm_bounds(lams) == (ref.sup_norm(), ref.sup_norm())
+    # at the scale D 2^g (D the lcm of the denominators) the exact norm is
+    # an integer, so norm_int pins it; other scales round it
+    den = math.lcm(*(lam.denominator for lam in lams))
+    zs = [int(lam * den) for lam in lams]
+    exact = den << ((len(lams) - 2).bit_length() if len(lams) > 2 else 0)
+    assert (ref.sup_norm() * exact).denominator == 1
+    for scale in (exact, 1, 7, 1000):
+        assert FSSystem().norm_int(zs, den, scale) == round_half_away(ref.sup_norm() * scale)
 
 
 @settings(max_examples=30, deadline=None)
 @given(hat_lists())
-def test_tail_sup_matches_fraction_recurrence_at_every_start(lams):
+def test_tail_within_is_sharp_at_the_fraction_recurrence_norm(lams):
     sysf, refs = FSSystem(), {}
+    below = Fraction(1, 1 << 80)
     for start in range(len(lams) + 3):
         nonzero = tuple(i for i in range(start, len(lams)) if lams[i])
         if nonzero not in refs:     # the tail's sum depends only on these
             tail = [Fraction(0)] * start + lams[start:]
-            refs[nonzero] = _fs_partial_sum_ref(tail).sup_norm()
-        assert sysf.tail_sup(lams, start) == refs[nonzero]
+            refs[nonzero] = fr.fs_partial_sum(tail).sup_norm()
+        ref = refs[nonzero]
+        assert sysf.tail_within(lams, start, ref)
+        if ref > 0:
+            assert not sysf.tail_within(lams, start, ref - below)
 
 
 def test_hat_nodes_share_the_least_denominator():
@@ -621,18 +646,30 @@ def test_hat_nodes_share_the_least_denominator():
         assert (len(A), scale) == ((1 << g) + 1, lcm << g)
 
 
-def test_fs_norm_builds_no_piecewise_linear(monkeypatch):
-    built = []
-    init = PiecewiseLinear.__init__
-    monkeypatch.setattr(PiecewiseLinear, "__init__",
-                        lambda self, *a: built.append(1) or init(self, *a))
+def test_fs_norm_and_tail_build_no_fraction(monkeypatch):
+    import metrent.banach
+    import metrent.schauder
     rnd = random.Random(7)
-    zs = [Fraction(rnd.randrange(-99, 100), 24602) if k % 57 == 0 else Fraction(0)
-          for k in range(513)]
-    v = FSSystem().norm_bounds(zs)[0]
-    FSSystem().tail_sup(zs, 100)
-    assert built == []
-    assert v == _fs_partial_sum_ref(zs).sup_norm() > 0
+    zs = [rnd.randrange(-99, 100) if k % 57 == 0 else 0 for k in range(513)]
+    lams = [Fraction(z, 24602) for z in zs]
+    vec = lams[:200] + [Fraction(0)] * 40
+    name = banach_name(vec, BanachReprParams(S=exp_max_time()), FSSystem(), lambda n: n + 4)
+    queries = [(zs, 60, 24601), (zs[:1], 0, 0), ([0] * 9, 3, 10 ** 4),
+               ([-5, 3, -7], 17, 2)]
+    want = [norm_answer(FSSystem(), z, m + 1, n + 1) for z, n, m in queries]
+    tail = fr.fs_partial_sum([0] * 100 + lams[100:]).sup_norm()
+    assert tail > 0
+
+    def refuse(*args):
+        raise AssertionError("built a Fraction")
+    monkeypatch.setattr(metrent.schauder, "Fraction", refuse)
+    monkeypatch.setattr(metrent.banach, "Fraction", refuse)
+    monkeypatch.setattr(PiecewiseLinear, "_of", refuse)
+    monkeypatch.setattr(PiecewiseLinear, "__init__", refuse)
+    assert [decode_int(name(combo_query(z, n, m))) for z, n, m in queries] == want
+    assert FSSystem().tail_within(lams, 100, tail)
+    assert not FSSystem().tail_within(lams, 100, tail - Fraction(1, 1 << 80))
+    assert FSSystem().tail_within(lams, 600, Fraction(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -694,12 +731,10 @@ def test_combo_pieces_match_midpoint_sums(zs, p):
     assert sum(w for w, _ in pieces) == 1
     assert [v.terms for v in _expand(pieces, len(ref))] == [v.terms for v in ref]
     # the norm does not depend on how constant stretches are cut
-    uniform = HaarSystem(p)
-    uniform.combo_pieces = lambda zs: [(Fraction(1, len(ref)), v) for v in ref]
+    uniform = [(Fraction(1, len(ref)), v) for v in ref]
     if p.denominator == 1:
-        assert sysp.norm_power(pieces).terms == \
-            sysp.norm_power(uniform.combo_pieces(zs)).terms
-    assert sysp.norm_bounds(zs) == uniform.norm_bounds(zs)
+        assert sysp.norm_power(pieces).terms == sysp.norm_power(uniform).terms
+    assert sysp._pieces_norm_bounds(pieces, 24) == sysp._pieces_norm_bounds(uniform, 24)
 
 
 @settings(max_examples=60, deadline=None)
