@@ -183,12 +183,9 @@ def packing_exponent(K: PointCloud, n: int) -> int:
 
 def check_spanning_le_covering(K: PointCloud, n: int) -> bool:
     """Spanning below covering at matched radii: the packing count never
-    exceeds the exact cover count, so the exponents are ordered too."""
-    pack = len(packing_witness(K, n))
-    cover = covering_number(K, n, "exact")
-    if pack > cover.count:
-        return False
-    return (floor_lb(pack) if pack else 0) <= cover.exponent
+    exceeds the exact cover count, which orders the exponents too, since
+    floor lb pack <= ceil lb pack <= ceil lb count."""
+    return len(packing_witness(K, n)) <= covering_number(K, n, "exact").count
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ continuous functions and the p-normalized Haar system for integrable ones.
 Haar data is kept in step form: a coefficient lam_k is stored as
 c_k = lam_k 2^((g-1)/p) and an element's integral as the integral of its
 sign pattern, both rational for rational step functions and both free of
-p.  The scale 2^((g-1)/p) belongs to the system: ``HaarSystem`` holds p
-and splits each generation's exponent once.  It enters in two ways: inside
-``RootSum``, the ring of rational combinations of rational powers of two,
-for combinations and norms; and as the integer midpoint of a ``RootSum``
-enclosure (``_midpoint_num``, ``_round_midpoint``) for ``coeff_int`` and
-the Haar translations.  Numeric enclosures appear only at representation
-boundaries.
+p, so ``step_from_haar``, ``chi_expand`` and the pyramid take no p.  The
+scale 2^((g-1)/p) belongs to the system: only ``HaarSystem`` (which splits
+each generation's exponent once), ``haar_eval`` and ``haar_scale_exp``
+read p.  It enters in two ways: inside ``RootSum``, the ring of rational
+combinations of rational powers of two, for combinations and norms; and
+as the integer midpoint of a ``RootSum`` enclosure (``_midpoint_num``,
+``_round_midpoint``) for ``coeff_int`` and the Haar translations.
+Numeric enclosures appear only at representation boundaries.
 
 A system answers a name with three methods: ``coeff_int`` rounds a
 coefficient, ``norm_int`` the norm of sum (z_k/den) e_k from the integers
@@ -328,19 +329,19 @@ def haar_support(k: int) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(c + t, 1 << g) for t in (-1, 0, 1))
 
 
+def _haar_sign(k: int, x: Fraction) -> int:
+    """Index k's sign pattern at x: 1 on [0, 1] for k = 0, else 1 on the
+    left half of its support, -1 on the right half and 0 elsewhere."""
+    if k == 0:
+        return int(0 <= x <= 1)
+    lo, q, hi = haar_support(k)
+    return 1 if lo <= x < q else -1 if q <= x <= hi else 0
+
+
 def haar_eval(k: int, p: Fraction, x) -> tuple[int, Fraction]:
     """Sign in {-1, 0, 1} and the symbolic scale exponent (g-1)/p; the
     value is sign * 2^exponent."""
-    x = Fraction(x)
-    if k == 0:
-        return (1, Fraction(0)) if 0 <= x <= 1 else (0, Fraction(0))
-    lo, q, hi = haar_support(k)
-    e = haar_scale_exp(k, p)
-    if lo <= x < q:
-        return 1, e
-    if q <= x <= hi:
-        return -1, e
-    return 0, e
+    return _haar_sign(k, Fraction(x)), haar_scale_exp(k, p)
 
 
 def _haar_sign_integral(k: int, a: int, b: int, d: int) -> int:
@@ -392,19 +393,21 @@ def haar_coeffs(f: StepFn, up_to: int) -> list[Fraction]:
     return [Fraction(_haar_stencil(k, integral)[0], den) for k in range(up_to)]
 
 
-def _haar_pyramid(zs: list, p: Fraction, zero=Fraction(0),
-                  shift=lambda v, z, s, _: v + z * s) -> list[tuple[int, object]]:
-    """Constant pieces (level, value) of sum z_k f_{k,p}, left to right; a
-    piece at level L has width 2^-L.  The default zero and shift sum step
-    forms, whose pieces are rational.
+def _haar_pyramid(zs: list, zero=Fraction(0),
+                  shift=lambda v, z, k, x: v + z * _haar_sign(k, x)
+                  ) -> list[tuple[int, object]]:
+    """Constant pieces (level, value) of sum z_k times element k, left to
+    right; a piece at level L has width 2^-L.  The default zero and shift
+    sum step forms: element k is its p-free sign pattern, so the pieces are
+    rational.
 
     Built coarse to fine: the support of element k >= 1 (level
     haar_gen(k) - 1) splits into the supports of elements 2k and 2k + 1,
     and each half meets exactly one new element, k itself, so its value is
-    the parent's plus z_k times the sign and scale ``haar_eval`` gives at
-    the half's midpoint.  A cell whose subtree holds only zero coefficients
-    is not split.  ``shift(v, z, s, e)`` returns v + z * s * 2^e without
-    changing v.  O(len(zs)) ``haar_eval`` calls and value updates."""
+    the parent's plus z_k times element k at the half's midpoint.  A cell
+    whose subtree holds only zero coefficients is not split.
+    ``shift(v, z, k, x)`` returns v plus z times element k at x without
+    changing v.  O(len(zs)) value updates."""
     n = len(zs)
     live = [False] * n              # live[k]: a nonzero z in k's subtree
     for k in range(n - 1, 0, -1):
@@ -412,7 +415,7 @@ def _haar_pyramid(zs: list, p: Fraction, zero=Fraction(0),
                    or (2 * k + 1 < n and live[2 * k + 1]))
     root = zero
     if n and zs[0]:
-        root = shift(zero, zs[0], *haar_eval(0, p, Fraction(1, 2)))
+        root = shift(zero, zs[0], 0, Fraction(1, 2))
     out = []
     stack = [(1, root)]             # (element whose support is the cell, value)
     while stack:
@@ -424,24 +427,24 @@ def _haar_pyramid(zs: list, p: Fraction, zero=Fraction(0),
         c = k - (1 << level)
         halves = [v, v]
         if zs[k]:
-            halves = [shift(v, zs[k], *haar_eval(k, p, Fraction(t, 1 << (level + 2))))
+            halves = [shift(v, zs[k], k, Fraction(t, 1 << (level + 2)))
                       for t in (4 * c + 1, 4 * c + 3)]
         stack += [(2 * k + 1, halves[1]), (2 * k, halves[0])]
     return out
 
 
-def step_from_haar(c: list[Fraction], p: Fraction) -> StepFn:
+def step_from_haar(c: list[Fraction]) -> StepFn:
     """Exact partial sum of the step-form coefficients c as a step function
     on the uniform grid of 2^G cells, G the largest generation."""
     max_gen = max((haar_gen(k) for k in range(1, len(c))), default=0)
     levels = []
-    for level, v in _haar_pyramid(c, p):
+    for level, v in _haar_pyramid(c):
         levels.extend([v] * (1 << (max_gen - level)))
     m = 1 << max_gen
     return StepFn._of(range(m + 1), m, *_over(levels))
 
 
-def chi_expand(i: int, j: int, p: Fraction) -> list[Fraction]:
+def chi_expand(i: int, j: int) -> list[Fraction]:
     """Step-form Haar coefficients of the indicator of [q_i, q_j] (requires
     q_i <= q_j); exact, with nonzero indices below max(i, j)."""
     a, b = q_seq(i), q_seq(j)
@@ -453,7 +456,7 @@ def chi_expand(i: int, j: int, p: Fraction) -> list[Fraction]:
     max_gen = max(_dyadic(a)[1], _dyadic(b)[1], 1)
     c = haar_coeffs(f, 1 << max_gen)
     # exactness and the index bound are structural; verify both
-    rec = step_from_haar(c, p)
+    rec = step_from_haar(c)
     if any(rec(x) != f(x) for x in _midpoints(1 << max_gen)):
         raise ContractViolation(f"Haar expansion of chi[q_{i}, q_{j}] does not reproduce it")
     if any(c[k] != 0 for k in range(max(i, j), len(c))):
@@ -519,11 +522,12 @@ class HaarSystem(_Record):
         all have zero coefficients stays one piece.  Integrals over the
         pieces weight each value by its width, so they do not depend on
         how constant stretches are cut."""
-        def shift(v: RootSum, z: Fraction, s: int, e: Fraction) -> RootSum:
+        def shift(v: RootSum, z: Fraction, k: int, x: Fraction) -> RootSum:
+            s, e = haar_eval(k, self.p, x)
             return v.plus(RootSum({e: z * s}))
 
         return [(Fraction(1, 1 << level), v)
-                for level, v in _haar_pyramid(zs, self.p, RootSum(), shift)]
+                for level, v in _haar_pyramid(zs, RootSum(), shift)]
 
     def norm_power(self, pieces) -> RootSum:
         """Integral of |v|^p over the constant pieces (width, v) of a
@@ -585,9 +589,9 @@ class HaarSystem(_Record):
         sum_{k >= start} lam_k f_{k,p} is at most eps.  The tail is summed
         in step form, so each of its pieces is one rational term."""
         if not any(c[start:]):
-            return True
+            return eps >= 0
         pieces = [(Fraction(1, 1 << level), RootSum({Fraction(0): v}))
-                  for level, v in _haar_pyramid([0] * start + c[start:], self.p)]
+                  for level, v in _haar_pyramid([0] * start + c[start:])]
         return self._pieces_norm_bounds(pieces, 24)[1] <= eps
 
 
@@ -595,6 +599,4 @@ def _frac_pow_bounds(x: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fra
     """Enclosure of x**e for x >= 0 and rational e >= 0."""
     if x == 0:
         return Fraction(0), Fraction(0)
-    num, den = e.numerator, e.denominator
-    lo, hi = x ** num, x ** num
-    return frac_root_bounds(lo, den, prec)[0], frac_root_bounds(hi, den, prec)[1]
+    return frac_root_bounds(x ** e.numerator, e.denominator, prec)

@@ -276,11 +276,10 @@ def test_c08_haar_exactness():
         lo, q, _ = haar_support(j - 1)
         for k in range(j, 33):
             assert haar_integral(k, lo, q) == 0
-    p = Fraction(2)
     rnd = random.Random(8)
     pairs = [(i, j) for i in range(13) for j in range(13) if q_seq(i) <= q_seq(j)]
     for (i, j) in pairs:
-        exp = chi_expand(i, j, p)
+        exp = chi_expand(i, j)
         ind = None if q_seq(i) == q_seq(j) else \
             StepFn.build([q_seq(i), q_seq(j)], [1])
         for t in range(32):

@@ -2,7 +2,7 @@
 the Cauchy covering column, the harness exit code for contract violations,
 and censuses of the public API (error classes and the raises that use
 them, defaulted and unread parameters, definitions that only tests read, bad
-configurations)."""
+configurations) and of the readers of private definitions."""
 
 import ast
 import importlib
@@ -306,12 +306,22 @@ TEST_ONLY_PUBLIC = {
 REASONS = ("paper check: ", "reference: ", "ROADMAP item ")
 
 
+def _assigned(node):
+    """The Name targets of a top-level assignment statement."""
+    if isinstance(node, ast.Assign):
+        return [t for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target]
+    return []
+
+
 def _reads(tree):
     """(name, line) for each node of a module through which it reads a
     definition: an Attribute, an import alias, and a bare Name whose name
     the module defines at top level or imports."""
     known = {n.name for n in tree.body
              if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    known |= {t.id for n in tree.body for t in _assigned(n)}
     known |= {a.asname or a.name.partition(".")[0] for n in ast.walk(tree)
               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
     for n in ast.walk(tree):
@@ -344,6 +354,38 @@ def test_every_test_only_public_definition_is_listed():
         assert reason.partition(": ")[2].strip(), key
 
 
+def _private_defs():
+    """(module, qualified name, node) for each private top-level function,
+    class and constant of src/metrent, and each private method (not a
+    dunder) of any class; a constant's node is its assignment."""
+    for path in sorted((ROOT / "src" / "metrent").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = [t.id for t in _assigned(node)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            yield from ((path.stem, n, node) for n in names if n.startswith("_")
+                        and not n.startswith("__"))
+            if isinstance(node, ast.ClassDef):
+                yield from ((path.stem, f"{node.name}.{m.name}", m)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and m.name.startswith("_")
+                            and not m.name.endswith("__"))
+
+
+def test_every_private_definition_has_a_library_reader():
+    # a fold that leaves a helper behind leaves it with no reader; reads
+    # count as in the public census, from src/metrent only
+    reads = {}
+    for path in (ROOT / "src" / "metrent").glob("*.py"):
+        for name, line in _reads(ast.parse(path.read_text())):
+            reads.setdefault(name, []).append((path.stem, line))
+    unread = [(mod, qual) for mod, qual, node in _private_defs()
+              if all(where == mod and node.lineno <= line <= node.end_lineno
+                     for where, line in reads.get(qual.rpartition(".")[2], ()))]
+    assert unread == []
+
+
 # one bad configuration per library entry point that reads one, and one
 # argument outside the documented domain per check that a public callable
 # reaches
@@ -367,7 +409,7 @@ INVALID_CONFIGS = {
     "check_monotone_sampled": lambda: check_monotone_sampled(
         const_time(1), [(lambda n: 1, lambda n: 0)], 0),
     "frac_root_bounds": lambda: frac_root_bounds(Fraction(-1), 2, 8),
-    "chi_expand": lambda: chi_expand(1, 2, 2),
+    "chi_expand": lambda: chi_expand(1, 2),
     "HaarSystem.norm_power": lambda: HaarSystem(Fraction(3, 2)).norm_power([]),
     "name_from_trace": lambda: name_from_trace("0\t1x"),
     "greedy_uniform_seq": lambda: greedy_uniform_seq(

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
 from metrent.banach import BanachReprParams, banach_name, combo_query, fs_vector
 from metrent.machine import exp_max_time
 from metrent.schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
-                              _grid_hats, _hat_nodes, _hat_num, _midpoint_num, _pow2_floor,
+                              _grid_hats, _haar_pyramid, _hat_nodes, _hat_num,
+                              _midpoint_num, _pow2_floor,
                               _round_midpoint, _split_exp,
                               chi_expand, frac_root_bounds, fs_elem,
                               fs_nonzero_indices, fs_partial_sum_pl,
@@ -350,30 +352,28 @@ def test_haar_unit_vector_stepform():
 
 def test_haar_reconstruction():
     rnd = random.Random(37)
-    p = Fraction(2)
     for _ in range(20):
         cuts = [Fraction(0)] + sorted(rnd.sample(
             [Fraction(k, 16) for k in range(1, 16)], 3)) + [Fraction(1)]
         levels = [Fraction(rnd.randrange(-8, 9), 4) for _ in range(4)]
         f = StepFn.build(cuts, levels)
-        rec = step_from_haar(haar_coeffs(f, 32), p)
+        rec = step_from_haar(haar_coeffs(f, 32))
         assert p_power_dist(rec, f, 1) == 0
 
 
 def test_chi_expand():
-    p = Fraction(2)
-    z = chi_expand(0, 0, p)
+    z = chi_expand(0, 0)
     assert all(c == 0 for c in z)
-    e = chi_expand(0, 2, p)      # indicator of [0, 1/2]
+    e = chi_expand(0, 2)         # indicator of [0, 1/2]
     assert e[:2] == [Fraction(1, 2), Fraction(1, 2)]
     with pytest.raises(ValueError, match="q_i <= q_j"):
-        chi_expand(1, 2, p)      # q_1 = 1 > q_2 = 1/2
+        chi_expand(1, 2)         # q_1 = 1 > q_2 = 1/2
     rnd = random.Random(41)
     for _ in range(25):
         i, j = rnd.randrange(13), rnd.randrange(13)
         if q_seq(i) > q_seq(j):
             i, j = j, i
-        exp = chi_expand(i, j, p)
+        exp = chi_expand(i, j)
         # integral identity against the exact indicator on a 2^-5 grid
         ind = None if q_seq(i) == q_seq(j) else StepFn.build([q_seq(i), q_seq(j)], [1])
         for t in range(32):
@@ -522,6 +522,13 @@ def test_haar_tail_within_a_nonzero_tail():
     assert c[2:] == [Fraction(1, 2), 0]
     assert HaarSystem(p).tail_within(c, 2, Fraction(36, 100))
     assert not HaarSystem(p).tail_within(c, 2, Fraction(35, 100))
+
+
+@pytest.mark.parametrize("system", [FSSystem(), HaarSystem(Fraction(2))])
+def test_zero_tail_is_within_eps_exactly_when_eps_is_not_negative(system):
+    vec = [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0)]
+    assert system.tail_within(vec, 2, Fraction(0))
+    assert not system.tail_within(vec, 2, Fraction(-1, 2))
 
 
 def test_fs_system_norms():
@@ -741,7 +748,9 @@ def test_combo_pieces_match_midpoint_sums(zs, p):
 @given(st.lists(dyadic, max_size=70),
        st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]))
 def test_step_from_haar_matches_midpoint_sums(c, p):
-    rec = step_from_haar(c, p)
+    # step form is p-free: the one partial sum matches the reference that
+    # haar_eval's signs give at every drawn p
+    rec = step_from_haar(c)
     max_gen = max((haar_gen(k) for k in range(1, len(c))), default=0)
     m = 1 << max_gen
     assert rec.cuts == tuple(Fraction(t, m) for t in range(m + 1))
@@ -753,6 +762,13 @@ def test_step_from_haar_matches_midpoint_sums(c, p):
             total += c[k] * haar_eval(k, p, x)[0]
         ref.append(total)
     assert rec.levels == tuple(ref)
+
+
+def test_step_form_functions_take_no_p():
+    # only HaarSystem, haar_eval and haar_scale_exp read p
+    for fn, params in ((step_from_haar, ["c"]), (chi_expand, ["i", "j"]),
+                       (_haar_pyramid, ["zs", "zero", "shift"])):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
 
 def test_combo_pieces_haar_eval_calls(monkeypatch):
@@ -782,4 +798,4 @@ def test_chi_expand_corrupted_expansion_raises(monkeypatch):
 
     monkeypatch.setattr(schauder, "haar_coeffs", flip_last)
     with pytest.raises(ContractViolation):
-        chi_expand(0, 2, Fraction(2))
+        chi_expand(0, 2)
