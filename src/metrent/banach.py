@@ -7,13 +7,15 @@ translations between them and the coefficient-based names.
 Name layout: the all-zeros query answers the name's own length in unary; a
 "0"-tagged triple <i, n, m> answers an integer z with z/(m+1) close to the
 i-th basis coefficient (valid whenever m exceeds the threshold tied to n);
-a "1"-tagged quadruple <<z_0..z_N>, N, n, m> answers round((n+1) times the
-norm of sum z_k/(m+1) e_k), ties away from zero, which the system rounds
-from the integers z_k (``norm_int``), within 1/(n+1) of the norm.
+a "1"-tagged quadruple <<z_0..z_N>, N, n, m> answers an integer z with
+z/(n+1) within 1/(n+1) of the norm of sum z_k/(m+1) e_k, which the system
+rounds from the integers z_k (``norm_int``).  The hat system answers
+round((n+1) times the norm), ties away from zero.  The Haar system answers
+the rounded midpoint of the first enclosure of that product narrow enough,
+within 1/2 + 1/8 of it, so near a half it can be one off the rounding.
 
 The translations compute on integers; they build Fractions only for the
-public answers (``dsq_value``, ``lp_value``) and, once per generation g in
-``HaarSystem``, the exponents (g-1)/p.
+public answers (``dsq_value``, ``lp_value``).
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .schauder import (FSSystem, HaarSystem, _cell_hats, _grid_hats,
                        _hat_stencil, _midpoint_num, _round_midpoint,
                        fs_nonzero_indices, fs_partial_sum_pl, haar_coeffs,
                        haar_gen)
-from .strings import (MalformedName, _Record, ceil_lb, decode_int,
-                      encode_int, nat_str, parse_nat, parse_nats, proj_value,
-                      round_half_away, round_ratio, tuple_list, tuple_strs,
-                      untuple)
+from .strings import (MalformedName, _binary_int, _Record, ceil_lb,
+                      decode_int, encode_int, is_binstr, nat_str, parse_nat,
+                      parse_nats, proj_value, round_half_away, round_ratio,
+                      tuple_list, tuple_strs, untuple)
 
 
 class BanachReprParams(_Record):
@@ -173,12 +175,11 @@ def _parse_norm_query(rest: str) -> tuple[list[int], int, int] | None:
     if N is None or n is None or m is None:
         return None
     zparts = [blob] if N == 0 else untuple(N + 1, blob)
-    if zparts is None:
+    # one binary check over all the parts, then each is decoded unchecked
+    if zparts is None or not is_binstr("".join(zparts)):
         return None
-    try:
-        return [decode_int(z) for z in zparts], n, m
-    except ValueError:
-        return None
+    zs = [_binary_int(z) for z in zparts]
+    return None if None in zs else (zs, n, m)
 
 
 def coeff_query(i: int, n: int, m: int) -> str:
@@ -526,10 +527,12 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
     """Integral name computed from a Haar-coefficient name: the integral of
     the level-(2^(n+3)-1) combination over the requested dyadic interval,
     from the at most two contributing elements per generation, is a sum of
-    C_f 2^f, f the fractional parts of (g-1)/p, rounded via its enclosure."""
+    C_j 2^(j/u), j/u the fractional parts of (g-1)/p for p = u/v, rounded
+    via its enclosure."""
     lfn = name_length_fn(phi)
     haar_sys = HaarSystem(Fraction(p))
-    ceil_p = -(-haar_sys.p.numerator // haar_sys.p.denominator)
+    u = haar_sys.p.numerator
+    ceil_p = -(-u // haar_sys.p.denominator)
 
     def mu_out(t: int) -> int:
         # linear modulus bound from the queried length data; the worst-case
@@ -543,14 +546,14 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
         j0 = n + 2
         N, M, coeff = _xi_reader(phi, (1 << (n + 3)) - 1, params)
         d = 1 << m
-        terms: dict[Fraction, int] = {}     # 2^j0 times the integral, over (M+1) 4^m
+        terms: dict[int, int] = {}     # 2^j0 times the integral, over (M+1) 4^m
         for i in _aligned_nonzero_indices(Fraction(k, d), Fraction(l, d), N):
             z = coeff(i)
             if z:       # an endpoint inside element i's support puts g <= m
-                shift, f = haar_sys._scale_split(i, 1)
+                shift, j = haar_sys._scale_split(i, 1)
                 z *= _haar_sign_integral(i, k, l, d)
-                terms[f] = terms.get(f, 0) + (z << (shift + j0 + m - haar_gen(i)))
-        return _round_midpoint(terms, (M + 1) << (2 * m), 4), j0
+                terms[j] = terms.get(j, 0) + (z << (shift + j0 + m - haar_gen(i)))
+        return _round_midpoint(terms, u, (M + 1) << (2 * m), 4), j0
 
     def fn(a: str) -> str:
         return _value_answer(a, size, _parse_lp_query, value, "")
@@ -576,9 +579,9 @@ def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction) -> Name:
             i, lambda a, g: _read_pair(psi(lp_query(a, a + 1, g, prec)), ""))
         if i == 0:
             return round_ratio(c * (m + 1), 1 << K)
-        shift, f = haar_sys._scale_split(i, -1)
-        return round_ratio(_midpoint_num({f: c * (m + 1)}, prec + 8),
-                           1 << (K - shift + prec + 9))
+        shift, j = haar_sys._scale_split(i, -1)
+        return round_ratio(_midpoint_num({j: c * (m + 1)}, haar_sys.p.numerator,
+                                         prec + 8), 1 << (K - shift + prec + 9))
 
     def ell_out(k: int) -> int:
         return max(mu_in(k + 3) + 3, k + 2)

@@ -5,13 +5,21 @@ Haar data is kept in step form: a coefficient lam_k is stored as
 c_k = lam_k 2^((g-1)/p) and an element's integral as the integral of its
 sign pattern, both rational for rational step functions and both free of
 p, so ``step_from_haar``, ``chi_expand`` and the pyramid take no p.  The
-scale 2^((g-1)/p) belongs to the system: only ``HaarSystem`` (which splits
-each generation's exponent once), ``haar_eval`` and ``haar_scale_exp``
-read p.  It enters in two ways: inside ``RootSum``, the ring of rational
-combinations of rational powers of two, for combinations and norms; and
-as the integer midpoint of a ``RootSum`` enclosure (``_midpoint_num``,
-``_round_midpoint``) for ``coeff_int`` and the Haar translations.
-Numeric enclosures appear only at representation boundaries.
+scale 2^((g-1)/p) belongs to the system: only ``HaarSystem``,
+``haar_eval`` and ``haar_scale_exp`` read p.
+
+For p = u/v in lowest terms the scale is 2^((g-1)v/u), an integer power of
+the u-th root of two, so all Haar arithmetic is in one ring of integer
+terms.  ``RootSum`` holds sum_j C_j 2^(j/u), 0 <= j < u, keyed by the
+index j, with integer numerators C_j over one denominator; a product adds
+indices and carries (j1 + j2) // u into a shift of its numerator.
+Combinations (``combo_pieces``), norm powers and norm enclosures are sums
+in it, and coefficients and the Haar translations round the midpoint of
+the same integer enclosure (``_enclosure_nums``, ``_midpoint_num``,
+``_round_midpoint``), which encloses each 2^(j/u) by an integer root
+memoized per (j, u, prec).  The enclosure is linear in the numerators, so
+it does not depend on which common denominator they are taken over, and
+no Fraction is built per term.
 
 A system answers a name with three methods: ``coeff_int`` rounds a
 coefficient, ``norm_int`` the norm of sum (z_k/den) e_k from the integers
@@ -20,12 +28,13 @@ first narrow enough enclosure), and ``tail_within`` tests a tail's norm.
 
 Synthesis is linear in the number of coefficients.  Hat partial sums
 follow the node recurrence V(q_j) = lam_j + (V(q_j - w_j) + V(q_j + w_j))/2
-on integer numerators over one denominator (``_hat_nodes``), so the sup
-norm is one ``max`` over integers; Haar combinations are built coarse to
-fine as a pyramid, where each element splits its support cell into two
-halves that inherit the parent value plus or minus the element's value
-(``_haar_pyramid``).  One dyadic-cell rule (``_cell_hats``) finds the
-elements whose open support holds a point, for both systems.
+on integer numerators over one denominator, one generation at a time
+(``_hat_nodes``), so the sup norm is one ``max`` over integers; Haar
+combinations are built coarse to fine as a pyramid, where each element
+splits its support cell into two halves that inherit the parent value plus
+or minus the element's value (``_haar_pyramid``).  One dyadic-cell rule
+(``_cell_hats``) finds the elements whose open support holds a point, for
+both systems.
 
 Each basis has one coefficient stencil on integers: ``_hat_stencil`` takes
 a hat coefficient from three point values and ``_haar_stencil`` a step-form
@@ -35,22 +44,22 @@ names answer; ``fs_vector``, ``haar_coeffs`` and ``metrent eval`` feed them
 a carrier's integer values on a dyadic grid (``_grid_hats``) or its
 integrals there, so a coefficient list costs one Fraction per coefficient.
 Integer cores (``_hat_num``, ``_haar_sign_integral``, and
-``_enclosure_nums``, the one enclosure of a sum of powers of two) serve the
-Banach translations, and the public Fraction functions and
-``RootSum.bounds`` wrap them.
+``_enclosure_nums``, the one enclosure of a sum of roots of powers of two)
+serve the Banach translations, and the public Fraction functions wrap
+them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .compact import _q_node, q_seq
 from .funcs import PiecewiseLinear, StepFn, _over, chi, sup_dist_pl
 from .machine import ContractViolation
-from .strings import (InvalidConfig, _dyadic, _frac, _pow2, _Record, ceil_lb,
-                      round_half_away, round_ratio)
+from .strings import InvalidConfig, _dyadic, _frac, _Record, ceil_lb, round_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -92,35 +101,37 @@ def _grid_hats(vals: list[int], s: int, count: int) -> list[int]:
     return [a << (1 - K) for a, K in (_hat_stencil(i, value) for i in range(count))]
 
 
-def _hat_nodes(lams) -> tuple[list, int]:
-    """(A, S): A[t] / S is the partial sum of lam_0 .. lam_{N-1} (Fractions
-    or ints) at the node t / 2^G, G the bit length of N - 2 (0 for N <= 2),
-    and A[t] is None where t / 2^G is not a node; S = D 2^G, D the lcm of
-    the denominators.  In index order V(q_j) = lam_j + (V(q_j - w_j) +
-    V(q_j + w_j)) / 2: later hats vanish at q_j, earlier ones are linear
-    across hat j's support, whose ends are earlier nodes.  A level-s value
-    has a denominator dividing D 2^s, so the halving is exact."""
-    n = len(lams)
+def _hat_nodes(zs: list[int]) -> list:
+    """A: A[t] / 2^G is the partial sum of z_0 .. z_{N-1} (integers) at the
+    node t / 2^G, G the bit length of N - 2 (0 for N <= 2), and A[t] is None
+    where t / 2^G is not a node; len(A) = 2^G + 1.  V(q_j) = z_j +
+    (V(q_j - w_j) + V(q_j + w_j)) / 2, swept generation by generation: later
+    hats vanish at q_j, earlier ones are linear across hat j's support,
+    whose ends are earlier nodes.  Generation s holds the nodes c / 2^s, c
+    odd, at indices 2^(s-1) + 1 .. 2^s; a level-s value has a denominator
+    dividing 2^s, so the halving is exact."""
+    n = len(zs)
     g = (n - 2).bit_length() if n > 2 else 0
-    scale = math.lcm(*(lam.denominator for lam in lams)) << g
-    num = lambda lam: lam.numerator * (scale // lam.denominator)
     A = [None] * ((1 << g) + 1)
-    A[0] = num(lams[0]) if n else 0
-    A[1 << g] = num(lams[1]) if n > 1 else 0
-    for j in range(2, n):
-        c, s = _q_node(j)
-        u = 1 << (g - s)
-        A[c * u] = num(lams[j]) + (A[(c - 1) * u] + A[(c + 1) * u]) // 2
-    return A, scale
+    A[0] = zs[0] << g if n else 0
+    A[1 << g] = zs[1] << g if n > 1 else 0
+    for s in range(1, g + 1):
+        w = 1 << (g - s)                    # the halfwidth 2^-s on the grid
+        first = (1 << (s - 1)) + 1
+        for j, t in zip(range(first, min(n, 2 * first - 1)), range(w, 1 << g, 2 * w)):
+            A[t] = (zs[j] << g) + (A[t - w] + A[t + w]) // 2
+    return A
 
 
 def fs_partial_sum_pl(lams: list) -> PiecewiseLinear:
     """The partial sum of the hat expansion as its interpolant on the nodes
     q_0 .. q_{N-1} (and 0, 1), built from the integer node values of
-    ``_hat_nodes``."""
-    A, scale = _hat_nodes(lams)
+    ``_hat_nodes`` on the numerators over the least common denominator."""
+    zs, den = _over(lams)
+    A = _hat_nodes(zs)
     nodes = [t for t, a in enumerate(A) if a is not None]
-    return PiecewiseLinear._of(nodes, len(A) - 1, [A[t] for t in nodes], scale)
+    return PiecewiseLinear._of(nodes, len(A) - 1, [A[t] for t in nodes],
+                               den * (len(A) - 1))
 
 
 def _cell_hats(x: Fraction, count: int):
@@ -164,13 +175,7 @@ def fs_separation(count: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the ring of rational combinations of rational powers of two
-
-def _split_exp(e: Fraction) -> tuple[int, Fraction]:
-    """(floor(e), e - floor(e)): 2^e = 2^shift 2^f with 0 <= f < 1."""
-    shift = e.numerator // e.denominator
-    return shift, e - shift
-
+# the ring of rational combinations of the u-th roots of powers of two
 
 def _iroot(n: int, k: int) -> int:
     """Floor integer k-th root of n >= 0."""
@@ -184,20 +189,23 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _pow2_floor(f: Fraction, prec: int) -> int:
-    """t = floor(2^(f + prec)) for 0 <= f < 1: 2^f lies in
+@lru_cache(maxsize=256)
+def _pow2_floor(j: int, u: int, prec: int) -> int:
+    """t = floor(2^(j/u + prec)) for 0 <= j < u: 2^(j/u) lies in
     [t, t + 1] / 2^prec."""
-    return _iroot(1 << (f.numerator + f.denominator * prec), f.denominator)
+    return _iroot(1 << (j + u * prec), u)
 
 
-def _enclosure_nums(terms: dict[Fraction, int], prec: int) -> tuple[int, int]:
-    """(lo, hi) with sum C 2^f in [lo, hi] / 2^prec, for integer C keyed by
-    0 <= f < 1: C 2^f lies between C t and C (t + 1) over 2^prec, the lower
-    end by the sign of C, for t = _pow2_floor(f, prec)."""
+def _enclosure_nums(terms: dict[int, int], u: int, prec: int) -> tuple[int, int]:
+    """(lo, hi) with sum C 2^(j/u) in [lo, hi] / 2^prec, for integer C keyed
+    by 0 <= j < u: C 2^(j/u) lies between C t and C (t + 1) over 2^prec, the
+    lower end by the sign of C, for t = _pow2_floor(j, u, prec).  Both ends
+    are linear in the C, so a sum over a denominator has the same enclosure
+    whichever common denominator its numerators are taken over."""
     base = neg = pos = 0
-    for f, c in terms.items():
+    for j, c in terms.items():
         if c:
-            base += c * _pow2_floor(f, prec)
+            base += c * _pow2_floor(j, u, prec)
             if c < 0:
                 neg += c
             else:
@@ -205,96 +213,75 @@ def _enclosure_nums(terms: dict[Fraction, int], prec: int) -> tuple[int, int]:
     return base + neg, base + pos
 
 
-def _midpoint_num(terms: dict[Fraction, int], prec: int) -> int:
+def _midpoint_num(terms: dict[int, int], u: int, prec: int) -> int:
     """2^(prec+1) times the midpoint of the enclosure _enclosure_nums gives
-    for sum C 2^f at prec, which RootSum.bounds gives too."""
-    return sum(_enclosure_nums(terms, prec))
+    for sum C 2^(j/u) at prec, which RootSum.bounds gives too."""
+    return sum(_enclosure_nums(terms, u, prec))
 
 
-def _round_midpoint(terms: dict[Fraction, int], den: int, w: int) -> int:
-    """round_half_away of the midpoint of sum (C/den) 2^f's first enclosure,
-    at precision 24, 48, 96, ..., whose width sum |C| / (den 2^prec) is at
-    most 2^-w."""
+def _round_midpoint(terms: dict[int, int], u: int, den: int, w: int) -> int:
+    """round_half_away of the midpoint of sum (C/den) 2^(j/u)'s first
+    enclosure, at precision 24, 48, 96, ..., whose width
+    sum |C| / (den 2^prec) is at most 2^-w."""
     spread = sum(abs(c) for c in terms.values()) << w
     prec = 24
     while spread > den << prec:
         prec *= 2
-    return round_ratio(_midpoint_num(terms, prec), den << (prec + 1))
+    return round_ratio(_midpoint_num(terms, u, prec), den << (prec + 1))
 
 
-def frac_root_bounds(x: Fraction, k: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of x**(1/k) for x >= 0."""
-    if x < 0:
-        raise InvalidConfig("negative radicand")
-    t = (x.numerator << (k * prec)) // x.denominator
-    r = _iroot(t, k)
-    return Fraction(r, 1 << prec), Fraction(r + 2, 1 << prec)
+def _pow_bounds(n: int, d: int, a: int, k: int, prec: int) -> tuple[int, int]:
+    """(r, r + 2) with (n/d)^(a/k) in [r, r + 2] / 2^prec, for n > 0 and
+    d > 0, r = floor(2^prec (n/d)^(a/k)); (0, 0) for n <= 0."""
+    if n <= 0:
+        return 0, 0
+    r = _iroot((n ** a << (k * prec)) // d ** a, k)
+    return r, r + 2
 
 
 class RootSum:
-    """Exact finite sum of rational multiples of rational powers of two,
-    normalized on the fractional exponents (which are linearly independent
-    over the rationals, so the zero test is coefficient-wise)."""
+    """Exact finite sum (1/den) sum_j C_j 2^(j/u), 0 <= j < u, of the u-th
+    roots of the powers of two, with integer numerators C_j over one
+    denominator den > 0.  The roots 2^(j/u) are linearly independent over
+    the rationals, so the zero test is coefficient-wise.  A product's term
+    2^((j1 + j2)/u) carries (j1 + j2) // u into a shift of its numerator."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("u", "terms", "den")
 
-    def __init__(self, terms: dict[Fraction, Fraction] | None = None):
-        self.terms: dict[Fraction, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                self._add_term(c, e)
+    def __init__(self, u: int, terms: dict[int, int], den: int):
+        self.u, self.den = u, den
+        self.terms = {j: c for j, c in terms.items() if c}
 
-    def _add_term(self, coef: Fraction, exp2: Fraction) -> None:
-        if coef == 0:
-            return
-        shift, frac = _split_exp(exp2)
-        cur = self.terms.get(frac, Fraction(0)) + coef * _pow2(shift)
-        if cur == 0:
-            self.terms.pop(frac, None)
+    def _add_term(self, c: int, j: int) -> None:
+        """Add c 2^(j/u) / den, for j >= 0."""
+        shift, j = divmod(j, self.u)
+        cur = self.terms.get(j, 0) + (c << shift)
+        if cur:
+            self.terms[j] = cur
         else:
-            self.terms[frac] = cur
-
-    def plus(self, other: "RootSum") -> "RootSum":
-        out = RootSum(dict(self.terms))
-        out.accumulate(other)
-        return out
-
-    def accumulate(self, other: "RootSum", c: Fraction = Fraction(1)) -> None:
-        """Add c * other to this sum in place."""
-        for e, c0 in other.terms.items():
-            self._add_term(c0 * c, e)
+            self.terms.pop(j, None)
 
     def times(self, other: "RootSum") -> "RootSum":
-        out = RootSum()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out._add_term(c1 * c2, e1 + e2)
-        return out
-
-    def scaled(self, c: Fraction) -> "RootSum":
-        out = RootSum()
-        out.accumulate(self, c)
+        out = RootSum(self.u, {}, self.den * other.den)
+        for j1, c1 in self.terms.items():
+            for j2, c2 in other.terms.items():
+                out._add_term(c1 * c2, j1 + j2)
         return out
 
     def power(self, p: int) -> "RootSum":
-        out = RootSum({Fraction(0): Fraction(1)})
-        for _ in range(p):
+        """The p-th power, p >= 1."""
+        out = self
+        for _ in range(p - 1):
             out = out.times(self)
         return out
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def bounds(self, prec: int) -> tuple[Fraction, Fraction]:
-        """Enclosure of the sum, sum |c| / 2^prec wide: the integer one of
-        _enclosure_nums on the coefficients over their common denominator."""
-        den = math.lcm(*[c.denominator for c in self.terms.values()])
-        lo, hi = _enclosure_nums({f: c.numerator * (den // c.denominator)
-                                  for f, c in self.terms.items()}, prec)
-        return Fraction(lo, den << prec), Fraction(hi, den << prec)
+    def bounds(self, prec: int) -> tuple[int, int]:
+        """(lo, hi) with the sum in [lo, hi] / (den 2^prec), sum |C_j| wide:
+        the enclosure of _enclosure_nums."""
+        return _enclosure_nums(self.terms, self.u, prec)
 
     def sign(self) -> int:
-        if self.is_zero():
+        if not self.terms:
             return 0
         prec = 8
         while True:
@@ -306,7 +293,9 @@ class RootSum:
             prec *= 2
 
     def abs(self) -> "RootSum":
-        return self if self.sign() >= 0 else self.scaled(Fraction(-1))
+        if self.sign() >= 0:
+            return self
+        return RootSum(self.u, {j: -c for j, c in self.terms.items()}, self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +307,8 @@ def haar_gen(k: int) -> int:
 
 
 def haar_scale_exp(k: int, p: Fraction) -> Fraction:
-    if k == 0:
-        return Fraction(0)
-    return Fraction(haar_gen(k) - 1) / p
+    """(g-1)/p for generation g = haar_gen(k), and 0 for k = 0."""
+    return Fraction(max(haar_gen(k) - 1, 0) * p.denominator, p.numerator)
 
 
 def haar_support(k: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -330,18 +318,21 @@ def haar_support(k: int) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _haar_sign(k: int, x: Fraction) -> int:
-    """Index k's sign pattern at x: 1 on [0, 1] for k = 0, else 1 on the
-    left half of its support, -1 on the right half and 0 elsewhere."""
+    """Index k's sign pattern at x = a/b: 1 on [0, 1] for k = 0, else, with
+    node k + 1 at c/2^g, 1 on [c - 1, c)/2^g, -1 on [c, c + 1]/2^g and 0
+    elsewhere, compared as a 2^g against multiples of b."""
+    a, b = x.numerator, x.denominator
     if k == 0:
-        return int(0 <= x <= 1)
-    lo, q, hi = haar_support(k)
-    return 1 if lo <= x < q else -1 if q <= x <= hi else 0
+        return int(0 <= a <= b)
+    c, g = _q_node(k + 1)
+    a <<= g
+    return 1 if (c - 1) * b <= a < c * b else -1 if c * b <= a <= (c + 1) * b else 0
 
 
 def haar_eval(k: int, p: Fraction, x) -> tuple[int, Fraction]:
     """Sign in {-1, 0, 1} and the symbolic scale exponent (g-1)/p; the
     value is sign * 2^exponent."""
-    return _haar_sign(k, Fraction(x)), haar_scale_exp(k, p)
+    return _haar_sign(k, _frac(x)), haar_scale_exp(k, p)
 
 
 def _haar_sign_integral(k: int, a: int, b: int, d: int) -> int:
@@ -393,21 +384,22 @@ def haar_coeffs(f: StepFn, up_to: int) -> list[Fraction]:
     return [Fraction(_haar_stencil(k, integral)[0], den) for k in range(up_to)]
 
 
-def _haar_pyramid(zs: list, zero=Fraction(0),
-                  shift=lambda v, z, k, x: v + z * _haar_sign(k, x)
+def _haar_pyramid(zs: list, zero=0, shift=lambda v, z, k, s: v + s * z
                   ) -> list[tuple[int, object]]:
     """Constant pieces (level, value) of sum z_k times element k, left to
     right; a piece at level L has width 2^-L.  The default zero and shift
-    sum step forms: element k is its p-free sign pattern, so the pieces are
-    rational.
+    sum step forms: element k is its p-free sign pattern, s = 1 on the left
+    half of its support and s = -1 on the right half, so the pieces are
+    rational, and integers for integer z.
 
     Built coarse to fine: the support of element k >= 1 (level
     haar_gen(k) - 1) splits into the supports of elements 2k and 2k + 1,
     and each half meets exactly one new element, k itself, so its value is
-    the parent's plus z_k times element k at the half's midpoint.  A cell
-    whose subtree holds only zero coefficients is not split.
-    ``shift(v, z, k, x)`` returns v plus z times element k at x without
-    changing v.  O(len(zs)) value updates."""
+    the parent's plus z_k times element k on that half.  A cell whose
+    subtree holds only zero coefficients is not split.  ``shift(v, z, k, s)``
+    returns v plus z times element k on the half of its support where its
+    sign pattern is s, without changing v; element 0's one half is [0, 1].
+    O(len(zs)) value updates."""
     n = len(zs)
     live = [False] * n              # live[k]: a nonzero z in k's subtree
     for k in range(n - 1, 0, -1):
@@ -415,33 +407,31 @@ def _haar_pyramid(zs: list, zero=Fraction(0),
                    or (2 * k + 1 < n and live[2 * k + 1]))
     root = zero
     if n and zs[0]:
-        root = shift(zero, zs[0], 0, Fraction(1, 2))
+        root = shift(zero, zs[0], 0, 1)
     out = []
     stack = [(1, root)]             # (element whose support is the cell, value)
     while stack:
         k, v = stack.pop()
-        level = k.bit_length() - 1
         if k >= n or not live[k]:
-            out.append((level, v))
+            out.append((k.bit_length() - 1, v))
             continue
-        c = k - (1 << level)
-        halves = [v, v]
-        if zs[k]:
-            halves = [shift(v, zs[k], k, Fraction(t, 1 << (level + 2)))
-                      for t in (4 * c + 1, 4 * c + 3)]
+        z = zs[k]
+        halves = (shift(v, z, k, 1), shift(v, z, k, -1)) if z else (v, v)
         stack += [(2 * k + 1, halves[1]), (2 * k, halves[0])]
     return out
 
 
 def step_from_haar(c: list[Fraction]) -> StepFn:
     """Exact partial sum of the step-form coefficients c as a step function
-    on the uniform grid of 2^G cells, G the largest generation."""
+    on the uniform grid of 2^G cells, G the largest generation, summed on
+    their numerators over the least common denominator."""
     max_gen = max((haar_gen(k) for k in range(1, len(c))), default=0)
+    zs, den = _over(c)
     levels = []
-    for level, v in _haar_pyramid(c):
+    for level, v in _haar_pyramid(zs):
         levels.extend([v] * (1 << (max_gen - level)))
     m = 1 << max_gen
-    return StepFn._of(range(m + 1), m, *_over(levels))
+    return StepFn._of(range(m + 1), m, levels, den)
 
 
 def chi_expand(i: int, j: int) -> list[Fraction]:
@@ -477,9 +467,10 @@ class FSSystem(_Record):
 
     def norm_int(self, zs: list[int], den: int, scale: int) -> int:
         """round(scale * ||sum (z_k/den) e_k||), ties away from zero: the
-        norm is exact, max |A| / (S den) over the integer node values."""
-        A, S = _hat_nodes(zs)
-        return round_ratio(max(abs(a) for a in A if a is not None) * scale, S * den)
+        norm is exact, max |A| / (2^G den) over the integer node values."""
+        A = _hat_nodes(zs)
+        return round_ratio(max(abs(a) for a in A if a is not None) * scale,
+                           (len(A) - 1) * den)
 
     def coeff_int(self, lams: list[Fraction], i: int, scale: int) -> int:
         """round(lam_i * scale), ties away from zero; lam_i = 0 past the list."""
@@ -491,112 +482,112 @@ class FSSystem(_Record):
         """Whether sum_{k >= start} lam_k e_k has supremum norm at most eps."""
         if not any(lams[start:]):
             return eps >= 0
-        A, S = _hat_nodes([0] * start + lams[start:])
+        zs, den = _over(lams[start:])
+        A = _hat_nodes([0] * start + list(zs))
         return max(abs(a) for a in A if a is not None) * eps.denominator \
-            <= eps.numerator * S
+            <= eps.numerator * den * (len(A) - 1)
 
 
 class HaarSystem(_Record):
-    """p-normalized Haar system under the L^p norm (p a positive rational):
-    the one place that holds p.  Vectors are step-form lists."""
+    """p-normalized Haar system under the L^p norm (p = u/v a positive
+    rational in lowest terms): the one place that holds p.  Vectors are
+    step-form lists; combinations are sums in the ring of u-th roots."""
 
     def __init__(self, p: Fraction):
         self.p = p
-        self._splits: dict[int, tuple[int, Fraction]] = {}
 
-    def _scale_split(self, i: int, sign: int) -> tuple[int, Fraction]:
-        """_split_exp(sign * haar_scale_exp(i, p)), computed once per
-        generation g and sign; the key sign * g is exact because the
-        exponent is 0 for g <= 1."""
-        key = sign * haar_gen(i)
-        hit = self._splits.get(key)
-        if hit is None:
-            hit = self._splits[key] = _split_exp(sign * haar_scale_exp(i, self.p))
-        return hit
+    def _scale_split(self, i: int, sign: int) -> tuple[int, int]:
+        """(shift, j) with sign * haar_scale_exp(i, p) = shift + j/u and
+        0 <= j < u: the exponent (g-1)/p is (g-1) v / u."""
+        return divmod(sign * max(haar_gen(i) - 1, 0) * self.p.denominator,
+                      self.p.numerator)
 
-    def combo_pieces(self, zs: list[Fraction]) -> list[tuple[Fraction, RootSum]]:
-        """Constant pieces (width, value) of sum z_k f_{k,p}, left to right
-        across [0, 1], for rational z_k.
+    def combo_pieces(self, zs: list[int], den: int) -> list[tuple[int, RootSum]]:
+        """Constant pieces (level, value) of sum (z_k/den) f_{k,p}, left to
+        right across [0, 1], for integers z_k; a piece at level L has width
+        2^-L and every value is a RootSum over den.
 
-        Widths are dyadic and may be unequal: a cell whose finer elements
-        all have zero coefficients stays one piece.  Integrals over the
-        pieces weight each value by its width, so they do not depend on
-        how constant stretches are cut."""
-        def shift(v: RootSum, z: Fraction, k: int, x: Fraction) -> RootSum:
-            s, e = haar_eval(k, self.p, x)
-            return v.plus(RootSum({e: z * s}))
+        Levels may be unequal: a cell whose finer elements all have zero
+        coefficients stays one piece.  Integrals over the pieces weight
+        each value by its width, so they do not depend on how constant
+        stretches are cut."""
+        u = self.p.numerator
 
-        return [(Fraction(1, 1 << level), v)
-                for level, v in _haar_pyramid(zs, RootSum(), shift)]
+        def shift(v: RootSum, z: int, k: int, s: int) -> RootSum:
+            # element k at the midpoint of the half where its sign is s
+            c, g = _q_node(k + 1) if k else (1, 0)
+            sign, e = haar_eval(k, self.p, Fraction(2 * c - s, 2 << g))
+            out = RootSum(u, v.terms, den)
+            out._add_term(sign * z, e.numerator * (u // e.denominator))
+            return out
+
+        return _haar_pyramid(zs, RootSum(u, {}, den), shift)
 
     def norm_power(self, pieces) -> RootSum:
-        """Integral of |v|^p over the constant pieces (width, v) of a
-        function, for integer p: its L^p norm to the p-th power, exact in
-        the ring."""
+        """Integral of |v|^p over the constant pieces (level, v) of a
+        function, all v over one denominator, for integer p: its L^p norm
+        to the p-th power, exact in the ring."""
         if self.p.denominator != 1:
             raise InvalidConfig("exact norm powers need integer p")
-        p = int(self.p)
-        total = RootSum()
-        for width, v in pieces:
-            total.accumulate(v.abs().power(p), width)
+        p = self.p.numerator
+        top = max((level for level, _ in pieces), default=0)
+        total = RootSum(p, {}, pieces[0][1].den ** p << top if pieces else 1)
+        for level, v in pieces:
+            for j, c in v.abs().power(p).terms.items():
+                total._add_term(c << (top - level), j)
         return total
 
-    def _pieces_norm_bounds(self, pieces, prec: int) -> tuple[Fraction, Fraction]:
-        """Certified enclosure of the L^p norm of the function with the
-        constant pieces (width, v)."""
+    def _pieces_norm_bounds(self, pieces, prec: int) -> tuple[int, int]:
+        """(lo, hi) with the L^p norm of the function with the constant
+        pieces (level, v) in [lo, hi] / 2^prec, certified."""
         u, v = self.p.numerator, self.p.denominator
         if v == 1:
-            lo, hi = self.norm_power(pieces).bounds(prec + 8)
+            total = self.norm_power(pieces)
+            (lo, hi), d = total.bounds(prec + 8), total.den << (prec + 8)
         else:
             # rational p: bound the integrand numerically piece by piece
-            lo = hi = Fraction(0)
-            for width, val in pieces:
+            top = max(level for level, _ in pieces)
+            lo = hi = 0
+            for level, val in pieces:
                 blo, bhi = val.abs().bounds(prec + 8)
-                blo = max(blo, Fraction(0))
-                plo, phi_ = _frac_pow_bounds(blo, self.p, prec + 8), \
-                    _frac_pow_bounds(bhi, self.p, prec + 8)
-                lo += width * plo[0]
-                hi += width * phi_[1]
-        lo = max(lo, Fraction(0))
-        rl = _frac_pow_bounds(lo, Fraction(v, u), prec)
-        rh = _frac_pow_bounds(hi, Fraction(v, u), prec)
-        return rl[0], rh[1]
+                q = val.den << (prec + 8)
+                lo += _pow_bounds(blo, q, u, v, prec + 8)[0] << (top - level)
+                hi += _pow_bounds(bhi, q, u, v, prec + 8)[1] << (top - level)
+            d = 1 << (prec + 8 + top)
+        return _pow_bounds(lo, d, v, u, prec)[0], _pow_bounds(hi, d, v, u, prec)[1]
 
     def norm_int(self, zs: list[int], den: int, scale: int) -> int:
-        """round(scale * ||sum (z_k/den) f_{k,p}||_p), ties away from zero,
-        within 1/2 + 1/8 of the exact product: the midpoint of the first
+        """scale * ||sum (z_k/den) f_{k,p}||_p rounded, within 1/2 + 1/8 of
+        the exact product: round_half_away of the midpoint of the first
         enclosure, at precision 24, 48, 96, ..., at most 1/(4 scale) wide."""
-        pieces = self.combo_pieces([Fraction(z, den) for z in zs])
+        pieces = self.combo_pieces(zs, den)
         prec = 24
         while True:
             lo, hi = self._pieces_norm_bounds(pieces, prec)
-            if (hi - lo) * 4 * scale <= 1:
-                return round_half_away((lo + hi) * scale / 2)
+            if (hi - lo) * 4 * scale <= 1 << prec:
+                return round_ratio((lo + hi) * scale, 2 << prec)
             prec *= 2
 
     def coeff_int(self, c: list[Fraction], i: int, scale: int) -> int:
-        """round(lam_i * scale), ties away from zero, within 1/2 + 2^-16 of
-        the exact product, with lam_i = c_i 2^-haar_scale_exp(i, p) formed
-        from the step form; lam_i = 0 past the list."""
+        """lam_i * scale rounded, within 1/2 + 2^-16 of the exact product,
+        with lam_i = c_i 2^-haar_scale_exp(i, p) formed from the step form:
+        round_half_away of the midpoint of its first narrow enough
+        enclosure; lam_i = 0 past the list."""
         if i >= len(c):
             return 0
-        shift, f = self._scale_split(i, -1)                   # shift <= 0
-        return _round_midpoint({f: c[i].numerator * scale},
+        shift, j = self._scale_split(i, -1)                   # shift <= 0
+        return _round_midpoint({j: c[i].numerator * scale}, self.p.numerator,
                                c[i].denominator << -shift, 16)
 
     def tail_within(self, c: list[Fraction], start: int, eps: Fraction) -> bool:
         """Whether a certified upper bound on the L^p norm of the tail
         sum_{k >= start} lam_k f_{k,p} is at most eps.  The tail is summed
-        in step form, so each of its pieces is one rational term."""
+        in step form on its numerators over one denominator, so each of its
+        pieces is one integer term."""
         if not any(c[start:]):
             return eps >= 0
-        pieces = [(Fraction(1, 1 << level), RootSum({Fraction(0): v}))
-                  for level, v in _haar_pyramid([0] * start + c[start:])]
-        return self._pieces_norm_bounds(pieces, 24)[1] <= eps
-
-
-def _frac_pow_bounds(x: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of x**e for x >= 0 and rational e >= 0."""
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    return frac_root_bounds(x ** e.numerator, e.denominator, prec)
+        zs, den = _over(c[start:])
+        pieces = [(level, RootSum(self.p.numerator, {0: z}, den))
+                  for level, z in _haar_pyramid([0] * start + list(zs))]
+        return self._pieces_norm_bounds(pieces, 24)[1] * eps.denominator \
+            <= eps.numerator << 24

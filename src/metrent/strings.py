@@ -197,10 +197,21 @@ def decode_int(a: str) -> int:
         return 0
     if not is_binstr(a):
         raise MalformedName(f"not a binary string: {a!r}")
+    z = _binary_int(a)
+    if z is None:
+        raise MalformedName(f"not an integer encoding: {a!r}")
+    return z
+
+
+def _binary_int(a: str) -> int | None:
+    """decode_int of a binary string a, or None when a is "0" or starts
+    with "00", which encode no integer."""
+    if a == "":
+        return 0
     if a[0] == "1":
         return int(a, 2) if len(a) < _HEAD_PASS_LEN else _long_numeral(a)
     if a[1:2] != "1":
-        raise MalformedName(f"not an integer encoding: {a!r}")
+        return None
     # int() reads the sign's "0" as a leading zero
     return -(int(a, 2) if len(a) < _HEAD_PASS_LEN else _long_numeral(a))
 

@@ -1,15 +1,17 @@
-"""The library's Fraction bodies from before its integer carriers, kept as
-the references the integer code is tested against: the carriers
-``RefStep`` and ``RefPL`` with their evaluation and integral, the sup and
-p-th-power distances, smoothing and the two moduli, the hat values, and
-the hat and Haar coefficient formulas on point values and integrals, and
-the norm answer of a Banach name from a Fraction coefficient list.
-Every operation here is Fraction arithmetic on the carriers' Fraction
-fields, except that a Haar norm's enclosure comes from the library's
-``HaarSystem`` pieces.  The two distances differ from the old bodies in one place: on
-each piece of the merged grid they take a piecewise-linear function's
-limits from inside the piece (``_inside``), so a nonzero value at a span
-end counts as the jump to zero that it is."""
+"""The library's Fraction bodies from before its integer carriers and its
+integer root ring, kept as the references the integer code is tested
+against: the carriers ``RefStep`` and ``RefPL`` with their evaluation and
+integral, the sup and p-th-power distances, smoothing and the two moduli,
+the hat values, the hat and Haar coefficient formulas on point values and
+integrals, the Fraction ``RootSum`` ring with the Haar norm path built on
+it (combination pieces, norm power and enclosure, coefficient rounding,
+tail test), and the norm answer of a Banach name from a Fraction
+coefficient list.  Every operation here is Fraction arithmetic on Fraction
+fields, except the library's floor integer root ``_iroot``.  The two
+distances differ from the old bodies in one place: on each piece of the
+merged grid they take a piecewise-linear function's limits from inside the
+piece (``_inside``), so a nonzero value at a span end counts as the jump to
+zero that it is."""
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -17,8 +19,9 @@ from functools import cache
 
 from metrent.compact import q_seq
 from metrent.funcs import PiecewiseLinear, _least_moduli
-from metrent.schauder import FSSystem, fs_partial_sum_pl, haar_gen, haar_support
-from metrent.strings import _frac, ceil_lb, round_half_away
+from metrent.schauder import (FSSystem, _iroot, fs_partial_sum_pl, haar_eval,
+                              haar_gen, haar_scale_exp, haar_support)
+from metrent.strings import InvalidConfig, _frac, ceil_lb, round_half_away
 
 
 class RefStep:
@@ -244,6 +247,213 @@ def _tight_bounds(enclose, width: Fraction) -> tuple[Fraction, Fraction]:
         prec *= 2
 
 
+# ---------------------------------------------------------------------------
+# the Fraction ring of rational combinations of rational powers of two, and
+# the Haar norm path on it
+
+def _split_exp(e: Fraction) -> tuple[int, Fraction]:
+    """(floor(e), e - floor(e)): 2^e = 2^shift 2^f with 0 <= f < 1."""
+    shift = e.numerator // e.denominator
+    return shift, e - shift
+
+
+def pow2_floor(f: Fraction, prec: int) -> int:
+    """t = floor(2^(f + prec)) for 0 <= f < 1."""
+    return _iroot(1 << (f.numerator + f.denominator * prec), f.denominator)
+
+
+def pow2_bounds(e: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of 2^e, 2^(floor(e) - prec) wide."""
+    shift, f = _split_exp(e)
+    t, scale = pow2_floor(f, prec), Fraction(2) ** shift
+    return Fraction(t, 1 << prec) * scale, Fraction(t + 1, 1 << prec) * scale
+
+
+class RootSum:
+    """Exact finite sum of rational multiples of rational powers of two,
+    normalized on the fractional exponents: {f: c} for sum c 2^f."""
+
+    def __init__(self, terms=None):
+        self.terms: dict[Fraction, Fraction] = {}
+        for e, c in (terms or {}).items():
+            self._add_term(Fraction(c), Fraction(e))
+
+    def _add_term(self, coef: Fraction, exp2: Fraction) -> None:
+        if coef == 0:
+            return
+        shift, frac = _split_exp(exp2)
+        cur = self.terms.get(frac, Fraction(0)) + coef * Fraction(2) ** shift
+        if cur == 0:
+            self.terms.pop(frac, None)
+        else:
+            self.terms[frac] = cur
+
+    def plus(self, other: "RootSum") -> "RootSum":
+        out = RootSum(dict(self.terms))
+        out.accumulate(other)
+        return out
+
+    def accumulate(self, other: "RootSum", c=Fraction(1)) -> None:
+        """Add c * other to this sum in place."""
+        for e, c0 in other.terms.items():
+            self._add_term(c0 * c, e)
+
+    def times(self, other: "RootSum") -> "RootSum":
+        out = RootSum()
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                out._add_term(c1 * c2, e1 + e2)
+        return out
+
+    def scaled(self, c) -> "RootSum":
+        out = RootSum()
+        out.accumulate(self, Fraction(c))
+        return out
+
+    def power(self, p: int) -> "RootSum":
+        out = RootSum({0: 1})
+        for _ in range(p):
+            out = out.times(self)
+        return out
+
+    def bounds(self, prec: int) -> tuple[Fraction, Fraction]:
+        """Each term's enclosure from pow2_bounds, its ends swapped for a
+        negative coefficient, summed: sum |c| / 2^prec wide."""
+        lo = hi = Fraction(0)
+        for f, c in self.terms.items():
+            blo, bhi = pow2_bounds(f, prec)
+            if c < 0:
+                blo, bhi = bhi, blo
+            lo += c * blo
+            hi += c * bhi
+        return lo, hi
+
+    def sign(self) -> int:
+        if not self.terms:
+            return 0
+        prec = 8
+        while True:
+            lo, hi = self.bounds(prec)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            prec *= 2
+
+    def abs(self) -> "RootSum":
+        return self if self.sign() >= 0 else self.scaled(-1)
+
+
+def frac_root_bounds(x: Fraction, k: int, prec: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of x**(1/k) for x >= 0."""
+    if x < 0:
+        raise InvalidConfig("negative radicand")
+    t = (x.numerator << (k * prec)) // x.denominator
+    r = _iroot(t, k)
+    return Fraction(r, 1 << prec), Fraction(r + 2, 1 << prec)
+
+
+def frac_pow_bounds(x: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of x**e for x >= 0 and rational e >= 0."""
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    return frac_root_bounds(x ** e.numerator, e.denominator, prec)
+
+
+def combo_pieces(p: Fraction, lams: list) -> list:
+    """Constant pieces (width, RootSum) of sum lam_k f_{k,p}, left to right,
+    by the coefficient pyramid: each half of element k's support takes the
+    parent's value plus lam_k times haar_eval at the half's midpoint; a cell
+    whose subtree holds only zero coefficients is one piece."""
+    n = len(lams)
+    live = [False] * n
+    for k in range(n - 1, 0, -1):
+        live[k] = (lams[k] != 0 or (2 * k < n and live[2 * k])
+                   or (2 * k + 1 < n and live[2 * k + 1]))
+
+    def shift(v, z, k, x):
+        s, e = haar_eval(k, p, x)
+        return v.plus(RootSum({e: Fraction(z) * s}))
+
+    root = shift(RootSum(), lams[0], 0, Fraction(1, 2)) if n and lams[0] else RootSum()
+    out, stack = [], [(1, root)]
+    while stack:
+        k, v = stack.pop()
+        level = k.bit_length() - 1
+        if k >= n or not live[k]:
+            out.append((Fraction(1, 1 << level), v))
+            continue
+        c = k - (1 << level)
+        halves = [v, v]
+        if lams[k]:
+            halves = [shift(v, lams[k], k, Fraction(t, 1 << (level + 2)))
+                      for t in (4 * c + 1, 4 * c + 3)]
+        stack += [(2 * k + 1, halves[1]), (2 * k, halves[0])]
+    return out
+
+
+def norm_power(p: Fraction, pieces) -> RootSum:
+    """Integral of |v|^p over the pieces (width, v), for integer p."""
+    total = RootSum()
+    for width, v in pieces:
+        total.accumulate(v.abs().power(int(p)), width)
+    return total
+
+
+def pieces_norm_bounds(p: Fraction, pieces, prec: int) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of the L^p norm of the function with the pieces
+    (width, v): the p-th root of the norm power's enclosure at integer p,
+    else of the sum of each piece's enclosed |v|^p."""
+    u, v = p.numerator, p.denominator
+    if v == 1:
+        lo, hi = norm_power(p, pieces).bounds(prec + 8)
+    else:
+        lo = hi = Fraction(0)
+        for width, val in pieces:
+            blo, bhi = val.abs().bounds(prec + 8)
+            lo += width * frac_pow_bounds(max(blo, Fraction(0)), p, prec + 8)[0]
+            hi += width * frac_pow_bounds(bhi, p, prec + 8)[1]
+    lo = max(lo, Fraction(0))
+    return (frac_pow_bounds(lo, Fraction(v, u), prec)[0],
+            frac_pow_bounds(hi, Fraction(v, u), prec)[1])
+
+
+def stepform_pieces(c: list) -> list:
+    """Constant pieces (width, value) of the step-form sum of c, one per
+    cell t of the uniform grid of 2^G cells, G the largest generation: the
+    sum of c_k times k's sign pattern at the cell's midpoint, over k = 0
+    and, per generation g, the one element 2^(g-1) + floor(t 2^(g-1-G))
+    whose support holds the cell."""
+    G = max((haar_gen(k) for k in range(1, len(c))), default=0)
+    out = []
+    for t in range(1 << G):
+        x = Fraction(2 * t + 1, 2 << G)
+        ks = [0] + [(1 << (g - 1)) + (t >> (G - g + 1)) for g in range(1, G + 1)]
+        out.append((Fraction(1, 1 << G), sum((Fraction(c[k]) * haar_eval(k, 1, x)[0]
+                                              for k in ks if k < len(c)), Fraction(0))))
+    return out
+
+
+def haar_coeff_answer(p: Fraction, c: list, i: int, scale: int) -> int:
+    """HaarSystem.coeff_int in Fractions: the midpoint of the first
+    enclosure of lam_i scale = c_i scale 2^-haar_scale_exp(i, p) at most
+    2^-16 wide, rounded half away; 0 past the list."""
+    if i >= len(c):
+        return 0
+    lam = RootSum({-haar_scale_exp(i, p): Fraction(c[i]) * scale})
+    lo, hi = _tight_bounds(lam.bounds, Fraction(1, 1 << 16))
+    return round_half_away((lo + hi) / 2)
+
+
+def haar_tail_within(p: Fraction, c: list, start: int, eps: Fraction) -> bool:
+    """HaarSystem.tail_within in Fractions: whether the upper end of the
+    tail's norm enclosure at precision 24 is at most eps."""
+    if not any(c[start:]):
+        return eps >= 0
+    pieces = [(w, RootSum({0: v})) for w, v in stepform_pieces([0] * start + list(c[start:]))]
+    return pieces_norm_bounds(p, pieces, 24)[1] <= eps
+
+
 def norm_bounds(system, lams: list, prec: int) -> tuple[Fraction, Fraction]:
     """Enclosure of the norm of sum lam_k e_k: the exact supremum norm,
     whatever prec, for the hat system; for the Haar system the certified
@@ -251,7 +461,7 @@ def norm_bounds(system, lams: list, prec: int) -> tuple[Fraction, Fraction]:
     if isinstance(system, FSSystem):
         v = fs_partial_sum(lams).sup_norm()
         return v, v
-    return system._pieces_norm_bounds(system.combo_pieces(lams), prec)
+    return pieces_norm_bounds(system.p, combo_pieces(system.p, lams), prec)
 
 
 def norm_answer(system, zs: list[int], den: int, scale: int) -> int:

@@ -266,12 +266,12 @@ def test_c07_fs_exactness():
 
 def test_c08_haar_exactness():
     # the integral of |f_{k,p}|^p over the element's own pieces is exactly
-    # 1, the root sum with the single term 1 * 2^0
+    # 1, the root sum with the single term 2^0 over its denominator
     for p in (1, 2, 3):
         system = HaarSystem(Fraction(p))
         for k in range(65):
-            pieces = system.combo_pieces([0] * k + [1])
-            assert system.norm_power(pieces).terms == {0: 1}, (k, p)
+            total = system.norm_power(system.combo_pieces([0] * k + [1], 1))
+            assert total.terms == {0: total.den}, (k, p)
     for j in range(2, 33):
         lo, q, _ = haar_support(j - 1)
         for k in range(j, 33):

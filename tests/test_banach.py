@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from metrent.baire import Name, in_kl, is_length_monotone, pair_names
 from metrent.banach import (BanachReprParams, add_time, banach_add_program,
                             _aligned_nonzero_indices, _level_sizer,
-                            _parse_dsq_query, _parse_lp_query, _value_answer,
+                            _norm_answer, _parse_dsq_query, _parse_lp_query,
+                            _parse_norm_query, _value_answer,
                             _xi_answer, _xi_reader, banach_name,
                             banach_norm_program, banach_time,
                             check_growth, coeff_query, combo_query, counted,
@@ -20,13 +22,14 @@ from metrent.compact import (ParameterViolation, _with_length_branch,
 from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
-from metrent.schauder import (FSSystem, HaarSystem, RootSum, fs_elem,
+from metrent.schauder import (FSSystem, HaarSystem, fs_elem,
                               fs_nonzero_indices, fs_partial_sum_pl, haar_gen,
                               haar_integral, haar_scale_exp, haar_support)
 from metrent.strings import (MalformedName, _dyadic, ceil_lb, decode_int,
-                             encode_int, nat_str, parse_nats, round_half_away,
-                             tuple_strs)
+                             encode_int, nat_str, parse_nat, parse_nats,
+                             round_half_away, tuple_strs, untuple)
 
+import fraction_reference as fr
 from fraction_reference import _tight_bounds, fs_coeff, fs_eval, haar_stepform
 
 
@@ -91,6 +94,81 @@ def test_banach_name_norm_branch():
                  tuple_strs(["1", one, one, seven]),       # blob not a 2-tuple
                  tuple_strs(["00", "", one, seven])):      # z not an integer
         assert phi("1" + rest) == ""
+
+
+def _encoded_int(z):
+    """The integer an encoding "", "1..." or "01..." over {0, 1} stands for,
+    and None for any other string."""
+    if not re.fullmatch("(0?1[01]*)?", z):
+        return None
+    return -int(z[1:], 2) if z[:1] == "0" else int(z or "0", 2)
+
+
+def _parse_norm_query_per_part(rest):
+    """The norm-query parse with every part decoded and checked on its
+    own: the parse to match."""
+    parts = untuple(4, rest)
+    if parts is None:
+        return None
+    blob, ns, nn, nm = parts
+    N, n, m = parse_nat(ns), parse_nat(nn), parse_nat(nm)
+    if N is None or n is None or m is None:
+        return None
+    zparts = [blob] if N == 0 else untuple(N + 1, blob)
+    if zparts is None:
+        return None
+    zs = [_encoded_int(z) for z in zparts]
+    return None if None in zs else (zs, n, m)
+
+
+def _malformed_norm_queries():
+    """Norm queries after the tag: every part from a corpus of integer
+    encodings and non-encodings ("0", "00...", non-binary, long) in blobs of
+    one to three parts, each with the right and a wrong N, and every
+    one-symbol mutation and truncation of a few well-formed queries."""
+    parts = ["", "1", "10", "0", "00", "000", "01", "001", "011", "0" * 70,
+             "1" + "0" * 70, "0" + "1" * 70, "01" + "0" * 69, "2", "1a", "01x",
+             " 1", "1_0", "-1", "1" * 69 + "2"]
+    one, seven = nat_str(1), nat_str(7)
+    for a in parts:
+        yield tuple_strs([a, "", one, seven])
+        yield tuple_strs([a, one, one, seven])
+        for b in parts:
+            blob = tuple_strs([a, b])
+            yield tuple_strs([blob, one, one, seven])
+            yield tuple_strs([blob, "", one, seven])
+            yield tuple_strs([blob, nat_str(2), one, seven])
+        yield tuple_strs([tuple_strs([a, "1", "01"]), nat_str(2), "", one])
+    for zs in ([3], [0, -5, 2], [1, 0, 0, -1, 7]):
+        q = combo_query(zs, 2, 9)[1:]
+        for t in range(len(q)):
+            for ch in "01\xe9":
+                yield q[:t] + ch + q[t + 1:]
+            yield q[:t]
+        yield q + "0"
+        yield q.replace("1", "\xe9", 1)
+
+
+def test_norm_queries_parse_as_per_part_decoding():
+    # one binary check over the parts accepts and rejects what per-part
+    # decode_int does: "" and "1..." and "01..." parse, "0", "00..." and
+    # non-binary text answer epsilon
+    queries = list(_malformed_norm_queries())
+    assert len(queries) > 1500
+    parsed = 0
+    for rest in queries:
+        want = _parse_norm_query_per_part(rest)
+        assert _parse_norm_query(rest) == want, rest
+        parsed += want is not None
+        if want is not None and want[1] < 8:
+            # the answers of both systems follow the parse
+            for system in (FSSystem(), HaarSystem(Fraction(2))):
+                zs, n, m = want
+                assert _norm_answer(system, rest) == encode_int(
+                    system.norm_int(zs, m + 1, n + 1))
+        else:
+            assert want is not None or _norm_answer(FSSystem(), rest) == ""
+    assert 0 < parsed < len(queries) / 2
 
 
 def test_banach_decode_combo():
@@ -603,11 +681,11 @@ def ref_xi_to_lp(phi, params, p):
         if a > b:
             a, b, sign = b, a, -1
         N, coeff = _ref_xi_reader(phi, (1 << (n + 3)) - 1, params)
-        total = RootSum()
+        total = fr.RootSum()
         for k in _aligned_nonzero_indices(a, b, N):
             c = coeff(k)
             if c:
-                total.accumulate(RootSum({haar_scale_exp(k, p): haar_integral(k, a, b)}), c)
+                total.accumulate(fr.RootSum({haar_scale_exp(k, p): haar_integral(k, a, b)}), c)
         return total.scaled(Fraction(sign))
 
     def mu_out(t):
@@ -640,7 +718,7 @@ def ref_lp_to_xi(psi, params, p):
         prec = (m.bit_length() + 18 if i == 0
                 else len(nat_str(m + 1)) + haar_gen(i) + 20)
         c = haar_stepform(lambda a, b: int_val(a, b, prec), i)
-        lo, hi = (c, c) if i == 0 else RootSum(
+        lo, hi = (c, c) if i == 0 else fr.RootSum(
             {-haar_scale_exp(i, haar_sys.p): c}).bounds(prec + 8)
         return round_half_away((lo + hi) / 2 * (m + 1))
 

@@ -26,7 +26,7 @@ from metrent.machine import (RunningTime, check_monotone_sampled, const_time,
                              equality_from_metric)
 from metrent.reprs import (cauchy_metric_program, cauchy_metric_time,
                            cauchy_name, dyadic_line_index)
-from metrent.schauder import HaarSystem, chi_expand, frac_root_bounds
+from metrent.schauder import HaarSystem, chi_expand
 from metrent.strings import (ConfigError, ContractError, InvalidConfig,
                              MetrentError, ceil_lb_ratio, floor_lb, nat_str,
                              tuple_strs)
@@ -163,8 +163,6 @@ DEFAULTED_PARAMETERS = {
     ("entropy", "covering_number", "mode"),
     ("machine", "Ctx.tick", "k"),
     ("machine", "RunningTime.__init__", "evaluator"),
-    ("schauder", "RootSum.__init__", "terms"),
-    ("schauder", "RootSum.accumulate", "c"),
 }
 
 
@@ -235,8 +233,7 @@ def test_every_unread_parameter_is_listed():
 # reader or a visible edit here.  A bare name reads a definition only in a
 # file that defines or imports that name, so a local variable does not count;
 # an attribute counts by its name alone, as the census does not infer types.
-# So a method is read whenever any attribute of its name is:
-# PiecewiseLinear.scaled looks read only through RootSum.scaled
+# So a method is read whenever any attribute of its name is.
 TEST_ONLY_PUBLIC = {
     ("baire", "in_kl"): "paper check: finite-depth membership in K_l",
     ("baire", "is_length_monotone"):
@@ -408,7 +405,6 @@ INVALID_CONFIGS = {
     "PiecewiseLinear.breakpoints": lambda: PiecewiseLinear.build([1, 0], [0, 1]),
     "check_monotone_sampled": lambda: check_monotone_sampled(
         const_time(1), [(lambda n: 1, lambda n: 0)], 0),
-    "frac_root_bounds": lambda: frac_root_bounds(Fraction(-1), 2, 8),
     "chi_expand": lambda: chi_expand(1, 2),
     "HaarSystem.norm_power": lambda: HaarSystem(Fraction(3, 2)).norm_power([]),
     "name_from_trace": lambda: name_from_trace("0\t1x"),

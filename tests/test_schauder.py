@@ -6,16 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metrent.compact import q_seq
+from metrent.compact import _q_node, q_seq
 from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
 from metrent.banach import BanachReprParams, banach_name, combo_query, fs_vector
 from metrent.machine import exp_max_time
+from metrent.funcs import _over
 from metrent.schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
-                              _grid_hats, _haar_pyramid, _hat_nodes, _hat_num,
-                              _midpoint_num, _pow2_floor,
-                              _round_midpoint, _split_exp,
-                              chi_expand, frac_root_bounds, fs_elem,
+                              _enclosure_nums, _grid_hats, _haar_pyramid,
+                              _hat_nodes, _hat_num, _midpoint_num, _pow2_floor,
+                              _pow_bounds, _round_midpoint,
+                              chi_expand, fs_elem,
                               fs_nonzero_indices, fs_partial_sum_pl,
                               fs_separation, haar_coeffs, haar_eval, haar_gen,
                               haar_integral, haar_scale_exp, haar_support,
@@ -23,8 +24,9 @@ from metrent.schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
 from metrent.strings import decode_int, round_half_away
 
 import fraction_reference as fr
-from fraction_reference import (_tight_bounds, fs_coeff, fs_coeffs, fs_eval,
-                                fs_halfwidth, haar_stepform, norm_answer,
+from fraction_reference import (_split_exp, _tight_bounds, frac_root_bounds,
+                                fs_coeff, fs_coeffs, fs_eval, fs_halfwidth,
+                                haar_stepform, norm_answer, pow2_bounds,
                                 sup_error)
 
 
@@ -245,8 +247,8 @@ def test_haar_unit_norms():
     for p in (1, 2, 3):
         system = HaarSystem(Fraction(p))
         for k in range(65):
-            pieces = system.combo_pieces([0] * k + [1])
-            assert system.norm_power(pieces).terms == {0: 1}, (k, p)
+            total = system.norm_power(system.combo_pieces([0] * k + [1], 1))
+            assert total.terms == {0: total.den}, (k, p)
 
 
 def test_haar_coeffs_examples():
@@ -266,7 +268,7 @@ def test_haar_coeff_int_is_zero_past_the_list():
     c = haar_coeffs(chi(0, Fraction(1, 4)), 4)
     system = HaarSystem(p)
     for k in range(4):
-        lam = RootSum({-haar_scale_exp(k, p): c[k] * 1000})
+        lam = fr.RootSum({-haar_scale_exp(k, p): c[k] * 1000})
         lo, hi = lam.bounds(40)
         assert system.coeff_int(c, k, 1000) == round_half_away((lo + hi) / 2)
     for k in (4, 5, 100):
@@ -407,9 +409,9 @@ def test_haar_integral_matches_the_fraction_formula(k, a, b):
 
 @st.composite
 def root_terms(draw):
-    """{exponent: coefficient} with exponents +-(g-1)/p, 0 among them, for
-    integer and non-integer p, signed coefficients, and optionally a pair
-    c 2^(e+1), -2c 2^e that cancels once normalized."""
+    """(u, {exponent: coefficient}) with exponents +-(g-1)/p, 0 among them,
+    for integer and non-integer p = u/v, signed coefficients, and optionally
+    a pair c 2^(e+1), -2c 2^e that cancels once normalized."""
     p = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3)]))
     exps = st.builds(lambda g, s: s * Fraction(g) / p, st.integers(0, 12),
                      st.sampled_from([1, -1]))
@@ -420,96 +422,109 @@ def root_terms(draw):
         terms.pop(e, None)
         terms.pop(e + 1, None)
         terms.update({e + 1: c, e: -2 * c})
-    return terms
+    return p.numerator, terms
 
 
-def _pow2_bounds(e, prec):
-    """Reference enclosure of 2^e in Fractions, 2^(floor(e) - prec) wide."""
-    shift, f = _split_exp(e)
-    t, scale = _pow2_floor(f, prec), Fraction(2) ** shift
-    return Fraction(t, 1 << prec) * scale, Fraction(t + 1, 1 << prec) * scale
-
-
-def _reference_bounds(ring, prec):
-    """Reference for RootSum.bounds: each term's enclosure in Fractions,
-    its ends swapped for a negative coefficient, summed."""
-    lo = hi = Fraction(0)
-    for e, c in ring.terms.items():
-        blo, bhi = _pow2_bounds(e, prec)
-        if c < 0:
-            blo, bhi = bhi, blo
-        lo += c * blo
-        hi += c * bhi
-    return lo, hi
-
-
-def _integer_terms(terms):
-    """(C, den): sum of c 2^e = sum (C_f / den) 2^f over fractional parts f."""
+def _integer_terms(terms, u):
+    """(C, den): sum of c 2^e = sum (C_j / den) 2^(j/u) over the fractional
+    parts j/u, 0 <= j < u, of the exponents."""
     split = {e: _split_exp(e) for e in terms}
     den = math.lcm(*(c.denominator for c in terms.values())) << max(
         [0, *(-shift for shift, _ in split.values())])
     out = {}
     for e, c in terms.items():
         shift, f = split[e]
-        out[f] = out.get(f, 0) + int(c * den * Fraction(2) ** shift)
+        j = f * u
+        assert j.denominator == 1
+        out[int(j)] = out.get(int(j), 0) + int(c * den * Fraction(2) ** shift)
     return out, den
 
 
 @settings(max_examples=300, deadline=None)
 @given(root_terms(), st.sampled_from([4, 16]))
-@example({Fraction(0): Fraction(3, 7)}, 4)        # 2^0 is not enclosed exactly
-@example({Fraction(1, 2): Fraction(1), Fraction(3, 2): Fraction(-1, 2)}, 4)
-def test_round_midpoint_matches_the_rootsum_enclosure(terms, w):
-    C, den = _integer_terms(terms)
-    ring = RootSum(terms)
+@example((1, {Fraction(0): Fraction(3, 7)}), 4)      # 2^0 is not enclosed exactly
+@example((2, {Fraction(1, 2): Fraction(1), Fraction(3, 2): Fraction(-1, 2)}), 4)
+def test_round_midpoint_matches_the_rootsum_enclosure(u_terms, w):
+    u, terms = u_terms
+    C, den = _integer_terms(terms, u)
+    ring = fr.RootSum(terms)
     want = round_half_away(sum(_tight_bounds(ring.bounds, Fraction(1, 1 << w))) / 2)
-    assert _round_midpoint(C, den, w) == want
+    assert _round_midpoint(C, u, den, w) == want
     for prec in (8, 24, 30, 48):
         lo, hi = ring.bounds(prec)
-        assert (lo, hi) == _reference_bounds(ring, prec)
-        assert Fraction(_midpoint_num(C, prec), den << (prec + 1)) == (lo + hi) / 2
+        assert (Fraction(_enclosure_nums(C, u, prec)[0], den << prec),
+                Fraction(_enclosure_nums(C, u, prec)[1], den << prec)) == (lo, hi)
+        assert Fraction(_midpoint_num(C, u, prec), den << (prec + 1)) == (lo + hi) / 2
+        # the integer ring's enclosure over its own denominator is the same
+        lo2, hi2 = RootSum(u, C, den).bounds(prec)
+        assert (Fraction(lo2, den << prec), Fraction(hi2, den << prec)) == (lo, hi)
+
+
+def _ring_value(v: RootSum) -> dict:
+    """A RootSum as the Fraction ring's normalized terms {j/u: C_j/den}."""
+    return {Fraction(j, v.u): Fraction(c, v.den) for j, c in v.terms.items()}
 
 
 def test_rootsum_ring():
-    p = Fraction(2)
-    a = RootSum({Fraction(1, 2): Fraction(1)})      # sqrt(2)
-    b = RootSum({Fraction(1, 2): Fraction(-1)})
-    assert a.plus(b).is_zero()
-    sq = a.times(a)
-    assert sq.terms == {Fraction(0): Fraction(2)}
-    assert a.sign() == 1 and b.sign() == -1
+    a = RootSum(2, {1: 1}, 1)                     # sqrt(2)
+    b = RootSum(2, {1: -1}, 1)
+    assert a.times(a).terms == {0: 2} and a.times(b).terms == {0: -2}
+    assert a.sign() == 1 and b.sign() == -1 and b.abs().terms == a.terms
+    assert RootSum(2, {0: 0, 1: 0}, 5).sign() == 0
+    # a product's index past u carries into a shift: 2^(2/3) 2^(2/3) = 2 2^(1/3)
+    c = RootSum(3, {2: 3}, 4)
+    sq = c.times(c)
+    assert (sq.terms, sq.den) == ({1: 18}, 16)
+    assert _ring_value(c.power(3)) == fr.RootSum({Fraction(2, 3): Fraction(3, 4)}).power(3).terms
     # sqrt(2) - 1.414213 is about 5.6e-7: the first enclosure, at precision
     # 8, straddles 0, and sign refines it
-    near = a.plus(RootSum({Fraction(0): Fraction(-1414213, 10 ** 6)}))
+    near = RootSum(2, {1: 10 ** 6, 0: -1414213}, 10 ** 6)
     lo, hi = near.bounds(8)
     assert lo < 0 < hi
-    assert near.sign() == 1 and near.scaled(Fraction(-1)).sign() == -1
+    assert near.sign() == 1 and near.abs() is near
+    assert RootSum(2, {1: -10 ** 6, 0: 1414213}, 10 ** 6).abs().terms == near.terms
     lo, hi = a.bounds(30)
-    assert lo <= Fraction(1414213562, 10 ** 9) <= hi
-    assert hi - lo < Fraction(1, 1 << 20)
+    assert lo <= Fraction(1414213562, 10 ** 9) * (1 << 30) <= hi == lo + 1
 
 
 def test_pow2_and_root_bounds():
-    lo, hi = _pow2_bounds(Fraction(3, 2), 20)
+    lo, hi = pow2_bounds(Fraction(3, 2), 20)
     assert lo <= Fraction(2828427124, 10 ** 9) <= hi
-    assert RootSum({Fraction(3, 2): Fraction(1)}).bounds(20) == (lo, hi)
+    t = _pow2_floor(1, 2, 20)
+    assert (Fraction(2 * t, 1 << 20), Fraction(2 * t + 2, 1 << 20)) == (lo, hi)
+    assert RootSum(2, {1: 2}, 1).bounds(20) == (2 * t, 2 * t + 2)
+    # j/u and its lowest terms floor the same power
+    assert _pow2_floor(2, 4, 20) == t and _pow2_floor(0, 3, 20) == 1 << 20
     lo, hi = frac_root_bounds(Fraction(2), 2, 30)
     assert lo * lo <= 2 <= hi * hi
-    # a radicand below the precision floors to the root 0
+    assert _pow_bounds(2, 1, 1, 2, 30) == (lo * (1 << 30), hi * (1 << 30))
+    # a radicand below the precision floors to the root 0; a zero one has
+    # the enclosure [0, 0]
     assert frac_root_bounds(Fraction(1, 2 ** 100), 2, 8) == (0, Fraction(2, 256))
+    assert _pow_bounds(1, 2 ** 100, 1, 2, 8) == (0, 2)
+    assert _pow_bounds(0, 7, 3, 2, 8) == _pow_bounds(-5, 7, 3, 2, 8) == (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 12), st.integers(1, 10 ** 9), st.integers(1, 5),
+       st.integers(1, 5), st.integers(0, 60))
+def test_pow_bounds_match_the_fraction_root(n, d, a, k, prec):
+    want = fr.frac_pow_bounds(Fraction(n, d), Fraction(a, k), prec)
+    r, s = _pow_bounds(n * 3, d * 3, a, k, prec)    # any common factor
+    assert (Fraction(r, 1 << prec), Fraction(s, 1 << prec)) == want
 
 
 def test_haar_system_norms():
     p = Fraction(2)
     sys2 = HaarSystem(p)
     # || f_1 ||_2 = 1
-    lo, hi = sys2._pieces_norm_bounds(sys2.combo_pieces([Fraction(0), Fraction(1)]), 24)
-    assert lo <= 1 <= hi and hi - lo < Fraction(1, 1 << 16)
+    lo, hi = sys2._pieces_norm_bounds(sys2.combo_pieces([0, 1], 1), 24)
+    assert lo <= 1 << 24 <= hi and hi - lo < 1 << 8
     for scale in (1, 3, 1 << 16, 1 << 60):
         assert sys2.norm_int([0, 7], 7, scale) == scale
     # || (f_0 + f_1)/2 ||_2: value levels are 1 and 0 on the two halves
-    val = sys2.norm_power(sys2.combo_pieces([Fraction(1, 2), Fraction(1, 2)]))
-    assert val.terms == {Fraction(0): Fraction(1, 2)}
+    val = sys2.norm_power(sys2.combo_pieces([1, 1], 2))
+    assert _ring_value(val) == {Fraction(0): Fraction(1, 2)}
     with pytest.raises(ValueError, match="integer p"):
         HaarSystem(Fraction(3, 2)).norm_power([])
 
@@ -560,6 +575,66 @@ SYSTEMS = [None, Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2)]
 def test_norm_int_matches_the_fraction_reference(zs, m, n, p):
     system = FSSystem() if p is None else HaarSystem(p)
     assert system.norm_int(zs, m + 1, n + 1) == norm_answer(system, zs, m + 1, n + 1)
+
+
+def _near_half_scales(mid: Fraction, top: int, count: int = 2) -> list[int]:
+    """The scales s <= top, near top, whose product s * mid lies closest to
+    a half-integer: the answers whose rounding a narrow enclosure decides."""
+    a, b = mid.numerator, mid.denominator
+    key = lambda s: abs(2 * (s * a % b) - b)
+    return sorted(range(max(1, top - 1024), top + 1), key=key)[:count]
+
+
+def _grid_combos(N: int, rnd: random.Random) -> list[list[int]]:
+    """The zero and a one-term combination of N coefficients, one dense and
+    one sparse random one."""
+    one = [0] * N
+    one[rnd.randrange(N)] = rnd.choice([-1, 1]) * rnd.randrange(1, 99)
+    return [[0] * N, one, [rnd.randrange(-99, 100) for _ in range(N)],
+            [rnd.randrange(-99, 100) if rnd.random() < 0.1 else 0 for _ in range(N)]]
+
+
+HAAR_GRID_P = [Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 33, 129])
+@pytest.mark.parametrize("p", HAAR_GRID_P, ids=str)
+def test_haar_integer_answers_match_the_fraction_reference(p, N):
+    # norm_int, coeff_int and tail_within of the integer ring against the
+    # Fraction ring's Haar path: scales 1 to 2^20, and scales whose answer
+    # lies near a half, where only the enclosure decides the rounding
+    rnd = random.Random(1000 * N + 10 * p.numerator + p.denominator)
+    system = HaarSystem(p)
+    for zs in _grid_combos(N, rnd):
+        den = rnd.choice([1, 2, 7, 64, 10 ** 4 + 1])
+        lams = [Fraction(z, den) for z in zs]
+        scales = [1, 3, 1 << 10, 1 << 20]
+        if any(zs):
+            lo, hi = fr.norm_bounds(system, lams, 48)
+            scales += _near_half_scales((lo + hi) / 2, 1 << 20)
+        for scale in scales:
+            assert system.norm_int(zs, den, scale) == norm_answer(system, zs, den, scale), \
+                (zs, den, scale)
+        # the step-form vector's coefficients and tails
+        for i in sorted({0, 1, N // 2, N - 1, N, N + 3}):
+            c_scales = [1, 7, 1 << 20]
+            if i < N and lams[i]:
+                c_scales += _near_half_scales(
+                    sum(fr.RootSum({-haar_scale_exp(i, p): lams[i]}).bounds(60)) / 2,
+                    1 << 20, 1)
+            for scale in c_scales:
+                assert system.coeff_int(lams, i, scale) == \
+                    fr.haar_coeff_answer(p, lams, i, scale), (i, scale)
+        for start in sorted({0, 1, N // 3, N}):
+            # the reference's certified bound, and the test at eps just on
+            # either side of it
+            pieces = [(w, fr.RootSum({0: v}))
+                      for w, v in fr.stepform_pieces([0] * start + lams[start:])]
+            bound = fr.pieces_norm_bounds(p, pieces, 24)[1] if any(lams[start:]) else 0
+            assert fr.haar_tail_within(p, lams, start, bound)
+            for eps in (bound, bound - Fraction(1, 1 << 30), Fraction(0),
+                        Fraction(-1, 2)):
+                assert system.tail_within(lams, start, eps) == (bound <= eps), (start, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +720,42 @@ def test_tail_within_is_sharp_at_the_fraction_recurrence_norm(lams):
 
 
 def test_hat_nodes_share_the_least_denominator():
+    # the partial sum is swept on the numerators over the least common
+    # denominator, and its grid has 2^g + 1 points
     for lams, lcm in (([Fraction(1, 12), Fraction(1, 6), Fraction(3, 4)], 12),
                       ([Fraction(5, 24602), Fraction(2, 24602)] + [0] * 7, 24602),
                       ([Fraction(7, 8), 3, Fraction(-1, 3), Fraction(0)], 24)):
-        A, scale = _hat_nodes(lams)
+        zs, den = _over(lams)
         g = (len(lams) - 2).bit_length() if len(lams) > 2 else 0
-        assert (len(A), scale) == ((1 << g) + 1, lcm << g)
+        assert den == lcm and len(_hat_nodes(zs)) == (1 << g) + 1
+        pl = fs_partial_sum_pl(lams)
+        assert pl.ys == fr.fs_partial_sum(lams).ys
+
+
+def _hat_nodes_generic(zs):
+    """_hat_nodes in index order, one _q_node per node: A[t] = z_j 2^g +
+    (A[t - u] + A[t + u]) / 2 for hat j at t / 2^g, halfwidth u / 2^g."""
+    n = len(zs)
+    g = (n - 2).bit_length() if n > 2 else 0
+    A = [None] * ((1 << g) + 1)
+    A[0] = zs[0] << g if n else 0
+    A[1 << g] = zs[1] << g if n > 1 else 0
+    for j in range(2, n):
+        c, s = _q_node(j)
+        u = 1 << (g - s)
+        A[c * u] = (zs[j] << g) + (A[(c - 1) * u] + A[(c + 1) * u]) // 2
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 300)), st.randoms())
+@example(0, random.Random(0))
+@example(1, random.Random(0))
+@example(513, random.Random(1))
+def test_hat_nodes_match_the_generic_form(size, rnd):
+    zs = [rnd.randrange(-10 ** 6, 10 ** 6) if rnd.random() < 0.5 else 0
+          for _ in range(size)]
+    assert _hat_nodes(zs) == _hat_nodes_generic(zs)
 
 
 def test_fs_norm_and_tail_build_no_fraction(monkeypatch):
@@ -689,27 +794,28 @@ def test_fs_coeff_int_matches_fraction_rounding(z, d, scale):
 
 def _haar_midpoint_sums(zs, p):
     """Reference: sum z_k f_{k,p} at every midpoint of the uniform 2^G grid,
-    one haar_eval per element and midpoint."""
+    one haar_eval per element and midpoint, in the Fraction ring."""
     max_gen = max((haar_gen(k) for k in range(1, len(zs))), default=0)
     m = 1 << max_gen
     out = []
     for t in range(m):
         x = Fraction(2 * t + 1, 2 * m)
-        total = RootSum()
+        total = fr.RootSum()
         for k, z in enumerate(zs):
             s, e = haar_eval(k, p, x)
             if s == 0:
                 continue
-            total = total.plus(RootSum({e: Fraction(z) * s}))
+            total = total.plus(fr.RootSum({e: Fraction(z) * s}))
         out.append(total)
     return out
 
 
 def _expand(pieces, m):
+    """The values of pieces (level, v) on the uniform grid of m cells."""
     out = []
-    for width, v in pieces:
-        assert (width * m).denominator == 1
-        out.extend([v] * int(width * m))
+    for level, v in pieces:
+        assert m >> level << level == m
+        out.extend([v] * (m >> level))
     return out
 
 
@@ -733,15 +839,22 @@ def haar_combos(draw, max_size=40):
        st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2)]))
 def test_combo_pieces_match_midpoint_sums(zs, p):
     sysp = HaarSystem(p)
-    pieces = sysp.combo_pieces(zs)
+    nums, den = _over(zs)
+    pieces = sysp.combo_pieces(list(nums), den)
     ref = _haar_midpoint_sums(zs, p)
-    assert sum(w for w, _ in pieces) == 1
-    assert [v.terms for v in _expand(pieces, len(ref))] == [v.terms for v in ref]
+    assert sum(Fraction(1, 1 << level) for level, _ in pieces) == 1
+    assert all(v.u == p.numerator and v.den == den for _, v in pieces)
+    expanded = _expand(pieces, len(ref))
+    assert [_ring_value(v) for v in expanded] == [v.terms for v in ref]
     # the norm does not depend on how constant stretches are cut
-    uniform = [(Fraction(1, len(ref)), v) for v in ref]
+    G = len(ref).bit_length() - 1
+    uniform = [(G, v) for v in expanded]
     if p.denominator == 1:
-        assert sysp.norm_power(pieces).terms == sysp.norm_power(uniform).terms
-    assert sysp._pieces_norm_bounds(pieces, 24) == sysp._pieces_norm_bounds(uniform, 24)
+        assert _ring_value(sysp.norm_power(pieces)) == _ring_value(sysp.norm_power(uniform))
+    lo, hi = sysp._pieces_norm_bounds(pieces, 24)
+    assert sysp._pieces_norm_bounds(uniform, 24) == (lo, hi)
+    assert (Fraction(lo, 1 << 24), Fraction(hi, 1 << 24)) == fr.pieces_norm_bounds(
+        p, [(Fraction(1, len(ref)), v) for v in ref], 24)
 
 
 @settings(max_examples=60, deadline=None)
@@ -780,10 +893,10 @@ def test_combo_pieces_haar_eval_calls(monkeypatch):
         return haar_eval(k, p, x)
 
     monkeypatch.setattr(schauder, "haar_eval", counting)
-    zs = [Fraction(k % 7 + 1, 8) for k in range(1025)]
-    pieces = HaarSystem(Fraction(2)).combo_pieces(zs)
+    zs = [k % 7 + 1 for k in range(1025)]
+    pieces = HaarSystem(Fraction(2)).combo_pieces(zs, 8)
     assert len(pieces) == 1025           # one cell per element, plus one
-    assert sum(w for w, _ in pieces) == 1
+    assert sum(Fraction(1, 1 << level) for level, _ in pieces) == 1
     assert calls[0] <= 2 * 1025
 
 
