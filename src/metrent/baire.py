@@ -56,16 +56,6 @@ def _level_lengths(phi: Name, k: int) -> list[int]:
     return [len(phi(a)) for a in strings_of_length(k)]
 
 
-def length_of(phi: Name, n: int) -> int:
-    """max{|phi(a)| : |a| <= n} by exhaustive scan.
-
-    The scan touches 2^(n+1) - 1 queries, which is why this map is not
-    cheap to evaluate; n above SCAN_CUTOFF raises.
-    """
-    _check_scan_depth(n)
-    return max((max(_level_lengths(phi, k)) for k in range(n + 1)), default=0)
-
-
 def in_kl(phi: Name, l: LengthFn, depth: int) -> bool:
     """Finite-depth membership check for K_l: |phi|(n) <= l(n) for n <= depth,
     scanned level by level up to the first level over l; a depth above

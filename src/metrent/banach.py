@@ -5,14 +5,16 @@ dyadic-interval integrals with an L^p modulus for integrable ones, and the
 translations between them and the coefficient-based names.
 
 Name layout: the all-zeros query answers the name's own length in unary; a
-"0"-tagged triple <i, n, m> answers an integer z with z/(m+1) close to the
-i-th basis coefficient (valid whenever m exceeds the threshold tied to n);
-a "1"-tagged quadruple <<z_0..z_N>, N, n, m> answers an integer z with
-z/(n+1) within 1/(n+1) of the norm of sum z_k/(m+1) e_k, which the system
-rounds from the integers z_k (``norm_int``).  The hat system answers
-round((n+1) times the norm), ties away from zero.  The Haar system answers
-the rounded midpoint of the first enclosure of that product narrow enough,
-within 1/2 + 1/8 of it, so near a half it can be one off the rounding.
+"0"-tagged triple <i, n, m> answers round(lam_i (m+1)), ties away from
+zero, in both systems, where lam_i is the i-th basis coefficient (for a
+translated name, the value its stencil reads), valid whenever m exceeds the
+threshold tied to n; a "1"-tagged quadruple <<z_0..z_N>, N, n, m> answers
+an integer z with z/(n+1) within 1/(n+1) of the norm of sum z_k/(m+1) e_k,
+which the system rounds from the integers z_k (``norm_int``).  The hat
+system answers round((n+1) times the norm), ties away from zero.  The Haar
+system answers the rounded midpoint of the first enclosure of that product
+at most 1/4 wide, within 1/2 + 1/8 of it, so near a half it can be one off
+the rounding: the one answer of either layout with a tolerance.
 
 The translations compute on integers; they build Fractions only for the
 public answers (``dsq_value``, ``lp_value``).
@@ -30,9 +32,9 @@ from .compact import (ParameterViolation, _with_length_branch,
 from .machine import (Ctx, RunningTime, need_evaluator, paired,
                       precision_input, quarter_round)
 from .funcs import PiecewiseLinear, StepFn, sup_dist_pl
-from .schauder import (FSSystem, HaarSystem, _cell_hats, _grid_hats,
-                       _haar_sign_integral, _haar_stencil, _hat_num,
-                       _hat_stencil, _midpoint_num, _round_midpoint,
+from .schauder import (FSSystem, HaarSystem, _cell_hats, _enclosure_nums,
+                       _grid_hats, _haar_sign_integral, _haar_stencil,
+                       _hat_num, _hat_stencil, _round_enclosure, _round_root,
                        fs_nonzero_indices, fs_partial_sum_pl, haar_coeffs,
                        haar_gen)
 from .strings import (MalformedName, _binary_int, _Record, ceil_lb,
@@ -166,8 +168,10 @@ def combo_query(zs: list[int], n: int, m: int) -> str:
 
 
 def _parse_norm_query(rest: str) -> tuple[list[int], int, int] | None:
-    """Inverse of combo_query after the tag: (z_0..z_N, n, m), or None."""
-    parts = untuple(4, rest)
+    """Inverse of combo_query after the tag: (z_0..z_N, n, m), or None.  A
+    tuple's markers and padding are binary, so rest is binary exactly when
+    every part is, and each part is decoded unchecked."""
+    parts = untuple(4, rest) if is_binstr(rest) else None
     if parts is None:
         return None
     blob, ns, nn, nm = parts
@@ -175,8 +179,7 @@ def _parse_norm_query(rest: str) -> tuple[list[int], int, int] | None:
     if N is None or n is None or m is None:
         return None
     zparts = [blob] if N == 0 else untuple(N + 1, blob)
-    # one binary check over all the parts, then each is decoded unchecked
-    if zparts is None or not is_binstr("".join(zparts)):
+    if zparts is None:
         return None
     zs = [_binary_int(z) for z in zparts]
     return None if None in zs else (zs, n, m)
@@ -527,8 +530,9 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
     """Integral name computed from a Haar-coefficient name: the integral of
     the level-(2^(n+3)-1) combination over the requested dyadic interval,
     from the at most two contributing elements per generation, is a sum of
-    C_j 2^(j/u), j/u the fractional parts of (g-1)/p for p = u/v, rounded
-    via its enclosure."""
+    C_j 2^(j/u), j/u the fractional parts of (g-1)/p for p = u/v, and the
+    value is the rounded midpoint of its first enclosure at most 2^-4 wide
+    (``_round_enclosure``)."""
     lfn = name_length_fn(phi)
     haar_sys = HaarSystem(Fraction(p))
     u = haar_sys.p.numerator
@@ -553,7 +557,8 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
                 shift, j = haar_sys._scale_split(i, 1)
                 z *= _haar_sign_integral(i, k, l, d)
                 terms[j] = terms.get(j, 0) + (z << (shift + j0 + m - haar_gen(i)))
-        return _round_midpoint(terms, u, (M + 1) << (2 * m), 4), j0
+        return _round_enclosure(lambda prec: _enclosure_nums(terms, u, prec),
+                                (M + 1) << (2 * m), 4), j0
 
     def fn(a: str) -> str:
         return _value_answer(a, size, _parse_lp_query, value, "")
@@ -564,24 +569,22 @@ def xi_to_lp(phi: Name, params: BanachReprParams, p: Fraction) -> Name:
 def lp_to_xi(psi: Name, params: BanachReprParams, p: Fraction) -> Name:
     """Haar-coefficient name computed from an integral name via the local
     half-support integral differences (``_haar_stencil``, on the answers'
-    integer pairs);
-    norm queries are answered by exact library evaluation."""
+    integer pairs): the coefficient branch rounds the stencil value times
+    m + 1, one term C 2^(j/u) / 2^K, exactly (``_round_root``), and norm
+    queries are answered by ``HaarSystem.norm_int`` on the queried
+    integers."""
     mu_in = dsq_modulus(psi)
     haar_sys = HaarSystem(Fraction(p))
 
     def coeff(i: int, n: int, m: int) -> int:
-        # c_0 is exact; c_i (i >= 1) is lam_i in step form, whose scale
-        # 2^-(g-1)/p is enclosed at precision prec + 8
+        # lam_i (m+1) = c (m+1) 2^(-(g-1)/p) / 2^K, one term of the ring
         prec = (m.bit_length() + 18 if i == 0
                 else len(nat_str(m + 1)) + haar_gen(i) + 20)
 
         c, K = _haar_stencil(
             i, lambda a, g: _read_pair(psi(lp_query(a, a + 1, g, prec)), ""))
-        if i == 0:
-            return round_ratio(c * (m + 1), 1 << K)
-        shift, j = haar_sys._scale_split(i, -1)
-        return round_ratio(_midpoint_num({j: c * (m + 1)}, haar_sys.p.numerator,
-                                         prec + 8), 1 << (K - shift + prec + 9))
+        shift, j = haar_sys._scale_split(i, -1)               # shift <= 0
+        return _round_root(c * (m + 1), j, haar_sys.p.numerator, 1 << (K - shift))
 
     def ell_out(k: int) -> int:
         return max(mu_in(k + 3) + 3, k + 2)

@@ -28,7 +28,7 @@ from .machine import equality_from_metric, exp_max_time, RunningTime
 from .reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
 from .schauder import (_grid_hats, fs_partial_sum_pl, haar_integral,
                        haar_scale_exp, haar_support)
-from .strings import ConfigError, ContractError, InvalidConfig
+from .strings import ConfigError, ContractError, InvalidConfig, is_binstr
 
 COLUMNS_DOC = """\
 CSV columns:
@@ -195,6 +195,9 @@ def cmd_translate(args) -> int:
         raise ConfigError(f"trace is not UTF-8 text: {e.reason} at byte {e.start}") from e
     src = name_from_trace(text)
     queries = args.queries.split("|") if args.queries else []
+    for q in queries:
+        if not is_binstr(q):
+            raise InvalidConfig(f"query {q!r} is not a binary string")
     params = BanachReprParams(S=exp_max_time())
     trace = trace_of(_TRANSLATIONS[args.kind](src, params), queries)
     if args.out:

@@ -324,27 +324,3 @@ def dialog_cover_experiment(samples: list[Name], points: list,
         max_dialog_len=max_len, max_class_dist=Fraction(max_dist) / _pow2(u),
         class_sizes=sorted(map(len, classes.values())),
     )
-
-
-# ---------------------------------------------------------------------------
-# one-dimensional exact covering (intervals): greedy sweep is optimal
-
-def interval_cover_count(points: list[Fraction], radius: Fraction) -> int:
-    """Minimal number of closed radius-balls centered at the given points
-    covering all of them (exact for subsets of the line)."""
-    pts = sorted(points)
-    count = 0
-    i = 0
-    while i < len(pts):
-        count += 1
-        lo = pts[i]
-        # farthest admissible center, then skip everything it covers
-        c = lo
-        for p in pts[i:]:
-            if p - lo <= radius:
-                c = p
-            else:
-                break
-        while i < len(pts) and pts[i] - c <= radius:
-            i += 1
-    return count

@@ -14,17 +14,21 @@ terms.  ``RootSum`` holds sum_j C_j 2^(j/u), 0 <= j < u, keyed by the
 index j, with integer numerators C_j over one denominator; a product adds
 indices and carries (j1 + j2) // u into a shift of its numerator.
 Combinations (``combo_pieces``), norm powers and norm enclosures are sums
-in it, and coefficients and the Haar translations round the midpoint of
-the same integer enclosure (``_enclosure_nums``, ``_midpoint_num``,
-``_round_midpoint``), which encloses each 2^(j/u) by an integer root
-memoized per (j, u, prec).  The enclosure is linear in the numerators, so
-it does not depend on which common denominator they are taken over, and
-no Fraction is built per term.
+in it.  A Haar answer rounds by one of two rules.  A one-term sum
+c 2^(j/u) / den, which is every coefficient, rounds exactly by one integer
+root (``_round_root``).  A Haar norm, and an integral value of the
+translation from Haar coefficients to integrals, round the midpoint of
+their first enclosure narrow enough, at precision 24, 48, 96, ...
+(``_round_enclosure``).  A sum's enclosure (``_enclosure_nums``) encloses
+each 2^(j/u) by an integer root memoized per (j, u, prec); it is linear in
+the numerators, so it does not depend on which common denominator they are
+taken over, and no Fraction is built per term.
 
 A system answers a name with three methods: ``coeff_int`` rounds a
-coefficient, ``norm_int`` the norm of sum (z_k/den) e_k from the integers
-z_k (exact for hats, from ``_hat_nodes``; for Haar, the midpoint of the
-first narrow enough enclosure), and ``tail_within`` tests a tail's norm.
+coefficient (exactly for both systems), ``norm_int`` the norm of
+sum (z_k/den) e_k from the integers z_k (exact for hats, from
+``_hat_nodes``; for Haar, the midpoint of the first narrow enough
+enclosure), and ``tail_within`` tests a tail's norm.
 
 Synthesis is linear in the number of coefficients.  Hat partial sums
 follow the node recurrence V(q_j) = lam_j + (V(q_j - w_j) + V(q_j + w_j))/2
@@ -213,23 +217,6 @@ def _enclosure_nums(terms: dict[int, int], u: int, prec: int) -> tuple[int, int]
     return base + neg, base + pos
 
 
-def _midpoint_num(terms: dict[int, int], u: int, prec: int) -> int:
-    """2^(prec+1) times the midpoint of the enclosure _enclosure_nums gives
-    for sum C 2^(j/u) at prec, which RootSum.bounds gives too."""
-    return sum(_enclosure_nums(terms, u, prec))
-
-
-def _round_midpoint(terms: dict[int, int], u: int, den: int, w: int) -> int:
-    """round_half_away of the midpoint of sum (C/den) 2^(j/u)'s first
-    enclosure, at precision 24, 48, 96, ..., whose width
-    sum |C| / (den 2^prec) is at most 2^-w."""
-    spread = sum(abs(c) for c in terms.values()) << w
-    prec = 24
-    while spread > den << prec:
-        prec *= 2
-    return round_ratio(_midpoint_num(terms, u, prec), den << (prec + 1))
-
-
 def _pow_bounds(n: int, d: int, a: int, k: int, prec: int) -> tuple[int, int]:
     """(r, r + 2) with (n/d)^(a/k) in [r, r + 2] / 2^prec, for n > 0 and
     d > 0, r = floor(2^prec (n/d)^(a/k)); (0, 0) for n <= 0."""
@@ -237,6 +224,27 @@ def _pow_bounds(n: int, d: int, a: int, k: int, prec: int) -> tuple[int, int]:
         return 0, 0
     r = _iroot((n ** a << (k * prec)) // d ** a, k)
     return r, r + 2
+
+
+def _round_root(c: int, j: int, u: int, den: int) -> int:
+    """c 2^(j/u) / den rounded half away from zero, exactly, for den > 0 and
+    j >= 0: with X = 2|c| 2^(j/u) / den, the answer is sign(c) floor((X + 1)/2),
+    and floor(X) is the integer u-th root of floor((2|c|)^u 2^j / den^u)."""
+    y = (_pow_bounds((2 * abs(c)) ** u << j, den ** u, 1, u, 0)[0] + 1) // 2
+    return y if c >= 0 else -y
+
+
+def _round_enclosure(bounds: Callable[[int], tuple[int, int]], den: int,
+                     w: int) -> int:
+    """round_half_away of the midpoint of the first enclosure
+    [lo, hi] / (den 2^prec) = bounds(prec), at precision 24, 48, 96, ...,
+    at most 2^-w wide."""
+    prec = 24
+    while True:
+        lo, hi = bounds(prec)
+        if (hi - lo) << w <= den << prec:
+            return round_ratio(lo + hi, den << (prec + 1))
+        prec *= 2
 
 
 class RootSum:
@@ -558,26 +566,24 @@ class HaarSystem(_Record):
 
     def norm_int(self, zs: list[int], den: int, scale: int) -> int:
         """scale * ||sum (z_k/den) f_{k,p}||_p rounded, within 1/2 + 1/8 of
-        the exact product: round_half_away of the midpoint of the first
-        enclosure, at precision 24, 48, 96, ..., at most 1/(4 scale) wide."""
+        the exact product: the rounded midpoint of the first enclosure of
+        the product at most 1/4 wide (``_round_enclosure``)."""
         pieces = self.combo_pieces(zs, den)
-        prec = 24
-        while True:
+
+        def bounds(prec: int) -> tuple[int, int]:
             lo, hi = self._pieces_norm_bounds(pieces, prec)
-            if (hi - lo) * 4 * scale <= 1 << prec:
-                return round_ratio((lo + hi) * scale, 2 << prec)
-            prec *= 2
+            return lo * scale, hi * scale
+        return _round_enclosure(bounds, 1, 2)
 
     def coeff_int(self, c: list[Fraction], i: int, scale: int) -> int:
-        """lam_i * scale rounded, within 1/2 + 2^-16 of the exact product,
-        with lam_i = c_i 2^-haar_scale_exp(i, p) formed from the step form:
-        round_half_away of the midpoint of its first narrow enough
-        enclosure; lam_i = 0 past the list."""
+        """round(lam_i * scale), ties away from zero, exactly, with
+        lam_i = c_i 2^-haar_scale_exp(i, p) formed from the step form: one
+        term C 2^(j/u) / D (``_round_root``); lam_i = 0 past the list."""
         if i >= len(c):
             return 0
         shift, j = self._scale_split(i, -1)                   # shift <= 0
-        return _round_midpoint({j: c[i].numerator * scale}, self.p.numerator,
-                               c[i].denominator << -shift, 16)
+        return _round_root(c[i].numerator * scale, j, self.p.numerator,
+                           c[i].denominator << -shift)
 
     def tail_within(self, c: list[Fraction], start: int, eps: Fraction) -> bool:
         """Whether a certified upper bound on the L^p norm of the tail

@@ -287,15 +287,15 @@ def untuple(k: int, b: str) -> list[str] | None:
             full = True
             out.append(col[:-1])
             continue
+        # the marker is the last symbol other than "0", and must be "1"
         if len(col) < _TAIL_PASS_LEN:
             j = len(col.rstrip("0")) - 1
+            if j < 0 or col[j] != "1":
+                return None
         else:
             j = col.rfind("1")
-            if col.count("0", j + 1) != len(col) - 1 - j:
-                # a character other than "0" or "1" after the last "1"
-                j = len(col.rstrip("0")) - 1
-        if j < 0:                  # no terminator marker
-            return None
+            if j < 0 or col.count("0", j + 1) != len(col) - 1 - j:
+                return None
         out.append(col[:j])
     # padding is to max length + 1, so some column must end in its marker
     return out if full else None

@@ -1,26 +1,29 @@
-"""The library's Fraction bodies from before its integer carriers and its
-integer root ring, kept as the references the integer code is tested
-against: the carriers ``RefStep`` and ``RefPL`` with their evaluation and
-integral, the sup and p-th-power distances, smoothing and the two moduli,
-the hat values, the hat and Haar coefficient formulas on point values and
-integrals, the Fraction ``RootSum`` ring with the Haar norm path built on
-it (combination pieces, norm power and enclosure, coefficient rounding,
-tail test), and the norm answer of a Banach name from a Fraction
-coefficient list.  Every operation here is Fraction arithmetic on Fraction
-fields, except the library's floor integer root ``_iroot``.  The two
-distances differ from the old bodies in one place: on each piece of the
-merged grid they take a piecewise-linear function's limits from inside the
-piece (``_inside``), so a nonzero value at a span end counts as the jump to
-zero that it is."""
+"""The references the library is tested against.  Most are its Fraction
+bodies from before its integer carriers and its integer root ring: the
+carriers ``RefStep`` and ``RefPL`` with their evaluation and integral, the
+sup and p-th-power distances, smoothing and the two moduli, the hat values,
+the hat and Haar coefficient formulas on point values and integrals, the
+Fraction ``RootSum`` ring with the Haar norm path built on it (combination
+pieces, norm power and enclosure, tail test), and the norm answer of a
+Banach name from a Fraction coefficient list.  The others are exhaustive
+or exact: a name's length by scan (``length_of``), the exact line cover
+(``interval_cover_count``), and the integer test of a rounded power of two
+(``rounds_root``) for the one-term Haar answers.  The Fraction bodies do
+Fraction arithmetic on Fraction fields only, except for the library's
+floor integer root ``_iroot``.  The two distances differ from the old
+bodies in one place: on each piece of the merged grid they take a
+piecewise-linear function's limits from inside the piece (``_inside``), so
+a nonzero value at a span end counts as the jump to zero that it is."""
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
 
+from metrent.baire import Name, _check_scan_depth, _level_lengths
 from metrent.compact import q_seq
 from metrent.funcs import PiecewiseLinear, _least_moduli
 from metrent.schauder import (FSSystem, _iroot, fs_partial_sum_pl, haar_eval,
-                              haar_gen, haar_scale_exp, haar_support)
+                              haar_gen, haar_support)
 from metrent.strings import InvalidConfig, _frac, ceil_lb, round_half_away
 
 
@@ -434,15 +437,20 @@ def stepform_pieces(c: list) -> list:
     return out
 
 
-def haar_coeff_answer(p: Fraction, c: list, i: int, scale: int) -> int:
-    """HaarSystem.coeff_int in Fractions: the midpoint of the first
-    enclosure of lam_i scale = c_i scale 2^-haar_scale_exp(i, p) at most
-    2^-16 wide, rounded half away; 0 past the list."""
-    if i >= len(c):
-        return 0
-    lam = RootSum({-haar_scale_exp(i, p): Fraction(c[i]) * scale})
-    lo, hi = _tight_bounds(lam.bounds, Fraction(1, 1 << 16))
-    return round_half_away((lo + hi) / 2)
+def rounds_root(y: int, c: int, e: Fraction, den: int) -> bool:
+    """Whether y is c 2^e / den rounded half away from zero, for integers c
+    and den > 0 and rational e, decided in integers: with the integer part
+    of e moved into c or den, the value is C 2^(a/b) / D with 0 <= a < b,
+    and y, of c's sign, rounds it when
+    ((2|y| - 1) D)^b <= (2|C|)^b 2^a < ((2|y| + 1) D)^b, the left end 0
+    for y = 0."""
+    s, f = _split_exp(Fraction(e))
+    a, b = f.numerator, f.denominator
+    C, D = (abs(c) << s, den) if s >= 0 else (abs(c), den << -s)
+    if y and (y < 0) != (c < 0):
+        return False
+    t = abs(y)
+    return (max(2 * t - 1, 0) * D) ** b <= (2 * C) ** b << a < ((2 * t + 1) * D) ** b
 
 
 def haar_tail_within(p: Fraction, c: list, start: int, eps: Fraction) -> bool:
@@ -472,3 +480,37 @@ def norm_answer(system, zs: list[int], den: int, scale: int) -> int:
     lo, hi = _tight_bounds(lambda prec: norm_bounds(system, lams, prec),
                            Fraction(1, 4 * scale))
     return round_half_away((lo + hi) / 2 * scale)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive references for closed forms
+
+def length_of(phi: Name, n: int) -> int:
+    """max{|phi(a)| : |a| <= n} by exhaustive scan.
+
+    The scan touches 2^(n+1) - 1 queries, which is why this map is not
+    cheap to evaluate; n above SCAN_CUTOFF raises.
+    """
+    _check_scan_depth(n)
+    return max((max(_level_lengths(phi, k)) for k in range(n + 1)), default=0)
+
+
+def interval_cover_count(points: list[Fraction], radius: Fraction) -> int:
+    """Minimal number of closed radius-balls centered at the given points
+    covering all of them (exact for subsets of the line): a greedy sweep."""
+    pts = sorted(points)
+    count = 0
+    i = 0
+    while i < len(pts):
+        count += 1
+        lo = pts[i]
+        # farthest admissible center, then skip everything it covers
+        c = lo
+        for p in pts[i:]:
+            if p - lo <= radius:
+                c = p
+            else:
+                break
+        while i < len(pts) and pts[i] - c <= radius:
+            i += 1
+    return count

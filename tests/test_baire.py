@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metrent.baire import (SCAN_CUTOFF, Name, in_kl, is_length_monotone,
-                           length_of, name_from_trace, pad, pair_names,
-                           trace_of, unpad, unpad_value)
+                           name_from_trace, pad, pair_names, trace_of, unpad,
+                           unpad_value)
 from metrent.strings import (InvalidConfig, MalformedName, all_strings,
                              tuple_strs, untuple)
+
+from fraction_reference import length_of
 
 
 def identity_name():

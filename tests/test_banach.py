@@ -9,7 +9,7 @@ from metrent.baire import Name, in_kl, is_length_monotone, pair_names
 from metrent.banach import (BanachReprParams, add_time, banach_add_program,
                             _aligned_nonzero_indices, _level_sizer,
                             _norm_answer, _parse_dsq_query, _parse_lp_query,
-                            _parse_norm_query, _value_answer,
+                            _parse_norm_query, _read_pair, _value_answer,
                             _xi_answer, _xi_reader, banach_name,
                             banach_norm_program, banach_time,
                             check_growth, coeff_query, combo_query, counted,
@@ -22,7 +22,7 @@ from metrent.compact import (ParameterViolation, _with_length_branch,
 from metrent.funcs import (PiecewiseLinear, StepFn, chi, continuity_modulus,
                            lp_modulus, modulus_fn, sup_dist_pl)
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
-from metrent.schauder import (FSSystem, HaarSystem, fs_elem,
+from metrent.schauder import (FSSystem, HaarSystem, _haar_stencil, fs_elem,
                               fs_nonzero_indices, fs_partial_sum_pl, haar_gen,
                               haar_integral, haar_scale_exp, haar_support)
 from metrent.strings import (MalformedName, _dyadic, ceil_lb, decode_int,
@@ -147,6 +147,13 @@ def _malformed_norm_queries():
             yield q[:t]
         yield q + "0"
         yield q.replace("1", "\xe9", 1)
+
+
+def test_norm_query_with_a_non_binary_marker_is_refused():
+    # the tuple's last column ends in the marker "a", not "1"
+    rest = "111110111101a001000010001000"
+    assert _parse_norm_query(rest) is None
+    assert _norm_answer(HaarSystem(Fraction(2)), rest) == ""
 
 
 def test_norm_queries_parse_as_per_part_decoding():
@@ -789,3 +796,55 @@ def test_haar_translations_match_the_fraction_reference(f, p):
     phi = banach_name(haar_vector(f, p), params, HaarSystem(p), ELL)
     _same_answers(xi_to_lp(phi, params, p), ref_xi_to_lp(phi, params, p), INTEGRAL_QUERIES)
     _same_answers(xi_to_lp(xi, params, p), ref_xi_to_lp(xi_ref, params, p), INTEGRAL_QUERIES)
+
+
+def _lp_coeff_and_stencil(f, p, i, m):
+    """lp_to_xi's answer z to <i, 0, m> over f's integral name, and (c, K)
+    for the step-form coefficient c / 2^K that the stencil reads from the
+    integral answers the translation asked for."""
+    psi = lp_name(f, p, modulus_fn(lp_modulus(f, 2, 8)))
+    read = {}
+
+    def spy(a):
+        ans, q = psi(a), _parse_lp_query(a)
+        if q is not None:
+            read[q[0], q[2]] = _read_pair(ans, "")
+        return ans
+    xi = lp_to_xi(Name(spy, label="spy"), BanachReprParams(S=exp_max_time()), p)
+    z = decode_int(xi(coeff_query(i, 0, m)))
+    return z, _haar_stencil(i, lambda a, g: read[a, g])
+
+
+@st.composite
+def rational_step(draw):
+    """A step function on [0, 1] with cuts at scale <= 3 and levels over
+    1, 3, 7 or 12, whose integral answers are rounded."""
+    scale = draw(st.integers(0, 3))
+    inner = draw(st.sets(st.integers(1, (1 << scale) - 1), max_size=3)) if scale else set()
+    cuts = [Fraction(t, 1 << scale) for t in sorted({0, 1 << scale} | inner)]
+    levels = draw(st.lists(st.builds(Fraction, st.integers(-50, 50),
+                                     st.sampled_from([1, 3, 7, 12])),
+                           min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    return StepFn.build(cuts, levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_step(), st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]),
+       st.integers(0, 8), st.one_of(st.integers(0, 100), st.integers(0, 1 << 45)))
+def test_lp_to_xi_coefficients_round_their_stencil_value(f, p, i, m):
+    # z = round(c (m+1) 2^-haar_scale_exp(i, p) / 2^K), ties away from zero
+    z, (c, K) = _lp_coeff_and_stencil(f, p, i, m)
+    assert fr.rounds_root(z, c * (m + 1), -haar_scale_exp(i, p), 1 << K)
+
+
+def test_lp_to_xi_coefficient_just_below_a_half():
+    # the level v on [0, 1/2) makes the stencil value D / 2^K of element 1
+    # times m + 1 = 2^40 + 1 equal to k + 1/2 - 2^-K, which rounds to k
+    x = (1 << 40) + 1
+    K = len(nat_str(x)) + haar_gen(1) + 22         # the query precision + 2
+    D = ((1 << (K - 1)) - 1) * pow(x, -1, 1 << K) % (1 << K)
+    f = StepFn.build([0, Fraction(1, 2), 1], [Fraction(D, 1 << (K - 1)), 0])
+    z, (c, K2) = _lp_coeff_and_stencil(f, Fraction(2), 1, x - 1)
+    assert Fraction(c, 1 << K2) == Fraction(D, 1 << K)
+    assert z == D * x >> K
+    assert fr.rounds_root(z, c * x, Fraction(0), 1 << K2)

@@ -355,6 +355,15 @@ def test_translate_empty_trace_without_queries(kind):
     assert _run_main(["translate", "--kind", kind], "") == (0, "")
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("queries", ["0a1", "0|x", "00|0 1|1"])
+def test_non_binary_query_is_config_error(kind, queries):
+    # the queries are read as the trace lines are: binary strings only
+    rc, err = _run_main(["translate", "--kind", kind, "--queries", queries], "")
+    bad = next(q for q in queries.split("|") if q.strip("01"))
+    assert (rc, err) == (2, f"config-error: query {bad!r} is not a binary string\n")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["entropy", "bounds", "eval", "translate"]),
        st.integers(-3, 4), st.integers(-3, 30),

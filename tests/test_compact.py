@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metrent.baire import in_kl, length_of, pair_names
+from metrent.baire import in_kl, pair_names
 from metrent.banach import (BanachReprParams, banach_name, delta_square_name,
                             dsq_to_xi, fs_vector, haar_vector, lp_name,
                             lp_to_xi)
@@ -21,8 +21,7 @@ from metrent.compact import (CompactReprParams, ParameterViolation,
                              q_seq, relativized_to_compact,
                              unit_interval_approx, unit_interval_ell,
                              unit_interval_short_approx, unit_interval_space)
-from metrent.entropy import (PointCloud, cloud_from_vectors, covering_number,
-                             interval_cover_count)
+from metrent.entropy import PointCloud, cloud_from_vectors, covering_number
 from metrent.funcs import (PiecewiseLinear, StepFn, continuity_modulus,
                            lp_modulus, modulus_fn)
 from metrent.machine import RunningTime, const_time, exp_max_time, metered_run
@@ -30,6 +29,8 @@ from metrent.schauder import FSSystem, HaarSystem
 from metrent.reprs import cauchy_validate
 from metrent.strings import (InvalidConfig, _dyadic, ceil_lb, decode_int,
                              floor_lb, nat_str, tuple_strs)
+
+from fraction_reference import interval_cover_count, length_of
 
 
 def params_unit(S=None):

@@ -13,11 +13,13 @@ from metrent.entropy import (ApproxSetSpec, ContractViolation, PointCloud,
                              build_large_compact,
                              check_spanning_le_covering, cloud_from_vectors,
                              covering_number, dialog_cover_experiment,
-                             farthest_first, interval_cover_count,
-                             lorentz_bounds, packing_exponent, packing_witness)
+                             farthest_first, lorentz_bounds, packing_exponent,
+                             packing_witness)
 from metrent.machine import RunningTime, const_time, equality_from_metric
 from metrent.reprs import cauchy_metric_program, cauchy_metric_time, cauchy_name
 from metrent.strings import InvalidConfig
+
+from fraction_reference import interval_cover_count
 
 
 def line_cloud(values):

@@ -113,17 +113,24 @@ NON_ROOT_RAISES = {
 }
 
 
-def _raises(node, qual=""):
-    """(enclosing qualified name, raised class name) for each raise under
-    node; the name is None for a bare re-raise."""
+def _qualified_nodes(node, qual=""):
+    """(enclosing qualified name, node) for each node under node that is not
+    a function or class definition."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _raises(child, f"{qual}.{child.name}".lstrip("."))
+            yield from _qualified_nodes(child, f"{qual}.{child.name}".lstrip("."))
             continue
-        if isinstance(child, ast.Raise):
-            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+        yield qual, child
+        yield from _qualified_nodes(child, qual)
+
+
+def _raises(tree):
+    """(enclosing qualified name, raised class name) for each raise in the
+    tree; the name is None for a bare re-raise."""
+    for qual, node in _qualified_nodes(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             yield qual, getattr(exc, "id", getattr(exc, "attr", None))
-        yield from _raises(child, qual)
 
 
 def test_every_raise_names_a_class_of_the_error_root():
@@ -136,6 +143,23 @@ def test_every_raise_names_a_class_of_the_error_root():
             if not (isinstance(cls, type) and issubclass(cls, MetrentError)):
                 found.add((path.stem, qual, raised))
     assert found == NON_ROOT_RAISES
+
+
+# the precision ladders of src/metrent, as (module, enclosing definition):
+# every Haar answer rounds through _round_enclosure or exactly, and
+# RootSum.sign refines until the sign shows
+LADDERS = {("schauder", "_round_enclosure"), ("schauder", "RootSum.sign")}
+
+
+def test_every_precision_ladder_is_listed():
+    found = set()
+    for path in sorted((ROOT / "src" / "metrent").glob("*.py")):
+        for qual, node in _qualified_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult) \
+                    and getattr(node.target, "id", None) == "prec" \
+                    and getattr(node.value, "value", None) == 2:
+                found.add((path.stem, qual))
+    assert found == LADDERS
 
 
 def _public_defs():
@@ -228,9 +252,10 @@ def test_every_unread_parameter_is_listed():
 # the public top-level definitions of src/metrent, and the public methods of
 # its public classes, that no code in src/, scripts/ or benchmarks/ reads,
 # each with the reason it stays: a paper check (its consumer is the
-# acceptance suite), the reference a test compares against, or the ROADMAP
-# item that will give it a library caller.  A new public definition needs a
-# reader or a visible edit here.  A bare name reads a definition only in a
+# acceptance suite) or the ROADMAP item that will give it a library caller
+# (a reference that only tests compare against lives in
+# tests/fraction_reference.py).  A new public definition needs a reader or
+# a visible edit here.  A bare name reads a definition only in a
 # file that defines or imports that name, so a local variable does not count;
 # an attribute counts by its name alone, as the census does not infer types.
 # So a method is read whenever any attribute of its name is.
@@ -238,9 +263,6 @@ TEST_ONLY_PUBLIC = {
     ("baire", "in_kl"): "paper check: finite-depth membership in K_l",
     ("baire", "is_length_monotone"):
         "ROADMAP item 13: Kawamura-Cook's length-monotone names",
-    ("baire", "length_of"):
-        "reference: the exhaustive |phi|(n) that the 0^k length convention "
-        "is tested against",
     ("baire", "pad"): "ROADMAP item 13: the padded twin of a name",
     ("baire", "unpad"): "ROADMAP item 13: the reader of a padded twin",
     ("banach", "add_time"): "paper check: the budget of the metered addition",
@@ -251,7 +273,8 @@ TEST_ONLY_PUBLIC = {
         "as check_monotone_sampled does for monotonicity",
     ("banach", "counted"): "paper check: C10's query counter",
     ("banach", "xi_decode_pl"):
-        "reference: a hat-coefficient name read back as the function it names",
+        "ROADMAP item 18: the library decoder of a hat-coefficient name, read "
+        "back as the function it names",
     ("compact", "check_uniformly_dense"):
         "ROADMAP item 12: the check on the sequences compact names are built over",
     ("compact", "compact_to_relativized"):
@@ -267,9 +290,6 @@ TEST_ONLY_PUBLIC = {
     ("entropy", "check_spanning_le_covering"):
         "paper check: C05's spanning-versus-covering clause",
     ("entropy", "cloud_from_vectors"): "paper check: C05's sup-metric clouds",
-    ("entropy", "interval_cover_count"):
-        "reference: the exact line cover that measured_size_unit_interval's "
-        "closed form is tested against",
     ("funcs", "approx_check"): "paper check: C09's smoothing approximation",
     ("funcs", "lp_modulus_shift_check"): "paper check: C09's shift lemma",
     ("machine", "check_monotone_sampled"):
@@ -300,7 +320,7 @@ TEST_ONLY_PUBLIC = {
     ("schauder", "fs_separation"):
         "paper check: C11's separation of the hat functions",
 }
-REASONS = ("paper check: ", "reference: ", "ROADMAP item ")
+REASONS = ("paper check: ", "ROADMAP item ")
 
 
 def _assigned(node):

@@ -9,14 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 from metrent.compact import _q_node, q_seq
 from metrent.entropy import ContractViolation
 from metrent.funcs import PiecewiseLinear, StepFn, chi, p_power_dist
-from metrent.banach import BanachReprParams, banach_name, combo_query, fs_vector
+from metrent.banach import (BanachReprParams, banach_name, coeff_query,
+                            combo_query, fs_vector)
 from metrent.machine import exp_max_time
 from metrent.funcs import _over
 from metrent.schauder import (FSSystem, HaarSystem, RootSum, _cell_hats,
                               _enclosure_nums, _grid_hats, _haar_pyramid,
-                              _hat_nodes, _hat_num, _midpoint_num, _pow2_floor,
-                              _pow_bounds, _round_midpoint,
-                              chi_expand, fs_elem,
+                              _hat_nodes, _hat_num, _iroot, _pow2_floor,
+                              _pow_bounds,
+                              _round_enclosure, _round_root, chi_expand,
+                              fs_elem,
                               fs_nonzero_indices, fs_partial_sum_pl,
                               fs_separation, haar_coeffs, haar_eval, haar_gen,
                               haar_integral, haar_scale_exp, haar_support,
@@ -263,14 +265,19 @@ def test_haar_coeffs_examples():
         assert [HaarSystem(p).coeff_int(c, k, 2) for k in range(2)] == [1, 1]
 
 
+def _rounds_coeff(y: int, p: Fraction, lam: Fraction, i: int, scale: int) -> bool:
+    """Whether y is round(lam_i scale), ties away from zero, for the
+    step-form coefficient lam of index i: lam scale 2^-haar_scale_exp(i, p)."""
+    return fr.rounds_root(y, lam.numerator * scale, -haar_scale_exp(i, p),
+                          lam.denominator)
+
+
 def test_haar_coeff_int_is_zero_past_the_list():
     p = Fraction(3, 2)
     c = haar_coeffs(chi(0, Fraction(1, 4)), 4)
     system = HaarSystem(p)
     for k in range(4):
-        lam = fr.RootSum({-haar_scale_exp(k, p): c[k] * 1000})
-        lo, hi = lam.bounds(40)
-        assert system.coeff_int(c, k, 1000) == round_half_away((lo + hi) / 2)
+        assert _rounds_coeff(system.coeff_int(c, k, 1000), p, c[k], k, 1000)
     for k in (4, 5, 100):
         assert system.coeff_int(c, k, 1000) == 0
 
@@ -444,20 +451,55 @@ def _integer_terms(terms, u):
 @given(root_terms(), st.sampled_from([4, 16]))
 @example((1, {Fraction(0): Fraction(3, 7)}), 4)      # 2^0 is not enclosed exactly
 @example((2, {Fraction(1, 2): Fraction(1), Fraction(3, 2): Fraction(-1, 2)}), 4)
-def test_round_midpoint_matches_the_rootsum_enclosure(u_terms, w):
+def test_round_enclosure_matches_the_rootsum_enclosure(u_terms, w):
     u, terms = u_terms
     C, den = _integer_terms(terms, u)
     ring = fr.RootSum(terms)
     want = round_half_away(sum(_tight_bounds(ring.bounds, Fraction(1, 1 << w))) / 2)
-    assert _round_midpoint(C, u, den, w) == want
+    assert _round_enclosure(lambda prec: _enclosure_nums(C, u, prec), den, w) == want
     for prec in (8, 24, 30, 48):
         lo, hi = ring.bounds(prec)
         assert (Fraction(_enclosure_nums(C, u, prec)[0], den << prec),
                 Fraction(_enclosure_nums(C, u, prec)[1], den << prec)) == (lo, hi)
-        assert Fraction(_midpoint_num(C, u, prec), den << (prec + 1)) == (lo + hi) / 2
         # the integer ring's enclosure over its own denominator is the same
         lo2, hi2 = RootSum(u, C, den).bounds(prec)
         assert (Fraction(lo2, den << prec), Fraction(hi2, den << prec)) == (lo, hi)
+
+
+@st.composite
+def one_term(draw):
+    """(c, j, u, den) for the one-term sum c 2^(j/u) / den: a signed c, 0
+    among them, or one of the two c whose sums lie either side of a
+    half-integer."""
+    u = draw(st.sampled_from([1, 2, 3, 5]))
+    j, den = draw(st.integers(0, u - 1)), draw(st.integers(1, 1 << 60))
+    if draw(st.booleans()):
+        return draw(st.just(0) | st.integers(-(1 << 80), 1 << 80)), j, u, den
+    # c0 = floor((t + 1/2) den / 2^(j/u)), so c0 and c0 + 1 straddle t + 1/2
+    t = draw(st.integers(0, 1 << 40))
+    c0 = _iroot(((2 * t + 1) * den) ** u >> (u + j), u)
+    return (c0 + draw(st.integers(0, 1))) * draw(st.sampled_from([1, -1])), j, u, den
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_term())
+@example((476042457, 1, 2, 2747860 << 1))      # 122.4999998..., which rounds to 122
+@example((3, 0, 1, 2))                          # ties round away from zero
+@example((-3, 0, 1, 2))
+@example((0, 2, 3, 7))
+def test_round_root_is_the_exact_rounding(term):
+    c, j, u, den = term
+    assert fr.rounds_root(_round_root(c, j, u, den), c, Fraction(j, u), den)
+
+
+def test_haar_coefficients_round_exactly_near_a_half():
+    # lam_2 = c_2 / sqrt(2) = 122.4999998..., which rounds to 122, through
+    # the system and through a Haar name's coefficient branch
+    c = [0, 0, Fraction(476042457, 2747860)]
+    system = HaarSystem(Fraction(2))
+    assert system.coeff_int(c, 2, 1) == 122
+    phi = banach_name(c, BanachReprParams(S=exp_max_time()), system, lambda n: n + 4)
+    assert decode_int(phi(coeff_query(2, 0, 0))) == 122
 
 
 def _ring_value(v: RootSum) -> dict:
@@ -622,9 +664,10 @@ def test_haar_integer_answers_match_the_fraction_reference(p, N):
                 c_scales += _near_half_scales(
                     sum(fr.RootSum({-haar_scale_exp(i, p): lams[i]}).bounds(60)) / 2,
                     1 << 20, 1)
+            lam = lams[i] if i < N else Fraction(0)
             for scale in c_scales:
-                assert system.coeff_int(lams, i, scale) == \
-                    fr.haar_coeff_answer(p, lams, i, scale), (i, scale)
+                assert _rounds_coeff(system.coeff_int(lams, i, scale), p, lam, i,
+                                     scale), (i, scale)
         for start in sorted({0, 1, N // 3, N}):
             # the reference's certified bound, and the test at eps just on
             # either side of it

@@ -180,6 +180,19 @@ def test_untuple_on_random_strings(k, b):
     _check_untuple(k, b)
 
 
+def test_untuple_refuses_a_marker_other_than_one():
+    # a column's marker is its last symbol other than "0", and only "1" is
+    # one: on short columns and on columns past the tail-pass length
+    tail = "0" * (2 * _TAIL_PASS_LEN)
+    for k, b in ((2, "1a"), (3, "1z1"), (2, "1a" + tail), (2, "a1" + tail),
+                 (2, "1a1z" + tail)):
+        assert untuple(k, b) is None, (k, b)
+        assert ref_untuple(k, b) is None, (k, b)
+    assert parse_nats(2, "1a") is None
+    # a symbol other than "0" or "1" before the marker stays in its part
+    assert untuple(2, "a111") == ["a", "1"]
+
+
 def test_int_codec_examples():
     assert encode_int(0) == ""
     assert decode_int("") == 0
@@ -302,7 +315,7 @@ def ref_untuple(k, b):
         if col[-1] == "1":
             full = True
         stripped = col.rstrip("0")
-        if not stripped:           # no terminator marker
+        if not stripped.endswith("1"):     # no "1" terminator marker
             return None
         out.append(stripped[:-1])
     return out if full else None
